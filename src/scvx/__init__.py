@@ -4,6 +4,7 @@ The outer loop convexifies keep-out constraints by projecting the current
 iterate onto each zone and replacing the zone with the supporting
 halfspace at the projection point, then solves the resulting
 second-order-cone program with a built-in interior-point method.
+Sampled checks of these guarantees, used by the tests, are in scvx.checks.
 """
 
 from .errors import (
@@ -39,25 +40,19 @@ from .problem import (
     eval_g,
     eval_h,
     eval_q,
-    jacobian_q,
-    sample_base_set,
     stack,
     unstack,
-    validate_convexity,
 )
 from .conic import ConicProgram, ConicSolution, residuals, solve as solve_conic
 from .conic import Cone as ConicCone
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
-from .projection import ProjectionResult, project, project_generic, safe_gradient
+from .projection import ProjectionResult, project, project_generic
 from .linearize import (
     FeasibleRegion,
     Halfspace,
-    InvarianceReport,
     build_feasible_region,
     check_anchor,
     linearize_direct,
-    lipschitz_probe,
-    verify_invariance,
 )
 from .subproblem import SubproblemArtifacts, assemble, extract
 from .driver import (

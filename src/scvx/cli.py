@@ -62,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write every succession's cone program under <out>/subproblems",
     )
     run.add_argument("--sweep", action="store_true", help="run all scenarios concurrently")
-    run.add_argument("--jobs", type=int, default=None, help="sweep worker count")
+    run.add_argument(
+        "--jobs", type=int, default=None,
+        help="sweep worker count (capped at the scenario and CPU counts)",
+    )
     return parser
 
 
@@ -135,6 +138,13 @@ def _unique_dirs(base, names):
     return out
 
 
+def _sweep_workers(jobs, n_scenarios) -> int:
+    """Pool size of a sweep: --jobs (unset or 0 means automatic), at most
+    one worker per scenario and per CPU, since the pool may start every
+    worker up front."""
+    return min(jobs or n_scenarios, n_scenarios, os.cpu_count() or 1)
+
+
 def _cmd_run(args) -> int:
     if args.builtin and args.scenario:
         _err("give either scenario files or --builtin, not both")
@@ -164,8 +174,7 @@ def _cmd_run(args) -> int:
             "dump_subproblems": args.dump_subproblems,
         }
         payload = [(path, out_dir, flags) for path, out_dir in jobs]
-        workers = args.jobs or min(len(payload), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=_sweep_workers(args.jobs, len(payload))) as pool:
             results = list(pool.map(_sweep_worker, payload))
         worst = EXIT_OK
         for out_dir, code, message in results:

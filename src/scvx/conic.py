@@ -16,6 +16,10 @@ quasi-definite KKT matrix (static regularization + iterative refinement)
 and reuses the factorization for the predictor, the corrector, and the
 embedding's tau column.  Solves are deterministic: identical inputs produce
 bitwise-identical iterates.
+
+ProgramBuilder is the one way programs are put together: callers add
+labeled columns and rows, and build() returns the standard-form program
+together with maps of where each labeled block landed.
 """
 
 from __future__ import annotations
@@ -93,6 +97,109 @@ class ConicSolution:
     iterations: int
     primal_res: float = np.nan
     dual_res: float = np.nan
+
+
+@dataclass(frozen=True)
+class Span:
+    """A labeled, contiguous block of program rows or columns."""
+
+    label: tuple
+    start: int
+    length: int
+
+    @property
+    def stop(self):
+        return self.start + self.length
+
+    def range(self):
+        return range(self.start, self.stop)
+
+
+class ProgramBuilder:
+    """Incremental cone-program builder with labeled rows and columns.
+
+    Expressions are (pairs, const) with pairs = [(column, coefficient)...];
+    the slack of an emitted cone row equals const + sum(coeff * x[col]).
+    Rows are grouped zero -> nonneg -> soc on build, and the returned maps
+    record where every labeled block landed.
+    """
+
+    def __init__(self):
+        self.n_cols = 0
+        self.cols = []  # Span
+        self._cost = []  # (col, coeff)
+        self._zero = []  # (label, pairs, rhs): sum coeff*x = rhs
+        self._nonneg = []  # (label, pairs, rhs): sum coeff*x >= rhs
+        self._soc = []  # (label, [exprs])
+
+    def add_cols(self, label, count) -> int:
+        start = self.n_cols
+        self.cols.append(Span(tuple(label), start, count))
+        self.n_cols += count
+        return start
+
+    def add_cost(self, col, coeff):
+        self._cost.append((int(col), float(coeff)))
+
+    def add_eq(self, label, pairs, rhs):
+        self._zero.append((tuple(label), list(pairs), float(rhs)))
+
+    def add_ge(self, label, pairs, rhs):
+        self._nonneg.append((tuple(label), list(pairs), float(rhs)))
+
+    def add_soc(self, label, exprs):
+        self._soc.append((tuple(label), [(list(p), float(k)) for p, k in exprs]))
+
+    def build(self):
+        rows_i, cols_j, vals = [], [], []
+        bvals = []
+        row_spans = []
+        cones = []
+
+        def emit(pairs, const, negate):
+            r = len(bvals)
+            sign = -1.0 if negate else 1.0
+            for col, coeff in pairs:
+                if coeff != 0.0:
+                    rows_i.append(r)
+                    cols_j.append(int(col))
+                    vals.append(sign * float(coeff))
+            bvals.append(const)
+
+        for label, pairs, rhs in self._zero:
+            row_spans.append(Span(label, len(bvals), 1))
+            emit(pairs, rhs, negate=False)  # A x = b
+        n_zero = len(bvals)
+        for label, pairs, rhs in self._nonneg:
+            row_spans.append(Span(label, len(bvals), 1))
+            emit(pairs, -rhs, negate=True)  # s = sum coeff*x - rhs >= 0
+        n_nonneg = len(bvals) - n_zero
+        for label, exprs in self._soc:
+            row_spans.append(Span(label, len(bvals), len(exprs)))
+            for pairs, const in exprs:
+                emit(pairs, const, negate=True)  # s_i = const + sum coeff*x
+            cones.append(Cone("soc", len(exprs)))
+
+        cone_list = []
+        if n_zero:
+            cone_list.append(Cone("zero", n_zero))
+        if n_nonneg:
+            cone_list.append(Cone("nonneg", n_nonneg))
+        cone_list.extend(cones)
+
+        c = np.zeros(self.n_cols)
+        for col, coeff in self._cost:
+            c[col] += coeff
+        A = sp.coo_matrix(
+            (vals, (rows_i, cols_j)), shape=(len(bvals), self.n_cols)
+        ).tocsc()
+        program = ConicProgram(c, A, np.asarray(bvals), tuple(cone_list))
+        return program, tuple(row_spans), tuple(self.cols)
+
+
+def coord_pairs(cols, coeffs):
+    """Expression pairs [(column, coefficient)...] for ProgramBuilder rows."""
+    return [(int(i), float(a)) for i, a in zip(cols, coeffs)]
 
 
 def residuals(program: ConicProgram, solution: ConicSolution):

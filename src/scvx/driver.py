@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
+from .conic import ProgramBuilder, coord_pairs
 from .errors import (
     DimensionError,
     InfeasibleAnchorError,
@@ -27,12 +28,11 @@ from .linearize import (
     _rows_to_linearize,
     build_feasible_region,
     check_anchor,
+    linearize_direct,
 )
 from .penalty import PenaltyCheck, PenaltyConfig, check_mode, penalty_value, validate_penalty_weight
-from .problem import OptimalControlProblem, eval_g
-from .projection import safe_gradient
+from .problem import AffineFn, OptimalControlProblem, eval_g
 from .subproblem import (
-    ProgramBuilder,
     add_base_set_rows,
     add_equality_dynamics_rows,
     assemble,
@@ -97,16 +97,40 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(problem, config, region, tol=None, max_iter=None):
-    """One subproblem solve over an explicit region; returns (y, mult, P, sol, art)."""
+def _solve_region(problem, config, region, tol=None, max_iter=None, dump_path=None):
+    """Assemble min P over the region and solve it; returns (artifacts, solution).
+
+    dump_path, when given, receives the program before it is solved.
+    """
     artifacts = assemble(problem, config.penalty, region)
+    if dump_path:
+        conic.dump_program(artifacts.program, dump_path)
     sol = conic.solve(
         artifacts.program,
         tol=config.subsolver_tol if tol is None else tol,
         max_iter=config.subsolver_max_iter if max_iter is None else max_iter,
     )
-    y, mult, value = extract(artifacts, sol, polish=config.polish)
-    return y, mult, value, sol, artifacts
+    return artifacts, sol
+
+
+def _relaxation_floor(problem, config, z):
+    """min P over the base set and the affine linearized rows, or None.
+
+    Every affine row linearizes to exactly q_j >= 0, so this region
+    contains every succession's region and its minimum bounds the cost from
+    below.  Dropping a non-affine row relaxes a keep-out, except for a
+    dynamics defect: without g_j >= 0 its one-sided penalty epigraph
+    t_j >= g_j no longer measures |g_j|, and no bound follows.
+    """
+    halfspaces = []
+    for j, spec in _rows_to_linearize(problem, config.penalty.mode):
+        if isinstance(spec.fn, AffineFn):
+            halfspaces.append(linearize_direct(spec, z, j))
+        elif spec.kind == "dynamics-defect":
+            return None
+    region = FeasibleRegion(problem.base_set, tuple(halfspaces), z.copy())
+    artifacts, sol = _solve_region(problem, config, region)
+    return extract(artifacts, sol, polish=config.polish)[2]
 
 
 def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -> SolveReport:
@@ -136,8 +160,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
 
     relaxation_floor = None
     if config.compute_floor and not convex_only:
-        floor_region = FeasibleRegion(problem.base_set, (), z.copy())
-        relaxation_floor = _solve_region(problem, config, floor_region)[2]
+        relaxation_floor = _relaxation_floor(problem, config, z)
 
     if config.dump_dir:
         os.makedirs(config.dump_dir, exist_ok=True)
@@ -147,15 +170,10 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     for k in range(1, config.max_successions + 1):
         successions = k
         region = build_feasible_region(problem, z, config.penalty.mode)
-        artifacts = assemble(problem, config.penalty, region)
-        if config.dump_dir:
-            conic.dump_program(
-                artifacts.program,
-                os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt"),
-            )
-        sol = conic.solve(
-            artifacts.program, tol=config.subsolver_tol, max_iter=config.subsolver_max_iter
+        dump_path = (
+            os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
+        artifacts, sol = _solve_region(problem, config, region, dump_path=dump_path)
         y, multipliers, P_y = extract(artifacts, sol, polish=config.polish)
         improvement = P_z - P_y
         accepted = P_y < P_z
@@ -214,9 +232,8 @@ def fixed_point_residual(
     config = config or ScvxConfig()
     z_star = np.asarray(z_star, dtype=float).ravel()
     region = build_feasible_region(problem, z_star, config.penalty.mode)
-    artifacts = assemble(problem, config.penalty, region)
-    sol = conic.solve(
-        artifacts.program,
+    artifacts, sol = _solve_region(
+        problem, config, region,
         tol=config.certificate_tol,
         max_iter=max(200, config.subsolver_max_iter),
     )
@@ -328,12 +345,10 @@ def find_feasible_start(
             add_equality_dynamics_rows(builder, problem, y0)
         add_base_set_rows(builder, problem.base_set, y0)
         for k, (j, spec) in enumerate(rows):
-            grad_local, _ = safe_gradient(spec, w)
-            pairs = [(y0 + int(i), float(g)) for i, g in zip(spec.indices, grad_local)]
-            offset = sum(g * w[int(i)] for i, g in zip(spec.indices, grad_local))
-            offset -= spec.value(w)
-            pairs.append((s0 + k, 1.0))
-            builder.add_ge(("relaxed", j), pairs, float(offset))
+            hs = linearize_direct(spec, w, j)
+            nz = np.nonzero(hs.normal)[0]
+            pairs = coord_pairs(y0 + nz, hs.normal[nz]) + [(s0 + k, 1.0)]
+            builder.add_ge(("relaxed", j), pairs, hs.offset)
         trust = [([], rho)]
         for i in range(dims.n_y):
             trust.append(([(y0 + i, 1.0)], float(-w[i])))

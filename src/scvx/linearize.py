@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradientError, InfeasibleAnchorError, ScvxError
-from .problem import (
-    BaseSet,
-    ConstraintSpec,
-    OptimalControlProblem,
-    eval_q,
-    sample_base_set,
+from .errors import (
+    DegenerateGradientError,
+    GradientSingularityError,
+    InfeasibleAnchorError,
+    ScvxError,
 )
+from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_q
 from .projection import project
 
 # anchors are accepted as feasible down to this constraint slack; iterates
@@ -144,86 +143,24 @@ def linearize_direct(constraint: ConstraintSpec, z, index: int = -1) -> Halfspac
     Because q_j is convex this is a global under-estimator: any y
     satisfying the row satisfies q_j(y) >= 0.  Anchoring at z instead of at
     the projection point generally yields a smaller region than F_z; the
-    feasibility initializer uses this form with slack variables.
+    feasibility initializer uses this form with slack variables, and the
+    relaxation floor uses it for affine rows, where it is exactly q_j >= 0.
+    At the center of a norm term, where the gradient is undefined, the
+    subgradient along the first image direction is used.
     """
     z = np.asarray(z, dtype=float)
+    try:
+        grad = constraint.grad_local(z)
+    except GradientSingularityError:
+        fn = constraint.fn
+        if not isinstance(fn, NormFn):
+            raise
+        v = np.zeros(fn.p.size)
+        v[0] = 1.0
+        grad = fn.H.T @ v + fn.a
     normal = np.zeros(z.size)
-    normal[constraint.indices] = constraint.grad_local(z)
-    offset = float(normal @ z - constraint.value(z))
-    return Halfspace(normal, offset, index)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    samples: int
-    violations: int
-    worst_margin: float
-    anchor_slack: float
-    checked_rows: int
-
-
-def verify_invariance(
-    problem: OptimalControlProblem,
-    region: FeasibleRegion,
-    n_samples: int,
-    seed: int = 0,
-) -> InvarianceReport:
-    """Sampled check of anchor membership and F_z containment.
-
-    Samples points of F_z (base set filtered by the halfspaces) and
-    evaluates the linearized constraint rows at each: every sample must
-    satisfy q_j >= -1e-8.  Rows handled as hard equalities are not part of
-    the halfspace description and are excluded (their feasibility is
-    enforced exactly by the subproblem, not by this containment argument).
-    Failures are reported, not raised.
-    """
-    anchor_slack = (
-        min(hs.slack(region.anchor) for hs in region.halfspaces)
-        if region.halfspaces
-        else 0.0
-    )
-    rng = np.random.default_rng(seed)
-    triples = [
-        (np.nonzero(hs.normal)[0], hs.normal[np.nonzero(hs.normal)[0]], hs.offset)
-        for hs in region.halfspaces
-    ]
-    Y = sample_base_set(region.base, rng, n_samples, halfspaces=triples)
-    worst = np.inf
-    violations = 0
-    checked = 0
-    for hs in region.halfspaces:
-        spec = problem.constraints[hs.constraint_index]
-        vals = spec.value_batch(Y)
-        worst = min(worst, float(np.min(vals))) if vals.size else worst
-        violations += int(np.sum(vals < -1e-8))
-        checked += 1
-    if not region.halfspaces:
-        worst = 0.0
-    return InvarianceReport(
-        samples=n_samples,
-        violations=violations,
-        worst_margin=float(worst),
-        anchor_slack=float(anchor_slack),
-        checked_rows=checked,
-    )
-
-
-def lipschitz_probe(
-    problem: OptimalControlProblem, z1, z2, y, mode: str = "equality"
-) -> float:
-    """Empirical ratio ||l(y, z1) - l(y, z2)|| / ||z1 - z2||.
-
-    Property tests probe this for boundedness; no Lipschitz constant is
-    stored or asserted by the library itself.
-    """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    dz = float(np.linalg.norm(z1 - z2))
-    if dz <= 0.0:
-        raise ScvxError("lipschitz_probe needs two distinct anchor points")
-    r1 = build_feasible_region(problem, z1, mode)
-    r2 = build_feasible_region(problem, z2, mode)
-    y = np.asarray(y, dtype=float)
-    l1 = np.array([hs.slack(y) for hs in r1.halfspaces])
-    l2 = np.array([hs.slack(y) for hs in r2.halfspaces])
-    return float(np.linalg.norm(l1 - l2) / dz)
+    normal[constraint.indices] = grad
+    # summed in order over the touched coordinates: a dense dot product over
+    # all of y rounds differently and moves the initializer's iterates
+    offset = sum(g * z[int(i)] for i, g in zip(constraint.indices, grad))
+    return Halfspace(normal, offset - constraint.value(z), index)

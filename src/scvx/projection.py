@@ -7,6 +7,10 @@ Euclidean balls, and infinite cylinders (a ball in a row-orthonormal
 linear image); everything else goes through a small cone program on the
 touched coordinates.  Projections move only the coordinates the
 constraint reads, which is exactly the gradient sparsity pattern.
+
+add_epigraph is the one cone encoding of the convex function catalog: the
+cone projection's sublevel set and the subproblem's objective and penalty
+epigraphs all go through it.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import conic
-from .errors import ProjectionError, UnsupportedModelError, GradientSingularityError
+from .errors import ProjectionError, UnsupportedModelError
 from .problem import AffineFn, ConstraintSpec, NormFn, QuadFn
 
 # q_j(z) values in [-BOUNDARY_TOL, 0] count as "already on the boundary"
@@ -105,69 +108,30 @@ def _project_norm_ball(constraint, z):
     )
 
 
-def _sublevel_rows(fn, k, col0, rows, cols, vals, bvals, cones):
-    """Append cone rows expressing {fn(w) <= 0} over w = x[col0:col0+k]."""
+def add_epigraph(builder: conic.ProgramBuilder, label, fn, t_col, w_cols):
+    """Emit the cone rows of t >= fn(w) over the given builder columns.
+
+    t_col=None encodes the sublevel set fn(w) <= 0 instead.  Affine
+    functions give one nonnegative row, norms one second-order cone, and
+    quadratics a rotated cone through (r+1)^2 >= (r-1)^2 + 2||L w||^2 with
+    r = t - a.w - beta.
+    """
+    w_cols = np.asarray(w_cols, dtype=int)
+    lin = [] if t_col is None else [(int(t_col), 1.0)]
+    lin += conic.coord_pairs(w_cols, -fn.a)  # t - a.w
     if isinstance(fn, AffineFn):
-        # nonneg slack: -(a.w + beta) >= 0
-        for j, aj in enumerate(fn.a):
-            if aj != 0.0:
-                rows.append(len(bvals))
-                cols.append(col0 + j)
-                vals.append(aj)
-        bvals.append(-fn.beta)
-        cones.append(conic.Cone("nonneg", 1))
-        return
-    if isinstance(fn, NormFn):
-        # soc: (-a.w - beta, H w - p) with head >= ||tail||
-        head = len(bvals)
-        for j, aj in enumerate(fn.a):
-            if aj != 0.0:
-                rows.append(head)
-                cols.append(col0 + j)
-                vals.append(aj)
-        bvals.append(-fn.beta)
-        for i in range(fn.H.shape[0]):
-            rr = len(bvals)
-            for j in range(k):
-                if fn.H[i, j] != 0.0:
-                    rows.append(rr)
-                    cols.append(col0 + j)
-                    vals.append(-fn.H[i, j])
-            bvals.append(-fn.p[i])
-        cones.append(conic.Cone("soc", 1 + fn.H.shape[0]))
-        return
-    if isinstance(fn, QuadFn):
-        # 0.5||L w||^2 <= r with r = -(a.w + beta), via the rotated-cone
-        # identity (r+1)^2 >= (r-1)^2 + 2||L w||^2
-        rl = fn.L.shape[0]
-        head = len(bvals)
-        for j, aj in enumerate(fn.a):
-            if aj != 0.0:
-                rows.append(head)
-                cols.append(col0 + j)
-                vals.append(aj)
-        bvals.append(1.0 - fn.beta)  # s0 = r + 1
-        second = len(bvals)
-        for j, aj in enumerate(fn.a):
-            if aj != 0.0:
-                rows.append(second)
-                cols.append(col0 + j)
-                vals.append(aj)
-        bvals.append(-1.0 - fn.beta)  # s1 = r - 1
+        builder.add_ge(label, lin, fn.beta)
+    elif isinstance(fn, NormFn):
+        tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+        builder.add_soc(label, [(lin, -fn.beta)] + tail)
+    elif isinstance(fn, QuadFn):
         root2 = np.sqrt(2.0)
-        for i in range(rl):
-            rr = len(bvals)
-            for j in range(k):
-                if fn.L[i, j] != 0.0:
-                    rows.append(rr)
-                    cols.append(col0 + j)
-                    vals.append(-root2 * fn.L[i, j])
-            bvals.append(0.0)
-        cones.append(conic.Cone("soc", 2 + rl))
-        return
-    raise UnsupportedModelError(
-        f"no cone-representable sublevel encoding for {type(fn).__name__}"
-    )
+        tail = [(conic.coord_pairs(w_cols, root2 * row), 0.0) for row in fn.L]
+        builder.add_soc(label, [(lin, 1.0 - fn.beta), (lin, -1.0 - fn.beta)] + tail)
+    else:
+        raise UnsupportedModelError(
+            f"no cone-representable epigraph for {type(fn).__name__}"
+        )
 
 
 # violations this small are handled by a Newton step along the gradient
@@ -207,24 +171,13 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
     idx = constraint.indices
     k = idx.size
     w0 = z[idx]
-    # columns: w (k), t (1)
-    rows, cols, vals, bvals, cones = [], [], [], [], []
-    # distance epigraph soc: (t, w - w0)
-    rows.append(0)
-    cols.append(k)
-    vals.append(-1.0)
-    bvals.append(0.0)
-    for j in range(k):
-        rows.append(len(bvals))
-        cols.append(j)
-        vals.append(-1.0)
-        bvals.append(-w0[j])
-    cones.append(conic.Cone("soc", 1 + k))
-    _sublevel_rows(constraint.fn, k, 0, rows, cols, vals, bvals, cones)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(len(bvals), k + 1)).tocsc()
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    program = conic.ConicProgram(c, A, np.asarray(bvals), tuple(cones))
+    builder = conic.ProgramBuilder()
+    w_cols = builder.add_cols(("w",), k) + np.arange(k)
+    t = builder.add_cols(("t",), 1)
+    builder.add_cost(t, 1.0)
+    add_epigraph(builder, ("distance",), NormFn(np.eye(k), w0, np.zeros(k), 0.0), t, w_cols)
+    add_epigraph(builder, ("sublevel",), constraint.fn, None, w_cols)
+    program, _, _ = builder.build()
     sol = conic.solve(program, tol=tol, max_iter=100)
     if sol.status != "optimal":
         if val0 <= NEAR_BOUNDARY_FALLBACK:
@@ -260,26 +213,3 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
         on_boundary=bool(val >= -BOUNDARY_TOL),
         method="conic",
     )
-
-
-def safe_gradient(constraint: ConstraintSpec, y: np.ndarray):
-    """Gradient row of q_j at y with a deterministic fallback at norm centers.
-
-    Used by callers that must linearize at arbitrary (possibly deeply
-    infeasible) points, such as the feasibility initializer.  Returns
-    (local gradient, warning-or-None).
-    """
-    try:
-        return constraint.grad_local(y), None
-    except GradientSingularityError:
-        fn = constraint.fn
-        if isinstance(fn, NormFn):
-            v = np.zeros(fn.p.size)
-            v[0] = 1.0
-            grad = fn.H.T @ v + fn.a
-            warning = (
-                f"gradient fallback at the center of constraint ({constraint.kind}, "
-                f"step {constraint.step}, component {constraint.component})"
-            )
-            return grad, warning
-        raise

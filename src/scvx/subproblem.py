@@ -14,127 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import conic
+from .conic import ProgramBuilder, coord_pairs
 from .errors import SubsolverError, UnsupportedModelError
 from .linearize import FeasibleRegion
 from .penalty import PenaltyConfig, check_mode, penalty_value
+from .projection import add_epigraph
 from .problem import (
-    AffineFn,
     Ball,
     Box,
     Cone,
     ConstantObjective,
     ControlNormSum,
-    NormFn,
     OptimalControlProblem,
     Pin,
     QuadFn,
     QuadraticObjective,
 )
-
-
-@dataclass(frozen=True)
-class Span:
-    """A labeled, contiguous block of program rows or columns."""
-
-    label: tuple
-    start: int
-    length: int
-
-    @property
-    def stop(self):
-        return self.start + self.length
-
-    def range(self):
-        return range(self.start, self.stop)
-
-
-class ProgramBuilder:
-    """Incremental cone-program builder with labeled rows and columns.
-
-    Expressions are (pairs, const) with pairs = [(column, coefficient)...];
-    the slack of an emitted cone row equals const + sum(coeff * x[col]).
-    Rows are grouped zero -> nonneg -> soc on build, and the returned maps
-    record where every labeled block landed.
-    """
-
-    def __init__(self):
-        self.n_cols = 0
-        self.cols = []  # Span
-        self._cost = []  # (col, coeff)
-        self._zero = []  # (label, pairs, rhs): sum coeff*x = rhs
-        self._nonneg = []  # (label, pairs, rhs): sum coeff*x >= rhs
-        self._soc = []  # (label, [exprs])
-
-    def add_cols(self, label, count) -> int:
-        start = self.n_cols
-        self.cols.append(Span(tuple(label), start, count))
-        self.n_cols += count
-        return start
-
-    def add_cost(self, col, coeff):
-        self._cost.append((int(col), float(coeff)))
-
-    def add_eq(self, label, pairs, rhs):
-        self._zero.append((tuple(label), list(pairs), float(rhs)))
-
-    def add_ge(self, label, pairs, rhs):
-        self._nonneg.append((tuple(label), list(pairs), float(rhs)))
-
-    def add_soc(self, label, exprs):
-        self._soc.append((tuple(label), [(list(p), float(k)) for p, k in exprs]))
-
-    def build(self):
-        rows_i, cols_j, vals = [], [], []
-        bvals = []
-        row_spans = []
-        cones = []
-
-        def emit(pairs, const, negate):
-            r = len(bvals)
-            sign = -1.0 if negate else 1.0
-            for col, coeff in pairs:
-                if coeff != 0.0:
-                    rows_i.append(r)
-                    cols_j.append(int(col))
-                    vals.append(sign * float(coeff))
-            bvals.append(const)
-
-        for label, pairs, rhs in self._zero:
-            row_spans.append(Span(label, len(bvals), 1))
-            emit(pairs, rhs, negate=False)  # A x = b
-        n_zero = len(bvals)
-        for label, pairs, rhs in self._nonneg:
-            row_spans.append(Span(label, len(bvals), 1))
-            emit(pairs, -rhs, negate=True)  # s = sum coeff*x - rhs >= 0
-        n_nonneg = len(bvals) - n_zero
-        for label, exprs in self._soc:
-            row_spans.append(Span(label, len(bvals), len(exprs)))
-            for pairs, const in exprs:
-                emit(pairs, const, negate=True)  # s_i = const + sum coeff*x
-            cones.append(conic.Cone("soc", len(exprs)))
-
-        cone_list = []
-        if n_zero:
-            cone_list.append(conic.Cone("zero", n_zero))
-        if n_nonneg:
-            cone_list.append(conic.Cone("nonneg", n_nonneg))
-        cone_list.extend(cones)
-
-        c = np.zeros(self.n_cols)
-        for col, coeff in self._cost:
-            c[col] += coeff
-        A = sp.coo_matrix(
-            (vals, (rows_i, cols_j)), shape=(len(bvals), self.n_cols)
-        ).tocsc()
-        program = conic.ConicProgram(c, A, np.asarray(bvals), tuple(cone_list))
-        return program, tuple(row_spans), tuple(self.cols)
-
-
-def _coord_pairs(indices, coeffs):
-    return [(int(i), float(a)) for i, a in zip(indices, coeffs)]
 
 
 def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0):
@@ -155,7 +52,7 @@ def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0):
                 exprs.append(([(y0 + int(i), 1.0)], float(-cc)))
             builder.add_soc(("ball", k), exprs)
         elif isinstance(mem, Cone):
-            head = _coord_pairs(y0 + mem.indices, mem.axis / mem.cos_angle)
+            head = coord_pairs(y0 + mem.indices, mem.axis / mem.cos_angle)
             exprs = [(head, 0.0)]
             for i in mem.indices:
                 exprs.append(([(y0 + int(i), 1.0)], 0.0))
@@ -169,7 +66,7 @@ def add_halfspace_rows(builder: ProgramBuilder, halfspaces, y0: int = 0):
         nz = np.nonzero(hs.normal)[0]
         builder.add_ge(
             ("halfspace", int(hs.constraint_index)),
-            _coord_pairs(y0 + nz, hs.normal[nz]),
+            coord_pairs(y0 + nz, hs.normal[nz]),
             float(hs.offset),
         )
 
@@ -183,37 +80,10 @@ def add_equality_dynamics_rows(builder: ProgramBuilder, problem, y0: int = 0):
         us = dims.control_slice(i)
         ns = dims.state_slice(i + 1)
         for j in range(dims.n):
-            pairs = _coord_pairs(y0 + np.arange(xs.start, xs.stop), dyn.A[j])
-            pairs += _coord_pairs(y0 + np.arange(us.start, us.stop), dyn.B[j])
+            pairs = coord_pairs(y0 + np.arange(xs.start, xs.stop), dyn.A[j])
+            pairs += coord_pairs(y0 + np.arange(us.start, us.stop), dyn.B[j])
             pairs.append((y0 + ns.start + j, -1.0))
             builder.add_eq(("dyn-eq", i, j), pairs, float(-dyn.d[j]))
-
-
-def _epigraph_exprs(fn, t_col, w_cols):
-    """Cone rows for t >= fn(w); returns ("ge", pairs, rhs) or ("soc", exprs)."""
-    w_cols = np.asarray(w_cols, dtype=int)
-    if isinstance(fn, AffineFn):
-        pairs = [(int(t_col), 1.0)] + _coord_pairs(w_cols, -fn.a)
-        return ("ge", pairs, float(fn.beta))
-    if isinstance(fn, NormFn):
-        head = [(int(t_col), 1.0)] + _coord_pairs(w_cols, -fn.a)
-        exprs = [(head, float(-fn.beta))]
-        for i in range(fn.H.shape[0]):
-            exprs.append((_coord_pairs(w_cols, fn.H[i]), float(-fn.p[i])))
-        return ("soc", exprs)
-    if isinstance(fn, QuadFn):
-        r_pairs = [(int(t_col), 1.0)] + _coord_pairs(w_cols, -fn.a)
-        exprs = [
-            (list(r_pairs), float(1.0 - fn.beta)),  # r + 1
-            (list(r_pairs), float(-1.0 - fn.beta)),  # r - 1
-        ]
-        root2 = np.sqrt(2.0)
-        for i in range(fn.L.shape[0]):
-            exprs.append((_coord_pairs(w_cols, root2 * fn.L[i]), 0.0))
-        return ("soc", exprs)
-    raise UnsupportedModelError(
-        f"no cone-representable epigraph for {type(fn).__name__}"
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,13 +144,10 @@ def assemble(
     elif isinstance(obj, QuadraticObjective):
         t0 = builder.add_cols(("obj-t",), 1)
         builder.add_cost(t0, 1.0)
-        kind, *payload = _epigraph_exprs(
-            QuadFn(obj.L, obj.a, obj.beta), t0, y0 + np.arange(dims.n_y)
+        add_epigraph(
+            builder, ("obj-epi", 0), QuadFn(obj.L, obj.a, obj.beta), t0,
+            y0 + np.arange(dims.n_y),
         )
-        if kind == "soc":
-            builder.add_soc(("obj-epi", 0), payload[0])
-        else:
-            builder.add_ge(("obj-epi", 0), payload[0], payload[1])
     elif isinstance(obj, ConstantObjective):
         constant += float(obj.value_const)
     else:
@@ -296,11 +163,7 @@ def assemble(
             p0 = builder.add_cols(("pen-t",), len(dyn_rows))
             for k, (j, spec) in enumerate(dyn_rows):
                 builder.add_cost(p0 + k, penalty_config.lam)
-                kind, *payload = _epigraph_exprs(spec.fn, p0 + k, y0 + spec.indices)
-                if kind == "soc":
-                    builder.add_soc(("pen-epi", j), payload[0])
-                else:
-                    builder.add_ge(("pen-epi", j), payload[0], payload[1])
+                add_epigraph(builder, ("pen-epi", j), spec.fn, p0 + k, y0 + spec.indices)
 
     # feasible region: hard dynamics (equality mode), base set, halfspaces
     if penalty_config.mode == "equality":
@@ -373,7 +236,7 @@ def extract(
     if polish:
         y = polish_equalities(artifacts, y)
     if artifacts.penalty.mode == "equality":
-        dyn_rows = artifacts.rows("dyn-eq")
+        multipliers = solution.z_dual[artifacts.rows("dyn-eq")]
     else:
         dyn_constraint_idx = {
             j
@@ -389,11 +252,9 @@ def extract(
             ],
             dtype=int,
         )
-    multipliers = solution.z_dual[dyn_rows] if dyn_rows.size else np.zeros(0)
+        # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
+        # at lambda, so the multiplier of g_j is lambda minus the dual of its
+        # linearized row g_j >= 0
+        multipliers = artifacts.penalty.lam - solution.z_dual[dyn_rows]
     value = penalty_value(artifacts.problem, artifacts.penalty, y)
     return y, multipliers, value
-
-
-def solver_objective(artifacts: SubproblemArtifacts, solution: conic.ConicSolution) -> float:
-    """The solver's own objective value including constant offsets."""
-    return float(artifacts.program.c @ solution.x) + artifacts.constant_offset

@@ -22,7 +22,7 @@ from scvx.bench import (
     zoh_blocks,
     _trim_control,
 )
-from scvx.cli import main
+from scvx.cli import _sweep_workers, main
 from scvx.errors import BadScenarioError, InfeasibleScenarioError
 from scvx.problem import unstack
 
@@ -291,6 +291,15 @@ def test_cli_rejects_bad_override_values(capsys):
     assert "--epsilon must be positive" in err
     assert "--max-iter must be at least 1" in err
     assert "--jobs must be non-negative" in err
+
+
+def test_sweep_worker_count_is_clamped():
+    # only the count is computed: a huge --jobs must never reach the pool
+    cpus = os.cpu_count() or 1
+    assert _sweep_workers(10**9, 3) == min(3, cpus)
+    assert _sweep_workers(None, 5) == min(5, cpus)
+    assert _sweep_workers(0, 5) == min(5, cpus)
+    assert _sweep_workers(1, 5) == 1
 
 
 def test_cli_rejects_malformed_scenario(tmp_path, capsys):

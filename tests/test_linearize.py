@@ -8,13 +8,12 @@ from scvx.errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
+from scvx.checks import lipschitz_probe, verify_invariance
 from scvx.linearize import (
     FeasibleRegion,
     Halfspace,
     build_feasible_region,
     linearize_direct,
-    lipschitz_probe,
-    verify_invariance,
 )
 from scvx.problem import (
     AffineDynamics,
@@ -29,7 +28,6 @@ from scvx.problem import (
     QuadFn,
     StateConstraint,
     eval_q,
-    sample_base_set,
     stack,
 )
 

@@ -1,8 +1,11 @@
 """Exact penalty objective and the lambda exactness condition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from scvx.bench import solve_quadrotor
 from scvx.driver import ScvxConfig, scvx
 from scvx.errors import DimensionError, UnsupportedModelError
 from scvx.penalty import PenaltyConfig, check_mode, penalty_value, validate_penalty_weight
@@ -119,7 +122,7 @@ def test_weight_validation_cases():
 
 def test_penalty_convex_along_segments(quad_problem, rng):
     # P restricted to the base set is convex; check midpoints on random pairs
-    from scvx.problem import sample_base_set
+    from scvx.checks import sample_base_set
 
     cfg = PenaltyConfig(lam=3.0, mode="penalty")
     Y = sample_base_set(quad_problem.base_set, rng, 200)
@@ -149,6 +152,34 @@ def test_large_weight_recovers_equality_optimum():
     assert np.abs(eval_g(prob, rep.z)).sum() <= 1e-6
     assert prob.objective_value(rep.z) == pytest.approx(TOY_OPT_COST, abs=1e-6)
     assert rep.penalty_check.status == "valid"
+    # the floor would drop the non-affine defect rows, which bounds nothing
+    assert rep.relaxation_floor is None
+
+
+@pytest.fixture(scope="module")
+def small_runs(quad_scenario):
+    """The built-in geometry at N=8, in penalty mode and in equality mode."""
+    small = dataclasses.replace(quad_scenario, N=8)
+    penalty = solve_quadrotor(dataclasses.replace(small, penalty_lambda=100.0))
+    equality = solve_quadrotor(small)
+    return penalty, equality
+
+
+def test_penalty_multipliers_match_the_equality_duals(small_runs):
+    penalty, equality = small_runs
+    assert penalty.report.converged and equality.report.converged
+    assert penalty.record.cost == pytest.approx(equality.record.cost, abs=1e-6)
+    np.testing.assert_allclose(
+        penalty.report.multipliers, equality.report.multipliers, atol=1e-3
+    )
+    assert penalty.report.penalty_check.status == "valid"
+
+
+def test_penalty_relaxation_floor_bounds_the_cost(small_runs):
+    penalty, _ = small_runs
+    floor = penalty.report.relaxation_floor
+    assert floor is not None
+    assert floor <= penalty.record.cost + 1e-9
 
 
 def test_benchmark_penalty_equals_control_norm_sum(benchmark_run):

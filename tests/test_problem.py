@@ -23,12 +23,10 @@ from scvx.problem import (
     eval_g,
     eval_h,
     eval_q,
-    jacobian_q,
-    sample_base_set,
     stack,
     unstack,
-    validate_convexity,
 )
+from scvx.checks import jacobian_q, sample_base_set, validate_convexity
 
 
 def tiny_problem(n=2, m=1, T=3):

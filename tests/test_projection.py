@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scvx.problem import AffineFn, ConstraintSpec, NormFn
+from scvx.problem import AffineFn, ConstraintSpec, NormFn, QuadFn
 from scvx.projection import project, project_generic
 
 
@@ -18,6 +18,21 @@ def disk_constraint(center, radius, indices=(0, 1), n_extra=0):
         indices=np.asarray(indices, dtype=int),
         fn=NormFn(H=np.eye(k), p=center, a=np.zeros(k), beta=-float(radius)),
         analytic_projector="cylinder" if n_extra else "ball",
+    )
+
+
+def quad_disk_constraint(center, radius):
+    """The disk_constraint set written as 0.5||sqrt2 w||^2 - 2c.w + |c|^2 - r^2 >= 0."""
+    center = np.asarray(center, dtype=float)
+    k = center.size
+    return ConstraintSpec(
+        kind="state-constraint",
+        step=0,
+        component=0,
+        indices=np.arange(k),
+        fn=QuadFn(
+            L=np.sqrt(2.0) * np.eye(k), a=-2.0 * center, beta=center @ center - radius**2
+        ),
     )
 
 
@@ -100,17 +115,20 @@ def test_halfspace_projection_formula():
     assert abs(c.fn.value(res.point)) <= 1e-9
 
 
-def test_gradient_fallback_at_norm_center():
+def test_gradient_fallback_at_norm_center(rng):
     from scvx.errors import GradientSingularityError
-    from scvx.projection import safe_gradient
+    from scvx.linearize import linearize_direct
 
     c = disk_constraint([1.0, 2.0], 0.5)
     y = np.array([1.0, 2.0])  # exactly at the center: gradient undefined
     with pytest.raises(GradientSingularityError):
         c.grad_local(y)
-    grad, warning = safe_gradient(c, y)
-    assert warning is not None
-    np.testing.assert_allclose(grad, [1.0, 0.0], atol=1e-15)
+    hs = linearize_direct(c, y)
+    np.testing.assert_allclose(hs.normal, [1.0, 0.0], atol=1e-15)
+    assert hs.slack(y) == pytest.approx(c.value(y), abs=1e-15)
+    # a subgradient row: still a global under-estimator of q
+    for w in rng.uniform(-2.0, 4.0, size=(500, 2)):
+        assert c.value(w) >= hs.slack(w) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +173,13 @@ def test_analytic_conic_agreement_100_instances(rng):
             radius = float(rng.uniform(0.3, 2.0))
             c = disk_constraint(center, radius)
             z = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
+            # the same disk as a QuadFn, through the rotated-cone encoding; the
+            # distance is flat along the boundary, so the point is pinned
+            # less tightly than the distance
+            analytic = project(c, z)
+            quad = project_generic(quad_disk_constraint(center, radius), z)
+            assert abs(quad.distance - analytic.distance) <= 1e-7
+            assert np.linalg.norm(quad.point - analytic.point) <= 1e-4
         elif kind == 1:
             center = rng.uniform(-2.0, 2.0, size=2)
             radius = float(rng.uniform(0.3, 2.0))

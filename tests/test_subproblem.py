@@ -8,11 +8,11 @@ from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.problem import eval_g, eval_q
+from scvx.checks import solver_objective
 from scvx.subproblem import (
     assemble,
     extract,
     polish_equalities,
-    solver_objective,
 )
 from tests.test_linearize import hold_anchor, unit_disk_problem
 
