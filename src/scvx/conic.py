@@ -276,191 +276,175 @@ def load_program(path) -> ConicProgram:
 
 
 # ---------------------------------------------------------------------------
-# cone block utilities (inequality rows only: nonneg rows pooled, soc blocks)
+# cone block utilities (inequality rows only)
+#
+# A nonnegative row is the 1-dim second-order cone t >= ||()||, so every
+# inequality cone is a second-order block.  Blocks of equal dimension d are
+# stacked into one (k, d) index array, column 0 holding each head t, and
+# every operation runs once per dimension on the gathered (k, d) values.  On
+# d = 1 the formulas reduce to the orthant closed forms.
+
+
+def _split(x):
+    """Heads (k,) and tails (k, d-1) of stacked blocks."""
+    return x[:, 0], x[:, 1:]
+
+
+def _dot(u, v):
+    return np.sum(u * v, axis=1)
+
+
+def _jnorm(x):
+    """sqrt(x0^2 - ||x1||^2) per block: the cone's own scale."""
+    x0, x1 = _split(x)
+    return np.sqrt(x0 * x0 - _dot(x1, x1))
+
+
+def _jdiag(d):
+    """The diagonal of J = diag(1, -1, ..., -1)."""
+    j = -np.ones(d)
+    j[0] = 1.0
+    return j
+
+
+def _reflect(u, x):
+    """(2uu^T - J) x per stacked block."""
+    return (2.0 * _dot(u, x))[:, None] * u - _jdiag(x.shape[1]) * x
 
 
 class _Blocks:
-    """Row layout of the inequality cone: orthant slice + soc slices."""
+    """Inequality rows grouped by cone dimension into (k, d) index arrays."""
 
     def __init__(self, cones):
-        self.nonneg = []  # local row indices
-        self.socs = []  # (start, dim) local slices
+        starts = {}  # dim -> first local row of each block
         pos = 0
         for k in cones:
             if k.kind == "nonneg":
-                self.nonneg.extend(range(pos, pos + k.dim))
-                pos += k.dim
-            elif k.kind == "soc":
-                self.socs.append((pos, k.dim))
-                pos += k.dim
-        self.nonneg = np.asarray(self.nonneg, dtype=int)
+                starts.setdefault(1, []).extend(range(pos, pos + k.dim))
+            else:
+                starts.setdefault(k.dim, []).append(pos)
+            pos += k.dim
+        self.groups = [
+            np.asarray(starts[d], dtype=int)[:, None] + np.arange(d) for d in sorted(starts)
+        ]
         self.dim = pos
-        self.degree = self.nonneg.size + len(self.socs)
+        self.degree = sum(idx.shape[0] for idx in self.groups)
 
     def identity(self):
         e = np.zeros(self.dim)
-        e[self.nonneg] = 1.0
-        for start, _ in self.socs:
-            e[start] = 1.0
+        for idx in self.groups:
+            e[idx[:, 0]] = 1.0
         return e
 
     def min_eig(self, v):
-        """Smallest cone eigenvalue: entries on the orthant, v0 - ||v1|| per soc."""
+        """Smallest cone eigenvalue v0 - ||v1|| over all blocks (inf if none)."""
         vals = []
-        if self.nonneg.size:
-            vals.append(np.min(v[self.nonneg]))
-        for start, dim in self.socs:
-            vals.append(v[start] - np.linalg.norm(v[start + 1 : start + dim]))
-        return min(vals) if vals else np.inf
+        for idx in self.groups:
+            v0, v1 = _split(v[idx])
+            vals.append(np.min(v0 - np.sqrt(_dot(v1, v1))))
+        return min(vals, default=np.inf)
 
     def product(self, u, v):
         """Jordan product u o v blockwise."""
         out = np.empty(self.dim)
-        out[self.nonneg] = u[self.nonneg] * v[self.nonneg]
-        for start, dim in self.socs:
-            u0, u1 = u[start], u[start + 1 : start + dim]
-            v0, v1 = v[start], v[start + 1 : start + dim]
-            out[start] = u0 * v0 + u1 @ v1
-            out[start + 1 : start + dim] = u0 * v1 + v0 * u1
+        for idx in self.groups:
+            (u0, u1), (v0, v1) = _split(u[idx]), _split(v[idx])
+            out[idx[:, 0]] = u0 * v0 + _dot(u1, v1)
+            out[idx[:, 1:]] = u0[:, None] * v1 + v0[:, None] * u1
         return out
 
     def divide(self, lam, d):
         """Solve lam o w = d for w."""
         out = np.empty(self.dim)
-        out[self.nonneg] = d[self.nonneg] / lam[self.nonneg]
-        for start, dim in self.socs:
-            l0, l1 = lam[start], lam[start + 1 : start + dim]
-            d0, d1 = d[start], d[start + 1 : start + dim]
-            det = l0 * l0 - l1 @ l1
-            w0 = (l0 * d0 - l1 @ d1) / det
-            out[start] = w0
-            out[start + 1 : start + dim] = (d1 - w0 * l1) / l0
+        for idx in self.groups:
+            (l0, l1), (d0, d1) = _split(lam[idx]), _split(d[idx])
+            w0 = (d0 - _dot(l1, d1) / l0) / (l0 - _dot(l1, l1) / l0)
+            out[idx[:, 0]] = w0
+            out[idx[:, 1:]] = (d1 - w0[:, None] * l1) / l0[:, None]
         return out
 
     def max_step(self, v, dv):
-        """Largest alpha with v + alpha*dv in the cone (v strictly inside)."""
+        """Largest alpha with v + alpha*dv in the cone (v strictly inside).
+
+        In the frame where v / ||v||_J is the identity, dv / ||v||_J maps to
+        rho, and the step is 1 / max(0, -(rho0 - ||rho1||)).  rho is kept
+        scaled by ||v||_J, which makes d = 1 exactly -v/dv.
+        """
         alpha = np.inf
-        neg = dv[self.nonneg] < 0
-        if np.any(neg):
-            alpha = float(np.min(-v[self.nonneg][neg] / dv[self.nonneg][neg]))
-        for start, dim in self.socs:
-            u0, u1 = v[start], v[start + 1 : start + dim]
-            d0, d1 = dv[start], dv[start + 1 : start + dim]
-            A = d0 * d0 - d1 @ d1
-            B = 2.0 * (u0 * d0 - u1 @ d1)
-            C = u0 * u0 - u1 @ u1
-            r = _smallest_positive_root(A, B, C)
-            if r < alpha:
-                alpha = r
+        for idx in self.groups:
+            V, D = v[idx], dv[idx]
+            vn = _jnorm(V)
+            (b0, b1), (d0, d1) = _split(V / vn[:, None]), _split(D)
+            r0 = b0 * d0 - _dot(b1, d1)
+            r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
+            shrink = np.sqrt(_dot(r1, r1)) - r0
+            hit = shrink > 0
+            if np.any(hit):
+                alpha = min(alpha, float(np.min(vn[hit] / shrink[hit])))
         return alpha
 
 
-def _smallest_positive_root(A, B, C):
-    """Smallest positive root of A t^2 + B t + C = 0 with C > 0, or inf."""
-    if abs(A) < 1e-300:
-        if B < 0:
-            return -C / B
-        return np.inf
-    disc = B * B - 4.0 * A * C
-    if disc < 0:
-        return np.inf  # only possible for A > 0: f stays positive
-    sq = np.sqrt(disc)
-    q = -0.5 * (B + np.copysign(sq, B)) if B != 0 else -0.5 * sq
-    roots = []
-    if abs(A) > 0:
-        roots.append(q / A)
-    if abs(q) > 0:
-        roots.append(C / q)
-    pos = [r for r in roots if r > 0]
-    return min(pos) if pos else np.inf
-
-
 class _Scaling:
-    """Nesterov-Todd scaling W with lam = W z = W^{-1} s.
+    """Nesterov-Todd scaling W with lam = W z = W^{-1} s, per block group.
 
-    For a second-order block the det-normalized scaling point is
-    v = (sbar + J zbar) / (2 gamma), which satisfies (2vv^T - J) zbar =
-    sbar, i.e. W^2 = eta^2 (2vv^T - J).  W itself acts through the Jordan
-    square root u = (v + e) / sqrt(2(v0 + 1)): W = eta (2uu^T - J).
+    For a block the det-normalized scaling point is v = (sbar + J zbar) /
+    (2 gamma), which satisfies (2vv^T - J) zbar = sbar, i.e. W^2 = eta^2
+    (2vv^T - J).  W itself acts through the Jordan square root u = (v + e) /
+    sqrt(2(v0 + 1)): W = eta (2uu^T - J).  On d = 1, v = u = 1, W = sqrt(s/z)
+    and lam = sqrt(sz).
     """
 
     def __init__(self, blocks: _Blocks, s, z):
         self.blocks = blocks
-        self.w_nn = np.sqrt(s[blocks.nonneg] / z[blocks.nonneg]) if blocks.nonneg.size else np.empty(0)
         self.lam = np.empty(blocks.dim)
-        self.lam[blocks.nonneg] = np.sqrt(s[blocks.nonneg] * z[blocks.nonneg])
-        self.soc = []  # (eta, v, u) per block
-        for start, dim in blocks.socs:
-            sb = s[start : start + dim]
-            zb = z[start : start + dim]
-            a = np.sqrt(sb[0] ** 2 - sb[1:] @ sb[1:])
-            bb = np.sqrt(zb[0] ** 2 - zb[1:] @ zb[1:])
-            sbar = sb / a
-            zbar = zb / bb
-            gamma = np.sqrt(0.5 * (1.0 + sbar @ zbar))
-            v = sbar.copy()
-            v[0] += zbar[0]
-            v[1:] -= zbar[1:]
-            v /= 2.0 * gamma
+        self.groups = []  # (eta, v, u) per group: (k,), (k, d), (k, d)
+        for idx in blocks.groups:
+            S, Z = s[idx], z[idx]
+            a, bb = _jnorm(S), _jnorm(Z)
+            sbar = S / a[:, None]
+            zbar = Z / bb[:, None]
+            gamma = np.sqrt(0.5 * (1.0 + _dot(sbar, zbar)))
+            v = (sbar + _jdiag(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
             u = v.copy()
-            u[0] += 1.0
-            u /= np.sqrt(2.0 * (v[0] + 1.0))
-            eta = np.sqrt(a / bb)
-            self.soc.append((eta, v, u))
+            u[:, 0] += 1.0
+            u /= np.sqrt(2.0 * (v[:, 0] + 1.0))[:, None]
+            self.groups.append((np.sqrt(a / bb), v, u))
             scale = np.sqrt(a * bb)
-            lam0 = gamma * scale
-            denom = sbar[0] + zbar[0] + 2.0 * gamma
-            lam1 = ((gamma + zbar[0]) * sbar[1:] + (gamma + sbar[0]) * zbar[1:]) / denom
-            self.lam[start] = lam0
-            self.lam[start + 1 : start + dim] = scale * lam1
+            (s0, s1), (z0, z1) = _split(sbar), _split(zbar)
+            denom = s0 + z0 + 2.0 * gamma
+            lam1 = ((gamma + z0)[:, None] * s1 + (gamma + s0)[:, None] * z1) / denom[:, None]
+            self.lam[idx[:, 0]] = gamma * scale
+            self.lam[idx[:, 1:]] = scale[:, None] * lam1
 
     def apply(self, x):
         """W x"""
         out = np.empty(self.blocks.dim)
-        out[self.blocks.nonneg] = self.w_nn * x[self.blocks.nonneg]
-        for (start, dim), (eta, _, u) in zip(self.blocks.socs, self.soc):
-            xb = x[start : start + dim]
-            ux = u @ xb
-            r = 2.0 * ux * u
-            r[0] -= xb[0]
-            r[1:] += xb[1:]
-            out[start : start + dim] = eta * r
+        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
+            out[idx] = eta[:, None] * _reflect(u, x[idx])
         return out
 
     def apply_inv(self, x):
-        """W^{-1} x"""
+        """W^{-1} x = (2 Ju (Ju)^T - J) x / eta"""
         out = np.empty(self.blocks.dim)
-        out[self.blocks.nonneg] = x[self.blocks.nonneg] / self.w_nn
-        for (start, dim), (eta, _, u) in zip(self.blocks.socs, self.soc):
-            xb = x[start : start + dim]
-            ju = u.copy()
-            ju[1:] = -ju[1:]
-            ux = ju @ xb
-            r = 2.0 * ux * ju
-            r[0] -= xb[0]
-            r[1:] += xb[1:]
-            out[start : start + dim] = r / eta
+        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
+            out[idx] = _reflect(_jdiag(idx.shape[1]) * u, x[idx]) / eta[:, None]
         return out
 
     def w_squared(self):
-        """W^2 as a sparse matrix (diagonal orthant part, dense soc blocks)."""
-        diag = np.zeros(self.blocks.dim)
-        diag[self.blocks.nonneg] = self.w_nn**2
-        rows, cols, vals = [], [], []
-        nn = self.blocks.nonneg
-        rows.extend(nn.tolist())
-        cols.extend(nn.tolist())
-        vals.extend(diag[nn].tolist())
-        for (start, dim), (eta, v, _) in zip(self.blocks.socs, self.soc):
-            J = -np.eye(dim)
-            J[0, 0] = 1.0
-            M = (eta * eta) * (2.0 * np.outer(v, v) - J)
-            for i in range(dim):
-                for j in range(dim):
-                    rows.append(start + i)
-                    cols.append(start + j)
-                    vals.append(M[i, j])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.blocks.dim, self.blocks.dim)).tocsc()
+        """W^2 as a sparse matrix: one dense (d, d) block per cone."""
+        # empty seeds keep a program without inequality rows well formed
+        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for idx, (eta, v, _) in zip(self.blocks.groups, self.groups):
+            J = np.diag(_jdiag(idx.shape[1]))
+            M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
+            rows.append(np.broadcast_to(idx[:, :, None], M.shape).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], M.shape).ravel())
+            vals.append(M.ravel())
+        dim = self.blocks.dim
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        ).tocsc()
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +453,14 @@ class _Scaling:
 
 class _KKT:
     def __init__(self, A_eq, G, W2):
-        n = A_eq.shape[1]
-        p_eq = A_eq.shape[0]
-        p_in = G.shape[0]
-        blocks = [
-            [None, A_eq.T if p_eq else None, G.T if p_in else None],
-            [A_eq if p_eq else None, None, None],
-            [G if p_in else None, None, -W2 if p_in else None],
-        ]
-        # drop empty block rows/cols
-        keep = [True, p_eq > 0, p_in > 0]
-        blocks = [
-            [blocks[i][j] for j in range(3) if keep[j]] for i in range(3) if keep[i]
-        ]
-        K = sp.bmat(blocks, format="csc")
-        reg = np.concatenate(
-            [np.full(n, _REG), np.full(p_eq, -_REG), np.full(p_in, -_REG)]
+        # zero-row blocks pass through bmat, so no row block is special
+        self.K = sp.bmat(
+            [[None, A_eq.T, G.T], [A_eq, None, None], [G, None, -W2]], format="csc"
         )
-        self.K = K
-        self.n, self.p_eq, self.p_in = n, p_eq, p_in
-        self.lu = spla.splu(K + sp.diags(reg).tocsc())
+        reg = np.concatenate(
+            [np.full(A_eq.shape[1], _REG), np.full(A_eq.shape[0] + G.shape[0], -_REG)]
+        )
+        self.lu = spla.splu(self.K + sp.diags(reg).tocsc())
 
     def solve(self, rhs):
         x = self.lu.solve(rhs)
@@ -528,8 +500,8 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
     eq_rows = np.asarray(eq_rows, dtype=int)
     in_rows = np.asarray(in_rows, dtype=int)
     A_csr = program.A.tocsr()
-    A_eq = A_csr[eq_rows].tocsc() if eq_rows.size else sp.csc_matrix((0, n))
-    G = A_csr[in_rows].tocsc() if in_rows.size else sp.csc_matrix((0, n))
+    A_eq = A_csr[eq_rows].tocsc()
+    G = A_csr[in_rows].tocsc()
     b_eq = b[eq_rows]
     h = b[in_rows]
     blocks = _Blocks(in_cones)
@@ -539,11 +511,9 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
     def pack(solution_x, solution_s_in, solution_z_in, y_eq, status, gap, iters, pres, dres):
         s_full = np.zeros(program.n_rows)
         z_full = np.zeros(program.n_rows)
-        if p_in:
-            s_full[in_rows] = solution_s_in
-            z_full[in_rows] = solution_z_in
-        if p_eq:
-            z_full[eq_rows] = y_eq
+        s_full[in_rows] = solution_s_in
+        z_full[in_rows] = solution_z_in
+        z_full[eq_rows] = y_eq
         return ConicSolution(
             x=solution_x,
             s=s_full,
@@ -555,39 +525,34 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
             dual_res=float(dres),
         )
 
-    if n == 0 or (p_eq == 0 and p_in == 0):
-        # degenerate corner: no rows or no variables
+    if program.n_rows == 0:
+        # degenerate corner: no rows, so any x is feasible
         x = np.zeros(n)
         status = "optimal" if np.linalg.norm(c) == 0 else "dual-infeasible"
-        return pack(x, np.zeros(0), np.zeros(0), np.zeros(0), status, 0.0, 0, 0.0, 0.0)
+        return pack(x, np.zeros(p_in), np.zeros(p_in), np.zeros(p_eq), status, 0.0, 0, 0.0, 0.0)
 
     norm_b_all = np.linalg.norm(b)
     norm_c = np.linalg.norm(c)
 
-    def kkt(W2):
-        return _KKT(A_eq, G, W2)
-
     def split(sol):
-        x = sol[:n]
-        y = sol[n : n + p_eq]
-        z = sol[n + p_eq :]
-        return x, y, z
+        return sol[:n], sol[n : n + p_eq], sol[n + p_eq :]
+
+    def gap_terms(x_, y_, z_):
+        """c.x + b_eq.y + h.z, the homogeneous gap without kappa."""
+        return float(c @ x_ + b_eq @ y_ + h @ z_)
 
     # --- initialization: solve two least-squares-like systems at W = I
-    K0 = kkt(sp.identity(p_in, format="csc") if p_in else sp.csc_matrix((0, 0)))
-    rhs_p = np.concatenate([np.zeros(n), b_eq, h])
-    xp, _, zp = split(K0.solve(rhs_p))
+    K0 = _KKT(A_eq, G, sp.identity(p_in, format="csc"))
+    xp, _, zp = split(K0.solve(np.concatenate([np.zeros(n), b_eq, h])))
     s_in = -zp  # equals h - G x at the least-squares point
-    rhs_d = np.concatenate([-c, np.zeros(p_eq), np.zeros(p_in)])
-    _, y, z_in = split(K0.solve(rhs_d))
+    _, y, z_in = split(K0.solve(np.concatenate([-c, np.zeros(p_eq + p_in)])))
     x = xp
-    if p_in:
-        shift = -blocks.min_eig(s_in)
-        if shift >= -1e-8:
-            s_in = s_in + (1.0 + shift) * e
-        shift = -blocks.min_eig(z_in)
-        if shift >= -1e-8:
-            z_in = z_in + (1.0 + shift) * e
+    shift = -blocks.min_eig(s_in)
+    if shift >= -1e-8:
+        s_in = s_in + (1.0 + shift) * e
+    shift = -blocks.min_eig(z_in)
+    if shift >= -1e-8:
+        z_in = z_in + (1.0 + shift) * e
     tau, kappa = 1.0, 1.0
 
     best = None
@@ -597,28 +562,19 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
 
     for iters in range(1, max_iter + 1):
         # residuals of the homogeneous system
-        f_x = (A_eq.T @ y if p_eq else 0.0) + (G.T @ z_in if p_in else 0.0) + c * tau
-        f_y = A_eq @ x - b_eq * tau if p_eq else np.zeros(0)
-        f_z = G @ x + s_in - h * tau if p_in else np.zeros(0)
-        f_tau = float(c @ x + (b_eq @ y if p_eq else 0.0) + (h @ z_in if p_in else 0.0) + kappa)
+        f_x = A_eq.T @ y + G.T @ z_in + c * tau
+        f_y = A_eq @ x - b_eq * tau
+        f_z = G @ x + s_in - h * tau
+        f_tau = gap_terms(x, y, z_in) + kappa
 
         # de-homogenized convergence metrics (unified-form residuals)
-        xh = x / tau
-        sh = s_in / tau if p_in else s_in
-        zh = z_in / tau if p_in else z_in
-        yh = y / tau if p_eq else y
-        pres_num = 0.0
-        if p_eq:
-            pres_num += np.linalg.norm(A_eq @ xh - b_eq) ** 2
-        if p_in:
-            pres_num += np.linalg.norm(G @ xh + sh - h) ** 2
-        pres = np.sqrt(pres_num) / (1.0 + norm_b_all)
-        dres = np.linalg.norm(
-            (A_eq.T @ yh if p_eq else 0.0) + (G.T @ zh if p_in else 0.0) + c
-        ) / (1.0 + norm_c)
+        xh, sh, zh, yh = x / tau, s_in / tau, z_in / tau, y / tau
+        pres = np.sqrt(
+            np.linalg.norm(A_eq @ xh - b_eq) ** 2 + np.linalg.norm(G @ xh + sh - h) ** 2
+        ) / (1.0 + norm_b_all)
+        dres = np.linalg.norm(A_eq.T @ yh + G.T @ zh + c) / (1.0 + norm_c)
         pobj = float(c @ xh)
-        dobj_term = float((b_eq @ yh if p_eq else 0.0) + (h @ zh if p_in else 0.0))
-        gap_rel = abs(pobj + dobj_term) / (1.0 + abs(pobj))
+        gap_rel = abs(pobj + float(b_eq @ yh + h @ zh)) / (1.0 + abs(pobj))
 
         metric = max(pres, dres, gap_rel)
         if best is None or metric < best[0]:
@@ -628,12 +584,9 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
             return pack(xh, sh, zh, yh, "optimal", gap_rel, iters, pres, dres)
 
         # infeasibility certificates
-        cert = float((b_eq @ y if p_eq else 0.0) + (h @ z_in if p_in else 0.0))
+        cert = float(b_eq @ y + h @ z_in)
         if cert < 0:
-            res = np.linalg.norm(
-                (A_eq.T @ (y / -cert) if p_eq else 0.0)
-                + (G.T @ (z_in / -cert) if p_in else 0.0)
-            )
+            res = np.linalg.norm(A_eq.T @ (y / -cert) + G.T @ (z_in / -cert))
             if res <= tol:
                 return pack(
                     x / tau, sh, z_in / -cert, y / -cert,
@@ -642,11 +595,10 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
         ctx = float(c @ x)
         if ctx < 0:
             scale = -ctx
-            num = 0.0
-            if p_eq:
-                num += np.linalg.norm(A_eq @ (x / scale)) ** 2
-            if p_in:
-                num += np.linalg.norm(G @ (x / scale) + s_in / scale) ** 2
+            num = (
+                np.linalg.norm(A_eq @ (x / scale)) ** 2
+                + np.linalg.norm(G @ (x / scale) + s_in / scale) ** 2
+            )
             if np.sqrt(num) <= tol:
                 return pack(
                     x / scale, s_in / scale, zh, yh,
@@ -658,50 +610,35 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
         # where the scaling degenerates) and fall back to the best point
         if tau <= 0.0 or kappa <= 0.0 or not np.isfinite(tau) or not np.isfinite(kappa):
             break
-        if p_in and (blocks.min_eig(s_in) <= 0.0 or blocks.min_eig(z_in) <= 0.0):
+        if blocks.min_eig(s_in) <= 0.0 or blocks.min_eig(z_in) <= 0.0:
             break
         mu = (float(s_in @ z_in) + tau * kappa) / (blocks.degree + 1)
         try:
-            scal = _Scaling(blocks, s_in, z_in) if p_in else None
-            K = kkt(scal.w_squared() if p_in else sp.csc_matrix((0, 0)))
+            scal = _Scaling(blocks, s_in, z_in)
+            K = _KKT(A_eq, G, scal.w_squared())
         except (RuntimeError, FloatingPointError, ValueError):
             break
-        if p_in and not np.all(np.isfinite(scal.lam)):
+        lam = scal.lam
+        if not np.all(np.isfinite(lam)):
             break
 
-        sol1 = K.solve(np.concatenate([-c, b_eq, h]))
-        x1, y1, z1 = split(sol1)
-        denom = float(
-            c @ x1 + (b_eq @ y1 if p_eq else 0.0) + (h @ z1 if p_in else 0.0) - kappa / tau
-        )
+        x1, y1, z1 = split(K.solve(np.concatenate([-c, b_eq, h])))
+        denom = gap_terms(x1, y1, z1) - kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break
 
-        lam = scal.lam if p_in else np.zeros(0)
-
         def direction(d_x, d_y, d_z, d_tau, d_s, d_kappa):
-            rhs = np.concatenate(
-                [d_x, d_y, d_z - (scal.apply(d_s) if p_in else np.zeros(0))]
-            )
-            x2, y2, z2 = split(K.solve(rhs))
-            num = d_tau - d_kappa / tau - float(
-                c @ x2 + (b_eq @ y2 if p_eq else 0.0) + (h @ z2 if p_in else 0.0)
-            )
-            dtau = num / denom
+            x2, y2, z2 = split(K.solve(np.concatenate([d_x, d_y, d_z - scal.apply(d_s)])))
+            dtau = (d_tau - d_kappa / tau - gap_terms(x2, y2, z2)) / denom
             dx = x2 + dtau * x1
             dy = y2 + dtau * y1
             dz = z2 + dtau * z1
-            if p_in:
-                ds = scal.apply(d_s - scal.apply(dz))
-            else:
-                ds = np.zeros(0)
+            ds = scal.apply(d_s - scal.apply(dz))
             dkappa = (d_kappa - kappa * dtau) / tau
             return dx, dy, dz, dtau, ds, dkappa
 
         def max_alpha(ds, dz, dtau, dkappa):
-            alpha = np.inf
-            if p_in:
-                alpha = min(alpha, blocks.max_step(s_in, ds), blocks.max_step(z_in, dz))
+            alpha = min(blocks.max_step(s_in, ds), blocks.max_step(z_in, dz))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -709,21 +646,17 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
             return alpha
 
         # predictor (affine scaling direction)
-        d_s_aff = -lam
         dxa, dya, dza, dta, dsa, dka = direction(
-            -f_x, -f_y, -f_z, -f_tau, d_s_aff, -tau * kappa
+            -f_x, -f_y, -f_z, -f_tau, -lam, -tau * kappa
         )
         alpha_aff = min(1.0, max_alpha(dsa, dza, dta, dka))
         sigma = min(1.0, max(0.0, 1.0 - alpha_aff)) ** 3
 
         # corrector (combined direction)
-        if p_in:
-            u = scal.apply_inv(dsa)
-            v = scal.apply(dza)
-            d_lam = sigma * mu * e - blocks.product(lam, lam) - blocks.product(u, v)
-            d_s = blocks.divide(lam, d_lam)
-        else:
-            d_s = np.zeros(0)
+        u = scal.apply_inv(dsa)
+        v = scal.apply(dza)
+        d_lam = sigma * mu * e - blocks.product(lam, lam) - blocks.product(u, v)
+        d_s = blocks.divide(lam, d_lam)
         d_kappa = sigma * mu - tau * kappa - dta * dka
         one_m_sigma = 1.0 - sigma
         dx, dy, dz, dtau, ds, dkappa = direction(
@@ -740,11 +673,9 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
             break
 
         x = x + alpha * dx
-        if p_eq:
-            y = y + alpha * dy
-        if p_in:
-            z_in = z_in + alpha * dz
-            s_in = s_in + alpha * ds
+        y = y + alpha * dy
+        z_in = z_in + alpha * dz
+        s_in = s_in + alpha * ds
         tau += alpha * dtau
         kappa += alpha * dkappa
         if tau <= 0 or kappa < 0 or not np.isfinite(tau):
@@ -756,11 +687,9 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> Coni
         scale = 0.5 * (tau + kappa)
         if np.isfinite(scale) and scale > 0.0:
             x = x / scale
-            if p_eq:
-                y = y / scale
-            if p_in:
-                z_in = z_in / scale
-                s_in = s_in / scale
+            y = y / scale
+            z_in = z_in / scale
+            s_in = s_in / scale
             tau /= scale
             kappa /= scale
     else:

@@ -40,8 +40,16 @@ from .subproblem import (
     polish_rows,
 )
 
-# residual quality required of the tightened fixed-point certificate solve
+# cone-solver tolerance and iteration cap of every succession subproblem
+SUBSOLVER_TOL = 1e-9
+SUBSOLVER_MAX_ITER = 100
+# the fixed-point certificate solve runs at a tightened tolerance, and its
+# residuals must reach CERTIFICATE_RESIDUAL_TOL
+CERTIFICATE_TOL = 1e-12
+CERTIFICATE_MAX_ITER = 200
 CERTIFICATE_RESIDUAL_TOL = 1e-9
+# rounds of the feasibility search before it gives up
+FEASIBILITY_MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,6 @@ class ScvxConfig:
     epsilon: float = 1e-6
     max_successions: int = 50
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    subsolver_tol: float = 1e-9
-    subsolver_max_iter: int = 100
-    certificate_tol: float = 1e-12
-    polish: bool = True
-    compute_floor: bool = True
-    compute_certificate: bool = True
     dump_dir: str | None = None
 
     def __post_init__(self):
@@ -97,7 +99,9 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(problem, config, region, tol=None, max_iter=None, dump_path=None):
+def _solve_region(
+    problem, config, region, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER, dump_path=None
+):
     """Assemble min P over the region and solve it; returns (artifacts, solution).
 
     dump_path, when given, receives the program before it is solved.
@@ -105,11 +109,7 @@ def _solve_region(problem, config, region, tol=None, max_iter=None, dump_path=No
     artifacts = assemble(problem, config.penalty, region)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
-    sol = conic.solve(
-        artifacts.program,
-        tol=config.subsolver_tol if tol is None else tol,
-        max_iter=config.subsolver_max_iter if max_iter is None else max_iter,
-    )
+    sol = conic.solve(artifacts.program, tol=tol, max_iter=max_iter)
     return artifacts, sol
 
 
@@ -130,7 +130,7 @@ def _relaxation_floor(problem, config, z):
             return None
     region = FeasibleRegion(problem.base_set, tuple(halfspaces), z.copy())
     artifacts, sol = _solve_region(problem, config, region)
-    return extract(artifacts, sol, polish=config.polish)[2]
+    return extract(artifacts, sol)[2]
 
 
 def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -> SolveReport:
@@ -159,7 +159,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     convex_only = not _rows_to_linearize(problem, config.penalty.mode)
 
     relaxation_floor = None
-    if config.compute_floor and not convex_only:
+    if not convex_only:
         relaxation_floor = _relaxation_floor(problem, config, z)
 
     if config.dump_dir:
@@ -174,7 +174,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
             os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
         artifacts, sol = _solve_region(problem, config, region, dump_path=dump_path)
-        y, multipliers, P_y = extract(artifacts, sol, polish=config.polish)
+        y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
         accepted = P_y < P_z
         records.append(
@@ -213,7 +213,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     )
     if multipliers is not None:
         report.penalty_check = validate_penalty_weight(config.penalty, multipliers)
-    if status == "converged" and config.compute_certificate:
+    if status == "converged":
         report.fixed_point_residual = fixed_point_residual(problem, z, config)
     report.wall_time = time.perf_counter() - t0
     return report
@@ -233,9 +233,7 @@ def fixed_point_residual(
     z_star = np.asarray(z_star, dtype=float).ravel()
     region = build_feasible_region(problem, z_star, config.penalty.mode)
     artifacts, sol = _solve_region(
-        problem, config, region,
-        tol=config.certificate_tol,
-        max_iter=max(200, config.subsolver_max_iter),
+        problem, config, region, tol=CERTIFICATE_TOL, max_iter=CERTIFICATE_MAX_ITER
     )
     if sol.status in ("primal-infeasible", "dual-infeasible"):
         raise SubsolverError(
@@ -251,7 +249,7 @@ def fixed_point_residual(
             f"needed {CERTIFICATE_RESIDUAL_TOL:.0e}",
             status=sol.status,
         )
-    y, _, phi = extract(artifacts, sol, polish=config.polish, require_optimal=False)
+    y, _, phi = extract(artifacts, sol, require_optimal=False)
     # z_star is itself a member of its own region, so the region minimum
     # never exceeds P(z_star); taking the better of the two candidates
     # keeps the reported residual nonnegative under subsolver noise
@@ -297,8 +295,6 @@ def find_feasible_start(
     problem: OptimalControlProblem,
     guess=None,
     config: ScvxConfig | None = None,
-    trust_radius: float | None = None,
-    max_rounds: int = 200,
     stall_limit: int = 20,
 ):
     """Search for a valid anchor by trust-region slack minimization.
@@ -323,13 +319,13 @@ def find_feasible_start(
             raise DimensionError(
                 f"guess has {w.size} coordinates, expected {dims.n_y}"
             )
-    rho = trust_radius if trust_radius is not None else 2.0 * float(np.linalg.norm(hi - lo))
+    rho = 2.0 * float(np.linalg.norm(hi - lo))
     rho_min = 1e-6
 
     rows = _rows_to_linearize(problem, mode)
     best = _violation(problem, rows, w, mode)
     stall = 0
-    for _ in range(max_rounds):
+    for _ in range(FEASIBILITY_MAX_ROUNDS):
         try:
             return check_anchor(problem, w, mode)
         except InfeasibleAnchorError:
@@ -355,7 +351,7 @@ def find_feasible_start(
         builder.add_soc(("trust",), trust)
 
         program, row_spans, _ = builder.build()
-        sol = conic.solve(program, tol=config.subsolver_tol, max_iter=config.subsolver_max_iter)
+        sol = conic.solve(program, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER)
         if sol.status == "primal-infeasible":
             # the trust ball does not reach the hard constraints yet
             rho *= 4.0
@@ -396,6 +392,6 @@ def find_feasible_start(
                 "the scenario looks infeasible"
             )
     raise InfeasibleScenarioError(
-        f"feasibility search exhausted {max_rounds} rounds "
+        f"feasibility search exhausted {FEASIBILITY_MAX_ROUNDS} rounds "
         f"(residual violation {best:.3e})"
     )

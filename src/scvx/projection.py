@@ -24,7 +24,7 @@ from . import conic
 from .errors import ProjectionError, UnsupportedModelError
 from .problem import AffineFn, ConstraintSpec, NormFn, QuadFn
 
-# q_j(z) values in [-BOUNDARY_TOL, 0] count as "already on the boundary"
+# |q_j| this small counts as on the boundary for the gradient-step fallback
 BOUNDARY_TOL = 1e-8
 
 
@@ -32,7 +32,6 @@ BOUNDARY_TOL = 1e-8
 class ProjectionResult:
     point: np.ndarray
     distance: float
-    on_boundary: bool
     method: str  # "analytic" | "conic"
     warning: Optional[str] = None
 
@@ -49,7 +48,6 @@ def project(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> Pro
         return ProjectionResult(
             point=z.copy(),
             distance=0.0,
-            on_boundary=bool(val >= -BOUNDARY_TOL),
             method="analytic",
         )
     fn = constraint.fn
@@ -69,7 +67,6 @@ def _project_halfspace(constraint, z, val):
     return ProjectionResult(
         point=point,
         distance=float(np.linalg.norm(point - z)),
-        on_boundary=True,
         method="analytic",
     )
 
@@ -102,7 +99,6 @@ def _project_norm_ball(constraint, z):
     return ProjectionResult(
         point=point,
         distance=float(np.linalg.norm(point - z)),
-        on_boundary=True,
         method="analytic",
         warning=warning,
     )
@@ -165,7 +161,6 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
         return ProjectionResult(
             point=z.copy(),
             distance=0.0,
-            on_boundary=bool(val0 >= -BOUNDARY_TOL),
             method="conic",
         )
     idx = constraint.indices
@@ -188,7 +183,6 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
                 return ProjectionResult(
                     point=point,
                     distance=float(np.linalg.norm(point - z)),
-                    on_boundary=True,
                     method="conic",
                     warning="cone solve degenerated near the boundary; "
                     "gradient-step fallback used",
@@ -206,10 +200,8 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
         )
     point = z.copy()
     point[idx] = sol.x[:k]
-    val = constraint.value(z)
     return ProjectionResult(
         point=point,
         distance=float(np.linalg.norm(point - z)),
-        on_boundary=bool(val >= -BOUNDARY_TOL),
         method="conic",
     )

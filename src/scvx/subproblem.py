@@ -210,7 +210,6 @@ def polish_equalities(artifacts: SubproblemArtifacts, y: np.ndarray) -> np.ndarr
 def extract(
     artifacts: SubproblemArtifacts,
     solution: conic.ConicSolution,
-    polish: bool = True,
     require_optimal: bool = True,
 ):
     """Pull (z_next, dynamics multipliers, true objective value) out of a solve.
@@ -232,9 +231,7 @@ def extract(
             },
         )
     n_y = artifacts.problem.dims.n_y
-    y = solution.x[:n_y].copy()
-    if polish:
-        y = polish_equalities(artifacts, y)
+    y = polish_equalities(artifacts, solution.x[:n_y].copy())
     if artifacts.penalty.mode == "equality":
         multipliers = solution.z_dual[artifacts.rows("dyn-eq")]
     else:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scvx.conic import Cone, ConicProgram, dump_program, residuals, solve
+from scvx.conic import Cone, ConicProgram, _Blocks, _Scaling, dump_program, residuals, solve
 from scvx.errors import DimensionError
 
 
@@ -205,6 +207,11 @@ def test_tiny_dimensions():
     sol = solve(prog, tol=1e-9)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(2.0, abs=1e-8)
+    # without columns the solve decides whether b itself lies in the cone
+    cones = (Cone("soc", 3), Cone("nonneg", 1))
+    for b, status in (([3.0, 2.0, 1.0, 0.5], "optimal"), ([1.0, 2.0, 1.0, 0.5], "primal-infeasible")):
+        no_columns = ConicProgram(np.zeros(0), sp.csc_matrix((4, 0)), b, cones)
+        assert solve(no_columns, tol=1e-9).status == status
 
 
 def test_dump_program_text(tmp_path):
@@ -223,3 +230,179 @@ def test_dump_program_text(tmp_path):
     coo = prog.A.tocoo()
     for r, cc, v in zip(coo.row, coo.col, coo.data):
         assert f"{r} {cc}" in text
+
+
+# ---------------------------------------------------------------------------
+# cone algebra against the per-block formulas
+#
+# The reference below is the earlier per-block implementation: orthant rows
+# in closed form, one Python loop step per second-order block.  It counts a
+# 1-dim SOC as an orthant row: its quadratic step equation (t + alpha dt)^2
+# = 0 has a double root, and a discriminant that rounds below zero made the
+# per-block max_step miss that crossing.
+
+
+def _reference_blocks(cones):
+    nonneg, socs, pos = [], [], 0
+    for k in cones:
+        if k.kind == "nonneg" or k.dim == 1:
+            nonneg.extend(range(pos, pos + k.dim))
+        else:
+            socs.append((pos, k.dim))
+        pos += k.dim
+    return np.asarray(nonneg, dtype=int), socs
+
+
+def _smallest_positive_root(A, B, C):
+    if abs(A) < 1e-300:
+        return -C / B if B < 0 else np.inf
+    disc = B * B - 4.0 * A * C
+    if disc < 0:
+        return np.inf
+    sq = np.sqrt(disc)
+    q = -0.5 * (B + np.copysign(sq, B)) if B != 0 else -0.5 * sq
+    roots = ([q / A] if abs(A) > 0 else []) + ([C / q] if abs(q) > 0 else [])
+    return min([r for r in roots if r > 0], default=np.inf)
+
+
+def _reference_max_step(cones, v, dv):
+    nonneg, socs = _reference_blocks(cones)
+    alpha = np.inf
+    neg = dv[nonneg] < 0
+    if np.any(neg):
+        alpha = float(np.min(-v[nonneg][neg] / dv[nonneg][neg]))
+    for start, dim in socs:
+        u0, u1 = v[start], v[start + 1 : start + dim]
+        d0, d1 = dv[start], dv[start + 1 : start + dim]
+        A = d0 * d0 - d1 @ d1
+        B = 2.0 * (u0 * d0 - u1 @ d1)
+        C = u0 * u0 - u1 @ u1
+        alpha = min(alpha, _smallest_positive_root(A, B, C))
+    return alpha
+
+
+def _reference_scaling(cones, s, z):
+    """(lam, dense W) of the per-block Nesterov-Todd scaling."""
+    nonneg, socs = _reference_blocks(cones)
+    m = s.size
+    lam, W = np.empty(m), np.zeros((m, m))
+    lam[nonneg] = np.sqrt(s[nonneg] * z[nonneg])
+    W[nonneg, nonneg] = np.sqrt(s[nonneg] / z[nonneg])
+    for start, dim in socs:
+        sb, zb = s[start : start + dim], z[start : start + dim]
+        a = np.sqrt(sb[0] ** 2 - sb[1:] @ sb[1:])
+        bb = np.sqrt(zb[0] ** 2 - zb[1:] @ zb[1:])
+        sbar, zbar = sb / a, zb / bb
+        gamma = np.sqrt(0.5 * (1.0 + sbar @ zbar))
+        v = sbar.copy()
+        v[0] += zbar[0]
+        v[1:] -= zbar[1:]
+        v /= 2.0 * gamma
+        u = v.copy()
+        u[0] += 1.0
+        u /= np.sqrt(2.0 * (v[0] + 1.0))
+        J = -np.eye(dim)
+        J[0, 0] = 1.0
+        W[start : start + dim, start : start + dim] = np.sqrt(a / bb) * (2.0 * np.outer(u, u) - J)
+        denom = sbar[0] + zbar[0] + 2.0 * gamma
+        lam1 = ((gamma + zbar[0]) * sbar[1:] + (gamma + sbar[0]) * zbar[1:]) / denom
+        lam[start] = gamma * np.sqrt(a * bb)
+        lam[start + 1 : start + dim] = np.sqrt(a * bb) * lam1
+    return lam, W
+
+
+def _reference_product(cones, u, v):
+    nonneg, socs = _reference_blocks(cones)
+    out = np.empty(u.size)
+    out[nonneg] = u[nonneg] * v[nonneg]
+    for start, dim in socs:
+        u0, u1 = u[start], u[start + 1 : start + dim]
+        v0, v1 = v[start], v[start + 1 : start + dim]
+        out[start] = u0 * v0 + u1 @ v1
+        out[start + 1 : start + dim] = u0 * v1 + v0 * u1
+    return out
+
+
+def _interior(rng, cones):
+    """A strictly interior point, tails scaled over a few decades."""
+    v = np.empty(sum(k.dim for k in cones))
+    pos = 0
+    for k in cones:
+        if k.kind == "nonneg":
+            v[pos : pos + k.dim] = rng.uniform(0.05, 3.0, k.dim)
+        else:
+            tail = rng.standard_normal(k.dim - 1) * 10.0 ** rng.uniform(-2, 1)
+            v[pos] = np.linalg.norm(tail) + rng.uniform(0.05, 3.0)
+            v[pos + 1 : pos + k.dim] = tail
+        pos += k.dim
+    return v
+
+
+mixed_cones = st.lists(
+    st.tuples(st.sampled_from(["nonneg", "soc"]), st.integers(1, 6)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_cones, st.integers(100, 130), st.integers(0, 2**32 - 1))
+def test_batched_cone_algebra_matches_the_per_block_formulas(small, big, seed):
+    rng = np.random.default_rng(seed)
+    cones = [Cone(kind, dim) for kind, dim in small] + [Cone("soc", big)]
+    blocks = _Blocks(cones)
+    s, z = _interior(rng, cones), _interior(rng, cones)
+    scal = _Scaling(blocks, s, z)
+    lam_ref, W_ref = _reference_scaling(cones, s, z)
+
+    # W z = lam = W^{-1} s, and lam is the reference scaled point
+    np.testing.assert_allclose(scal.apply(z), scal.lam, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(scal.apply_inv(s), scal.lam, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(scal.lam, lam_ref, rtol=1e-10, atol=1e-12)
+
+    # W^2 is W applied twice, and W is the reference block matrix
+    x = rng.standard_normal(blocks.dim)
+    np.testing.assert_allclose(scal.apply(x), W_ref @ x, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(
+        scal.w_squared() @ x, scal.apply(scal.apply(x)), rtol=1e-9, atol=1e-9
+    )
+
+    # divide inverts product; product is the reference Jordan product
+    w = rng.standard_normal(blocks.dim)
+    np.testing.assert_allclose(
+        blocks.product(scal.lam, w), _reference_product(cones, scal.lam, w), rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        blocks.divide(scal.lam, blocks.product(scal.lam, w)), w, rtol=1e-8, atol=1e-8
+    )
+
+    # the full step lands on the cone boundary and agrees with the
+    # quadratic-root reference
+    dv = 5.0 * rng.standard_normal(blocks.dim)
+    alpha = blocks.max_step(s, dv)
+    assert np.isfinite(alpha)
+    assert alpha == pytest.approx(_reference_max_step(cones, s, dv), rel=1e-7)
+    scale = 1.0 + np.linalg.norm(s) + alpha * np.linalg.norm(dv)
+    assert abs(blocks.min_eig(s + alpha * dv)) <= 1e-10 * scale
+    assert blocks.min_eig(s + 0.99 * alpha * dv) > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([("nonneg", 1), ("nonneg", 3), ("soc", 1)]), min_size=1,
+                max_size=6), st.integers(0, 2**32 - 1))
+def test_one_dimensional_group_is_the_orthant(small, seed):
+    # orthant rows and 1-dim SOCs form the d = 1 group, where the SOC
+    # formulas reduce exactly to the orthant closed forms
+    rng = np.random.default_rng(seed)
+    cones = [Cone(kind, dim) for kind, dim in small]
+    blocks = _Blocks(cones)
+    assert [idx.shape[1] for idx in blocks.groups] == [1]
+    s, z = rng.uniform(0.05, 3.0, blocks.dim), rng.uniform(0.05, 3.0, blocks.dim)
+    scal = _Scaling(blocks, s, z)
+    x = rng.standard_normal(blocks.dim)
+    np.testing.assert_array_equal(scal.lam, np.sqrt(s * z))
+    np.testing.assert_array_equal(scal.apply(x), np.sqrt(s / z) * x)
+    np.testing.assert_array_equal(scal.apply_inv(x), x / np.sqrt(s / z))
+    np.testing.assert_array_equal(blocks.divide(scal.lam, x), x / scal.lam)
+    dv = rng.standard_normal(blocks.dim)
+    neg = dv < 0
+    expect = float(np.min(-s[neg] / dv[neg])) if np.any(neg) else np.inf
+    assert blocks.max_step(s, dv) == expect

@@ -81,7 +81,7 @@ def test_ball_projection_radial():
     res = project(c, np.array([2.0, 0.0]))
     np.testing.assert_allclose(res.point, [1.0, 0.0], atol=1e-12)
     assert res.distance == pytest.approx(1.0, abs=1e-12)
-    assert res.on_boundary
+    assert abs(c.fn.value(res.point)) <= 1e-8
     assert res.method == "analytic"
 
 
@@ -238,12 +238,21 @@ def test_obtuse_angle_characterization(rng):
         assert (z - res.point) @ (y - res.point) <= 1e-8
 
 
-def test_boundary_flag(rng):
-    c = disk_constraint([0.0, 0.0], 1.0)
-    out = project(c, np.array([3.0, 0.0]))
-    assert out.on_boundary and abs(c.fn.value(out.point)) <= 1e-8
-    inside = project(c, np.array([0.2, 0.1]))
-    assert not inside.on_boundary
+@pytest.mark.parametrize("constraint", [disk_constraint([0.5, -0.25], 1.0),
+                                        quad_disk_constraint([0.5, -0.25], 1.0)],
+                         ids=["norm", "quad"])
+@pytest.mark.parametrize("projector", [project, project_generic])
+def test_projection_lands_on_boundary(rng, constraint, projector):
+    # an outside point lands on the boundary; a member point is its own
+    # projection at distance 0
+    for _ in range(5):
+        z = np.array([0.5, -0.25]) + rng.uniform(1.2, 4.0) * _unit(rng)
+        out = projector(constraint, z)
+        assert abs(constraint.fn.value(out.point)) <= 1e-8
+        inside = np.array([0.5, -0.25]) + rng.uniform(0.0, 0.9) * _unit(rng)
+        member = projector(constraint, inside)
+        np.testing.assert_array_equal(member.point, inside)
+        assert member.distance == 0.0
 
 
 def test_generic_projection_of_member_point_is_identity():
