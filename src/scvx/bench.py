@@ -329,7 +329,6 @@ def build_quadrotor_problem(
         StateConstraint(
             NormFn(np.eye(2), np.asarray(ob.center), np.zeros(2), -ob.radius),
             (0, 1),
-            "cylinder",
         )
         for ob in obstacles
     )

@@ -40,14 +40,10 @@ from .subproblem import (
     polish_rows,
 )
 
-# cone-solver tolerance and iteration cap of every succession subproblem
+# cone-solver tolerance and iteration cap of every subproblem, the
+# fixed-point certificate included
 SUBSOLVER_TOL = 1e-9
 SUBSOLVER_MAX_ITER = 100
-# the fixed-point certificate solve runs at a tightened tolerance, and its
-# residuals must reach CERTIFICATE_RESIDUAL_TOL
-CERTIFICATE_TOL = 1e-12
-CERTIFICATE_MAX_ITER = 200
-CERTIFICATE_RESIDUAL_TOL = 1e-9
 # rounds of the feasibility search before it gives up
 FEASIBILITY_MAX_ROUNDS = 200
 
@@ -99,9 +95,7 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(
-    problem, config, region, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER, dump_path=None
-):
+def _solve_region(problem, config, region, dump_path=None):
     """Assemble min P over the region and solve it; returns (artifacts, solution).
 
     dump_path, when given, receives the program before it is solved.
@@ -109,7 +103,7 @@ def _solve_region(
     artifacts = assemble(problem, config.penalty, region)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
-    sol = conic.solve(artifacts.program, tol=tol, max_iter=max_iter)
+    sol = conic.solve(artifacts.program, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER)
     return artifacts, sol
 
 
@@ -226,30 +220,14 @@ def fixed_point_residual(
 
     A vanishing residual certifies the fixed point: z* already minimizes
     the penalty objective over its own projected-linearized region.  The
-    certifying solve runs at a tightened tolerance and is rejected unless
-    its residuals reach CERTIFICATE_RESIDUAL_TOL.
+    certifying solve is a succession solve: status "optimal" at
+    SUBSOLVER_TOL bounds its residuals by that tolerance.
     """
     config = config or ScvxConfig()
     z_star = np.asarray(z_star, dtype=float).ravel()
     region = build_feasible_region(problem, z_star, config.penalty.mode)
-    artifacts, sol = _solve_region(
-        problem, config, region, tol=CERTIFICATE_TOL, max_iter=CERTIFICATE_MAX_ITER
-    )
-    if sol.status in ("primal-infeasible", "dual-infeasible"):
-        raise SubsolverError(
-            f"certificate solve failed with status {sol.status!r}", status=sol.status
-        )
-    # the tightened tolerance is aspirational; what matters is that the
-    # returned point is accurate enough to certify the fixed point
-    pres, dres, gap = conic.residuals(artifacts.program, sol)
-    quality = max(pres, dres, gap)
-    if not quality <= CERTIFICATE_RESIDUAL_TOL:
-        raise SubsolverError(
-            f"certificate solve reached residual {quality:.3e}, "
-            f"needed {CERTIFICATE_RESIDUAL_TOL:.0e}",
-            status=sol.status,
-        )
-    y, _, phi = extract(artifacts, sol, require_optimal=False)
+    artifacts, sol = _solve_region(problem, config, region)
+    _, _, phi = extract(artifacts, sol)
     # z_star is itself a member of its own region, so the region minimum
     # never exceeds P(z_star); taking the better of the two candidates
     # keeps the reported residual nonnegative under subsolver noise
@@ -297,21 +275,27 @@ def find_feasible_start(
     config: ScvxConfig | None = None,
     stall_limit: int = 20,
 ):
-    """Search for a valid anchor by trust-region slack minimization.
+    """Search for a valid anchor by slack minimization (majorize-minimize).
 
-    Each round minimizes the total slack needed to satisfy the directly
-    linearized keep-out rows (global under-estimators, so zero slack
-    implies true feasibility) subject to the base set, hard dynamics in
-    equality mode, and a trust ball around the incumbent.  The trust
-    radius grows on improvement and shrinks otherwise; stall_limit rounds
-    without improvement raise InfeasibleScenarioError.
+    Each round linearizes every keep-out row q_k at the incumbent w
+    (linearize_direct) and minimizes the total slack the linearized rows
+    l_k(y) + sigma_k >= 0 need, subject to the base set and, in equality
+    mode, the hard dynamics.  q_k is convex, so q_k >= l_k everywhere and
+    q_k(w) = l_k(w): the slack sum majorizes the true violation and equals
+    it at w.  The rounds are therefore a majorize-minimize scheme, the
+    violation does not go up, and zero slack implies true feasibility.  The
+    base set is compact, so each round is bounded without a trust region.
+
+    A primal-infeasible round means the hard set itself (pins, dynamics,
+    base set) is empty; stall_limit rounds without improvement mean no
+    feasible point was found.  Both raise InfeasibleScenarioError.
     """
     config = config or ScvxConfig()
     mode = config.penalty.mode
     check_mode(problem, config.penalty)
     dims = problem.dims
-    lo, hi = problem.base_set.coordinate_bounds()
     if guess is None:
+        lo, hi = problem.base_set.coordinate_bounds()
         w = 0.5 * (lo + hi)
     else:
         w = np.array(guess, dtype=float).ravel()
@@ -319,8 +303,6 @@ def find_feasible_start(
             raise DimensionError(
                 f"guess has {w.size} coordinates, expected {dims.n_y}"
             )
-    rho = 2.0 * float(np.linalg.norm(hi - lo))
-    rho_min = 1e-6
 
     rows = _rows_to_linearize(problem, mode)
     best = _violation(problem, rows, w, mode)
@@ -345,23 +327,14 @@ def find_feasible_start(
             nz = np.nonzero(hs.normal)[0]
             pairs = coord_pairs(y0 + nz, hs.normal[nz]) + [(s0 + k, 1.0)]
             builder.add_ge(("relaxed", j), pairs, hs.offset)
-        trust = [([], rho)]
-        for i in range(dims.n_y):
-            trust.append(([(y0 + i, 1.0)], float(-w[i])))
-        builder.add_soc(("trust",), trust)
 
         program, row_spans, _ = builder.build()
         sol = conic.solve(program, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER)
         if sol.status == "primal-infeasible":
-            # the trust ball does not reach the hard constraints yet
-            rho *= 4.0
-            stall += 1
-            if stall >= stall_limit:
-                raise InfeasibleScenarioError(
-                    "feasibility search stalled: the hard constraint set "
-                    "appears empty (inconsistent pins, dynamics, or bounds)"
-                )
-            continue
+            raise InfeasibleScenarioError(
+                "the hard constraint set is empty (inconsistent pins, "
+                "dynamics, or bounds)"
+            )
         if sol.status != "optimal":
             raise SubsolverError(
                 f"feasibility subproblem returned status {sol.status!r}",
@@ -379,12 +352,10 @@ def find_feasible_start(
         if v_new < best - 1e-12:
             w = w_new
             best = v_new
-            rho *= 2.0
             stall = 0
         else:
             if v_new <= best:
                 w = w_new
-            rho = max(0.5 * rho, rho_min)
             stall += 1
         if stall >= stall_limit:
             raise InfeasibleScenarioError(

@@ -216,9 +216,6 @@ class NormFn:
         R = W @ self.H.T - self.p
         return np.linalg.norm(R, axis=1) + W @ self.a + self.beta
 
-    def residual_norm(self, w):
-        return float(np.linalg.norm(self.H @ w - self.p))
-
     def grad(self, w):
         r = self.H @ w - self.p
         nr = np.linalg.norm(r)
@@ -242,9 +239,6 @@ class ConstraintSpec:
     """One scalar constraint component q_j(y) >= 0.
 
     The function reads only y[indices]; gradients are therefore sparse rows.
-    analytic_projector tags which closed-form projection (onto {q_j <= 0})
-    applies: "halfspace", "ball", "cylinder", or "none" for the generic conic
-    route.
     """
 
     kind: str  # "dynamics-defect" | "state-constraint"
@@ -252,7 +246,6 @@ class ConstraintSpec:
     component: int
     indices: np.ndarray  # global y coordinates, ascending
     fn: ConvexFn
-    analytic_projector: str = "none"
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
@@ -487,13 +480,11 @@ class ConvexDynamics:
 class StateConstraint:
     """A convex component h_j(x_i) >= 0 applied at every step.
 
-    fn reads x_i[state_coords]; projector tags the analytic projection
-    available for {h_j <= 0}.
+    fn reads x_i[state_coords].
     """
 
     fn: ConvexFn
     state_coords: tuple
-    projector: str = "none"
 
     def __post_init__(self):
         object.__setattr__(self, "state_coords", tuple(int(c) for c in self.state_coords))
@@ -528,10 +519,6 @@ class ControlNormSum:
         total = float(np.sum(np.linalg.norm(controls, axis=1)))
         total += sum(float(np.linalg.norm(v)) for v in self.fixed_terms)
         return self.weight * total
-
-    @property
-    def constant_part(self) -> float:
-        return self.weight * sum(float(np.linalg.norm(v)) for v in self.fixed_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,19 +596,19 @@ def _dynamics_row_fn(problem, i, j):
     dyn = problem.dynamics
     if isinstance(dyn, AffineDynamics):
         a = np.concatenate([dyn.A[j], dyn.B[j], [-1.0]])
-        return indices, AffineFn(a, dyn.d[j]), "halfspace"
+        return indices, AffineFn(a, dyn.d[j])
     comp = dyn.components[j]
     if isinstance(comp, AffineFn):
         a = np.concatenate([comp.a, [-1.0]])
-        return indices, AffineFn(a, comp.beta), "halfspace"
+        return indices, AffineFn(a, comp.beta)
     if isinstance(comp, QuadFn):
         L = np.hstack([comp.L, np.zeros((comp.L.shape[0], 1))])
         a = np.concatenate([comp.a, [-1.0]])
-        return indices, QuadFn(L, a, comp.beta), "none"
+        return indices, QuadFn(L, a, comp.beta)
     if isinstance(comp, NormFn):
         H = np.hstack([comp.H, np.zeros((comp.H.shape[0], 1))])
         a = np.concatenate([comp.a, [-1.0]])
-        return indices, NormFn(H, comp.p, a, comp.beta), "none"
+        return indices, NormFn(H, comp.p, a, comp.beta)
     raise DimensionError(f"unsupported dynamics component type {type(comp).__name__}")
 
 
@@ -630,17 +617,13 @@ def _build_constraints(problem) -> tuple:
     rows = []
     for i in range(dims.T - 1):
         for j in range(dims.n):
-            indices, fn, proj = _dynamics_row_fn(problem, i, j)
-            rows.append(
-                ConstraintSpec("dynamics-defect", i, j, indices, fn, proj)
-            )
+            indices, fn = _dynamics_row_fn(problem, i, j)
+            rows.append(ConstraintSpec("dynamics-defect", i, j, indices, fn))
     for i in range(dims.T):
         base = dims.state_slice(i).start
         for j, sc in enumerate(problem.state_constraints):
             indices = np.asarray([base + c for c in sc.state_coords])
-            rows.append(
-                ConstraintSpec("state-constraint", i, j, indices, sc.fn, sc.projector)
-            )
+            rows.append(ConstraintSpec("state-constraint", i, j, indices, sc.fn))
     return tuple(rows)
 
 

@@ -39,8 +39,9 @@ class ProjectionResult:
 def project(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> ProjectionResult:
     """Unique Euclidean projection of z onto {q_j <= 0}.
 
-    Dispatches to the analytic formula named by the constraint's
-    analytic_projector tag, falling back to a conic solve.
+    The function picks the route: an affine q_j has the halfspace formula,
+    a pure norm ||H w - p|| - r with H H^T = I the ball formula, and
+    everything else goes through project_generic's cone solve.
     """
     z = np.asarray(z, dtype=float)
     val = constraint.value(z)
@@ -51,11 +52,16 @@ def project(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> Pro
             method="analytic",
         )
     fn = constraint.fn
-    if constraint.analytic_projector == "halfspace" and isinstance(fn, AffineFn):
+    if isinstance(fn, AffineFn):
         return _project_halfspace(constraint, z, val)
-    if constraint.analytic_projector in ("ball", "cylinder") and isinstance(fn, NormFn):
+    if isinstance(fn, NormFn) and _is_norm_ball(fn):
         return _project_norm_ball(constraint, z)
     return project_generic(constraint, z, tol)
+
+
+def _is_norm_ball(fn: NormFn) -> bool:
+    # the ball formula needs no linear term and row-orthonormal H
+    return not np.any(fn.a) and np.allclose(fn.H @ fn.H.T, np.eye(fn.p.size), rtol=0.0, atol=1e-12)
 
 
 def _project_halfspace(constraint, z, val):
@@ -75,8 +81,6 @@ def _project_norm_ball(constraint, z):
     # {||H w - p|| <= r} with H row-orthonormal: pull the image point onto
     # the sphere, moving z only within the row space of H
     fn = constraint.fn
-    if np.any(fn.a != 0):
-        raise UnsupportedModelError("norm-ball projection requires a pure norm term")
     r = -fn.beta
     w = z[constraint.indices]
     v = fn.H @ w - fn.p

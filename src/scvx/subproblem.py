@@ -72,18 +72,14 @@ def add_halfspace_rows(builder: ProgramBuilder, halfspaces, y0: int = 0):
 
 
 def add_equality_dynamics_rows(builder: ProgramBuilder, problem, y0: int = 0):
-    """Zero-cone rows A x_i + B u_i - x_{i+1} = -d for every step."""
-    dims = problem.dims
-    dyn = problem.dynamics
-    for i in range(dims.T - 1):
-        xs = dims.state_slice(i)
-        us = dims.control_slice(i)
-        ns = dims.state_slice(i + 1)
-        for j in range(dims.n):
-            pairs = coord_pairs(y0 + np.arange(xs.start, xs.stop), dyn.A[j])
-            pairs += coord_pairs(y0 + np.arange(us.start, us.stop), dyn.B[j])
-            pairs.append((y0 + ns.start + j, -1.0))
-            builder.add_eq(("dyn-eq", i, j), pairs, float(-dyn.d[j]))
+    """Zero-cone rows g_{i,j}(y) = 0 for every (affine) dynamics defect."""
+    for spec in problem.constraints:
+        if spec.kind == "dynamics-defect":
+            builder.add_eq(
+                ("dyn-eq", spec.step, spec.component),
+                coord_pairs(y0 + spec.indices, spec.fn.a),
+                -spec.fn.beta,
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,19 +203,14 @@ def polish_equalities(artifacts: SubproblemArtifacts, y: np.ndarray) -> np.ndarr
     return polish_rows(artifacts.program, rows, artifacts.problem.dims.n_y, y)
 
 
-def extract(
-    artifacts: SubproblemArtifacts,
-    solution: conic.ConicSolution,
-    require_optimal: bool = True,
-):
+def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     """Pull (z_next, dynamics multipliers, true objective value) out of a solve.
 
     The objective is recomputed from the raw decision vector rather than
-    trusting the solver's epigraph auxiliaries.  Callers that have already
-    validated the solution quality themselves may pass require_optimal=False
-    to extract from a best-effort status.
+    trusting the solver's epigraph auxiliaries.  Raises SubsolverError
+    unless the solve is optimal.
     """
-    if require_optimal and solution.status != "optimal":
+    if solution.status != "optimal":
         raise SubsolverError(
             f"subproblem solve returned status {solution.status!r}",
             status=solution.status,

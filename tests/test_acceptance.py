@@ -116,7 +116,7 @@ def test_projection_correctness(rng):
         elif kind == 1:
             center = rng.uniform(-2.0, 2.0, size=2)
             radius = float(rng.uniform(0.3, 2.0))
-            c = disk_constraint(center, radius, indices=(1, 2), n_extra=1)
+            c = disk_constraint(center, radius, indices=(1, 2))
             z = np.zeros(4)
             z[[1, 2]] = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
             z[[0, 3]] = rng.standard_normal(2)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scvx import conic, driver
+from scvx.bench import initial_guess
 from scvx.driver import (
     ScvxConfig,
     feasibility_summary,
@@ -164,15 +166,75 @@ def test_feasible_start_rejects_wrong_size():
         find_feasible_start(problem, np.zeros(2), tiny_config())
 
 
-def test_covered_base_set_is_reported_infeasible():
+def _record_violations(monkeypatch):
+    """Every violation find_feasible_start measures, in order."""
+    seen = []
+    violation = driver._violation
+
+    def recording(*args):
+        seen.append(violation(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(driver, "_violation", recording)
+    return seen
+
+
+def _record_programs(monkeypatch):
+    """Every cone program solved, in order."""
+    programs = []
+    solve = conic.solve
+
+    def recording(program, *args, **kwargs):
+        programs.append(program)
+        return solve(program, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", recording)
+    return programs
+
+
+def _largest_cone(programs):
+    return max((k.dim for p in programs for k in p.cones if k.kind == "soc"), default=0)
+
+
+def covered_box_problem():
     # keep-out radius swallows the whole base box: no feasible point exists
     fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-10.0)
-    problem = two_step_problem(fn, "ball", box=6.0)
+    return two_step_problem(fn, box=6.0)
+
+
+@pytest.mark.parametrize("covered", [False, True], ids=["escape", "covered-box"])
+def test_feasibility_rounds_never_raise_the_violation(monkeypatch, covered):
+    # each round's slack sum majorizes the violation and equals it at the
+    # incumbent, so the violation can only go down, up to solver tolerance
+    seen = _record_violations(monkeypatch)
+    if covered:
+        with pytest.raises(InfeasibleScenarioError):
+            find_feasible_start(covered_box_problem(), None, tiny_config(), stall_limit=5)
+    else:
+        problem = unit_disk_problem()
+        find_feasible_start(problem, hold_anchor(problem, [0.0, 0.0]), tiny_config())
+    assert len(seen) >= 2
+    assert np.all(np.diff(seen) <= 1e-9)
+
+
+def test_init_programs_carry_no_cone_beyond_the_base_set(
+    monkeypatch, quad_scenario, quad_problem, quad_config
+):
+    programs = _record_programs(monkeypatch)
+    problem = unit_disk_problem()
+    find_feasible_start(problem, hold_anchor(problem, [0.0, 0.0]), tiny_config())
+    assert programs and _largest_cone(programs) == 0  # a box base set: no SOC
+    programs.clear()
+    find_feasible_start(quad_problem, initial_guess(quad_scenario), quad_config)
+    assert programs and _largest_cone(programs) == 4  # the thrust ball and cone
+
+
+def test_covered_base_set_is_reported_infeasible():
     with pytest.raises(InfeasibleScenarioError, match="violation"):
-        find_feasible_start(problem, None, tiny_config(), stall_limit=5)
+        find_feasible_start(covered_box_problem(), None, tiny_config(), stall_limit=5)
 
 
-def test_inconsistent_pins_are_reported_infeasible():
+def test_inconsistent_pins_are_reported_infeasible(monkeypatch):
     problem = unit_disk_problem()
     n_y = problem.dims.n_y
     base = BaseSet(
@@ -186,8 +248,10 @@ def test_inconsistent_pins_are_reported_infeasible():
     import dataclasses
 
     clash = dataclasses.replace(problem, base_set=base)
+    programs = _record_programs(monkeypatch)
     with pytest.raises(InfeasibleScenarioError, match="empty"):
-        find_feasible_start(clash, None, tiny_config(), stall_limit=5)
+        find_feasible_start(clash, None, tiny_config())
+    assert len(programs) == 1  # an empty hard set is final, not retried
 
 
 def test_feasibility_summary_fields(quad_problem, quad_start):

@@ -15,6 +15,7 @@ from scvx.linearize import (
     build_feasible_region,
     linearize_direct,
 )
+from scvx.projection import project
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
@@ -32,12 +33,12 @@ from scvx.problem import (
 )
 
 
-def two_step_problem(fn, projector, box=6.0):
+def two_step_problem(fn, box=6.0):
     """T=2 hold-state dynamics with one keep-out constraint on the state."""
     dims = ProblemDims(n=2, m=1, T=2, s=1)
     B = np.zeros((2, 1))
     B[0, 0] = 1.0
-    sc = StateConstraint(fn=fn, state_coords=(0, 1), projector=projector)
+    sc = StateConstraint(fn=fn, state_coords=(0, 1))
     base = BaseSet(
         n_y=dims.n_y,
         members=(
@@ -59,7 +60,7 @@ def two_step_problem(fn, projector, box=6.0):
 
 def unit_disk_problem():
     fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    return two_step_problem(fn, "ball")
+    return two_step_problem(fn)
 
 
 def hold_anchor(problem, x):
@@ -90,7 +91,7 @@ def test_affine_constraint_linearizes_to_itself():
     # q(x) = x_0 - 1 >= 0: the supporting halfspace is the constraint itself,
     # independent of the anchor
     fn = AffineFn(a=np.array([1.0, 0.0]), beta=-1.0)
-    problem = two_step_problem(fn, "halfspace")
+    problem = two_step_problem(fn)
     for x in ([2.0, 0.5], [1.5, -3.0]):
         region = build_feasible_region(problem, hold_anchor(problem, x), "equality")
         for hs, coords in zip(region.halfspaces, [(0, 1), (2, 3)]):
@@ -138,11 +139,26 @@ def test_direct_linearization_is_global_underestimator(rng):
         assert spec.value(y) >= hs.slack(y) - 1e-12
 
 
+def test_scaled_norm_keepout_is_projected_by_its_own_geometry():
+    # ||2 w|| >= 1 keeps out the disk of radius 0.5; H = 2I is not
+    # row-orthonormal, so the ball formula (which would land at (0.2, 0),
+    # inside the keep-out) must not be used
+    fn = NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
+    problem = two_step_problem(fn)
+    z = hold_anchor(problem, [0.6, 0.0])
+    spec = problem.constraints[-1]
+    np.testing.assert_allclose(project(spec, z).point[spec.indices], [0.5, 0.0], atol=1e-6)
+    region = build_feasible_region(problem, z, "equality")
+    inside = hold_anchor(problem, [0.45, 0.0])
+    assert float(eval_q(problem, inside).min()) < 0.0
+    assert min(hs.slack(inside) for hs in region.halfspaces) < 0.0
+
+
 def test_degenerate_gradient_raises():
     # {q <= 0} is the singleton origin; anchoring there lands the projection
     # on a vanishing gradient
     fn = QuadFn(L=np.eye(2), a=np.zeros(2), beta=0.0)
-    problem = two_step_problem(fn, "none")
+    problem = two_step_problem(fn)
     z = hold_anchor(problem, [0.0, 0.0])
     with pytest.raises(DegenerateGradientError):
         build_feasible_region(problem, z, "equality")
@@ -202,7 +218,7 @@ def test_benchmark_region_sampled_containment(quad_problem, quad_start):
 
 def test_lipschitz_probe_zero_for_affine(rng):
     fn = AffineFn(a=np.array([1.0, 0.0]), beta=-1.0)
-    problem = two_step_problem(fn, "halfspace")
+    problem = two_step_problem(fn)
     z1 = hold_anchor(problem, [2.0, 0.5])
     z2 = hold_anchor(problem, [3.0, -1.0])
     y = rng.uniform(-5.0, 5.0, size=z1.size)

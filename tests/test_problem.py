@@ -41,7 +41,7 @@ def tiny_problem(n=2, m=1, T=3):
     )  # |x_0 - 0.5| >= 0.25
     from scvx.problem import StateConstraint
 
-    sc = StateConstraint(fn=obstacle, state_coords=(0,), projector="ball")
+    sc = StateConstraint(fn=obstacle, state_coords=(0,))
     base = BaseSet(
         n_y=dims.n_y,
         members=(

@@ -7,7 +7,7 @@ from scvx.problem import AffineFn, ConstraintSpec, NormFn, QuadFn
 from scvx.projection import project, project_generic
 
 
-def disk_constraint(center, radius, indices=(0, 1), n_extra=0):
+def disk_constraint(center, radius, indices=(0, 1)):
     """Keep-out disk ||y[idx] - center|| >= radius, projected onto its complement."""
     center = np.asarray(center, dtype=float)
     k = center.size
@@ -17,7 +17,6 @@ def disk_constraint(center, radius, indices=(0, 1), n_extra=0):
         component=0,
         indices=np.asarray(indices, dtype=int),
         fn=NormFn(H=np.eye(k), p=center, a=np.zeros(k), beta=-float(radius)),
-        analytic_projector="cylinder" if n_extra else "ball",
     )
 
 
@@ -44,7 +43,6 @@ def halfspace_constraint(a, b, indices):
         component=0,
         indices=np.asarray(indices, dtype=int),
         fn=AffineFn(a=np.asarray(a, dtype=float), beta=-float(b)),
-        analytic_projector="halfspace",
     )
 
 
@@ -95,7 +93,7 @@ def test_member_point_projects_to_itself():
 
 def test_cylinder_projection_touches_only_its_coordinates():
     # ground-plane keep-out in a larger stacked vector
-    c = disk_constraint([-1.0, 0.0], 3.0, indices=(2, 3), n_extra=1)
+    c = disk_constraint([-1.0, 0.0], 3.0, indices=(2, 3))
     z = np.array([9.0, 9.0, -8.0, -1.0, 9.0])
     res = project(c, z)
     d = np.array([-7.0, -1.0]) / np.sqrt(50.0)
@@ -183,7 +181,7 @@ def test_analytic_conic_agreement_100_instances(rng):
         elif kind == 1:
             center = rng.uniform(-2.0, 2.0, size=2)
             radius = float(rng.uniform(0.3, 2.0))
-            c = disk_constraint(center, radius, indices=(1, 2), n_extra=1)
+            c = disk_constraint(center, radius, indices=(1, 2))
             z = np.zeros(4)
             z[[1, 2]] = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
             z[[0, 3]] = rng.standard_normal(2)
