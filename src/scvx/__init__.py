@@ -27,7 +27,6 @@ from .problem import (
     BaseSet,
     Box,
     Cone,
-    ConstantObjective,
     ControlNormSum,
     ConvexDynamics,
     NormFn,

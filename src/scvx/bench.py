@@ -424,8 +424,8 @@ def solve_quadrotor(
     problem = build_quadrotor_problem(scenario, include_obstacles)
     config = ScvxConfig(
         epsilon=scenario.epsilon if epsilon is None else epsilon,
-        max_successions=50 if max_successions is None else max_successions,
-        penalty=PenaltyConfig(lam=scenario.penalty_lambda, mode=scenario.mode),
+        max_successions=ScvxConfig.max_successions if max_successions is None else max_successions,
+        penalty=PenaltyConfig(lam=scenario.penalty_lambda),
         dump_dir=dump_dir,
     )
     z0 = find_feasible_start(problem, initial_guess(scenario), config)
@@ -500,7 +500,7 @@ def report_dict(run: BenchmarkRun) -> dict:
         "include_obstacles": run.include_obstacles,
         "epsilon": run.config.epsilon,
         "max_successions": run.config.max_successions,
-        "mode": run.config.penalty.mode,
+        "mode": run.config.penalty.dynamics_mode(run.problem),
         "status": report.status,
         "converged": report.converged,
         "successions": report.successions,

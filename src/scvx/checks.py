@@ -207,10 +207,8 @@ def verify_invariance(
     )
 
 
-def lipschitz_probe(
-    problem: OptimalControlProblem, z1, z2, y, mode: str = "equality"
-) -> float:
-    """Empirical ratio ||l(y, z1) - l(y, z2)|| / ||z1 - z2||.
+def lipschitz_probe(problem: OptimalControlProblem, z1, z2, y) -> float:
+    """Empirical ratio ||l(y, z1) - l(y, z2)|| / ||z1 - z2|| (equality mode).
 
     Property tests probe this for boundedness; no Lipschitz constant is
     stored or asserted by the library itself.
@@ -220,8 +218,8 @@ def lipschitz_probe(
     dz = float(np.linalg.norm(z1 - z2))
     if dz <= 0.0:
         raise ScvxError("lipschitz_probe needs two distinct anchor points")
-    r1 = build_feasible_region(problem, z1, mode)
-    r2 = build_feasible_region(problem, z2, mode)
+    r1 = build_feasible_region(problem, z1, "equality")
+    r2 = build_feasible_region(problem, z2, "equality")
     y = np.asarray(y, dtype=float)
     l1 = np.array([hs.slack(y) for hs in r1.halfspaces])
     l2 = np.array([hs.slack(y) for hs in r2.halfspaces])

@@ -476,7 +476,7 @@ class _KKT:
 # solver
 
 
-def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 100) -> ConicSolution:
+def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> ConicSolution:
     """Solve a cone program; never raises on numerical trouble.
 
     On status "optimal" the normalized primal/dual residuals and the

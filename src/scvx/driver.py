@@ -30,7 +30,7 @@ from .linearize import (
     check_anchor,
     linearize_direct,
 )
-from .penalty import PenaltyCheck, PenaltyConfig, check_mode, penalty_value, validate_penalty_weight
+from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .problem import AffineFn, OptimalControlProblem, eval_g
 from .subproblem import (
     add_base_set_rows,
@@ -40,12 +40,10 @@ from .subproblem import (
     polish_rows,
 )
 
-# cone-solver tolerance and iteration cap of every subproblem, the
-# fixed-point certificate included
-SUBSOLVER_TOL = 1e-9
-SUBSOLVER_MAX_ITER = 100
-# rounds of the feasibility search before it gives up
+# rounds of the feasibility search before it gives up, and rounds without
+# improvement before it calls the scenario infeasible
 FEASIBILITY_MAX_ROUNDS = 200
+FEASIBILITY_STALL_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def _solve_region(problem, config, region, dump_path=None):
     artifacts = assemble(problem, config.penalty, region)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
-    sol = conic.solve(artifacts.program, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER)
+    sol = conic.solve(artifacts.program)
     return artifacts, sol
 
 
@@ -117,7 +115,7 @@ def _relaxation_floor(problem, config, z):
     t_j >= g_j no longer measures |g_j|, and no bound follows.
     """
     halfspaces = []
-    for j, spec in _rows_to_linearize(problem, config.penalty.mode):
+    for j, spec in _rows_to_linearize(problem, config.penalty.dynamics_mode(problem)):
         if isinstance(spec.fn, AffineFn):
             halfspaces.append(linearize_direct(spec, z, j))
         elif spec.kind == "dynamics-defect":
@@ -134,14 +132,14 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     find_feasible_start), SubsolverError if a subproblem solve fails.
     """
     config = config or ScvxConfig()
-    check_mode(problem, config.penalty)
+    mode = config.penalty.dynamics_mode(problem)
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float).ravel()
     if z.size != problem.dims.n_y:
         raise DimensionError(
             f"anchor has {z.size} coordinates, expected {problem.dims.n_y}"
         )
-    check_anchor(problem, z, config.penalty.mode)
+    check_anchor(problem, z, mode)
     P_z = penalty_value(problem, config.penalty, z)
 
     iterates = [z.copy()]
@@ -150,7 +148,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     records = []
     multipliers = None
 
-    convex_only = not _rows_to_linearize(problem, config.penalty.mode)
+    convex_only = not _rows_to_linearize(problem, mode)
 
     relaxation_floor = None
     if not convex_only:
@@ -163,7 +161,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     successions = 0
     for k in range(1, config.max_successions + 1):
         successions = k
-        region = build_feasible_region(problem, z, config.penalty.mode)
+        region = build_feasible_region(problem, z, mode)
         dump_path = (
             os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
@@ -206,7 +204,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
         relaxation_floor=relaxation_floor,
     )
     if multipliers is not None:
-        report.penalty_check = validate_penalty_weight(config.penalty, multipliers)
+        report.penalty_check = validate_penalty_weight(problem, config.penalty, multipliers)
     if status == "converged":
         report.fixed_point_residual = fixed_point_residual(problem, z, config)
     report.wall_time = time.perf_counter() - t0
@@ -221,11 +219,11 @@ def fixed_point_residual(
     A vanishing residual certifies the fixed point: z* already minimizes
     the penalty objective over its own projected-linearized region.  The
     certifying solve is a succession solve: status "optimal" at
-    SUBSOLVER_TOL bounds its residuals by that tolerance.
+    conic.solve's tolerance bounds its residuals by that tolerance.
     """
     config = config or ScvxConfig()
     z_star = np.asarray(z_star, dtype=float).ravel()
-    region = build_feasible_region(problem, z_star, config.penalty.mode)
+    region = build_feasible_region(problem, z_star, config.penalty.dynamics_mode(problem))
     artifacts, sol = _solve_region(problem, config, region)
     _, _, phi = extract(artifacts, sol)
     # z_star is itself a member of its own region, so the region minimum
@@ -263,9 +261,7 @@ def _violation(problem, rows, w, mode):
     v = sum(max(0.0, -spec.value(w)) for _, spec in rows)
     v += float(np.sum(np.maximum(0.0, -problem.base_set.margins(w))))
     if mode == "equality":
-        ng = problem.dims.n * (problem.dims.T - 1)
-        if ng:
-            v += float(np.sum(np.abs(eval_g(problem, w))))
+        v += float(np.sum(np.abs(eval_g(problem, w))))
     return float(v)
 
 
@@ -273,7 +269,6 @@ def find_feasible_start(
     problem: OptimalControlProblem,
     guess=None,
     config: ScvxConfig | None = None,
-    stall_limit: int = 20,
 ):
     """Search for a valid anchor by slack minimization (majorize-minimize).
 
@@ -287,12 +282,11 @@ def find_feasible_start(
     base set is compact, so each round is bounded without a trust region.
 
     A primal-infeasible round means the hard set itself (pins, dynamics,
-    base set) is empty; stall_limit rounds without improvement mean no
-    feasible point was found.  Both raise InfeasibleScenarioError.
+    base set) is empty; FEASIBILITY_STALL_LIMIT rounds without improvement
+    mean no feasible point was found.  Both raise InfeasibleScenarioError.
     """
     config = config or ScvxConfig()
-    mode = config.penalty.mode
-    check_mode(problem, config.penalty)
+    mode = config.penalty.dynamics_mode(problem)
     dims = problem.dims
     if guess is None:
         lo, hi = problem.base_set.coordinate_bounds()
@@ -329,7 +323,7 @@ def find_feasible_start(
             builder.add_ge(("relaxed", j), pairs, hs.offset)
 
         program, row_spans, _ = builder.build()
-        sol = conic.solve(program, tol=SUBSOLVER_TOL, max_iter=SUBSOLVER_MAX_ITER)
+        sol = conic.solve(program)
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(
                 "the hard constraint set is empty (inconsistent pins, "
@@ -357,7 +351,7 @@ def find_feasible_start(
             if v_new <= best:
                 w = w_new
             stall += 1
-        if stall >= stall_limit:
+        if stall >= FEASIBILITY_STALL_LIMIT:
             raise InfeasibleScenarioError(
                 f"feasibility search stalled with residual violation {best:.3e}; "
                 "the scenario looks infeasible"

@@ -1,11 +1,11 @@
 """Exact penalty objective P(y) = J(y) + lambda * ||g(y)||_1.
 
-Two modes are supported.  In "equality" mode the dynamics defects are kept
-as hard equality constraints (requires affine dynamics) and the penalty
-term vanishes at every feasible point, which is the natural reading of a
-zero penalty weight.  In "penalty" mode the defects are relaxed to
-g(y) >= 0 and the weighted 1-norm enters the objective; the penalty is
-exact once lambda dominates the infinity norm of the dynamics multipliers.
+lambda is the only setting; the mode follows from it and from the
+dynamics.  Affine defects at lambda = 0 stay hard equality constraints
+("equality" mode), and the penalty term vanishes at every feasible point.
+Otherwise ("penalty" mode) the defects are relaxed to g(y) >= 0 and the
+weighted 1-norm enters the objective; the penalty is exact once lambda
+dominates the infinity norm of the dynamics multipliers.
 """
 
 from __future__ import annotations
@@ -14,31 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedModelError
+from .errors import DimensionError
 from .problem import OptimalControlProblem, eval_g
-
-MODES = ("equality", "penalty")
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
     lam: float = 0.0
-    mode: str = "equality"
 
     def __post_init__(self):
         if self.lam < 0:
             raise DimensionError(f"penalty weight must be nonnegative, got {self.lam}")
-        if self.mode not in MODES:
-            raise DimensionError(f"penalty mode must be one of {MODES}, got {self.mode!r}")
 
-
-def check_mode(problem: OptimalControlProblem, config: PenaltyConfig):
-    """Equality mode is only sound when every defect component is affine."""
-    if config.mode == "equality" and not problem.dynamics.is_affine:
-        raise UnsupportedModelError(
-            "equality mode requires affine dynamics; use penalty mode for "
-            "convex nonlinear dynamics"
-        )
+    def dynamics_mode(self, problem: OptimalControlProblem) -> str:
+        """"equality" when lambda = 0 and the dynamics are affine, else "penalty"."""
+        return "equality" if self.lam == 0.0 and problem.dynamics.is_affine else "penalty"
 
 
 @dataclass(frozen=True)
@@ -57,13 +47,15 @@ def penalty_value(problem: OptimalControlProblem, config: PenaltyConfig, y) -> f
     return value
 
 
-def validate_penalty_weight(config: PenaltyConfig, multipliers) -> PenaltyCheck:
+def validate_penalty_weight(
+    problem: OptimalControlProblem, config: PenaltyConfig, multipliers
+) -> PenaltyCheck:
     """Check lambda >= max_j |mu_j| for the relaxed dynamics multipliers.
 
     Only meaningful in penalty mode; equality mode has no relaxation to
     validate and reports not-applicable.
     """
-    if config.mode == "equality":
+    if config.dynamics_mode(problem) == "equality":
         return PenaltyCheck("not-applicable")
     multipliers = np.asarray(multipliers, dtype=float)
     required = float(np.max(np.abs(multipliers))) if multipliers.size else 0.0

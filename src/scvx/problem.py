@@ -502,7 +502,8 @@ class ControlNormSum:
 
     fixed_terms are constant control vectors outside the decision horizon
     (for example a terminal trim control); they shift the objective by a
-    constant but keep reported costs comparable across formulations.
+    constant but keep reported costs comparable across formulations.  The
+    cone program carries no column for them: their sum is `constant`.
     """
 
     weight: float = 1.0
@@ -516,19 +517,18 @@ class ControlNormSum:
 
     def value(self, dims: ProblemDims, y) -> float:
         _, controls = unstack(dims, y)
-        total = float(np.sum(np.linalg.norm(controls, axis=1)))
-        total += sum(float(np.linalg.norm(v)) for v in self.fixed_terms)
-        return self.weight * total
+        return self.weight * float(np.sum(np.linalg.norm(controls, axis=1))) + self.constant
 
+    def terms(self, dims: ProblemDims) -> list:
+        """weight * ||u_i|| for every control, as (weight, indices, fn)."""
+        norm = NormFn(np.eye(dims.m), np.zeros(dims.m), np.zeros(dims.m), 0.0)
+        controls = np.arange(dims.n * dims.T, dims.n_y).reshape(dims.T - 1, dims.m)
+        return [(self.weight, idx, norm) for idx in controls]
 
-@dataclass(frozen=True, eq=False)
-class ConstantObjective:
-    """J(y) = value (fixed-horizon minimum-time problems)."""
-
-    value_const: float = 0.0
-
-    def value(self, dims: ProblemDims, y) -> float:
-        return float(self.value_const)
+    @property
+    def constant(self) -> float:
+        """The fixed terms' share of J, which no decision variable moves."""
+        return self.weight * sum(float(np.linalg.norm(v)) for v in self.fixed_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,8 +548,14 @@ class QuadraticObjective:
         Ly = self.L @ y
         return float(0.5 * (Ly @ Ly) + self.a @ y + self.beta)
 
+    def terms(self, dims: ProblemDims) -> list:
+        """J itself, as one (weight, indices, fn) term over all of y."""
+        return [(1.0, np.arange(dims.n_y), QuadFn(self.L, self.a, self.beta))]
 
-Objective = Union[ControlNormSum, ConstantObjective, QuadraticObjective]
+    constant = 0.0
+
+
+Objective = Union[ControlNormSum, QuadraticObjective]
 
 
 # ---------------------------------------------------------------------------

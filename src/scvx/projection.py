@@ -36,7 +36,7 @@ class ProjectionResult:
     warning: Optional[str] = None
 
 
-def project(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> ProjectionResult:
+def project(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResult:
     """Unique Euclidean projection of z onto {q_j <= 0}.
 
     The function picks the route: an affine q_j has the halfspace formula,
@@ -56,7 +56,7 @@ def project(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> Pro
         return _project_halfspace(constraint, z, val)
     if isinstance(fn, NormFn) and _is_norm_ball(fn):
         return _project_norm_ball(constraint, z)
-    return project_generic(constraint, z, tol)
+    return project_generic(constraint, z)
 
 
 def _is_norm_ball(fn: NormFn) -> bool:
@@ -154,7 +154,7 @@ def _newton_to_boundary(fn, w):
     return w
 
 
-def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9) -> ProjectionResult:
+def project_generic(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResult:
     """Projection via a small cone program over the touched coordinates.
 
     minimize t subject to t >= ||w - z[idx]||, fn(w) <= 0.
@@ -177,7 +177,7 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
     add_epigraph(builder, ("distance",), NormFn(np.eye(k), w0, np.zeros(k), 0.0), t, w_cols)
     add_epigraph(builder, ("sublevel",), constraint.fn, None, w_cols)
     program, _, _ = builder.build()
-    sol = conic.solve(program, tol=tol, max_iter=100)
+    sol = conic.solve(program)
     if sol.status != "optimal":
         if val0 <= NEAR_BOUNDARY_FALLBACK:
             w = _newton_to_boundary(constraint.fn, w0)
@@ -202,10 +202,45 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray, tol: float = 1e-9
                 "iterations": sol.iterations,
             },
         )
+    w = sol.x[:k]
+    if isinstance(constraint.fn, QuadFn):
+        w = _polish_quad_projection(constraint.fn, w0, w)
     point = z.copy()
-    point[idx] = sol.x[:k]
+    point[idx] = w
     return ProjectionResult(
         point=point,
         distance=float(np.linalg.norm(point - z)),
         method="conic",
     )
+
+
+def _polish_quad_projection(fn: QuadFn, z, w):
+    """Newton steps from the cone solution w on the projection's KKT system.
+
+    w - z + mu grad f(w) = 0 and f(w) = 0, with Hessian L^T L.  The
+    rotated-cone encoding pins the point only to about 1e-5 (the distance
+    is flat along the boundary) while a few steps reach rounding level.
+    An iterate is kept only while the KKT residual goes down.
+    """
+    def kkt(w, mu):
+        return np.append(w - z + mu * fn.grad(w), fn.value(w))
+
+    g = fn.grad(w)
+    mu = float((z - w) @ g / (g @ g))
+    hess = fn.L.T @ fn.L
+    r = kkt(w, mu)
+    best, best_res = w, float(np.linalg.norm(r))
+    for _ in range(3):
+        g = fn.grad(w)
+        jac = np.block([[np.eye(w.size) + mu * hess, g[:, None]], [g, 0.0]])
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            break
+        w, mu = w + step[:-1], mu + step[-1]
+        r = kkt(w, mu)
+        res = float(np.linalg.norm(r))
+        if not res < best_res:
+            break
+        best, best_res = w, res
+    return best

@@ -1,8 +1,8 @@
 """Transcription of the convex subproblem min P(y) over F_z to a cone program.
 
-Column layout: the decision vector y first, then objective epigraph
-auxiliaries, then (penalty mode) one epigraph auxiliary per dynamics
-defect.  Row layout: zero-cone rows (pins, equality-mode dynamics), then
+Column layout: the decision vector y first, then one epigraph auxiliary
+per cost term (the objective's, then, when lambda > 0, one per dynamics
+defect).  Row layout: zero-cone rows (pins, equality-mode dynamics), then
 nonnegative rows (supporting halfspaces, box bounds, affine epigraphs),
 then second-order cone blocks (balls, thrust cones, norm epigraphs).
 Assembly is deterministic: identical inputs produce identical programs.
@@ -19,19 +19,9 @@ from . import conic
 from .conic import ProgramBuilder, coord_pairs
 from .errors import SubsolverError, UnsupportedModelError
 from .linearize import FeasibleRegion
-from .penalty import PenaltyConfig, check_mode, penalty_value
+from .penalty import PenaltyConfig, penalty_value
 from .projection import add_epigraph
-from .problem import (
-    Ball,
-    Box,
-    Cone,
-    ConstantObjective,
-    ControlNormSum,
-    OptimalControlProblem,
-    Pin,
-    QuadFn,
-    QuadraticObjective,
-)
+from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
 
 
 def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0):
@@ -112,57 +102,32 @@ def assemble(
     penalty_config: PenaltyConfig,
     region: FeasibleRegion,
 ) -> SubproblemArtifacts:
-    """Build the cone program encoding min P(y) over the given region."""
-    check_mode(problem, penalty_config)
+    """Build the cone program encoding min P(y) over the given region.
+
+    P minus its constant is a list of weighted catalog terms (weight,
+    indices, fn): the objective's, then lambda * g_j for every dynamics
+    defect when lambda > 0 (the region holds the linearized g_j >= 0, so
+    g_j is |g_j| there).  Each term is one cost column t with weight
+    `weight` and the epigraph rows t >= fn(y[indices]).
+    """
     dims = problem.dims
     builder = ProgramBuilder()
     y0 = builder.add_cols(("y",), dims.n_y)
 
-    constant = 0.0
-    obj = problem.objective
-    if isinstance(obj, ControlNormSum):
-        t0 = builder.add_cols(("obj-t",), dims.T - 1)
-        for i in range(dims.T - 1):
-            builder.add_cost(t0 + i, obj.weight)
-            us = dims.control_slice(i)
-            exprs = [([(t0 + i, 1.0)], 0.0)]
-            for col in range(us.start, us.stop):
-                exprs.append(([(y0 + col, 1.0)], 0.0))
-            builder.add_soc(("obj-epi", i), exprs)
-        if obj.fixed_terms:
-            f0 = builder.add_cols(("obj-t-fixed",), len(obj.fixed_terms))
-            for k, vec in enumerate(obj.fixed_terms):
-                builder.add_cost(f0 + k, obj.weight)
-                exprs = [([(f0 + k, 1.0)], 0.0)]
-                for v in vec:
-                    exprs.append(([], float(v)))
-                builder.add_soc(("obj-epi-fixed", k), exprs)
-    elif isinstance(obj, QuadraticObjective):
-        t0 = builder.add_cols(("obj-t",), 1)
-        builder.add_cost(t0, 1.0)
-        add_epigraph(
-            builder, ("obj-epi", 0), QuadFn(obj.L, obj.a, obj.beta), t0,
-            y0 + np.arange(dims.n_y),
-        )
-    elif isinstance(obj, ConstantObjective):
-        constant += float(obj.value_const)
-    else:
-        raise UnsupportedModelError(f"unknown objective {type(obj).__name__}")
-
-    if penalty_config.mode == "penalty":
-        dyn_rows = [
-            (j, spec)
-            for j, spec in enumerate(problem.constraints)
+    terms = list(problem.objective.terms(dims))
+    if penalty_config.lam > 0.0:
+        terms += [
+            (penalty_config.lam, spec.indices, spec.fn)
+            for spec in problem.constraints
             if spec.kind == "dynamics-defect"
         ]
-        if dyn_rows and penalty_config.lam > 0.0:
-            p0 = builder.add_cols(("pen-t",), len(dyn_rows))
-            for k, (j, spec) in enumerate(dyn_rows):
-                builder.add_cost(p0 + k, penalty_config.lam)
-                add_epigraph(builder, ("pen-epi", j), spec.fn, p0 + k, y0 + spec.indices)
+    for k, (weight, indices, fn) in enumerate(terms):
+        t = builder.add_cols(("cost", k), 1)
+        builder.add_cost(t, weight)
+        add_epigraph(builder, ("cost", k), fn, t, y0 + indices)
 
     # feasible region: hard dynamics (equality mode), base set, halfspaces
-    if penalty_config.mode == "equality":
+    if penalty_config.dynamics_mode(problem) == "equality":
         add_equality_dynamics_rows(builder, problem, y0)
     add_base_set_rows(builder, problem.base_set, y0)
     add_halfspace_rows(builder, region.halfspaces, y0)
@@ -172,7 +137,7 @@ def assemble(
         program=program,
         variable_map=col_map,
         row_map=row_map,
-        constant_offset=constant,
+        constant_offset=problem.objective.constant,
         problem=problem,
         penalty=penalty_config,
     )
@@ -223,23 +188,16 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
         )
     n_y = artifacts.problem.dims.n_y
     y = polish_equalities(artifacts, solution.x[:n_y].copy())
-    if artifacts.penalty.mode == "equality":
+    if artifacts.penalty.dynamics_mode(artifacts.problem) == "equality":
         multipliers = solution.z_dual[artifacts.rows("dyn-eq")]
     else:
-        dyn_constraint_idx = {
-            j
-            for j, spec in enumerate(artifacts.problem.constraints)
-            if spec.kind == "dynamics-defect"
-        }
-        dyn_rows = np.asarray(
-            [
-                r
-                for span in artifacts.row_map
-                if span.label[0] == "halfspace" and span.label[1] in dyn_constraint_idx
-                for r in span.range()
-            ],
-            dtype=int,
-        )
+        # the dynamics defects are the first n(T-1) constraint rows
+        dims = artifacts.problem.dims
+        dyn_rows = [
+            span.start
+            for span in artifacts.row_map
+            if span.label[0] == "halfspace" and span.label[1] < dims.n * (dims.T - 1)
+        ]
         # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
         # at lambda, so the multiplier of g_j is lambda minus the dual of its
         # linearized row g_j >= 0

@@ -22,7 +22,7 @@ def quad_problem(quad_scenario):
 def quad_config(quad_scenario):
     return ScvxConfig(
         epsilon=quad_scenario.epsilon,
-        penalty=PenaltyConfig(lam=quad_scenario.penalty_lambda, mode=quad_scenario.mode),
+        penalty=PenaltyConfig(lam=quad_scenario.penalty_lambda),
     )
 
 

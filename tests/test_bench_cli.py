@@ -1,12 +1,17 @@
 """Benchmark scenario handling, discretization oracle, writers, CLI contract."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scvx.bench import (
     Obstacle,
@@ -379,3 +384,55 @@ def test_cli_dump_subproblems(tmp_path, capsys):
     assert dumps and dumps[0] == "subproblem_001.txt"
     text = open(os.path.join(out, "subproblems", dumps[0])).read()
     assert "zero" in text and "soc" in text
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scenarios through the CLI
+
+_cylinders = st.fixed_dictionaries({
+    # anywhere around the corridor, or centred on an endpoint
+    "center": st.sampled_from([[-8.0, -1.0], [8.0, 1.0]])
+    | st.tuples(st.floats(-9.0, 9.0), st.floats(-4.0, 4.0)).map(list),
+    "radius": st.floats(0.3, 4.0),
+})
+_scenarios = st.fixed_dictionaries({
+    "N": st.integers(3, 8),
+    "obstacles": st.lists(_cylinders, max_size=3),
+    "theta_cone": st.floats(5.0, 90.0),
+    "V_max": st.floats(0.2, 4.0),
+    # the hover thrust is 9.81
+    "u_max": st.sampled_from([13.33, 9.81]) | st.floats(9.5, 16.0),
+    "lambda": st.sampled_from([0.0, 100.0]),
+})
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(_scenarios)
+# lambda = 100 with a speed bound too small to reach pf: the relaxed
+# dynamics converged to a defect of 2.06 and the CLI exited 0
+@example({"N": 5, "obstacles": [], "theta_cone": 5.0, "V_max": 0.2,
+          "u_max": 10.031820484126394, "lambda": 100.0})
+# overlapping cylinders across the corridor, in both modes
+@example({"N": 8, "obstacles": [{"center": [-1.0, 0.0], "radius": 2.0},
+                                {"center": [0.5, 0.5], "radius": 1.5}],
+          "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
+@example({"N": 8, "obstacles": [{"center": [-1.0, 0.0], "radius": 2.0},
+                                {"center": [0.5, 0.5], "radius": 1.5}],
+          "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 100.0})
+def test_fuzzed_scenarios_exit_with_documented_codes(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(builtin_dict(**overrides), fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", path, "--out", out])
+        assert code in (0, 2, 3, 4)
+        assert "internal failure" not in err.getvalue()
+        if code == 0:
+            with open(os.path.join(out, "report.json")) as fh:
+                feas = json.load(fh)["feasibility"]
+            assert feas["defect_max"] <= 1e-7 and feas["pin_error"] <= 1e-7
+            for key in ("base_margin_min", "state_margin_min"):
+                assert feas[key] is None or feas[key] >= -1e-7

@@ -32,7 +32,7 @@ from tests.test_linearize import hold_anchor, two_step_problem, unit_disk_proble
 
 
 def tiny_config(**kw):
-    kw.setdefault("penalty", PenaltyConfig(lam=0.0, mode="equality"))
+    kw.setdefault("penalty", PenaltyConfig())
     return ScvxConfig(**kw)
 
 
@@ -207,9 +207,10 @@ def test_feasibility_rounds_never_raise_the_violation(monkeypatch, covered):
     # each round's slack sum majorizes the violation and equals it at the
     # incumbent, so the violation can only go down, up to solver tolerance
     seen = _record_violations(monkeypatch)
+    monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     if covered:
         with pytest.raises(InfeasibleScenarioError):
-            find_feasible_start(covered_box_problem(), None, tiny_config(), stall_limit=5)
+            find_feasible_start(covered_box_problem(), None, tiny_config())
     else:
         problem = unit_disk_problem()
         find_feasible_start(problem, hold_anchor(problem, [0.0, 0.0]), tiny_config())
@@ -229,9 +230,10 @@ def test_init_programs_carry_no_cone_beyond_the_base_set(
     assert programs and _largest_cone(programs) == 4  # the thrust ball and cone
 
 
-def test_covered_base_set_is_reported_infeasible():
+def test_covered_base_set_is_reported_infeasible(monkeypatch):
+    monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     with pytest.raises(InfeasibleScenarioError, match="violation"):
-        find_feasible_start(covered_box_problem(), None, tiny_config(), stall_limit=5)
+        find_feasible_start(covered_box_problem(), None, tiny_config())
 
 
 def test_inconsistent_pins_are_reported_infeasible(monkeypatch):

@@ -5,10 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scvx.bench import solve_quadrotor
-from scvx.driver import ScvxConfig, scvx
-from scvx.errors import DimensionError, UnsupportedModelError
-from scvx.penalty import PenaltyConfig, check_mode, penalty_value, validate_penalty_weight
+from scvx.bench import (
+    BenchmarkRun,
+    build_quadrotor_problem,
+    initial_guess,
+    report_dict,
+    solve_quadrotor,
+    trajectory_record,
+)
+from scvx.driver import ScvxConfig, find_feasible_start, scvx
+from scvx.errors import DimensionError
+from scvx.penalty import PenaltyConfig, penalty_value, validate_penalty_weight
 from scvx.problem import (
     AffineDynamics,
     BaseSet,
@@ -67,16 +74,17 @@ TOY_OPT_COST = 0.029117290550
 def test_config_validation():
     with pytest.raises(DimensionError):
         PenaltyConfig(lam=-1.0)
-    with pytest.raises(DimensionError):
-        PenaltyConfig(mode="soft")
-    assert PenaltyConfig().mode == "equality"
+    assert PenaltyConfig().lam == 0.0
 
 
-def test_equality_mode_requires_affine_dynamics():
+def test_equality_mode_requires_affine_dynamics(quad_problem):
+    # lambda = 0 keeps affine defects as equalities; non-affine defects and
+    # any positive weight are relaxed and penalized
     prob, _ = nonlinear_toy()
-    with pytest.raises(UnsupportedModelError):
-        check_mode(prob, PenaltyConfig(mode="equality"))
-    check_mode(prob, PenaltyConfig(mode="penalty"))
+    assert PenaltyConfig().dynamics_mode(prob) == "penalty"
+    assert PenaltyConfig(lam=5.0).dynamics_mode(prob) == "penalty"
+    assert PenaltyConfig().dynamics_mode(quad_problem) == "equality"
+    assert PenaltyConfig(lam=100.0).dynamics_mode(quad_problem) == "penalty"
 
 
 def test_zero_weight_is_plain_objective(quad_problem, rng):
@@ -109,22 +117,24 @@ def test_penalty_value_counts_absolute_defects():
     )
     y = stack(dims, [[0.0], [-1.0], [0.0]], [[0.0], [0.0]])
     np.testing.assert_array_equal(eval_g(prob, y), [1.0, -1.0])
-    assert penalty_value(prob, PenaltyConfig(lam=2.0, mode="penalty"), y) == pytest.approx(4.0)
+    assert penalty_value(prob, PenaltyConfig(lam=2.0), y) == pytest.approx(4.0)
 
 
-def test_weight_validation_cases():
-    assert validate_penalty_weight(PenaltyConfig(lam=0.0, mode="penalty"), [0.0, 0.0]).status == "valid"
-    check = validate_penalty_weight(PenaltyConfig(lam=1.0, mode="penalty"), [0.5, -2.0])
+def test_weight_validation_cases(quad_problem):
+    toy, _ = nonlinear_toy()
+    assert validate_penalty_weight(toy, PenaltyConfig(lam=0.0), [0.0, 0.0]).status == "valid"
+    check = validate_penalty_weight(toy, PenaltyConfig(lam=1.0), [0.5, -2.0])
     assert check.status == "invalid"
     assert check.required_lambda == pytest.approx(2.0)
-    assert validate_penalty_weight(PenaltyConfig(lam=0.0, mode="equality"), [9.0]).status == "not-applicable"
+    assert validate_penalty_weight(quad_problem, PenaltyConfig(lam=1.0), [0.5, -2.0]).status == "invalid"
+    assert validate_penalty_weight(quad_problem, PenaltyConfig(), [9.0]).status == "not-applicable"
 
 
 def test_penalty_convex_along_segments(quad_problem, rng):
     # P restricted to the base set is convex; check midpoints on random pairs
     from scvx.checks import sample_base_set
 
-    cfg = PenaltyConfig(lam=3.0, mode="penalty")
+    cfg = PenaltyConfig(lam=3.0)
     Y = sample_base_set(quad_problem.base_set, rng, 200)
     for a, b in zip(Y[:100], Y[100:]):
         pa = penalty_value(quad_problem, cfg, a)
@@ -135,7 +145,7 @@ def test_penalty_convex_along_segments(quad_problem, rng):
 
 def test_zero_weight_exploits_relaxation():
     prob, z0 = nonlinear_toy()
-    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=0.0, mode="penalty"))
+    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=0.0))
     rep = scvx(prob, z0, cfg)
     assert rep.converged
     assert prob.objective_value(rep.z) == pytest.approx(0.0, abs=1e-7)
@@ -146,7 +156,7 @@ def test_zero_weight_exploits_relaxation():
 
 def test_large_weight_recovers_equality_optimum():
     prob, z0 = nonlinear_toy()
-    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=5.0, mode="penalty"))
+    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=5.0))
     rep = scvx(prob, z0, cfg)
     assert rep.converged
     assert np.abs(eval_g(prob, rep.z)).sum() <= 1e-6
@@ -173,6 +183,21 @@ def test_penalty_multipliers_match_the_equality_duals(small_runs):
         penalty.report.multipliers, equality.report.multipliers, atol=1e-3
     )
     assert penalty.report.penalty_check.status == "valid"
+
+
+def test_positive_weight_alone_runs_penalty_mode(quad_scenario):
+    # PenaltyConfig(lam) is the whole penalty setting: a positive weight on
+    # the affine built-in dynamics relaxes and penalizes them
+    scenario = dataclasses.replace(quad_scenario, N=8)
+    problem = build_quadrotor_problem(scenario)
+    config = ScvxConfig(penalty=PenaltyConfig(lam=100.0))
+    start = find_feasible_start(problem, initial_guess(scenario), config)
+    report = scvx(problem, start, config)
+    record = trajectory_record(scenario, problem, report.z)
+    out = report_dict(BenchmarkRun(scenario, problem, config, start, report, record))
+    assert report.converged
+    assert out["mode"] == "penalty"
+    assert out["penalty_check"]["status"] == "valid"
 
 
 def test_penalty_relaxation_floor_bounds_the_cost(small_runs):

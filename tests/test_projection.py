@@ -171,13 +171,12 @@ def test_analytic_conic_agreement_100_instances(rng):
             radius = float(rng.uniform(0.3, 2.0))
             c = disk_constraint(center, radius)
             z = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
-            # the same disk as a QuadFn, through the rotated-cone encoding; the
-            # distance is flat along the boundary, so the point is pinned
-            # less tightly than the distance
+            # the same disk as a QuadFn, through the rotated-cone encoding and
+            # the Newton polish of its KKT system
             analytic = project(c, z)
             quad = project_generic(quad_disk_constraint(center, radius), z)
             assert abs(quad.distance - analytic.distance) <= 1e-7
-            assert np.linalg.norm(quad.point - analytic.point) <= 1e-4
+            assert np.linalg.norm(quad.point - analytic.point) <= 1e-8
         elif kind == 1:
             center = rng.uniform(-2.0, 2.0, size=2)
             radius = float(rng.uniform(0.3, 2.0))

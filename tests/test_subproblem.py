@@ -23,14 +23,14 @@ from tests.test_linearize import hold_anchor, unit_disk_problem
 def disk_artifacts(x=(2.0, 0.0)):
     problem = unit_disk_problem()
     z = hold_anchor(problem, list(x))
-    config = PenaltyConfig(lam=0.0, mode="equality")
-    region = build_feasible_region(problem, z, config.mode)
+    config = PenaltyConfig()
+    region = build_feasible_region(problem, z, "equality")
     return problem, config, z, assemble(problem, config, region)
 
 
 @pytest.fixture(scope="module")
 def quad_artifacts(quad_problem, quad_config, quad_start):
-    region = build_feasible_region(quad_problem, quad_start, quad_config.penalty.mode)
+    region = build_feasible_region(quad_problem, quad_start, "equality")
     return assemble(quad_problem, quad_config.penalty, region)
 
 
@@ -56,12 +56,25 @@ def test_row_and_column_maps_partition_the_program(quad_artifacts):
 
 
 def test_benchmark_program_dimensions(quad_artifacts):
-    # 222 stacked decision coordinates plus 25 control-norm epigraph auxiliaries
+    # 222 stacked decision coordinates plus 24 control-norm epigraph
+    # auxiliaries; the trim thrust is the objective constant, not a column
     assert quad_artifacts.columns("y").size == 222
-    assert quad_artifacts.columns("obj-t").size == 24
-    assert quad_artifacts.columns("obj-t-fixed").size == 1
-    assert quad_artifacts.program.c.size == 247
+    assert quad_artifacts.columns("cost").size == 24
+    assert quad_artifacts.program.c.size == 246
+    assert quad_artifacts.constant_offset == pytest.approx(9.81, abs=1e-12)
     assert quad_artifacts.rows("halfspace").size == 50
+
+
+def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, quad_start):
+    # lambda > 0: one weighted epigraph column per dynamics defect after the
+    # 24 control norms, and no zero-cone dynamics rows
+    region = build_feasible_region(quad_problem, quad_start, "penalty")
+    artifacts = assemble(quad_problem, PenaltyConfig(lam=100.0), region)
+    cols = artifacts.columns("cost")
+    assert cols.size == 24 + 24 * 6
+    np.testing.assert_array_equal(artifacts.program.c[cols[24:]], 100.0)
+    assert artifacts.rows("dyn-eq").size == 0
+    assert artifacts.rows("halfspace").size == 50 + 24 * 6
 
 
 def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
@@ -80,7 +93,7 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
 def test_control_norm_objective_emits_one_epigraph_per_step():
     problem, config, z, artifacts = disk_artifacts()
     # T=2: a single decision control, one soc of dimension 1 + m
-    tcols = artifacts.columns("obj-t")
+    tcols = artifacts.columns("cost")
     assert tcols.size == 1
     np.testing.assert_array_equal(artifacts.program.c[tcols], [1.0])
     socs = [c for c in artifacts.program.cones if c.kind == "soc"]
@@ -88,7 +101,7 @@ def test_control_norm_objective_emits_one_epigraph_per_step():
 
 
 def test_assembly_is_deterministic(quad_problem, quad_config, quad_start):
-    region = build_feasible_region(quad_problem, quad_start, quad_config.penalty.mode)
+    region = build_feasible_region(quad_problem, quad_start, "equality")
     a1 = assemble(quad_problem, quad_config.penalty, region)
     a2 = assemble(quad_problem, quad_config.penalty, region)
     np.testing.assert_array_equal(a1.program.c, a2.program.c)
@@ -157,7 +170,7 @@ def test_equality_rows_are_the_same_for_affine_and_convex_dynamics():
             tuple(AffineFn(np.concatenate([dyn.A[j], dyn.B[j]]), dyn.d[j]) for j in range(2))
         ),
     )
-    config = ScvxConfig(penalty=PenaltyConfig(lam=0.0, mode="equality"))
+    config = ScvxConfig(penalty=PenaltyConfig())
     guess = hold_anchor(problem, [0.0, 0.5])
     runs = [scvx(p, find_feasible_start(p, guess, config), config) for p in (problem, convex)]
     assert runs[0].converged and runs[1].converged
