@@ -1,9 +1,9 @@
 """Command-line front end: scvx run <scenario.json> [flags].
 
 Exit codes: 0 converged, 2 infeasible scenario, 3 solver failure,
-4 bad input.  A run that converges to a trajectory which still violates the
-dynamics (penalty mode: no trajectory meets them, or lambda is too small to
-be exact) writes its outputs and exits 2.  All diagnostics go to standard
+4 bad input.  A penalty-mode run that converges with its weight check
+"invalid" (no trajectory meets the dynamics, or lambda is too small to be
+exact) writes its outputs and exits 2.  All diagnostics go to standard
 error; the iteration table and summary go to standard out.  --sweep runs
 several scenario files concurrently in separate processes, each with an
 isolated output directory, so reports never interleave.
@@ -22,7 +22,6 @@ from .bench import (
     solve_quadrotor,
     write_outputs,
 )
-from .driver import feasibility_summary
 from .errors import (
     BadScenarioError,
     InfeasibleScenarioError,
@@ -34,9 +33,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_SOLVER = 3
 EXIT_BAD_INPUT = 4
-
-# largest dynamics defect of a trajectory reported as a solution
-DEFECT_TOL = 1e-7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,10 +108,10 @@ def _solve_and_write(scenario, args, out_dir, quiet=False) -> int:
     if not run.report.converged:
         _err(f"did not converge within {run.config.max_successions} successions")
         return EXIT_SOLVER
-    defect = feasibility_summary(run.problem, run.report.z)["defect_max"]
-    if defect > DEFECT_TOL:
-        _err(f"the converged trajectory violates the dynamics by {defect:.3e}: no trajectory "
-             f"meets them, or lambda = {run.config.penalty.lam:g} is too small to be exact")
+    check = run.report.penalty_check
+    if check is not None and check.status == "invalid":
+        _err(f"the penalty weight check is invalid: no trajectory meets the dynamics, or "
+             f"lambda = {run.config.penalty.lam:g} is too small to be exact")
         return EXIT_INFEASIBLE
     return EXIT_OK
 

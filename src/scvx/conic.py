@@ -336,6 +336,19 @@ class _Blocks:
             e[idx[:, 0]] = 1.0
         return e
 
+    def square_entries(self):
+        """(rows, cols) of the W^2 values, in w_squared's order: (k, d, d) per group."""
+        shapes = [idx.shape + idx.shape[1:] for idx in self.groups]
+        rows = [np.broadcast_to(idx[:, :, None], f).ravel() for idx, f in zip(self.groups, shapes)]
+        cols = [np.broadcast_to(idx[:, None, :], f).ravel() for idx, f in zip(self.groups, shapes)]
+        empty = [np.zeros(0, dtype=int)]
+        return np.concatenate(empty + rows), np.concatenate(empty + cols)
+
+    def identity_squared(self):
+        """W^2 values at W = I, in w_squared's order."""
+        rows, cols = self.square_entries()
+        return (rows == cols).astype(float)
+
     def min_eig(self, v):
         """Smallest cone eigenvalue v0 - ||v1|| over all blocks (inf if none)."""
         vals = []
@@ -431,20 +444,13 @@ class _Scaling:
         return out
 
     def w_squared(self):
-        """W^2 as a sparse matrix: one dense (d, d) block per cone."""
-        # empty seeds keep a program without inequality rows well formed
-        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+        """W^2 values, one dense (d, d) block per cone, in _KKT's slot order."""
+        vals = [np.zeros(0)]  # keeps a program without inequality rows well formed
         for idx, (eta, v, _) in zip(self.blocks.groups, self.groups):
             J = np.diag(_jdiag(idx.shape[1]))
             M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
-            rows.append(np.broadcast_to(idx[:, :, None], M.shape).ravel())
-            cols.append(np.broadcast_to(idx[:, None, :], M.shape).ravel())
             vals.append(M.ravel())
-        dim = self.blocks.dim
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsc()
+        return np.concatenate(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +458,57 @@ class _Scaling:
 
 
 class _KKT:
-    def __init__(self, A_eq, G, W2):
-        # zero-row blocks pass through bmat, so no row block is special
-        self.K = sp.bmat(
-            [[None, A_eq.T, G.T], [A_eq, None, None], [G, None, -W2]], format="csc"
+    """[[0, A_eq^T, G^T], [A_eq, 0, 0], [G, 0, -W^2]] on one CSC pattern per solve.
+
+    The pattern holds every entry of A_eq and G, every dense (d, d) W^2 slot
+    and the full diagonal, in canonical CSC order.  factor() writes -W^2
+    into a copy of the fixed data, adds the +-reg diagonal and drops exact
+    zeros: the very matrix a block assembly plus a diagonal sum would give.
+    Refinement iterates against the unregularized data on the full pattern.
+    """
+
+    def __init__(self, A_eq, G, blocks: _Blocks):
+        n, p_eq = A_eq.shape[1], A_eq.shape[0]
+        dim = n + p_eq + G.shape[0]
+        a_rows, a_cols, a_vals = [], [], []
+        for off, M in ((n, A_eq.tocoo()), (n + p_eq, G.tocoo())):
+            a_rows += [off + M.row, M.col]  # lower-left block, then its transpose
+            a_cols += [M.col, off + M.row]
+            a_vals += [M.data, M.data]
+        w_rows, w_cols = blocks.square_entries()
+        diag = np.arange(dim)
+        rows = np.concatenate(a_rows + [n + p_eq + w_rows, diag])
+        cols = np.concatenate(a_cols + [n + p_eq + w_cols, diag])
+        keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
+        n_a, n_w = rows.size - w_rows.size - dim, w_rows.size
+        self.shape = (dim, dim)
+        self.indices = (keys % dim).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
+        ).astype(np.int32)
+        self.base = np.zeros(keys.size)
+        np.add.at(self.base, slot[:n_a], np.concatenate(a_vals))
+        self.w2_slots = slot[n_a : n_a + n_w]
+        self.diag_slots = slot[n_a + n_w :]
+        self.reg = np.concatenate([np.full(n, _REG), np.full(dim - n, -_REG)])
+
+    def matrices(self, w2):
+        """K and K + diag(reg), exact zeros dropped, at the w_squared() values w2."""
+        data = self.base.copy()
+        data[self.w2_slots] = -w2
+        K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        data = data.copy()
+        data[self.diag_slots] += self.reg
+        # eliminate_zeros rewrites its index arrays in place: never the pattern's
+        K_reg = sp.csc_matrix(
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
         )
-        reg = np.concatenate(
-            [np.full(A_eq.shape[1], _REG), np.full(A_eq.shape[0] + G.shape[0], -_REG)]
-        )
-        self.lu = spla.splu(self.K + sp.diags(reg).tocsc())
+        K_reg.eliminate_zeros()
+        return K, K_reg
+
+    def factor(self, w2):
+        self.K, K_reg = self.matrices(w2)
+        self.lu = spla.splu(K_reg)
 
     def solve(self, rhs):
         x = self.lu.solve(rhs)
@@ -502,6 +550,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
     A_csr = program.A.tocsr()
     A_eq = A_csr[eq_rows].tocsc()
     G = A_csr[in_rows].tocsc()
+    A_eqT, GT = A_eq.T, G.T
     b_eq = b[eq_rows]
     h = b[in_rows]
     blocks = _Blocks(in_cones)
@@ -542,10 +591,11 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
         return float(c @ x_ + b_eq @ y_ + h @ z_)
 
     # --- initialization: solve two least-squares-like systems at W = I
-    K0 = _KKT(A_eq, G, sp.identity(p_in, format="csc"))
-    xp, _, zp = split(K0.solve(np.concatenate([np.zeros(n), b_eq, h])))
+    K = _KKT(A_eq, G, blocks)
+    K.factor(blocks.identity_squared())
+    xp, _, zp = split(K.solve(np.concatenate([np.zeros(n), b_eq, h])))
     s_in = -zp  # equals h - G x at the least-squares point
-    _, y, z_in = split(K0.solve(np.concatenate([-c, np.zeros(p_eq + p_in)])))
+    _, y, z_in = split(K.solve(np.concatenate([-c, np.zeros(p_eq + p_in)])))
     x = xp
     shift = -blocks.min_eig(s_in)
     if shift >= -1e-8:
@@ -562,7 +612,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
 
     for iters in range(1, max_iter + 1):
         # residuals of the homogeneous system
-        f_x = A_eq.T @ y + G.T @ z_in + c * tau
+        f_x = A_eqT @ y + GT @ z_in + c * tau
         f_y = A_eq @ x - b_eq * tau
         f_z = G @ x + s_in - h * tau
         f_tau = gap_terms(x, y, z_in) + kappa
@@ -572,7 +622,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
         pres = np.sqrt(
             np.linalg.norm(A_eq @ xh - b_eq) ** 2 + np.linalg.norm(G @ xh + sh - h) ** 2
         ) / (1.0 + norm_b_all)
-        dres = np.linalg.norm(A_eq.T @ yh + G.T @ zh + c) / (1.0 + norm_c)
+        dres = np.linalg.norm(A_eqT @ yh + GT @ zh + c) / (1.0 + norm_c)
         pobj = float(c @ xh)
         gap_rel = abs(pobj + float(b_eq @ yh + h @ zh)) / (1.0 + abs(pobj))
 
@@ -586,7 +636,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
         # infeasibility certificates
         cert = float(b_eq @ y + h @ z_in)
         if cert < 0:
-            res = np.linalg.norm(A_eq.T @ (y / -cert) + G.T @ (z_in / -cert))
+            res = np.linalg.norm(A_eqT @ (y / -cert) + GT @ (z_in / -cert))
             if res <= tol:
                 return pack(
                     x / tau, sh, z_in / -cert, y / -cert,
@@ -615,7 +665,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
         mu = (float(s_in @ z_in) + tau * kappa) / (blocks.degree + 1)
         try:
             scal = _Scaling(blocks, s_in, z_in)
-            K = _KKT(A_eq, G, scal.w_squared())
+            K.factor(scal.w_squared())
         except (RuntimeError, FloatingPointError, ValueError):
             break
         lam = scal.lam

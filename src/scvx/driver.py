@@ -204,7 +204,9 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
         relaxation_floor=relaxation_floor,
     )
     if multipliers is not None:
-        report.penalty_check = validate_penalty_weight(problem, config.penalty, multipliers)
+        report.penalty_check = validate_penalty_weight(
+            problem, config.penalty, multipliers, z
+        )
     if status == "converged":
         report.fixed_point_residual = fixed_point_residual(problem, z, config)
     report.wall_time = time.perf_counter() - t0

@@ -36,7 +36,11 @@ class PenaltyCheck:
     """Outcome of the a-posteriori penalty-weight validation."""
 
     status: str  # "valid" | "invalid" | "not-applicable"
-    required_lambda: float | None = None
+    required_lambda: float | None = None  # set when a multiplier exceeds lambda
+
+
+# largest dynamics defect of a penalty-mode solution the check accepts
+DEFECT_TOL = 1e-7
 
 
 def penalty_value(problem: OptimalControlProblem, config: PenaltyConfig, y) -> float:
@@ -48,17 +52,23 @@ def penalty_value(problem: OptimalControlProblem, config: PenaltyConfig, y) -> f
 
 
 def validate_penalty_weight(
-    problem: OptimalControlProblem, config: PenaltyConfig, multipliers
+    problem: OptimalControlProblem, config: PenaltyConfig, multipliers, y
 ) -> PenaltyCheck:
-    """Check lambda >= max_j |mu_j| for the relaxed dynamics multipliers.
+    """Check that the penalty is exact at the solution y.
 
-    Only meaningful in penalty mode; equality mode has no relaxation to
-    validate and reports not-applicable.
+    That takes lambda >= max_j |mu_j| for the relaxed dynamics multipliers
+    and a solution that meets the dynamics: a row g_j >= 0 left inactive
+    has dual 0, so its multiplier reads exactly lambda even where the
+    defect stays positive.  Only meaningful in penalty mode; equality mode
+    has no relaxation to validate and reports not-applicable.
     """
     if config.dynamics_mode(problem) == "equality":
         return PenaltyCheck("not-applicable")
     multipliers = np.asarray(multipliers, dtype=float)
     required = float(np.max(np.abs(multipliers))) if multipliers.size else 0.0
-    if config.lam >= required:
-        return PenaltyCheck("valid")
-    return PenaltyCheck("invalid", required_lambda=required)
+    if config.lam < required:
+        return PenaltyCheck("invalid", required_lambda=required)
+    defect = eval_g(problem, np.asarray(y, dtype=float))
+    if defect.size and float(np.max(np.abs(defect))) > DEFECT_TOL:
+        return PenaltyCheck("invalid")
+    return PenaltyCheck("valid")

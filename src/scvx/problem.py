@@ -22,6 +22,7 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -208,6 +209,12 @@ class NormFn:
     @property
     def dim(self):
         return self.a.size
+
+    @cached_property
+    def is_ball(self) -> bool:
+        """No linear term and row-orthonormal H: {f <= 0} is a ball in H's image."""
+        eye = np.eye(self.p.size)
+        return not np.any(self.a) and np.allclose(self.H @ self.H.T, eye, rtol=0.0, atol=1e-12)
 
     def value(self, w):
         return float(np.linalg.norm(self.H @ w - self.p) + self.a @ w + self.beta)

@@ -54,14 +54,9 @@ def project(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResult:
     fn = constraint.fn
     if isinstance(fn, AffineFn):
         return _project_halfspace(constraint, z, val)
-    if isinstance(fn, NormFn) and _is_norm_ball(fn):
+    if isinstance(fn, NormFn) and fn.is_ball:
         return _project_norm_ball(constraint, z)
     return project_generic(constraint, z)
-
-
-def _is_norm_ball(fn: NormFn) -> bool:
-    # the ball formula needs no linear term and row-orthonormal H
-    return not np.any(fn.a) and np.allclose(fn.H @ fn.H.T, np.eye(fn.p.size), rtol=0.0, atol=1e-12)
 
 
 def _project_halfspace(constraint, z, val):

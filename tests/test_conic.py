@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scvx.conic import Cone, ConicProgram, _Blocks, _Scaling, dump_program, residuals, solve
+from scvx.conic import (
+    _KKT,
+    _REG,
+    Cone,
+    ConicProgram,
+    _Blocks,
+    _Scaling,
+    dump_program,
+    residuals,
+    solve,
+)
 from scvx.errors import DimensionError
 
 
@@ -311,6 +321,18 @@ def _reference_product(cones, u, v):
     return out
 
 
+def _w_squared_matrix(blocks, values):
+    """W^2 as a sparse matrix from w_squared()'s values and the blocks' index arrays."""
+    full = [idx.shape + idx.shape[1:] for idx in blocks.groups]
+    rows = [np.broadcast_to(idx[:, :, None], f).ravel() for idx, f in zip(blocks.groups, full)]
+    cols = [np.broadcast_to(idx[:, None, :], f).ravel() for idx, f in zip(blocks.groups, full)]
+    empty = [np.zeros(0, dtype=int)]
+    return sp.coo_matrix(
+        (values, (np.concatenate(empty + rows), np.concatenate(empty + cols))),
+        shape=(blocks.dim, blocks.dim),
+    ).tocsc()
+
+
 def _interior(rng, cones):
     """A strictly interior point, tails scaled over a few decades."""
     v = np.empty(sum(k.dim for k in cones))
@@ -350,7 +372,8 @@ def test_batched_cone_algebra_matches_the_per_block_formulas(small, big, seed):
     x = rng.standard_normal(blocks.dim)
     np.testing.assert_allclose(scal.apply(x), W_ref @ x, rtol=1e-9, atol=1e-10)
     np.testing.assert_allclose(
-        scal.w_squared() @ x, scal.apply(scal.apply(x)), rtol=1e-9, atol=1e-9
+        _w_squared_matrix(blocks, scal.w_squared()) @ x, scal.apply(scal.apply(x)),
+        rtol=1e-9, atol=1e-9,
     )
 
     # divide inverts product; product is the reference Jordan product
@@ -394,3 +417,69 @@ def test_one_dimensional_group_is_the_orthant(small, seed):
     neg = dv < 0
     expect = float(np.min(-s[neg] / dv[neg])) if np.any(neg) else np.inf
     assert blocks.max_step(s, dv) == expect
+
+
+# ---------------------------------------------------------------------------
+# the fixed KKT pattern against the block assembly it replaces
+
+
+def _bits(a):
+    # + 0.0 turns -0.0 into 0.0: an explicit zero may carry either sign
+    return (np.asarray(a, dtype=float) + 0.0).view(np.uint64)
+
+
+def _reference_kkt(A_eq, G, W2):
+    """(K, K + diag(reg)) assembled block by block, as the solver once did."""
+    K = sp.bmat([[None, A_eq.T, G.T], [A_eq, None, None], [G, None, -W2]], format="csc")
+    reg = np.concatenate(
+        [np.full(A_eq.shape[1], _REG), np.full(A_eq.shape[0] + G.shape[0], -_REG)]
+    )
+    return K, K + sp.diags(reg).tocsc()
+
+
+def _sparse(rng, rows, cols):
+    dense = rng.standard_normal((rows, cols))
+    dense[rng.uniform(size=(rows, cols)) < 0.5] = 0.0
+    return sp.csc_matrix(dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["nonneg", "soc"]), st.integers(1, 5)), max_size=5),
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.sampled_from(["scaling", "identity", "zero-entry"]),
+    st.integers(0, 2**32 - 1),
+)
+@example([], 3, 2, "scaling", 0)  # no inequality rows
+@example([("soc", 3), ("nonneg", 2)], 4, 0, "scaling", 1)  # no equality rows
+@example([("soc", 3), ("nonneg", 2)], 0, 1, "scaling", 2)  # no columns
+@example([("soc", 4), ("nonneg", 1), ("soc", 2)], 3, 1, "identity", 3)  # the W = I start
+@example([("soc", 4), ("nonneg", 2)], 3, 1, "zero-entry", 4)  # an exact-zero W^2 entry
+def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values, seed):
+    cones = [Cone(kind, dim) for kind, dim in cone_spec]
+    blocks = _Blocks(cones)
+    assume(p_eq + blocks.dim > 0)  # a program without rows never builds a KKT
+    rng = np.random.default_rng(seed)
+    A_eq, G = _sparse(rng, p_eq, n), _sparse(rng, blocks.dim, n)
+    if values == "identity":
+        w2 = blocks.identity_squared()
+    else:
+        w2 = _Scaling(blocks, _interior(rng, cones), _interior(rng, cones)).w_squared()
+        if values == "zero-entry" and w2.size:
+            w2[rng.integers(w2.size)] = 0.0
+    ref_W2 = sp.identity(blocks.dim, format="csc") if values == "identity" else (
+        _w_squared_matrix(blocks, w2)
+    )
+    K_ref, K_reg_ref = _reference_kkt(A_eq, G, ref_W2)
+    K, K_reg = _KKT(A_eq, G, blocks).matrices(w2)
+
+    # the factored matrix is the very one the block assembly gave
+    np.testing.assert_array_equal(K_reg.indptr, K_reg_ref.indptr)
+    np.testing.assert_array_equal(K_reg.indices, K_reg_ref.indices)
+    np.testing.assert_array_equal(K_reg.data.view(np.uint64), K_reg_ref.data.view(np.uint64))
+    # the refinement matrix holds explicit zeros where the assembly had
+    # none, which changes no entry and no product
+    np.testing.assert_array_equal(_bits(K.toarray()), _bits(K_ref.toarray()))
+    x = rng.standard_normal(K.shape[1])
+    np.testing.assert_array_equal(_bits(K @ x), _bits(K_ref @ x))

@@ -122,12 +122,27 @@ def test_penalty_value_counts_absolute_defects():
 
 def test_weight_validation_cases(quad_problem):
     toy, _ = nonlinear_toy()
-    assert validate_penalty_weight(toy, PenaltyConfig(lam=0.0), [0.0, 0.0]).status == "valid"
-    check = validate_penalty_weight(toy, PenaltyConfig(lam=1.0), [0.5, -2.0])
+    # x_1 = 0.5 + 1 + 0 = 1.5 and x_2 = 1.125 + 1.5 - 0.625 = 2: no defect
+    feasible = stack(toy.dims, [[1.0], [1.5], [2.0]], [[0.0], [-0.625]])
+    assert validate_penalty_weight(toy, PenaltyConfig(lam=0.0), [0.0, 0.0], feasible).status == "valid"
+    check = validate_penalty_weight(toy, PenaltyConfig(lam=1.0), [0.5, -2.0], feasible)
     assert check.status == "invalid"
     assert check.required_lambda == pytest.approx(2.0)
-    assert validate_penalty_weight(quad_problem, PenaltyConfig(lam=1.0), [0.5, -2.0]).status == "invalid"
-    assert validate_penalty_weight(quad_problem, PenaltyConfig(), [9.0]).status == "not-applicable"
+    y = np.zeros(quad_problem.dims.n_y)
+    assert validate_penalty_weight(quad_problem, PenaltyConfig(lam=1.0), [0.5, -2.0], y).status == "invalid"
+    assert validate_penalty_weight(quad_problem, PenaltyConfig(), [9.0], y).status == "not-applicable"
+
+
+def test_weight_check_requires_the_dynamics_to_hold(quad_scenario):
+    # pf is out of reach at V_max = 0.2: the relaxed run converges with the
+    # defect still positive while every multiplier reads at most lambda
+    scenario = dataclasses.replace(quad_scenario, N=5, V_max=0.2, penalty_lambda=100.0)
+    run = solve_quadrotor(scenario, include_obstacles=False)
+    assert run.report.converged
+    assert np.max(np.abs(eval_g(run.problem, run.report.z))) > 1.0
+    assert np.max(np.abs(run.report.multipliers)) <= 100.0
+    assert run.report.penalty_check.status == "invalid"
+    assert run.report.penalty_check.required_lambda is None
 
 
 def test_penalty_convex_along_segments(quad_problem, rng):

@@ -83,6 +83,27 @@ def test_ball_projection_radial():
     assert res.method == "analytic"
 
 
+def test_route_is_decided_once_per_function(monkeypatch):
+    ball = disk_constraint([0.0, 0.0], 1.0)
+    stretched = ConstraintSpec(
+        kind="state-constraint",
+        step=0,
+        component=0,
+        indices=np.arange(2),
+        fn=NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0),
+    )
+    z = np.array([2.0, 0.0])
+    assert project(ball, z).method == "analytic"
+    assert project(stretched, z).method == "conic"
+    # later projections read the cached route instead of testing H H^T again
+    def no_retest(*args, **kwargs):
+        raise AssertionError("the ball test ran again")
+
+    monkeypatch.setattr(np, "allclose", no_retest)
+    assert project(ball, z).method == "analytic"
+    assert project(stretched, z).method == "conic"
+
+
 def test_member_point_projects_to_itself():
     c = disk_constraint([0.0, 0.0], 1.0)
     z = np.array([0.3, -0.2])
