@@ -14,8 +14,14 @@ The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and Mehrotra predictor-corrector steps.  Each iteration factors one
 quasi-definite KKT matrix (static regularization + iterative refinement)
 and reuses the factorization for the predictor, the corrector, and the
-embedding's tau column.  Solves are deterministic: identical inputs produce
-bitwise-identical iterates.
+embedding's tau column.  Every symmetric permutation of a quasi-definite
+matrix has an LDL^T factorization (Vanderbei 1995), so the matrix is laid
+out once per solve in a minimum-degree symmetric order and factored with
+diagonal pivots only, as ECOS does.  Linearly dependent equality rows can
+still cancel a diagonal pivot; a solve that then ends other than "optimal"
+is run again with threshold partial pivoting, and the solution reports
+which factorization it used.  Solves are deterministic: identical
+inputs produce bitwise-identical iterates.
 
 ProgramBuilder is the one way programs are put together: callers add
 labeled columns and rows, and build() returns the standard-form program
@@ -24,7 +30,7 @@ together with maps of where each labeled block landed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,6 +103,7 @@ class ConicSolution:
     iterations: int
     primal_res: float = np.nan
     dual_res: float = np.nan
+    pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
 
 
 @dataclass(frozen=True)
@@ -461,13 +468,17 @@ class _KKT:
     """[[0, A_eq^T, G^T], [A_eq, 0, 0], [G, 0, -W^2]] on one CSC pattern per solve.
 
     The pattern holds every entry of A_eq and G, every dense (d, d) W^2 slot
-    and the full diagonal, in canonical CSC order.  factor() writes -W^2
-    into a copy of the fixed data, adds the +-reg diagonal and drops exact
-    zeros: the very matrix a block assembly plus a diagonal sum would give.
-    Refinement iterates against the unregularized data on the full pattern.
+    and the full diagonal, laid out in one minimum-degree symmetric order:
+    original row r sits at perm_c[r], so the stored matrix is K[q][:, q]
+    with q = argsort(perm_c).  factor() writes -W^2 into a copy of the
+    fixed data, adds the +-reg diagonal and drops exact zeros.  Pivoting
+    "diagonal" factors that matrix in place with diagonal pivots, which a
+    quasi-definite matrix admits in every symmetric order; "partial" lets
+    SuperLU reorder columns and pivot rows.  Refinement iterates against the
+    unregularized data on the full pattern.
     """
 
-    def __init__(self, A_eq, G, blocks: _Blocks):
+    def __init__(self, A_eq, G, blocks: _Blocks, pivoting):
         n, p_eq = A_eq.shape[1], A_eq.shape[0]
         dim = n + p_eq + G.shape[0]
         a_rows, a_cols, a_vals = [], [], []
@@ -479,9 +490,13 @@ class _KKT:
         diag = np.arange(dim)
         rows = np.concatenate(a_rows + [n + p_eq + w_rows, diag])
         cols = np.concatenate(a_cols + [n + p_eq + w_cols, diag])
+        self.shape = (dim, dim)
+        self.pivoting = pivoting
+        self.perm_c = _symmetric_order(rows, cols, dim)
+        self.q = np.argsort(self.perm_c)
+        rows, cols = self.perm_c[rows], self.perm_c[cols]
         keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
         n_a, n_w = rows.size - w_rows.size - dim, w_rows.size
-        self.shape = (dim, dim)
         self.indices = (keys % dim).astype(np.int32)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
@@ -489,11 +504,11 @@ class _KKT:
         self.base = np.zeros(keys.size)
         np.add.at(self.base, slot[:n_a], np.concatenate(a_vals))
         self.w2_slots = slot[n_a : n_a + n_w]
-        self.diag_slots = slot[n_a + n_w :]
+        self.diag_slots = slot[n_a + n_w :]  # indexed by original row, like reg
         self.reg = np.concatenate([np.full(n, _REG), np.full(dim - n, -_REG)])
 
     def matrices(self, w2):
-        """K and K + diag(reg), exact zeros dropped, at the w_squared() values w2."""
+        """K and K + diag(reg) in the stored order, exact zeros dropped, at w2 = w_squared()."""
         data = self.base.copy()
         data[self.w2_slots] = -w2
         K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -508,16 +523,41 @@ class _KKT:
 
     def factor(self, w2):
         self.K, K_reg = self.matrices(w2)
-        self.lu = spla.splu(K_reg)
+        if self.pivoting == "diagonal":
+            self.lu = spla.splu(
+                K_reg, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        else:
+            self.lu = spla.splu(K_reg)
 
     def solve(self, rhs):
+        rhs = rhs[self.q]
+        bound = 1e-13 * max(1.0, np.linalg.norm(rhs, np.inf))
         x = self.lu.solve(rhs)
         for _ in range(_REFINE_STEPS):
             r = rhs - self.K @ x
-            if np.linalg.norm(r, np.inf) <= 1e-13 * max(1.0, np.linalg.norm(rhs, np.inf)):
+            if np.linalg.norm(r, np.inf) <= bound:
                 break
             x = x + self.lu.solve(r)
-        return x
+        return x[self.perm_c]
+
+
+def _symmetric_order(rows, cols, dim):
+    """Minimum-degree order of the symmetric pattern (rows, cols): perm_c.
+
+    Only the structure matters, so SuperLU orders a stand-in with the same
+    pattern, 1 off the diagonal and dim on it: diagonally dominant, it
+    factors with diagonal pivots without breaking down.
+    """
+    stand_in = sp.csc_matrix(
+        (np.where(rows == cols, float(dim), 1.0), (rows, cols)), shape=(dim, dim)
+    )
+    lu = spla.splu(
+        stand_in, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    return lu.perm_c
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +569,21 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
 
     On status "optimal" the normalized primal/dual residuals and the
     relative gap are all <= tol.  Infeasibility is certified through the
-    homogeneous embedding (tau -> 0 with a valid certificate).
+    homogeneous embedding (tau -> 0 with a valid certificate).  A solve
+    that ends other than "optimal" on diagonal pivots is run again with
+    partial pivoting: a cancelled pivot can also drive the iterates along
+    the null space of dependent equality rows until a spurious certificate
+    passes its test.  The result reports the factorization in `pivoting`,
+    and `iterations` counts both attempts.
     """
+    first = _solve(program, tol, max_iter, "diagonal")
+    if first.status == "optimal":
+        return first
+    retry = _solve(program, tol, max_iter, "partial")
+    return replace(retry, iterations=first.iterations + retry.iterations)
+
+
+def _solve(program, tol, max_iter, pivoting):
     c, b = program.c, program.b
     n = program.n_cols
 
@@ -572,6 +625,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
             iterations=iters,
             primal_res=float(pres),
             dual_res=float(dres),
+            pivoting=pivoting,
         )
 
     if program.n_rows == 0:
@@ -591,8 +645,14 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
         return float(c @ x_ + b_eq @ y_ + h @ z_)
 
     # --- initialization: solve two least-squares-like systems at W = I
-    K = _KKT(A_eq, G, blocks)
-    K.factor(blocks.identity_squared())
+    K = _KKT(A_eq, G, blocks, pivoting)
+    try:
+        K.factor(blocks.identity_squared())
+    except RuntimeError:  # a diagonal pivot cancelled to exactly zero
+        return pack(
+            np.zeros(n), np.zeros(p_in), np.zeros(p_in), np.zeros(p_eq),
+            "numerical-error", np.inf, 0, np.inf, np.inf,
+        )
     xp, _, zp = split(K.solve(np.concatenate([np.zeros(n), b_eq, h])))
     s_in = -zp  # equals h - G x at the least-squares point
     _, y, z_in = split(K.solve(np.concatenate([-c, np.zeros(p_eq + p_in)])))

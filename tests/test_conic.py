@@ -13,6 +13,7 @@ from scvx.conic import (
     ConicProgram,
     _Blocks,
     _Scaling,
+    _solve,
     dump_program,
     residuals,
     solve,
@@ -59,6 +60,31 @@ def random_feasible_program(rng):
 
     b = A @ rng.standard_normal(n) + interior(allow_free=False)
     c = -(A.T @ interior(allow_free=True))
+    return make_program(c, A, b, cones)
+
+
+def sparse_feasible_program(rng, dependent):
+    """A sparse program, feasible and bounded by construction.
+
+    With dependent set, equality row 1 (and its dual value) repeats row 0,
+    and the last column is empty: the KKT matrix stays quasi-definite only
+    through its regularization.
+    """
+    n = int(rng.integers(5, 60))
+    p_eq = int(rng.integers(2, max(2, n // 3) + 1) if dependent else rng.integers(0, n // 3 + 1))
+    cones = [Cone("zero", p_eq)] if p_eq else []
+    for _ in range(int(rng.integers(1, n // 2 + 1))):
+        cones.append(Cone(str(rng.choice(["nonneg", "soc"])), int(rng.integers(1, 6))))
+    m = sum(k.dim for k in cones)
+    A = rng.standard_normal((m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+    s, z = np.zeros(m), rng.standard_normal(m)
+    s[p_eq:] = _interior(rng, cones[1:] if p_eq else cones)
+    z[p_eq:] = _interior(rng, cones[1:] if p_eq else cones)
+    if dependent:
+        A[1], z[1] = A[0], z[0]
+        A[:, -1] = 0.0
+    b = A @ rng.standard_normal(n) + s
+    c = -(A.T @ z)
     return make_program(c, A, b, cones)
 
 
@@ -159,6 +185,45 @@ def test_cost_scaling_leaves_argmin():
         expect = z0 + a * (bval - a @ z0) / (a @ a)
         np.testing.assert_allclose(sol1.x[:k], expect, atol=1e-7)
         np.testing.assert_allclose(sol1.x[:k], sol2.x[:k], atol=1e-7)
+
+
+def test_dependent_equality_rows_fall_back_to_partial_pivoting():
+    # diagonal pivots get no dynamic regularization, so a repeated equality
+    # row can cancel one to exactly zero (SuperLU raises on the W = I start)
+    # or to garbage; the solve must still end optimal, through the retry
+    rng = np.random.default_rng(11)
+    singular_starts, retries = 0, 0
+    for k in range(60):
+        dependent = k % 2 == 1
+        prog = sparse_feasible_program(rng, dependent)
+        sol = solve(prog, tol=1e-9)
+        assert sol.status == "optimal"
+        assert max(residuals(prog, sol)) <= 1e-8
+        retries += dependent and sol.pivoting == "partial"
+        if dependent:
+            p_eq, blocks = prog.cones[0].dim, _Blocks(prog.cones[1:])
+            kkt = _KKT(prog.A[:p_eq], prog.A[p_eq:], blocks, "diagonal")
+            try:
+                kkt.factor(blocks.identity_squared())
+            except RuntimeError as err:
+                assert "exactly singular" in str(err)
+                assert sol.pivoting == "partial"
+                singular_starts += 1
+    assert retries >= 1 and singular_starts >= 1
+    plain = solve(random_feasible_program(np.random.default_rng(3)), tol=1e-9)
+    assert plain.status == "optimal" and plain.pivoting == "diagonal"
+
+
+def test_certificate_from_diagonal_pivots_is_rechecked():
+    # two equal equality rows and a nonneg row over 46 columns: on diagonal
+    # pivots the dual drifts along the rows' null space (|y| ~ 1e16) until
+    # its rounding passes the infeasibility test of a feasible program
+    rng = np.random.default_rng(11)
+    prog = [sparse_feasible_program(rng, k % 2 == 1) for k in range(228)][-1]
+    assert _solve(prog, 1e-9, 100, "diagonal").status == "primal-infeasible"
+    sol = solve(prog, tol=1e-9)
+    assert sol.status == "optimal" and sol.pivoting == "partial"
+    assert max(residuals(prog, sol)) <= 1e-8
 
 
 def test_bitwise_deterministic_resolve():
@@ -471,8 +536,16 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
     ref_W2 = sp.identity(blocks.dim, format="csc") if values == "identity" else (
         _w_squared_matrix(blocks, w2)
     )
-    K_ref, K_reg_ref = _reference_kkt(A_eq, G, ref_W2)
-    K, K_reg = _KKT(A_eq, G, blocks).matrices(w2)
+    kkt = _KKT(A_eq, G, blocks, "diagonal")
+    K, K_reg = kkt.matrices(w2)
+
+    # the stored order is a symmetric permutation: original row r sits at
+    # perm_c[r], so the reference is permuted by q = argsort(perm_c)
+    dim = K.shape[0]
+    np.testing.assert_array_equal(np.sort(kkt.perm_c), np.arange(dim))
+    q = np.argsort(kkt.perm_c)
+    K_ref, K_reg_ref = (M[q][:, q].tocsc() for M in _reference_kkt(A_eq, G, ref_W2))
+    K_reg_ref.sort_indices()
 
     # the factored matrix is the very one the block assembly gave
     np.testing.assert_array_equal(K_reg.indptr, K_reg_ref.indptr)
