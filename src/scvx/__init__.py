@@ -4,7 +4,6 @@ The outer loop convexifies keep-out constraints by projecting the current
 iterate onto each zone and replacing the zone with the supporting
 halfspace at the projection point, then solves the resulting
 second-order-cone program with a built-in interior-point method.
-Sampled checks of these guarantees, used by the tests, are in scvx.checks.
 """
 
 from .errors import (
@@ -60,7 +59,6 @@ from .driver import (
     SuccessionRecord,
     feasibility_summary,
     find_feasible_start,
-    fixed_point_residual,
     scvx,
 )
 from .bench import (

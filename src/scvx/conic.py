@@ -569,12 +569,12 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
 
     On status "optimal" the normalized primal/dual residuals and the
     relative gap are all <= tol.  Infeasibility is certified through the
-    homogeneous embedding (tau -> 0 with a valid certificate).  A solve
-    that ends other than "optimal" on diagonal pivots is run again with
-    partial pivoting: a cancelled pivot can also drive the iterates along
-    the null space of dependent equality rows until a spurious certificate
-    passes its test.  The result reports the factorization in `pivoting`,
-    and `iterations` counts both attempts.
+    homogeneous embedding (tau -> 0 with a valid certificate; a primal one
+    is normalized to b.y = -1 and must re-evaluate to it).  A solve that
+    ends other than "optimal" on diagonal pivots is run again with partial
+    pivoting: a cancelled pivot can also drive the iterates along the null
+    space of dependent equality rows until they stall.  The result reports
+    the factorization in `pivoting`, and `iterations` counts both attempts.
     """
     first = _solve(program, tol, max_iter, "diagonal")
     if first.status == "optimal":
@@ -696,10 +696,13 @@ def _solve(program, tol, max_iter, pivoting):
         # infeasibility certificates
         cert = float(b_eq @ y + h @ z_in)
         if cert < 0:
-            res = np.linalg.norm(A_eqT @ (y / -cert) + GT @ (z_in / -cert))
-            if res <= tol:
+            y_c, z_c = y / -cert, z_in / -cert
+            res = np.linalg.norm(A_eqT @ y_c + GT @ z_c)
+            # a dual of size ~1e16 passes the residual test on rounding
+            # alone; its normalized b.y must also re-evaluate to -1
+            if res <= tol and abs(float(b_eq @ y_c + h @ z_c) + 1.0) <= 1e-6:
                 return pack(
-                    x / tau, sh, z_in / -cert, y / -cert,
+                    x / tau, sh, z_c, y_c,
                     "primal-infeasible", gap_rel, iters, pres, dres,
                 )
         ctx = float(c @ x)

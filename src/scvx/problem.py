@@ -149,9 +149,6 @@ class AffineFn:
     def value(self, w):
         return float(self.a @ w + self.beta)
 
-    def value_batch(self, W):
-        return W @ self.a + self.beta
-
     def grad(self, w):
         return self.a.copy()
 
@@ -179,10 +176,6 @@ class QuadFn:
     def value(self, w):
         Lw = self.L @ w
         return float(0.5 * (Lw @ Lw) + self.a @ w + self.beta)
-
-    def value_batch(self, W):
-        LW = W @ self.L.T
-        return 0.5 * np.einsum("ij,ij->i", LW, LW) + W @ self.a + self.beta
 
     def grad(self, w):
         return self.L.T @ (self.L @ w) + self.a
@@ -218,10 +211,6 @@ class NormFn:
 
     def value(self, w):
         return float(np.linalg.norm(self.H @ w - self.p) + self.a @ w + self.beta)
-
-    def value_batch(self, W):
-        R = W @ self.H.T - self.p
-        return np.linalg.norm(R, axis=1) + W @ self.a + self.beta
 
     def grad(self, w):
         r = self.H @ w - self.p
@@ -269,9 +258,6 @@ class ConstraintSpec:
 
     def value(self, y) -> float:
         return self.fn.value(y[self.indices])
-
-    def value_batch(self, Y) -> np.ndarray:
-        return self.fn.value_batch(Y[:, self.indices])
 
     def grad_local(self, y) -> np.ndarray:
         try:

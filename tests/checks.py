@@ -12,11 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conic
-from .errors import ConvexityError, ScvxError
-from .linearize import FeasibleRegion, build_feasible_region
-from .problem import Ball, BaseSet, Cone, OptimalControlProblem, Pin
-from .subproblem import SubproblemArtifacts
+from scvx import conic
+from scvx.errors import ConvexityError, ScvxError
+from scvx.linearize import FeasibleRegion, build_feasible_region
+from scvx.problem import (
+    AffineFn,
+    Ball,
+    BaseSet,
+    Cone,
+    ConstraintSpec,
+    NormFn,
+    OptimalControlProblem,
+    Pin,
+    QuadFn,
+)
+from scvx.subproblem import SubproblemArtifacts
+
+
+def value_batch(spec: ConstraintSpec, Y) -> np.ndarray:
+    """spec's constraint value at each row of Y, a (batch, n_y) array."""
+    fn, W = spec.fn, Y[:, spec.indices]
+    if isinstance(fn, AffineFn):
+        return W @ fn.a + fn.beta
+    if isinstance(fn, QuadFn):
+        LW = W @ fn.L.T
+        return 0.5 * np.einsum("ij,ij->i", LW, LW) + W @ fn.a + fn.beta
+    if isinstance(fn, NormFn):
+        R = W @ fn.H.T - fn.p
+        return np.linalg.norm(R, axis=1) + W @ fn.a + fn.beta
+    raise TypeError(f"no batch evaluator for {type(fn).__name__}")
 
 
 def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray:
@@ -143,7 +167,7 @@ def validate_convexity(problem: OptimalControlProblem, n_pairs: int = 1000, seed
     B = sample_base_set(problem.base_set, rng, n_pairs)
     Mid = 0.5 * (A + B)
     for spec in problem.constraints:
-        gap = spec.value_batch(Mid) - 0.5 * (spec.value_batch(A) + spec.value_batch(B))
+        gap = value_batch(spec, Mid) - 0.5 * (value_batch(spec, A) + value_batch(spec, B))
         worst = float(np.max(gap))
         if worst > 1e-9:
             raise ConvexityError(
@@ -192,7 +216,7 @@ def verify_invariance(
     checked = 0
     for hs in region.halfspaces:
         spec = problem.constraints[hs.constraint_index]
-        vals = spec.value_batch(Y)
+        vals = value_batch(spec, Y)
         worst = min(worst, float(np.min(vals))) if vals.size else worst
         violations += int(np.sum(vals < -1e-8))
         checked += 1

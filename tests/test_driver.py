@@ -9,7 +9,6 @@ from scvx.driver import (
     ScvxConfig,
     feasibility_summary,
     find_feasible_start,
-    fixed_point_residual,
     scvx,
 )
 from scvx.errors import (
@@ -95,14 +94,36 @@ def test_restart_from_solution_terminates_immediately(quad_problem, quad_config,
     assert rerun.records[0].improvement < quad_config.epsilon
 
 
-def test_initial_anchor_is_far_from_fixed_point(quad_problem, quad_config, quad_start):
-    res = fixed_point_residual(quad_problem, quad_start, quad_config)
+def test_initial_anchor_is_far_from_fixed_point(benchmark_run):
+    # the first region is anchored at the start, so its improvement is the
+    # start's fixed-point residual
+    res = benchmark_run.report.records[0].improvement
     assert res > 1e-2  # orders of magnitude above the convergence threshold
+
+
+def test_last_succession_certifies_its_anchor(benchmark_run):
+    report = benchmark_run.report
+    last = report.records[-1]
+    assert report.converged
+    assert last.accepted is False
+    assert report.fixed_point_residual == max(0.0, last.improvement)
+    assert report.z.tobytes() == report.iterates[-1].tobytes()
+    assert len(report.iterates) == report.successions
+
+
+def test_certificate_takes_no_extra_solve(monkeypatch, quad_problem, quad_config, quad_start):
+    programs = _record_programs(monkeypatch)
+    report = scvx(quad_problem, quad_start, quad_config)
+    assert report.successions == 9
+    assert len(programs) == 1 + report.successions  # the floor, then one per succession
 
 
 def test_convex_problem_converges_in_one_succession(convex_run):
     assert convex_run.report.successions == 1
     assert convex_run.report.converged
+    # the region does not depend on the anchor: the one solve certifies itself
+    assert convex_run.report.records[0].accepted
+    assert convex_run.report.fixed_point_residual == 0.0
 
 
 # ---------------------------------------------------------------------------

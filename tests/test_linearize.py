@@ -8,7 +8,7 @@ from scvx.errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from scvx.checks import lipschitz_probe, verify_invariance
+from tests.checks import lipschitz_probe, verify_invariance
 from scvx.linearize import (
     FeasibleRegion,
     Halfspace,

@@ -147,7 +147,7 @@ def test_weight_check_requires_the_dynamics_to_hold(quad_scenario):
 
 def test_penalty_convex_along_segments(quad_problem, rng):
     # P restricted to the base set is convex; check midpoints on random pairs
-    from scvx.checks import sample_base_set
+    from tests.checks import sample_base_set
 
     cfg = PenaltyConfig(lam=3.0)
     Y = sample_base_set(quad_problem.base_set, rng, 200)

@@ -26,7 +26,7 @@ from scvx.problem import (
     stack,
     unstack,
 )
-from scvx.checks import jacobian_q, sample_base_set, validate_convexity
+from tests.checks import jacobian_q, sample_base_set, validate_convexity
 
 
 def tiny_problem(n=2, m=1, T=3):

@@ -11,7 +11,7 @@ from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.problem import AffineFn, ConvexDynamics, eval_g, eval_q
-from scvx.checks import solver_objective
+from tests.checks import solver_objective
 from scvx.subproblem import (
     assemble,
     extract,
