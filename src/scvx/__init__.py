@@ -8,7 +8,6 @@ second-order-cone program with a built-in interior-point method.
 
 from .errors import (
     BadScenarioError,
-    ConvexityError,
     DegenerateGradientError,
     DimensionError,
     GradientSingularityError,
@@ -41,7 +40,7 @@ from .problem import (
     stack,
     unstack,
 )
-from .conic import ConicProgram, ConicSolution, residuals, solve as solve_conic
+from .conic import ConicProgram, ConicSolution, solve as solve_conic
 from .conic import Cone as ConicCone
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .projection import ProjectionResult, project, project_generic

@@ -12,6 +12,7 @@ isolated output directory, so reports never interleave.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -159,8 +160,8 @@ def _cmd_run(args) -> int:
     if not args.builtin and not args.scenario:
         _err("no scenario given (pass a JSON file or --builtin quadrotor)")
         return EXIT_BAD_INPUT
-    if args.epsilon is not None and not args.epsilon > 0.0:
-        _err(f"--epsilon must be positive, got {args.epsilon!r}")
+    if args.epsilon is not None and not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        _err(f"--epsilon must be positive and finite, got {args.epsilon!r}")
         return EXIT_BAD_INPUT
     if args.max_iter is not None and args.max_iter < 1:
         _err(f"--max-iter must be at least 1, got {args.max_iter}")

@@ -8,7 +8,9 @@ Standard form:
 where K is a product of zero cones (equality rows, s = 0), nonnegative
 orthant rows, and second-order cones {(t, u) : t >= ||u||}.  The dual reads
 A^T z + c = 0 with z in the dual cone, and optimality closes the gap
-c.x + b.z = 0.
+c.x + b.z = 0.  The solver works on this one form, rows in program order:
+a zero-cone row, wherever it sits, belongs to no cone block, so its slack
+stays exactly 0 and its dual is free.
 
 The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and Mehrotra predictor-corrector steps.  Each iteration factors one
@@ -209,17 +211,6 @@ def coord_pairs(cols, coeffs):
     return [(int(i), float(a)) for i, a in zip(cols, coeffs)]
 
 
-def residuals(program: ConicProgram, solution: ConicSolution):
-    """Normalized (primal, dual, gap) residuals recomputed from raw data."""
-    x, s, z = solution.x, solution.s, solution.z_dual
-    c, A, b = program.c, program.A, program.b
-    pres = np.linalg.norm(A @ x + s - b) / (1.0 + np.linalg.norm(b))
-    dres = np.linalg.norm(A.T @ z + c) / (1.0 + np.linalg.norm(c))
-    pobj = float(c @ x)
-    gap = abs(pobj + float(b @ z)) / (1.0 + abs(pobj))
-    return float(pres), float(dres), float(gap)
-
-
 def dump_program(program: ConicProgram, path):
     """Write a program as text triplets for offline debugging.
 
@@ -246,50 +237,16 @@ def dump_program(program: ConicProgram, path):
             f.write(f"A {coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
 
 
-def load_program(path) -> ConicProgram:
-    """Read back a program written by dump_program."""
-    cones = []
-    trip_r, trip_c, trip_v = [], [], []
-    c_entries, b_entries = [], []
-    n_cols = n_rows = 0
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "cols":
-                n_cols = int(parts[1])
-            elif tag == "rows":
-                n_rows = int(parts[1])
-            elif tag == "cone":
-                cones.append(Cone(parts[1], int(parts[2])))
-            elif tag == "c":
-                c_entries.append((int(parts[1]), float(parts[2])))
-            elif tag == "b":
-                b_entries.append((int(parts[1]), float(parts[2])))
-            elif tag == "A":
-                trip_r.append(int(parts[1]))
-                trip_c.append(int(parts[2]))
-                trip_v.append(float(parts[3]))
-    c = np.zeros(n_cols)
-    for j, v in c_entries:
-        c[j] = v
-    b = np.zeros(n_rows)
-    for i, v in b_entries:
-        b[i] = v
-    A = sp.coo_matrix((trip_v, (trip_r, trip_c)), shape=(n_rows, n_cols)).tocsc()
-    return ConicProgram(c, A, b, tuple(cones))
-
-
 # ---------------------------------------------------------------------------
-# cone block utilities (inequality rows only)
+# cone block utilities
 #
-# A nonnegative row is the 1-dim second-order cone t >= ||()||, so every
-# inequality cone is a second-order block.  Blocks of equal dimension d are
-# stacked into one (k, d) index array, column 0 holding each head t, and
-# every operation runs once per dimension on the gathered (k, d) values.  On
-# d = 1 the formulas reduce to the orthant closed forms.
+# A nonnegative row is the 1-dim second-order cone t >= ||()||, so every cone
+# but the zero cone is a second-order block.  Blocks of equal dimension d are
+# stacked into one (k, d) index array of program rows, column 0 holding each
+# head t, and every operation runs once per dimension on the gathered (k, d)
+# values.  On d = 1 the formulas reduce to the orthant closed forms.  A
+# zero-cone row belongs to no block: its slack is 0 and its dual is free, so
+# every operation returns 0 there.
 
 
 def _split(x):
@@ -320,15 +277,16 @@ def _reflect(u, x):
 
 
 class _Blocks:
-    """Inequality rows grouped by cone dimension into (k, d) index arrays."""
+    """Program rows of the nonnegative and second-order cones, grouped by
+    dimension into (k, d) index arrays; zero-cone rows are in no group."""
 
     def __init__(self, cones):
-        starts = {}  # dim -> first local row of each block
+        starts = {}  # dim -> first program row of each block
         pos = 0
         for k in cones:
             if k.kind == "nonneg":
                 starts.setdefault(1, []).extend(range(pos, pos + k.dim))
-            else:
+            elif k.kind == "soc":
                 starts.setdefault(k.dim, []).append(pos)
             pos += k.dim
         self.groups = [
@@ -336,6 +294,13 @@ class _Blocks:
         ]
         self.dim = pos
         self.degree = sum(idx.shape[0] for idx in self.groups)
+
+    def restrict(self, v):
+        """v on the block rows, 0 on the zero-cone rows."""
+        out = np.zeros(self.dim)
+        for idx in self.groups:
+            out[idx] = v[idx]
+        return out
 
     def identity(self):
         e = np.zeros(self.dim)
@@ -366,7 +331,7 @@ class _Blocks:
 
     def product(self, u, v):
         """Jordan product u o v blockwise."""
-        out = np.empty(self.dim)
+        out = np.zeros(self.dim)
         for idx in self.groups:
             (u0, u1), (v0, v1) = _split(u[idx]), _split(v[idx])
             out[idx[:, 0]] = u0 * v0 + _dot(u1, v1)
@@ -375,7 +340,7 @@ class _Blocks:
 
     def divide(self, lam, d):
         """Solve lam o w = d for w."""
-        out = np.empty(self.dim)
+        out = np.zeros(self.dim)
         for idx in self.groups:
             (l0, l1), (d0, d1) = _split(lam[idx]), _split(d[idx])
             w0 = (d0 - _dot(l1, d1) / l0) / (l0 - _dot(l1, l1) / l0)
@@ -416,7 +381,7 @@ class _Scaling:
 
     def __init__(self, blocks: _Blocks, s, z):
         self.blocks = blocks
-        self.lam = np.empty(blocks.dim)
+        self.lam = np.zeros(blocks.dim)
         self.groups = []  # (eta, v, u) per group: (k,), (k, d), (k, d)
         for idx in blocks.groups:
             S, Z = s[idx], z[idx]
@@ -438,21 +403,21 @@ class _Scaling:
 
     def apply(self, x):
         """W x"""
-        out = np.empty(self.blocks.dim)
+        out = np.zeros(self.blocks.dim)
         for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
             out[idx] = eta[:, None] * _reflect(u, x[idx])
         return out
 
     def apply_inv(self, x):
         """W^{-1} x = (2 Ju (Ju)^T - J) x / eta"""
-        out = np.empty(self.blocks.dim)
+        out = np.zeros(self.blocks.dim)
         for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
             out[idx] = _reflect(_jdiag(idx.shape[1]) * u, x[idx]) / eta[:, None]
         return out
 
     def w_squared(self):
         """W^2 values, one dense (d, d) block per cone, in _KKT's slot order."""
-        vals = [np.zeros(0)]  # keeps a program without inequality rows well formed
+        vals = [np.zeros(0)]  # keeps a program without cone blocks well formed
         for idx, (eta, v, _) in zip(self.blocks.groups, self.groups):
             J = np.diag(_jdiag(idx.shape[1]))
             M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
@@ -465,47 +430,44 @@ class _Scaling:
 
 
 class _KKT:
-    """[[0, A_eq^T, G^T], [A_eq, 0, 0], [G, 0, -W^2]] on one CSC pattern per solve.
+    """[[0, A^T], [A, -W^2]] on one CSC pattern per solve, W^2 = 0 on zero-cone rows.
 
-    The pattern holds every entry of A_eq and G, every dense (d, d) W^2 slot
-    and the full diagonal, laid out in one minimum-degree symmetric order:
-    original row r sits at perm_c[r], so the stored matrix is K[q][:, q]
-    with q = argsort(perm_c).  factor() writes -W^2 into a copy of the
-    fixed data, adds the +-reg diagonal and drops exact zeros.  Pivoting
-    "diagonal" factors that matrix in place with diagonal pivots, which a
-    quasi-definite matrix admits in every symmetric order; "partial" lets
-    SuperLU reorder columns and pivot rows.  Refinement iterates against the
-    unregularized data on the full pattern.
+    The pattern holds every entry of A, every dense (d, d) W^2 slot of the
+    cone blocks and the full diagonal, laid out in one minimum-degree
+    symmetric order: original row r sits at perm_c[r], so the stored matrix
+    is K[q][:, q] with q = argsort(perm_c).  factor() writes -W^2 into a
+    copy of the fixed data, adds the +-reg diagonal and drops exact zeros.
+    Pivoting "diagonal" factors that matrix in place with diagonal pivots,
+    which a quasi-definite matrix admits in every symmetric order; "partial"
+    lets SuperLU reorder columns and pivot rows.  Refinement iterates
+    against the unregularized data on the full pattern.
     """
 
-    def __init__(self, A_eq, G, blocks: _Blocks, pivoting):
-        n, p_eq = A_eq.shape[1], A_eq.shape[0]
-        dim = n + p_eq + G.shape[0]
-        a_rows, a_cols, a_vals = [], [], []
-        for off, M in ((n, A_eq.tocoo()), (n + p_eq, G.tocoo())):
-            a_rows += [off + M.row, M.col]  # lower-left block, then its transpose
-            a_cols += [M.col, off + M.row]
-            a_vals += [M.data, M.data]
+    def __init__(self, A, blocks: _Blocks, pivoting):
+        m, n = A.shape
+        dim = n + m
+        M = A.tocoo()
         w_rows, w_cols = blocks.square_entries()
         diag = np.arange(dim)
-        rows = np.concatenate(a_rows + [n + p_eq + w_rows, diag])
-        cols = np.concatenate(a_cols + [n + p_eq + w_cols, diag])
+        # the lower-left block A, its transpose, the W^2 slots, the diagonal
+        rows = np.concatenate([n + M.row, M.col, n + w_rows, diag])
+        cols = np.concatenate([M.col, n + M.row, n + w_cols, diag])
         self.shape = (dim, dim)
         self.pivoting = pivoting
         self.perm_c = _symmetric_order(rows, cols, dim)
         self.q = np.argsort(self.perm_c)
         rows, cols = self.perm_c[rows], self.perm_c[cols]
         keys, slot = np.unique(cols.astype(np.int64) * dim + rows, return_inverse=True)
-        n_a, n_w = rows.size - w_rows.size - dim, w_rows.size
+        n_a, n_w = 2 * M.nnz, w_rows.size
         self.indices = (keys % dim).astype(np.int32)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
         ).astype(np.int32)
         self.base = np.zeros(keys.size)
-        np.add.at(self.base, slot[:n_a], np.concatenate(a_vals))
+        np.add.at(self.base, slot[:n_a], np.concatenate([M.data, M.data]))
         self.w2_slots = slot[n_a : n_a + n_w]
         self.diag_slots = slot[n_a + n_w :]  # indexed by original row, like reg
-        self.reg = np.concatenate([np.full(n, _REG), np.full(dim - n, -_REG)])
+        self.reg = np.concatenate([np.full(n, _REG), np.full(m, -_REG)])
 
     def matrices(self, w2):
         """K and K + diag(reg) in the stored order, exact zeros dropped, at w2 = w_squared()."""
@@ -570,7 +532,7 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
     On status "optimal" the normalized primal/dual residuals and the
     relative gap are all <= tol.  Infeasibility is certified through the
     homogeneous embedding (tau -> 0 with a valid certificate; a primal one
-    is normalized to b.y = -1 and must re-evaluate to it).  A solve that
+    is normalized to b.z = -1 and must re-evaluate to it).  A solve that
     ends other than "optimal" on diagonal pivots is run again with partial
     pivoting: a cancelled pivot can also drive the iterates along the null
     space of dependent equality rows until they stall.  The result reports
@@ -584,42 +546,17 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
 
 
 def _solve(program, tol, max_iter, pivoting):
-    c, b = program.c, program.b
-    n = program.n_cols
-
-    # partition rows into equalities and cone inequalities, preserving order
-    eq_rows, in_rows, in_cones = [], [], []
-    pos = 0
-    for k in program.cones:
-        rows = list(range(pos, pos + k.dim))
-        if k.kind == "zero":
-            eq_rows.extend(rows)
-        else:
-            in_rows.extend(rows)
-            in_cones.append(k)
-        pos += k.dim
-    eq_rows = np.asarray(eq_rows, dtype=int)
-    in_rows = np.asarray(in_rows, dtype=int)
-    A_csr = program.A.tocsr()
-    A_eq = A_csr[eq_rows].tocsc()
-    G = A_csr[in_rows].tocsc()
-    A_eqT, GT = A_eq.T, G.T
-    b_eq = b[eq_rows]
-    h = b[in_rows]
-    blocks = _Blocks(in_cones)
-    p_eq, p_in = b_eq.size, h.size
+    c, A, b = program.c, program.A, program.b
+    m, n = A.shape
+    AT = A.T
+    blocks = _Blocks(program.cones)
     e = blocks.identity()
 
-    def pack(solution_x, solution_s_in, solution_z_in, y_eq, status, gap, iters, pres, dres):
-        s_full = np.zeros(program.n_rows)
-        z_full = np.zeros(program.n_rows)
-        s_full[in_rows] = solution_s_in
-        z_full[in_rows] = solution_z_in
-        z_full[eq_rows] = y_eq
+    def result(status, iters, x, s, z, gap, pres, dres):
         return ConicSolution(
-            x=solution_x,
-            s=s_full,
-            z_dual=z_full,
+            x=x,
+            s=s,
+            z_dual=z,
             status=status,
             gap=float(gap),
             iterations=iters,
@@ -628,94 +565,78 @@ def _solve(program, tol, max_iter, pivoting):
             pivoting=pivoting,
         )
 
-    if program.n_rows == 0:
+    if m == 0:
         # degenerate corner: no rows, so any x is feasible
-        x = np.zeros(n)
         status = "optimal" if np.linalg.norm(c) == 0 else "dual-infeasible"
-        return pack(x, np.zeros(p_in), np.zeros(p_in), np.zeros(p_eq), status, 0.0, 0, 0.0, 0.0)
+        return result(status, 0, np.zeros(n), np.zeros(0), np.zeros(0), 0.0, 0.0, 0.0)
 
-    norm_b_all = np.linalg.norm(b)
+    norm_b = np.linalg.norm(b)
     norm_c = np.linalg.norm(c)
 
     def split(sol):
-        return sol[:n], sol[n : n + p_eq], sol[n + p_eq :]
+        return sol[:n], sol[n:]
 
-    def gap_terms(x_, y_, z_):
-        """c.x + b_eq.y + h.z, the homogeneous gap without kappa."""
-        return float(c @ x_ + b_eq @ y_ + h @ z_)
+    def gap_terms(x_, z_):
+        """c.x + b.z, the homogeneous gap without kappa."""
+        return float(c @ x_ + b @ z_)
 
     # --- initialization: solve two least-squares-like systems at W = I
-    K = _KKT(A_eq, G, blocks, pivoting)
+    K = _KKT(A, blocks, pivoting)
     try:
         K.factor(blocks.identity_squared())
     except RuntimeError:  # a diagonal pivot cancelled to exactly zero
-        return pack(
-            np.zeros(n), np.zeros(p_in), np.zeros(p_in), np.zeros(p_eq),
-            "numerical-error", np.inf, 0, np.inf, np.inf,
+        return result(
+            "numerical-error", 0, np.zeros(n), np.zeros(m), np.zeros(m), np.inf, np.inf, np.inf
         )
-    xp, _, zp = split(K.solve(np.concatenate([np.zeros(n), b_eq, h])))
-    s_in = -zp  # equals h - G x at the least-squares point
-    _, y, z_in = split(K.solve(np.concatenate([-c, np.zeros(p_eq + p_in)])))
-    x = xp
-    shift = -blocks.min_eig(s_in)
+    x, zp = split(K.solve(np.concatenate([np.zeros(n), b])))
+    s = blocks.restrict(-zp)  # equals b - A x on the cone rows at the least-squares point
+    _, z = split(K.solve(np.concatenate([-c, np.zeros(m)])))
+    shift = -blocks.min_eig(s)
     if shift >= -1e-8:
-        s_in = s_in + (1.0 + shift) * e
-    shift = -blocks.min_eig(z_in)
+        s = s + (1.0 + shift) * e
+    shift = -blocks.min_eig(z)
     if shift >= -1e-8:
-        z_in = z_in + (1.0 + shift) * e
+        z = z + (1.0 + shift) * e
     tau, kappa = 1.0, 1.0
 
-    best = None
-    status = "max-iter"
+    best = None  # (metric, x, s, z, gap, pres, dres) of the best iterate
     iters = 0
-    pres = dres = gap_rel = np.inf
 
     for iters in range(1, max_iter + 1):
         # residuals of the homogeneous system
-        f_x = A_eqT @ y + GT @ z_in + c * tau
-        f_y = A_eq @ x - b_eq * tau
-        f_z = G @ x + s_in - h * tau
-        f_tau = gap_terms(x, y, z_in) + kappa
+        f_x = AT @ z + c * tau
+        f_z = A @ x + s - b * tau
+        f_tau = gap_terms(x, z) + kappa
 
-        # de-homogenized convergence metrics (unified-form residuals)
-        xh, sh, zh, yh = x / tau, s_in / tau, z_in / tau, y / tau
-        pres = np.sqrt(
-            np.linalg.norm(A_eq @ xh - b_eq) ** 2 + np.linalg.norm(G @ xh + sh - h) ** 2
-        ) / (1.0 + norm_b_all)
-        dres = np.linalg.norm(A_eqT @ yh + GT @ zh + c) / (1.0 + norm_c)
+        # de-homogenized convergence metrics
+        xh, sh, zh = x / tau, s / tau, z / tau
+        pres = np.linalg.norm(A @ xh + sh - b) / (1.0 + norm_b)
+        dres = np.linalg.norm(AT @ zh + c) / (1.0 + norm_c)
         pobj = float(c @ xh)
-        gap_rel = abs(pobj + float(b_eq @ yh + h @ zh)) / (1.0 + abs(pobj))
+        gap_rel = abs(pobj + float(b @ zh)) / (1.0 + abs(pobj))
 
         metric = max(pres, dres, gap_rel)
         if best is None or metric < best[0]:
-            best = (metric, xh.copy(), sh.copy(), zh.copy(), yh.copy(), gap_rel, pres, dres)
+            best = (metric, xh, sh, zh, gap_rel, pres, dres)
 
         if pres <= tol and dres <= tol and gap_rel <= tol:
-            return pack(xh, sh, zh, yh, "optimal", gap_rel, iters, pres, dres)
+            return result("optimal", iters, xh, sh, zh, gap_rel, pres, dres)
 
         # infeasibility certificates
-        cert = float(b_eq @ y + h @ z_in)
+        cert = float(b @ z)
         if cert < 0:
-            y_c, z_c = y / -cert, z_in / -cert
-            res = np.linalg.norm(A_eqT @ y_c + GT @ z_c)
+            z_c = z / -cert
+            res = np.linalg.norm(AT @ z_c)
             # a dual of size ~1e16 passes the residual test on rounding
-            # alone; its normalized b.y must also re-evaluate to -1
-            if res <= tol and abs(float(b_eq @ y_c + h @ z_c) + 1.0) <= 1e-6:
-                return pack(
-                    x / tau, sh, z_c, y_c,
-                    "primal-infeasible", gap_rel, iters, pres, dres,
-                )
+            # alone; its normalized b.z must also re-evaluate to -1
+            if res <= tol and abs(float(b @ z_c) + 1.0) <= 1e-6:
+                return result("primal-infeasible", iters, xh, sh, z_c, gap_rel, pres, dres)
         ctx = float(c @ x)
         if ctx < 0:
             scale = -ctx
-            num = (
-                np.linalg.norm(A_eq @ (x / scale)) ** 2
-                + np.linalg.norm(G @ (x / scale) + s_in / scale) ** 2
-            )
-            if np.sqrt(num) <= tol:
-                return pack(
-                    x / scale, s_in / scale, zh, yh,
-                    "dual-infeasible", gap_rel, iters, pres, dres,
+            if np.linalg.norm(A @ (x / scale) + s / scale) <= tol:
+                return result(
+                    "dual-infeasible", iters, x / scale, s / scale, zh, gap_rel, pres, dres
                 )
 
         # NT scaling and KKT factorization; stop at loss of strict
@@ -723,11 +644,11 @@ def _solve(program, tol, max_iter, pivoting):
         # where the scaling degenerates) and fall back to the best point
         if tau <= 0.0 or kappa <= 0.0 or not np.isfinite(tau) or not np.isfinite(kappa):
             break
-        if blocks.min_eig(s_in) <= 0.0 or blocks.min_eig(z_in) <= 0.0:
+        if blocks.min_eig(s) <= 0.0 or blocks.min_eig(z) <= 0.0:
             break
-        mu = (float(s_in @ z_in) + tau * kappa) / (blocks.degree + 1)
+        mu = (float(s @ z) + tau * kappa) / (blocks.degree + 1)
         try:
-            scal = _Scaling(blocks, s_in, z_in)
+            scal = _Scaling(blocks, s, z)
             K.factor(scal.w_squared())
         except (RuntimeError, FloatingPointError, ValueError):
             break
@@ -735,23 +656,22 @@ def _solve(program, tol, max_iter, pivoting):
         if not np.all(np.isfinite(lam)):
             break
 
-        x1, y1, z1 = split(K.solve(np.concatenate([-c, b_eq, h])))
-        denom = gap_terms(x1, y1, z1) - kappa / tau
+        x1, z1 = split(K.solve(np.concatenate([-c, b])))
+        denom = gap_terms(x1, z1) - kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break
 
-        def direction(d_x, d_y, d_z, d_tau, d_s, d_kappa):
-            x2, y2, z2 = split(K.solve(np.concatenate([d_x, d_y, d_z - scal.apply(d_s)])))
-            dtau = (d_tau - d_kappa / tau - gap_terms(x2, y2, z2)) / denom
+        def direction(d_x, d_z, d_tau, d_s, d_kappa):
+            x2, z2 = split(K.solve(np.concatenate([d_x, d_z - scal.apply(d_s)])))
+            dtau = (d_tau - d_kappa / tau - gap_terms(x2, z2)) / denom
             dx = x2 + dtau * x1
-            dy = y2 + dtau * y1
             dz = z2 + dtau * z1
             ds = scal.apply(d_s - scal.apply(dz))
             dkappa = (d_kappa - kappa * dtau) / tau
-            return dx, dy, dz, dtau, ds, dkappa
+            return dx, dz, dtau, ds, dkappa
 
         def max_alpha(ds, dz, dtau, dkappa):
-            alpha = min(blocks.max_step(s_in, ds), blocks.max_step(z_in, dz))
+            alpha = min(blocks.max_step(s, ds), blocks.max_step(z, dz))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -759,9 +679,7 @@ def _solve(program, tol, max_iter, pivoting):
             return alpha
 
         # predictor (affine scaling direction)
-        dxa, dya, dza, dta, dsa, dka = direction(
-            -f_x, -f_y, -f_z, -f_tau, -lam, -tau * kappa
-        )
+        dxa, dza, dta, dsa, dka = direction(-f_x, -f_z, -f_tau, -lam, -tau * kappa)
         alpha_aff = min(1.0, max_alpha(dsa, dza, dta, dka))
         sigma = min(1.0, max(0.0, 1.0 - alpha_aff)) ** 3
 
@@ -772,9 +690,8 @@ def _solve(program, tol, max_iter, pivoting):
         d_s = blocks.divide(lam, d_lam)
         d_kappa = sigma * mu - tau * kappa - dta * dka
         one_m_sigma = 1.0 - sigma
-        dx, dy, dz, dtau, ds, dkappa = direction(
+        dx, dz, dtau, ds, dkappa = direction(
             -one_m_sigma * f_x,
-            -one_m_sigma * f_y,
             -one_m_sigma * f_z,
             -one_m_sigma * f_tau,
             d_s,
@@ -786,9 +703,8 @@ def _solve(program, tol, max_iter, pivoting):
             break
 
         x = x + alpha * dx
-        y = y + alpha * dy
-        z_in = z_in + alpha * dz
-        s_in = s_in + alpha * ds
+        z = z + alpha * dz
+        s = s + alpha * ds
         tau += alpha * dtau
         kappa += alpha * dkappa
         if tau <= 0 or kappa < 0 or not np.isfinite(tau):
@@ -800,25 +716,16 @@ def _solve(program, tol, max_iter, pivoting):
         scale = 0.5 * (tau + kappa)
         if np.isfinite(scale) and scale > 0.0:
             x = x / scale
-            y = y / scale
-            z_in = z_in / scale
-            s_in = s_in / scale
+            z = z / scale
+            s = s / scale
             tau /= scale
             kappa /= scale
     else:
         # loop exhausted without convergence
-        if best is None:
-            return pack(
-                x, s_in, z_in, y, "max-iter", np.inf, iters, np.inf, np.inf
-            )
-        _, xb, sb, zb, yb, gapb, presb, dresb = best
-        return pack(xb, sb, zb, yb, "max-iter", gapb, iters, presb, dresb)
+        if best is None:  # max_iter = 0 measures nothing
+            return result("max-iter", iters, x, s, z, np.inf, np.inf, np.inf)
+        return result("max-iter", iters, *best[1:])
 
-    # numerical stagnation: return the best point seen
-    if best is not None:
-        _, xb, sb, zb, yb, gapb, presb, dresb = best
-        return pack(xb, sb, zb, yb, "numerical-error", gapb, iters, presb, dresb)
-    return pack(
-        np.zeros(n), np.zeros(p_in), np.zeros(p_in), np.zeros(p_eq),
-        "numerical-error", np.inf, iters, np.inf, np.inf,
-    )
+    # numerical stagnation: return the best point seen (every break follows
+    # the measurement of at least one iterate)
+    return result("numerical-error", iters, *best[1:])

@@ -55,8 +55,8 @@ class ScvxConfig:
     dump_dir: str | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DimensionError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise DimensionError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.max_successions < 1:
             raise DimensionError("max_successions must be at least 1")
 

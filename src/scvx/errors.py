@@ -13,10 +13,6 @@ class DimensionError(ScvxError):
     """An input's shape or length does not match the problem dimensions."""
 
 
-class ConvexityError(ScvxError):
-    """A sampled midpoint check found a constraint that is not convex."""
-
-
 class GradientSingularityError(ScvxError):
     """A norm term was differentiated at (or too close to) its center.
 

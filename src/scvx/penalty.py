@@ -23,8 +23,8 @@ class PenaltyConfig:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DimensionError(f"penalty weight must be nonnegative, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise DimensionError(f"penalty weight must be nonnegative and finite, got {self.lam!r}")
 
     def dynamics_mode(self, problem: OptimalControlProblem) -> str:
         """"equality" when lambda = 0 and the dynamics are affine, else "penalty"."""

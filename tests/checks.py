@@ -2,8 +2,9 @@
 
 None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
-anchor, and read back a solver's own objective value, so that tests can
-confirm the claims the solve path relies on.
+anchor, read back a solver's own objective value, and recompute a cone
+solution's residuals from the raw program, so that tests can confirm the
+claims the solve path relies on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scvx import conic
-from scvx.errors import ConvexityError, ScvxError
+from scvx.errors import ScvxError
 from scvx.linearize import FeasibleRegion, build_feasible_region
 from scvx.problem import (
     AffineFn,
@@ -27,6 +28,10 @@ from scvx.problem import (
     QuadFn,
 )
 from scvx.subproblem import SubproblemArtifacts
+
+
+class ConvexityError(ScvxError):
+    """A sampled midpoint check found a constraint that is not convex."""
 
 
 def value_batch(spec: ConstraintSpec, Y) -> np.ndarray:
@@ -253,3 +258,14 @@ def lipschitz_probe(problem: OptimalControlProblem, z1, z2, y) -> float:
 def solver_objective(artifacts: SubproblemArtifacts, solution: conic.ConicSolution) -> float:
     """The solver's own objective value including constant offsets."""
     return float(artifacts.program.c @ solution.x) + artifacts.constant_offset
+
+
+def residuals(program: conic.ConicProgram, solution: conic.ConicSolution):
+    """Normalized (primal, dual, gap) residuals recomputed from raw data."""
+    x, s, z = solution.x, solution.s, solution.z_dual
+    c, A, b = program.c, program.A, program.b
+    pres = np.linalg.norm(A @ x + s - b) / (1.0 + np.linalg.norm(b))
+    dres = np.linalg.norm(A.T @ z + c) / (1.0 + np.linalg.norm(c))
+    pobj = float(c @ x)
+    gap = abs(pobj + float(b @ z)) / (1.0 + abs(pobj))
+    return float(pres), float(dres), float(gap)

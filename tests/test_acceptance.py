@@ -16,7 +16,7 @@ from scvx import conic
 from scvx.bench import build_quadrotor_problem
 from scvx.cli import main as cli_main
 from scvx.driver import ScvxConfig, feasibility_summary, scvx
-from tests.checks import sample_base_set, verify_invariance
+from tests.checks import residuals, sample_base_set, verify_invariance
 from scvx.linearize import FeasibleRegion, build_feasible_region
 from scvx.problem import eval_q
 from scvx.projection import project, project_generic
@@ -172,7 +172,7 @@ def test_conic_solver():
         prog = random_feasible_program(rng)
         sol = conic.solve(prog, tol=1e-9, max_iter=100)
         assert sol.status == "optimal"
-        pres, dres, gap = conic.residuals(prog, sol)
+        pres, dres, gap = residuals(prog, sol)
         worst = max(worst, pres, dres, gap)
         if k == 137:
             kept = (prog, sol)

@@ -290,6 +290,7 @@ def test_cli_rejects_bad_override_values(capsys):
     # solver failures
     assert run_cli("run", "--builtin", "quadrotor", "--epsilon", "-1") == 4
     assert run_cli("run", "--builtin", "quadrotor", "--epsilon", "nan") == 4
+    assert run_cli("run", "--builtin", "quadrotor", "--epsilon", "inf") == 4
     assert run_cli("run", "--builtin", "quadrotor", "--max-iter", "0") == 4
     assert run_cli("run", "--builtin", "quadrotor", "--sweep", "--jobs", "-1") == 4
     err = capsys.readouterr().err

@@ -15,10 +15,10 @@ from scvx.conic import (
     _Scaling,
     _solve,
     dump_program,
-    residuals,
     solve,
 )
 from scvx.errors import DimensionError
+from tests.checks import residuals
 
 
 def make_program(c, A, b, cones):
@@ -40,6 +40,12 @@ def random_feasible_program(rng):
     cones.append(Cone("nonneg", int(rng.integers(1, 8))))
     for _ in range(int(rng.integers(0, 3))):
         cones.append(Cone("soc", int(rng.integers(2, 6))))
+    return feasible_program(rng, n, cones)
+
+
+def feasible_program(rng, n, cones):
+    """A dense program over n columns and the cones in the given order,
+    feasible and bounded by construction: interior primal and dual points."""
     m = sum(k.dim for k in cones)
     A = rng.standard_normal((m, n))
 
@@ -201,8 +207,8 @@ def test_dependent_equality_rows_fall_back_to_partial_pivoting():
         assert max(residuals(prog, sol)) <= 1e-8
         retries += dependent and sol.pivoting == "partial"
         if dependent:
-            p_eq, blocks = prog.cones[0].dim, _Blocks(prog.cones[1:])
-            kkt = _KKT(prog.A[:p_eq], prog.A[p_eq:], blocks, "diagonal")
+            blocks = _Blocks(prog.cones)
+            kkt = _KKT(prog.A, blocks, "diagonal")
             try:
                 kkt.factor(blocks.identity_squared())
             except RuntimeError as err:
@@ -225,6 +231,31 @@ def test_certificate_from_diagonal_pivots_is_rechecked():
     sol = solve(prog, tol=1e-9)
     assert sol.status == "optimal" and sol.pivoting == "partial"
     assert max(residuals(prog, sol)) <= 1e-8
+
+
+def test_zero_cone_in_any_position():
+    # a zero-cone row belongs to no cone block wherever it sits: moving the
+    # zero cones to the front only permutes the rows, and the slack stays
+    # exactly 0 on them
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        cones = [Cone("nonneg", int(rng.integers(1, 5))), Cone("zero", int(rng.integers(1, 3)))]
+        cones += [Cone("soc", int(rng.integers(2, 6))) for _ in range(int(rng.integers(1, 3)))]
+        cones.append(Cone("zero", 1))
+        prog = feasible_program(rng, int(rng.integers(6, 12)), cones)
+        zero = np.concatenate([np.full(k.dim, k.kind == "zero") for k in cones])
+        order = np.concatenate([np.flatnonzero(zero), np.flatnonzero(~zero)])
+        front = ConicProgram(
+            prog.c, prog.A[order], prog.b[order],
+            [Cone("zero", int(zero.sum()))] + [k for k in cones if k.kind != "zero"],
+        )
+        anywhere, first = solve(prog, tol=1e-9), solve(front, tol=1e-9)
+        assert anywhere.status == first.status == "optimal"
+        objective = float(prog.c @ first.x)
+        assert abs(float(prog.c @ anywhere.x) - objective) <= 1e-8 * (1.0 + abs(objective))
+        assert np.all(anywhere.s[zero] == 0.0)
+        assert np.all(first.s[: zero.sum()] == 0.0)
+        assert max(residuals(prog, anywhere)) <= 1e-8
 
 
 def test_bitwise_deterministic_resolve():
@@ -294,6 +325,27 @@ def test_dump_program_text(tmp_path):
     coo = prog.A.tocoo()
     for r, cc, v in zip(coo.row, coo.col, coo.data):
         assert f"{r} {cc}" in text
+
+    # the text holds the program exactly: parsed back, c, b and A match bitwise
+    for program in (prog, random_feasible_program(np.random.default_rng(5))):
+        dump_program(program, path)
+        lines = [line.split() for line in path.read_text().splitlines()]
+        assert [rec[1:] for rec in lines if rec[0] in ("cols", "rows", "cone")] == (
+            [[str(program.n_cols)], [str(program.n_rows)]]
+            + [[k.kind, str(k.dim)] for k in program.cones]
+        )
+        c, b = np.zeros(program.n_cols), np.zeros(program.n_rows)
+        A = np.zeros(program.A.shape)
+        for rec in lines:
+            if rec[0] == "c":
+                c[int(rec[1])] = float(rec[2])
+            elif rec[0] == "b":
+                b[int(rec[1])] = float(rec[2])
+            elif rec[0] == "A":
+                A[int(rec[1]), int(rec[2])] = float(rec[3])
+        np.testing.assert_array_equal(_bits(c), _bits(program.c))
+        np.testing.assert_array_equal(_bits(b), _bits(program.b))
+        np.testing.assert_array_equal(_bits(A), _bits(program.A.toarray()))
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +575,26 @@ def _sparse(rng, rows, cols):
 @example([("soc", 4), ("nonneg", 1), ("soc", 2)], 3, 1, "identity", 3)  # the W = I start
 @example([("soc", 4), ("nonneg", 2)], 3, 1, "zero-entry", 4)  # an exact-zero W^2 entry
 def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values, seed):
+    # the program's zero cone comes first, as ProgramBuilder emits it, so
+    # its rows are the reference's A_eq and the remaining rows its G
     cones = [Cone(kind, dim) for kind, dim in cone_spec]
-    blocks = _Blocks(cones)
-    assume(p_eq + blocks.dim > 0)  # a program without rows never builds a KKT
+    p_in = sum(k.dim for k in cones)
+    assume(p_eq + p_in > 0)  # a program without rows never builds a KKT
+    blocks = _Blocks(([Cone("zero", p_eq)] if p_eq else []) + cones)
     rng = np.random.default_rng(seed)
-    A_eq, G = _sparse(rng, p_eq, n), _sparse(rng, blocks.dim, n)
+    A_eq, G = _sparse(rng, p_eq, n), _sparse(rng, p_in, n)
     if values == "identity":
         w2 = blocks.identity_squared()
     else:
-        w2 = _Scaling(blocks, _interior(rng, cones), _interior(rng, cones)).w_squared()
+        # the zero-cone rows carry no cone point: their values are never read
+        s, z = (np.concatenate([np.full(p_eq, np.nan), _interior(rng, cones)]) for _ in range(2))
+        w2 = _Scaling(blocks, s, z).w_squared()
         if values == "zero-entry" and w2.size:
             w2[rng.integers(w2.size)] = 0.0
-    ref_W2 = sp.identity(blocks.dim, format="csc") if values == "identity" else (
-        _w_squared_matrix(blocks, w2)
+    ref_W2 = sp.identity(p_in, format="csc") if values == "identity" else (
+        _w_squared_matrix(blocks, w2)[p_eq:, p_eq:]
     )
-    kkt = _KKT(A_eq, G, blocks, "diagonal")
+    kkt = _KKT(sp.vstack([A_eq, G], format="csc"), blocks, "diagonal")
     K, K_reg = kkt.matrices(w2)
 
     # the stored order is a symmetric permutation: original row r sits at

@@ -149,8 +149,9 @@ def test_anchor_validation_errors():
 
 
 def test_config_validation():
-    with pytest.raises(DimensionError, match="epsilon"):
-        ScvxConfig(epsilon=0.0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DimensionError, match="epsilon"):
+            ScvxConfig(epsilon=epsilon)
     with pytest.raises(DimensionError, match="successions"):
         ScvxConfig(max_successions=0)
 

@@ -72,8 +72,9 @@ TOY_OPT_COST = 0.029117290550
 
 
 def test_config_validation():
-    with pytest.raises(DimensionError):
-        PenaltyConfig(lam=-1.0)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DimensionError):
+            PenaltyConfig(lam=lam)
     assert PenaltyConfig().lam == 0.0
 
 

@@ -193,22 +193,3 @@ def test_disk_subproblem_minimizer_reaches_the_tangent_line():
     y, _, value = extract(artifacts, sol)
     assert value == pytest.approx(0.0, abs=1e-9)
     assert y[0] >= 1.0 - 1e-9 and y[2] >= 1.0 - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# text dump
-
-
-def test_dump_and_load_round_trip_a_succession_program(tmp_path, quad_artifacts, quad_solution):
-    program = quad_artifacts.program
-    path = tmp_path / "subproblem.txt"
-    conic.dump_program(program, path)
-    loaded = conic.load_program(path)
-    np.testing.assert_array_equal(loaded.c, program.c)
-    np.testing.assert_array_equal(loaded.b, program.b)
-    assert loaded.A.shape == program.A.shape
-    assert (loaded.A != program.A).nnz == 0
-    assert [(k.kind, k.dim) for k in loaded.cones] == [(k.kind, k.dim) for k in program.cones]
-    again = conic.solve(loaded, tol=1e-9, max_iter=100)
-    assert again.iterations == quad_solution.iterations
-    assert np.array_equal(again.x, quad_solution.x)
