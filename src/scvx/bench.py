@@ -188,8 +188,6 @@ def scenario_from_dict(data: dict) -> QuadrotorScenario:
     kwargs["obstacles"] = tuple(data.get("obstacles", ()))
     kwargs["penalty_lambda"] = data.get("lambda", 0.0)
     kwargs["epsilon"] = data.get("epsilon", 1e-6)
-    if not isinstance(kwargs["N"], int) or isinstance(kwargs["N"], bool):
-        raise BadScenarioError(f"N must be an integer, got {data['N']!r}")
     return QuadrotorScenario(**kwargs)
 
 

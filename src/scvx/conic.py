@@ -25,9 +25,9 @@ is run again with threshold partial pivoting, and the solution reports
 which factorization it used.  Solves are deterministic: identical
 inputs produce bitwise-identical iterates.
 
-ProgramBuilder is the one way programs are put together: callers add
-labeled columns and rows, and build() returns the standard-form program
-together with maps of where each labeled block landed.
+ProgramBuilder is the one way programs are put together: rows land in
+the program in the order they are added, each add returns the index of
+its first row or column, and build() returns the standard-form program.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ _REG = 1e-8
 _REFINE_STEPS = 3
 _MIN_STEP = 1e-9  # treat smaller line-search steps as numerical stagnation
 _STEP_FRACTION = 0.99
+_MAX_ITER = 100  # interior-point iterations per factorization attempt
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,102 +109,67 @@ class ConicSolution:
     pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
 
 
-@dataclass(frozen=True)
-class Span:
-    """A labeled, contiguous block of program rows or columns."""
-
-    label: tuple
-    start: int
-    length: int
-
-    @property
-    def stop(self):
-        return self.start + self.length
-
-    def range(self):
-        return range(self.start, self.stop)
-
-
 class ProgramBuilder:
-    """Incremental cone-program builder with labeled rows and columns.
+    """Incremental cone-program builder; rows land in the order they are added.
 
     Expressions are (pairs, const) with pairs = [(column, coefficient)...];
     the slack of an emitted cone row equals const + sum(coeff * x[col]).
-    Rows are grouped zero -> nonneg -> soc on build, and the returned maps
-    record where every labeled block landed.
+    add_cols returns the first new column, add_eq, add_ge and add_soc the
+    program row of their first row.  Adjacent equality rows share one zero
+    cone and adjacent inequality rows one nonnegative cone.
     """
 
     def __init__(self):
         self.n_cols = 0
-        self.cols = []  # Span
         self._cost = []  # (col, coeff)
-        self._zero = []  # (label, pairs, rhs): sum coeff*x = rhs
-        self._nonneg = []  # (label, pairs, rhs): sum coeff*x >= rhs
-        self._soc = []  # (label, [exprs])
+        self._rows, self._cols, self._vals = [], [], []  # entries of A
+        self._b = []
+        self._cones = []  # [kind, dim], in row order
 
-    def add_cols(self, label, count) -> int:
+    def add_cols(self, count) -> int:
         start = self.n_cols
-        self.cols.append(Span(tuple(label), start, count))
         self.n_cols += count
         return start
 
     def add_cost(self, col, coeff):
         self._cost.append((int(col), float(coeff)))
 
-    def add_eq(self, label, pairs, rhs):
-        self._zero.append((tuple(label), list(pairs), float(rhs)))
+    def add_eq(self, pairs, rhs) -> int:
+        """sum coeff*x = rhs: A x = b."""
+        return self._emit("zero", [(pairs, float(rhs))], 1.0)
 
-    def add_ge(self, label, pairs, rhs):
-        self._nonneg.append((tuple(label), list(pairs), float(rhs)))
+    def add_ge(self, pairs, rhs) -> int:
+        """sum coeff*x >= rhs: s = sum coeff*x - rhs."""
+        return self._emit("nonneg", [(pairs, -float(rhs))], -1.0)
 
-    def add_soc(self, label, exprs):
-        self._soc.append((tuple(label), [(list(p), float(k)) for p, k in exprs]))
+    def add_soc(self, exprs) -> int:
+        """One second-order cone over the expressions, head first."""
+        return self._emit("soc", [(p, float(k)) for p, k in exprs], -1.0)
 
-    def build(self):
-        rows_i, cols_j, vals = [], [], []
-        bvals = []
-        row_spans = []
-        cones = []
-
-        def emit(pairs, const, negate):
-            r = len(bvals)
-            sign = -1.0 if negate else 1.0
+    def _emit(self, kind, exprs, sign):
+        start = len(self._b)
+        for pairs, const in exprs:
             for col, coeff in pairs:
                 if coeff != 0.0:
-                    rows_i.append(r)
-                    cols_j.append(int(col))
-                    vals.append(sign * float(coeff))
-            bvals.append(const)
+                    self._rows.append(len(self._b))
+                    self._cols.append(int(col))
+                    self._vals.append(sign * float(coeff))
+            self._b.append(const)
+        if kind != "soc" and self._cones and self._cones[-1][0] == kind:
+            self._cones[-1][1] += len(exprs)
+        else:
+            self._cones.append([kind, len(exprs)])
+        return start
 
-        for label, pairs, rhs in self._zero:
-            row_spans.append(Span(label, len(bvals), 1))
-            emit(pairs, rhs, negate=False)  # A x = b
-        n_zero = len(bvals)
-        for label, pairs, rhs in self._nonneg:
-            row_spans.append(Span(label, len(bvals), 1))
-            emit(pairs, -rhs, negate=True)  # s = sum coeff*x - rhs >= 0
-        n_nonneg = len(bvals) - n_zero
-        for label, exprs in self._soc:
-            row_spans.append(Span(label, len(bvals), len(exprs)))
-            for pairs, const in exprs:
-                emit(pairs, const, negate=True)  # s_i = const + sum coeff*x
-            cones.append(Cone("soc", len(exprs)))
-
-        cone_list = []
-        if n_zero:
-            cone_list.append(Cone("zero", n_zero))
-        if n_nonneg:
-            cone_list.append(Cone("nonneg", n_nonneg))
-        cone_list.extend(cones)
-
+    def build(self) -> ConicProgram:
         c = np.zeros(self.n_cols)
         for col, coeff in self._cost:
             c[col] += coeff
         A = sp.coo_matrix(
-            (vals, (rows_i, cols_j)), shape=(len(bvals), self.n_cols)
+            (self._vals, (self._rows, self._cols)), shape=(len(self._b), self.n_cols)
         ).tocsc()
-        program = ConicProgram(c, A, np.asarray(bvals), tuple(cone_list))
-        return program, tuple(row_spans), tuple(self.cols)
+        cones = tuple(Cone(kind, dim) for kind, dim in self._cones)
+        return ConicProgram(c, A, np.asarray(self._b, dtype=float), cones)
 
 
 def coord_pairs(cols, coeffs):
@@ -526,7 +492,7 @@ def _symmetric_order(rows, cols, dim):
 # solver
 
 
-def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> ConicSolution:
+def solve(program: ConicProgram, tol: float = 1e-9) -> ConicSolution:
     """Solve a cone program; never raises on numerical trouble.
 
     On status "optimal" the normalized primal/dual residuals and the
@@ -535,17 +501,18 @@ def solve(program: ConicProgram, tol: float = 1e-9, max_iter: int = 100) -> Coni
     is normalized to b.z = -1 and must re-evaluate to it).  A solve that
     ends other than "optimal" on diagonal pivots is run again with partial
     pivoting: a cancelled pivot can also drive the iterates along the null
-    space of dependent equality rows until they stall.  The result reports
-    the factorization in `pivoting`, and `iterations` counts both attempts.
+    space of dependent equality rows until they stall.  Each attempt runs
+    at most _MAX_ITER iterations.  The result reports the factorization in
+    `pivoting`, and `iterations` counts both attempts.
     """
-    first = _solve(program, tol, max_iter, "diagonal")
+    first = _solve(program, tol, "diagonal")
     if first.status == "optimal":
         return first
-    retry = _solve(program, tol, max_iter, "partial")
+    retry = _solve(program, tol, "partial")
     return replace(retry, iterations=first.iterations + retry.iterations)
 
 
-def _solve(program, tol, max_iter, pivoting):
+def _solve(program, tol, pivoting):
     c, A, b = program.c, program.A, program.b
     m, n = A.shape
     AT = A.T
@@ -600,9 +567,8 @@ def _solve(program, tol, max_iter, pivoting):
     tau, kappa = 1.0, 1.0
 
     best = None  # (metric, x, s, z, gap, pres, dres) of the best iterate
-    iters = 0
 
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         # residuals of the homogeneous system
         f_x = AT @ z + c * tau
         f_z = A @ x + s - b * tau
@@ -722,8 +688,6 @@ def _solve(program, tol, max_iter, pivoting):
             kappa /= scale
     else:
         # loop exhausted without convergence
-        if best is None:  # max_iter = 0 measures nothing
-            return result("max-iter", iters, x, s, z, np.inf, np.inf, np.inf)
         return result("max-iter", iters, *best[1:])
 
     # numerical stagnation: return the best point seen (every break follows

@@ -57,8 +57,9 @@ class ScvxConfig:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise DimensionError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.max_successions < 1:
-            raise DimensionError("max_successions must be at least 1")
+        count = self.max_successions
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise DimensionError(f"max_successions must be an integer of at least 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -303,21 +304,22 @@ def find_feasible_start(
             pass
 
         builder = ProgramBuilder()
-        y0 = builder.add_cols(("y",), dims.n_y)
-        s0 = builder.add_cols(("sigma",), len(rows))
+        y0 = builder.add_cols(dims.n_y)
+        s0 = builder.add_cols(len(rows))
         for k in range(len(rows)):
             builder.add_cost(s0 + k, 1.0)
-            builder.add_ge(("sigma-pos", k), [(s0 + k, 1.0)], 0.0)
+            builder.add_ge([(s0 + k, 1.0)], 0.0)
+        eq_rows = np.zeros(0, dtype=int)
         if mode == "equality":
-            add_equality_dynamics_rows(builder, problem, y0)
-        add_base_set_rows(builder, problem.base_set, y0)
+            eq_rows = add_equality_dynamics_rows(builder, problem, y0)
+        eq_rows = np.concatenate([eq_rows, add_base_set_rows(builder, problem.base_set, y0)])
         for k, (j, spec) in enumerate(rows):
             hs = linearize_direct(spec, w, j)
             nz = np.nonzero(hs.normal)[0]
             pairs = coord_pairs(y0 + nz, hs.normal[nz]) + [(s0 + k, 1.0)]
-            builder.add_ge(("relaxed", j), pairs, hs.offset)
+            builder.add_ge(pairs, hs.offset)
 
-        program, row_spans, _ = builder.build()
+        program = builder.build()
         sol = conic.solve(program)
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(
@@ -329,14 +331,7 @@ def find_feasible_start(
                 f"feasibility subproblem returned status {sol.status!r}",
                 status=sol.status,
             )
-        w_new = sol.x[:dims.n_y].copy()
-        eq_rows = [
-            r
-            for span in row_spans
-            if span.label[0] in ("pin", "dyn-eq")
-            for r in span.range()
-        ]
-        w_new = polish_rows(program, np.asarray(eq_rows, dtype=int), dims.n_y, w_new)
+        w_new = polish_rows(program, eq_rows, dims.n_y, sol.x[:dims.n_y].copy())
         v_new = _violation(problem, rows, w_new, mode)
         if v_new < best - 1e-12:
             w = w_new

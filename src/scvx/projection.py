@@ -103,7 +103,7 @@ def _project_norm_ball(constraint, z):
     )
 
 
-def add_epigraph(builder: conic.ProgramBuilder, label, fn, t_col, w_cols):
+def add_epigraph(builder: conic.ProgramBuilder, fn, t_col, w_cols):
     """Emit the cone rows of t >= fn(w) over the given builder columns.
 
     t_col=None encodes the sublevel set fn(w) <= 0 instead.  Affine
@@ -115,14 +115,14 @@ def add_epigraph(builder: conic.ProgramBuilder, label, fn, t_col, w_cols):
     lin = [] if t_col is None else [(int(t_col), 1.0)]
     lin += conic.coord_pairs(w_cols, -fn.a)  # t - a.w
     if isinstance(fn, AffineFn):
-        builder.add_ge(label, lin, fn.beta)
+        builder.add_ge(lin, fn.beta)
     elif isinstance(fn, NormFn):
         tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
-        builder.add_soc(label, [(lin, -fn.beta)] + tail)
+        builder.add_soc([(lin, -fn.beta)] + tail)
     elif isinstance(fn, QuadFn):
         root2 = np.sqrt(2.0)
         tail = [(conic.coord_pairs(w_cols, root2 * row), 0.0) for row in fn.L]
-        builder.add_soc(label, [(lin, 1.0 - fn.beta), (lin, -1.0 - fn.beta)] + tail)
+        builder.add_soc([(lin, 1.0 - fn.beta), (lin, -1.0 - fn.beta)] + tail)
     else:
         raise UnsupportedModelError(
             f"no cone-representable epigraph for {type(fn).__name__}"
@@ -166,13 +166,12 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResu
     k = idx.size
     w0 = z[idx]
     builder = conic.ProgramBuilder()
-    w_cols = builder.add_cols(("w",), k) + np.arange(k)
-    t = builder.add_cols(("t",), 1)
+    w_cols = builder.add_cols(k) + np.arange(k)
+    t = builder.add_cols(1)
     builder.add_cost(t, 1.0)
-    add_epigraph(builder, ("distance",), NormFn(np.eye(k), w0, np.zeros(k), 0.0), t, w_cols)
-    add_epigraph(builder, ("sublevel",), constraint.fn, None, w_cols)
-    program, _, _ = builder.build()
-    sol = conic.solve(program)
+    add_epigraph(builder, NormFn(np.eye(k), w0, np.zeros(k), 0.0), t, w_cols)
+    add_epigraph(builder, constraint.fn, None, w_cols)
+    sol = conic.solve(builder.build())
     if sol.status != "optimal":
         if val0 <= NEAR_BOUNDARY_FALLBACK:
             w = _newton_to_boundary(constraint.fn, w0)

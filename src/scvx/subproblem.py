@@ -2,10 +2,13 @@
 
 Column layout: the decision vector y first, then one epigraph auxiliary
 per cost term (the objective's, then, when lambda > 0, one per dynamics
-defect).  Row layout: zero-cone rows (pins, equality-mode dynamics), then
-nonnegative rows (supporting halfspaces, box bounds, affine epigraphs),
-then second-order cone blocks (balls, thrust cones, norm epigraphs).
-Assembly is deterministic: identical inputs produce identical programs.
+defect).  Rows land in the order assemble adds them: each cost term's
+epigraph (a nonnegative row or a second-order cone), the dynamics
+equalities in equality mode, the base set member by member (pins, box
+bounds, balls, thrust cones), then one nonnegative row per supporting
+halfspace.  The row helpers return the indices extract needs, so nothing
+is looked up after the build.  Assembly is deterministic: identical inputs
+produce identical programs.
 """
 
 from __future__ import annotations
@@ -24,77 +27,61 @@ from .projection import add_epigraph
 from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
 
 
-def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0):
-    """Emit cone rows for every base-set member (shared with the initializer)."""
-    for k, mem in enumerate(base.members):
+def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0) -> np.ndarray:
+    """Cone rows for every base-set member, shared with the initializer; returns the pin rows."""
+    pins = []
+    for mem in base.members:
         if isinstance(mem, Pin):
             for i, v in zip(mem.indices, mem.values):
-                builder.add_eq(("pin", k, int(i)), [(y0 + int(i), 1.0)], float(v))
+                pins.append(builder.add_eq([(y0 + int(i), 1.0)], float(v)))
         elif isinstance(mem, Box):
             for i, lo, hi in zip(mem.indices, mem.lower, mem.upper):
                 if np.isfinite(lo):
-                    builder.add_ge(("box-lo", k, int(i)), [(y0 + int(i), 1.0)], float(lo))
+                    builder.add_ge([(y0 + int(i), 1.0)], float(lo))
                 if np.isfinite(hi):
-                    builder.add_ge(("box-hi", k, int(i)), [(y0 + int(i), -1.0)], float(-hi))
+                    builder.add_ge([(y0 + int(i), -1.0)], float(-hi))
         elif isinstance(mem, Ball):
             exprs = [([], float(mem.radius))]
             for i, cc in zip(mem.indices, mem.center):
                 exprs.append(([(y0 + int(i), 1.0)], float(-cc)))
-            builder.add_soc(("ball", k), exprs)
+            builder.add_soc(exprs)
         elif isinstance(mem, Cone):
             head = coord_pairs(y0 + mem.indices, mem.axis / mem.cos_angle)
             exprs = [(head, 0.0)]
             for i in mem.indices:
                 exprs.append(([(y0 + int(i), 1.0)], 0.0))
-            builder.add_soc(("cone", k), exprs)
+            builder.add_soc(exprs)
         else:
             raise UnsupportedModelError(f"unknown base-set member {type(mem).__name__}")
+    return np.asarray(pins, dtype=int)
 
 
-def add_halfspace_rows(builder: ProgramBuilder, halfspaces, y0: int = 0):
+def add_halfspace_rows(builder: ProgramBuilder, halfspaces, y0: int = 0) -> np.ndarray:
+    """One nonnegative row normal.y >= offset per halfspace; returns the rows."""
+    rows = []
     for hs in halfspaces:
         nz = np.nonzero(hs.normal)[0]
-        builder.add_ge(
-            ("halfspace", int(hs.constraint_index)),
-            coord_pairs(y0 + nz, hs.normal[nz]),
-            float(hs.offset),
-        )
+        rows.append(builder.add_ge(coord_pairs(y0 + nz, hs.normal[nz]), float(hs.offset)))
+    return np.asarray(rows, dtype=int)
 
 
-def add_equality_dynamics_rows(builder: ProgramBuilder, problem, y0: int = 0):
-    """Zero-cone rows g_{i,j}(y) = 0 for every (affine) dynamics defect."""
-    for spec in problem.constraints:
-        if spec.kind == "dynamics-defect":
-            builder.add_eq(
-                ("dyn-eq", spec.step, spec.component),
-                coord_pairs(y0 + spec.indices, spec.fn.a),
-                -spec.fn.beta,
-            )
+def add_equality_dynamics_rows(builder: ProgramBuilder, problem, y0: int = 0) -> np.ndarray:
+    """Zero-cone rows g_{i,j}(y) = 0 for every (affine) dynamics defect; returns the rows."""
+    rows = [
+        builder.add_eq(coord_pairs(y0 + spec.indices, spec.fn.a), -spec.fn.beta)
+        for spec in problem.constraints
+        if spec.kind == "dynamics-defect"
+    ]
+    return np.asarray(rows, dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
 class SubproblemArtifacts:
     program: conic.ConicProgram
-    variable_map: tuple  # Spans over columns
-    row_map: tuple  # Spans over rows
-    constant_offset: float  # objective constant not visible to the solver
+    equality_rows: np.ndarray  # pins, then hard dynamics: what extract polishes onto
+    dynamics_rows: np.ndarray  # rows whose duals give the dynamics multipliers
     problem: OptimalControlProblem
     penalty: PenaltyConfig
-
-    def rows(self, *prefix):
-        """All program row indices whose label starts with the prefix."""
-        out = []
-        for span in self.row_map:
-            if span.label[: len(prefix)] == prefix:
-                out.extend(span.range())
-        return np.asarray(out, dtype=int)
-
-    def columns(self, *prefix):
-        out = []
-        for span in self.variable_map:
-            if span.label[: len(prefix)] == prefix:
-                out.extend(span.range())
-        return np.asarray(out, dtype=int)
 
 
 def assemble(
@@ -112,7 +99,7 @@ def assemble(
     """
     dims = problem.dims
     builder = ProgramBuilder()
-    y0 = builder.add_cols(("y",), dims.n_y)
+    y0 = builder.add_cols(dims.n_y)
 
     terms = list(problem.objective.terms(dims))
     if penalty_config.lam > 0.0:
@@ -121,23 +108,29 @@ def assemble(
             for spec in problem.constraints
             if spec.kind == "dynamics-defect"
         ]
-    for k, (weight, indices, fn) in enumerate(terms):
-        t = builder.add_cols(("cost", k), 1)
+    for weight, indices, fn in terms:
+        t = builder.add_cols(1)
         builder.add_cost(t, weight)
-        add_epigraph(builder, ("cost", k), fn, t, y0 + indices)
+        add_epigraph(builder, fn, t, y0 + indices)
 
     # feasible region: hard dynamics (equality mode), base set, halfspaces
-    if penalty_config.dynamics_mode(problem) == "equality":
-        add_equality_dynamics_rows(builder, problem, y0)
-    add_base_set_rows(builder, problem.base_set, y0)
-    add_halfspace_rows(builder, region.halfspaces, y0)
+    mode = penalty_config.dynamics_mode(problem)
+    hard = np.zeros(0, dtype=int)
+    if mode == "equality":
+        hard = add_equality_dynamics_rows(builder, problem, y0)
+    pins = add_base_set_rows(builder, problem.base_set, y0)
+    halfspace_rows = add_halfspace_rows(builder, region.halfspaces, y0)
+    if mode == "equality":
+        dynamics_rows = hard
+    else:
+        # the dynamics defects are the first n(T-1) constraint rows
+        n_dyn = dims.n * (dims.T - 1)
+        dynamics_rows = halfspace_rows[[hs.constraint_index < n_dyn for hs in region.halfspaces]]
 
-    program, row_map, col_map = builder.build()
     return SubproblemArtifacts(
-        program=program,
-        variable_map=col_map,
-        row_map=row_map,
-        constant_offset=problem.objective.constant,
+        program=builder.build(),
+        equality_rows=np.concatenate([pins, hard]),
+        dynamics_rows=dynamics_rows,
         problem=problem,
         penalty=penalty_config,
     )
@@ -158,16 +151,6 @@ def polish_rows(program: conic.ConicProgram, rows: np.ndarray, n_y: int, y: np.n
         return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]
 
 
-def polish_equalities(artifacts: SubproblemArtifacts, y: np.ndarray) -> np.ndarray:
-    """Project y exactly onto the zero-cone rows (pins and dynamics).
-
-    One least-squares correction removes the interior-point method's
-    equality drift without touching anything else by more than that drift.
-    """
-    rows = np.concatenate([artifacts.rows("pin"), artifacts.rows("dyn-eq")])
-    return polish_rows(artifacts.program, rows, artifacts.problem.dims.n_y, y)
-
-
 def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     """Pull (z_next, dynamics multipliers, true objective value) out of a solve.
 
@@ -186,21 +169,15 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
                 "iterations": solution.iterations,
             },
         )
-    n_y = artifacts.problem.dims.n_y
-    y = polish_equalities(artifacts, solution.x[:n_y].copy())
-    if artifacts.penalty.dynamics_mode(artifacts.problem) == "equality":
-        multipliers = solution.z_dual[artifacts.rows("dyn-eq")]
-    else:
-        # the dynamics defects are the first n(T-1) constraint rows
-        dims = artifacts.problem.dims
-        dyn_rows = [
-            span.start
-            for span in artifacts.row_map
-            if span.label[0] == "halfspace" and span.label[1] < dims.n * (dims.T - 1)
-        ]
+    program, n_y = artifacts.program, artifacts.problem.dims.n_y
+    # one least-squares correction onto the equality rows removes the
+    # interior-point method's drift without moving anything else by more
+    y = polish_rows(program, artifacts.equality_rows, n_y, solution.x[:n_y].copy())
+    multipliers = solution.z_dual[artifacts.dynamics_rows]
+    if artifacts.penalty.dynamics_mode(artifacts.problem) == "penalty":
         # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
         # at lambda, so the multiplier of g_j is lambda minus the dual of its
         # linearized row g_j >= 0
-        multipliers = artifacts.penalty.lam - solution.z_dual[dyn_rows]
+        multipliers = artifacts.penalty.lam - multipliers
     value = penalty_value(artifacts.problem, artifacts.penalty, y)
     return y, multipliers, value

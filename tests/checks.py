@@ -257,7 +257,7 @@ def lipschitz_probe(problem: OptimalControlProblem, z1, z2, y) -> float:
 
 def solver_objective(artifacts: SubproblemArtifacts, solution: conic.ConicSolution) -> float:
     """The solver's own objective value including constant offsets."""
-    return float(artifacts.program.c @ solution.x) + artifacts.constant_offset
+    return float(artifacts.program.c @ solution.x) + artifacts.problem.objective.constant
 
 
 def residuals(program: conic.ConicProgram, solution: conic.ConicSolution):

@@ -170,7 +170,7 @@ def test_conic_solver():
     kept = None
     for k in range(200):
         prog = random_feasible_program(rng)
-        sol = conic.solve(prog, tol=1e-9, max_iter=100)
+        sol = conic.solve(prog, tol=1e-9)
         assert sol.status == "optimal"
         pres, dres, gap = residuals(prog, sol)
         worst = max(worst, pres, dres, gap)
@@ -204,7 +204,7 @@ def test_conic_solver():
 
     # bitwise-identical resolve
     prog, first = kept
-    again = conic.solve(prog, tol=1e-9, max_iter=100)
+    again = conic.solve(prog, tol=1e-9)
     assert again.iterations == first.iterations
     assert np.array_equal(again.x, first.x)
     assert np.array_equal(again.s, first.s)

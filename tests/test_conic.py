@@ -11,6 +11,7 @@ from scvx.conic import (
     _REG,
     Cone,
     ConicProgram,
+    ProgramBuilder,
     _Blocks,
     _Scaling,
     _solve,
@@ -227,7 +228,7 @@ def test_certificate_from_diagonal_pivots_is_rechecked():
     # certificate; the certificate's re-evaluated b.y rejects it
     rng = np.random.default_rng(11)
     prog = [sparse_feasible_program(rng, k % 2 == 1) for k in range(228)][-1]
-    assert _solve(prog, 1e-9, 100, "diagonal").status != "primal-infeasible"
+    assert _solve(prog, 1e-9, "diagonal").status != "primal-infeasible"
     sol = solve(prog, tol=1e-9)
     assert sol.status == "optimal" and sol.pivoting == "partial"
     assert max(residuals(prog, sol)) <= 1e-8
@@ -307,6 +308,56 @@ def test_tiny_dimensions():
     for b, status in (([3.0, 2.0, 1.0, 0.5], "optimal"), ([1.0, 2.0, 1.0, 0.5], "primal-infeasible")):
         no_columns = ConicProgram(np.zeros(0), sp.csc_matrix((4, 0)), b, cones)
         assert solve(no_columns, tol=1e-9).status == status
+
+
+def test_builder_rows_land_in_add_order():
+    builder = ProgramBuilder()
+    x0 = builder.add_cols(2)
+    t = builder.add_cols(1)
+    assert (x0, t) == (0, 2)
+    builder.add_cost(t, 1.0)
+    builder.add_cost(t, 0.5)  # repeated cost entries add up
+    rows = [
+        builder.add_ge([(x0, 1.0)], 1.0),  # x0 >= 1
+        builder.add_ge([(x0 + 1, 2.0), (t, 0.0)], -3.0),  # 2 x1 >= -3; the zero is not stored
+        builder.add_eq([(x0, 1.0), (x0 + 1, 1.0)], 4.0),  # x0 + x1 = 4
+        builder.add_soc([([(t, 1.0)], 0.0), ([(x0, 1.0)], -1.0), ([(x0 + 1, 1.0)], 0.0)]),
+        builder.add_eq([(x0 + 1, 1.0)], 2.5),
+        builder.add_eq([(x0, -1.0)], -1.5),
+        builder.add_soc([([(t, 1.0)], 2.0), ([(x0, 3.0)], 0.0)]),
+    ]
+    # each add returns its first program row, and rows follow in add order
+    assert rows == [0, 1, 2, 3, 6, 7, 8]
+    program = builder.build()
+    assert isinstance(program, ConicProgram)
+    # adjacent zero or nonneg rows share a cone; every SOC stays its own cone
+    assert [(k.kind, k.dim) for k in program.cones] == [
+        ("nonneg", 2), ("zero", 1), ("soc", 3), ("zero", 2), ("soc", 2)
+    ]
+    kinds = np.repeat([k.kind for k in program.cones], [k.dim for k in program.cones])
+    assert kinds[rows].tolist() == ["nonneg", "nonneg", "zero", "soc", "zero", "zero", "soc"]
+    np.testing.assert_array_equal(program.c, [0.0, 0.0, 1.5])
+    np.testing.assert_array_equal(program.b, [-1.0, 3.0, 4.0, 0.0, -1.0, 0.0, 2.5, -1.5, 2.0, 0.0])
+    np.testing.assert_array_equal(
+        program.A.toarray(),
+        [
+            [-1.0, 0.0, 0.0],
+            [0.0, -2.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, -1.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0],
+            [-3.0, 0.0, 0.0],
+        ],
+    )
+    assert program.A.nnz == 11  # the zero coefficient on t in row 1 is not stored
+    # x = (1.5, 2.5), t = 3: within every cone (slack s = b - A x)
+    s = program.b - program.A @ np.array([1.5, 2.5, 3.0])
+    np.testing.assert_array_equal(s[[2, 6, 7]], 0.0)
+    assert np.all(s[:2] >= 0.0) and s[3] >= np.hypot(s[4], s[5]) and s[8] >= abs(s[9])
 
 
 def test_dump_program_text(tmp_path):
@@ -575,8 +626,8 @@ def _sparse(rng, rows, cols):
 @example([("soc", 4), ("nonneg", 1), ("soc", 2)], 3, 1, "identity", 3)  # the W = I start
 @example([("soc", 4), ("nonneg", 2)], 3, 1, "zero-entry", 4)  # an exact-zero W^2 entry
 def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values, seed):
-    # the program's zero cone comes first, as ProgramBuilder emits it, so
-    # its rows are the reference's A_eq and the remaining rows its G
+    # the zero cone comes first here, so its rows are the reference's A_eq
+    # and the remaining rows its G
     cones = [Cone(kind, dim) for kind, dim in cone_spec]
     p_in = sum(k.dim for k in cones)
     assume(p_eq + p_in > 0)  # a program without rows never builds a KKT

@@ -152,8 +152,9 @@ def test_config_validation():
     for epsilon in (0.0, float("nan"), float("inf")):
         with pytest.raises(DimensionError, match="epsilon"):
             ScvxConfig(epsilon=epsilon)
-    with pytest.raises(DimensionError, match="successions"):
-        ScvxConfig(max_successions=0)
+    for count in (0, 2.5, float("inf"), True):
+        with pytest.raises(DimensionError, match="successions"):
+            ScvxConfig(max_successions=count)
 
 
 # ---------------------------------------------------------------------------

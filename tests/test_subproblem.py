@@ -10,12 +10,13 @@ from scvx.driver import ScvxConfig, find_feasible_start, scvx
 from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
-from scvx.problem import AffineFn, ConvexDynamics, eval_g, eval_q
+from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g, eval_q
 from tests.checks import solver_objective
 from scvx.subproblem import (
+    add_halfspace_rows,
     assemble,
     extract,
-    polish_equalities,
+    polish_rows,
 )
 from tests.test_linearize import hold_anchor, unit_disk_problem
 
@@ -29,40 +30,58 @@ def disk_artifacts(x=(2.0, 0.0)):
 
 
 @pytest.fixture(scope="module")
-def quad_artifacts(quad_problem, quad_config, quad_start):
-    region = build_feasible_region(quad_problem, quad_start, "equality")
-    return assemble(quad_problem, quad_config.penalty, region)
+def quad_region(quad_problem, quad_start):
+    return build_feasible_region(quad_problem, quad_start, "equality")
+
+
+@pytest.fixture(scope="module")
+def quad_artifacts(quad_problem, quad_config, quad_region):
+    return assemble(quad_problem, quad_config.penalty, quad_region)
 
 
 @pytest.fixture(scope="module")
 def quad_solution(quad_artifacts):
-    return conic.solve(quad_artifacts.program, tol=1e-9, max_iter=100)
+    return conic.solve(quad_artifacts.program, tol=1e-9)
+
+
+def row_kinds(program):
+    """The cone kind of every program row."""
+    return np.repeat([k.kind for k in program.cones], [k.dim for k in program.cones])
+
+
+def assert_halfspaces_close_the_program(artifacts, halfspaces):
+    """assemble adds the halfspaces last: one nonneg row each, slack normal.y - offset."""
+    prog, n_y = artifacts.program, artifacts.problem.dims.n_y
+    rows = np.arange(prog.n_rows - len(halfspaces), prog.n_rows)
+    assert np.all(row_kinds(prog)[rows] == "nonneg")
+    A = prog.A[rows.tolist()].toarray()
+    np.testing.assert_array_equal(A[:, :n_y], -np.array([hs.normal for hs in halfspaces]))
+    np.testing.assert_array_equal(A[:, n_y:], 0.0)
+    np.testing.assert_array_equal(prog.b[rows], [-hs.offset for hs in halfspaces])
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# layout maps
+# layout
 
 
-def test_row_and_column_maps_partition_the_program(quad_artifacts):
-    prog = quad_artifacts.program
-    rows = np.concatenate([np.array(list(s.range())) for s in quad_artifacts.row_map])
-    assert rows.size == prog.b.size
-    assert np.array_equal(np.sort(rows), np.arange(prog.b.size))
-    cols = np.concatenate(
-        [np.array(list(s.range())) for s in quad_artifacts.variable_map]
-    )
-    assert cols.size == prog.c.size
-    assert np.array_equal(np.sort(cols), np.arange(prog.c.size))
-
-
-def test_benchmark_program_dimensions(quad_artifacts):
+def test_benchmark_program_dimensions(quad_problem, quad_artifacts, quad_region):
     # 222 stacked decision coordinates plus 24 control-norm epigraph
     # auxiliaries; the trim thrust is the objective constant, not a column
-    assert quad_artifacts.columns("y").size == 222
-    assert quad_artifacts.columns("cost").size == 24
-    assert quad_artifacts.program.c.size == 246
-    assert quad_artifacts.constant_offset == pytest.approx(9.81, abs=1e-12)
-    assert quad_artifacts.rows("halfspace").size == 50
+    prog = quad_artifacts.program
+    assert quad_problem.dims.n_y == 222
+    assert prog.c.size == 246
+    np.testing.assert_array_equal(prog.c[:222], 0.0)
+    np.testing.assert_array_equal(prog.c[222:], 1.0)
+    assert quad_problem.objective.constant == pytest.approx(9.81, abs=1e-12)
+    assert len(quad_region.halfspaces) == 50
+    assert_halfspaces_close_the_program(quad_artifacts, quad_region.halfspaces)
+    # pins, then the hard dynamics: every zero-cone row, and the dynamics'
+    # rows carry their multipliers
+    eq = quad_artifacts.equality_rows
+    np.testing.assert_array_equal(np.sort(eq), np.flatnonzero(row_kinds(prog) == "zero"))
+    np.testing.assert_array_equal(eq[-24 * 6 :], quad_artifacts.dynamics_rows)
+    assert eq.size > quad_artifacts.dynamics_rows.size == 24 * 6
 
 
 def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, quad_start):
@@ -70,32 +89,46 @@ def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, qu
     # 24 control norms, and no zero-cone dynamics rows
     region = build_feasible_region(quad_problem, quad_start, "penalty")
     artifacts = assemble(quad_problem, PenaltyConfig(lam=100.0), region)
-    cols = artifacts.columns("cost")
-    assert cols.size == 24 + 24 * 6
-    np.testing.assert_array_equal(artifacts.program.c[cols[24:]], 100.0)
-    assert artifacts.rows("dyn-eq").size == 0
-    assert artifacts.rows("halfspace").size == 50 + 24 * 6
+    c = artifacts.program.c[222:]
+    assert c.size == 24 + 24 * 6
+    np.testing.assert_array_equal(c[24:], 100.0)
+    assert len(region.halfspaces) == 50 + 24 * 6
+    rows = assert_halfspaces_close_the_program(artifacts, region.halfspaces)
+    # the multipliers come from the linearized dynamics rows g_j >= 0, and
+    # the only equality rows are the pins
+    dyn = [r for r, hs in zip(rows, region.halfspaces) if hs.constraint_index < 24 * 6]
+    np.testing.assert_array_equal(artifacts.dynamics_rows, dyn)
+    pins = np.flatnonzero(row_kinds(artifacts.program) == "zero")
+    np.testing.assert_array_equal(artifacts.equality_rows, pins)
+    assert pins.size == sum(
+        mem.indices.size for mem in quad_problem.base_set.members if isinstance(mem, Pin)
+    )
 
 
 def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     problem, config, z, artifacts = disk_artifacts()
-    rows = artifacts.rows("halfspace")
-    assert rows.size == 2  # one per temporal point
+    region = build_feasible_region(problem, z, "equality")
+    assert len(region.halfspaces) == 2  # one per temporal point
+    r = assert_halfspaces_close_the_program(artifacts, region.halfspaces)[0]
     A = artifacts.program.A.toarray()
-    r = rows[0]
     # slack s = b - A y must equal normal . y - offset, with normal = e0,
     # offset = 1 for the unit disk linearized from (2, 0)
     np.testing.assert_allclose(A[r, 0], -1.0, atol=1e-12)
     assert np.count_nonzero(A[r]) == 1
     assert artifacts.program.b[r] == pytest.approx(-1.0, abs=1e-12)
+    # add_halfspace_rows returns the consecutive rows it added, in order
+    builder = conic.ProgramBuilder()
+    y0 = builder.add_cols(z.size)
+    builder.add_ge([(y0, 1.0)], 0.0)
+    rows = add_halfspace_rows(builder, region.halfspaces, y0)
+    np.testing.assert_array_equal(rows, [1, 2])
+    assert [(k.kind, k.dim) for k in builder.build().cones] == [("nonneg", 3)]
 
 
 def test_control_norm_objective_emits_one_epigraph_per_step():
     problem, config, z, artifacts = disk_artifacts()
     # T=2: a single decision control, one soc of dimension 1 + m
-    tcols = artifacts.columns("cost")
-    assert tcols.size == 1
-    np.testing.assert_array_equal(artifacts.program.c[tcols], [1.0])
+    np.testing.assert_array_equal(artifacts.program.c[problem.dims.n_y :], [1.0])
     socs = [c for c in artifacts.program.cones if c.kind == "soc"]
     assert [c.dim for c in socs] == [2]
 
@@ -110,8 +143,8 @@ def test_assembly_is_deterministic(quad_problem, quad_config, quad_start):
     assert [(c.kind, c.dim) for c in a1.program.cones] == [
         (c.kind, c.dim) for c in a2.program.cones
     ]
-    assert a1.row_map == a2.row_map
-    assert a1.variable_map == a2.variable_map
+    np.testing.assert_array_equal(a1.equality_rows, a2.equality_rows)
+    np.testing.assert_array_equal(a1.dynamics_rows, a2.dynamics_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +154,11 @@ def test_assembly_is_deterministic(quad_problem, quad_config, quad_start):
 def test_extract_satisfies_pins_and_dynamics(quad_problem, quad_artifacts, quad_solution):
     assert quad_solution.status == "optimal"
     y, multipliers, value = extract(quad_artifacts, quad_solution)
-    pins = quad_artifacts.rows("pin")
+    # every equality row (pins and dynamics) holds at the polished point
+    eq = quad_artifacts.equality_rows
     A = quad_artifacts.program.A
-    pin_err = np.abs(A[pins.tolist(), :222] @ y - quad_artifacts.program.b[pins])
-    assert float(pin_err.max()) <= 1e-8
+    eq_err = np.abs(A[eq.tolist(), :222] @ y - quad_artifacts.program.b[eq])
+    assert float(eq_err.max()) <= 1e-8
     assert float(np.abs(eval_g(quad_problem, y)).max()) <= 1e-7
     assert multipliers.size == 24 * 6
 
@@ -151,7 +185,7 @@ def test_subproblem_step_never_increases_penalty(
 
 def test_polish_tightens_equality_rows(quad_problem, quad_artifacts, quad_solution):
     raw = quad_solution.x[:222].copy()
-    polished = polish_equalities(quad_artifacts, raw)
+    polished = polish_rows(quad_artifacts.program, quad_artifacts.equality_rows, 222, raw)
     d_raw = float(np.abs(eval_g(quad_problem, raw)).max())
     d_pol = float(np.abs(eval_g(quad_problem, polished)).max())
     assert d_pol <= d_raw
