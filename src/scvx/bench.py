@@ -490,6 +490,7 @@ def report_dict(run: BenchmarkRun) -> dict:
             "subsolver_status": r.subsolver_status,
             "subsolver_iterations": r.subsolver_iterations,
             "subsolver_gap": r.subsolver_gap,
+            "subsolver_start": r.subsolver_start,
         }
         for r in report.records
     ]

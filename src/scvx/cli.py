@@ -77,12 +77,15 @@ def _err(message):
 
 
 def _iteration_table(report) -> str:
-    lines = ["   k  penalty            improvement   accepted  halfspaces  ipm-iters"]
-    lines.append(f"   0  {report.penalty_values[0]:<17.6f}  {'-':<12}  {'-':<8}  {'-':<10}  -")
+    lines = ["   k  penalty            improvement   accepted  halfspaces  start  ipm-iters"]
+    lines.append(
+        f"   0  {report.penalty_values[0]:<17.6f}  {'-':<12}  {'-':<8}  {'-':<10}  {'-':<5}  -"
+    )
     for r in report.records:
         lines.append(
             f"  {r.index:>2}  {r.penalty_after:<17.6f}  {r.improvement:<12.3e}  "
-            f"{('yes' if r.accepted else 'no'):<8}  {r.halfspaces:<10d}  {r.subsolver_iterations}"
+            f"{('yes' if r.accepted else 'no'):<8}  {r.halfspaces:<10d}  "
+            f"{r.subsolver_start:<5}  {r.subsolver_iterations}"
         )
     return "\n".join(lines)
 
@@ -168,6 +171,9 @@ def _cmd_run(args) -> int:
         return EXIT_BAD_INPUT
     if args.jobs is not None and args.jobs < 0:
         _err(f"--jobs must be non-negative, got {args.jobs}")
+        return EXIT_BAD_INPUT
+    if args.jobs is not None and not args.sweep:
+        _err("--jobs needs --sweep")
         return EXIT_BAD_INPUT
     if args.sweep:
         if args.builtin:

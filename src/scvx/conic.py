@@ -22,8 +22,15 @@ out once per solve in a minimum-degree symmetric order and factored with
 diagonal pivots only, as ECOS does.  Linearly dependent equality rows can
 still cancel a diagonal pivot; a solve that then ends other than "optimal"
 is run again with threshold partial pivoting, and the solution reports
-which factorization it used.  Solves are deterministic: identical
-inputs produce bitwise-identical iterates.
+which factorization it used.
+
+A solve can be warm-started from the solution of a program with the same
+cone list: the embedding then starts from a convex combination of that
+solution and the cold start point (Skajaa, Andersen & Ye, Math. Prog.
+Comp. 2013).  A warm attempt that ends other than "optimal" is run again
+cold, and the solution reports which start it came from.  Solves are
+deterministic: identical inputs, start included, produce bitwise-identical
+iterates.
 
 ProgramBuilder is the one way programs are put together: rows land in
 the program in the order they are added, each add returns the index of
@@ -49,6 +56,8 @@ _REFINE_STEPS = 3
 _MIN_STEP = 1e-9  # treat smaller line-search steps as numerical stagnation
 _STEP_FRACTION = 0.99
 _MAX_ITER = 100  # interior-point iterations per factorization attempt
+# weight of the previous solution in a warm start (Skajaa, Andersen & Ye 2013)
+_WARM_WEIGHT = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +116,7 @@ class ConicSolution:
     primal_res: float = np.nan
     dual_res: float = np.nan
     pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
+    start: str = "cold"  # warm | cold: the start point the result came from
 
 
 class ProgramBuilder:
@@ -492,27 +502,48 @@ def _symmetric_order(rows, cols, dim):
 # solver
 
 
-def solve(program: ConicProgram, tol: float = 1e-9) -> ConicSolution:
+def solve(
+    program: ConicProgram, tol: float = 1e-9, start: ConicSolution | None = None
+) -> ConicSolution:
     """Solve a cone program; never raises on numerical trouble.
 
     On status "optimal" the normalized primal/dual residuals and the
     relative gap are all <= tol.  Infeasibility is certified through the
     homogeneous embedding (tau -> 0 with a valid certificate; a primal one
-    is normalized to b.z = -1 and must re-evaluate to it).  A solve that
-    ends other than "optimal" on diagonal pivots is run again with partial
-    pivoting: a cancelled pivot can also drive the iterates along the null
-    space of dependent equality rows until they stall.  Each attempt runs
-    at most _MAX_ITER iterations.  The result reports the factorization in
-    `pivoting`, and `iterations` counts both attempts.
+    is normalized to b.z = -1 and must re-evaluate to it).
+
+    start, a solution of a program with the same cone list, warm-starts the
+    first attempt from the convex combination of that solution and the cold
+    start point, weighted _WARM_WEIGHT to the solution.  A start whose x, s
+    or z_dual size does not match the program raises DimensionError.
+
+    Attempts run in order until one ends "optimal": the warm start (when
+    given), the cold start on diagonal pivots, and the cold start with
+    partial pivoting, since a cancelled pivot can also drive the iterates
+    along the null space of dependent equality rows until they stall.  Each
+    attempt runs at most _MAX_ITER iterations.  The result reports its
+    attempt in `start` and `pivoting`, and `iterations` counts every
+    attempt.
     """
-    first = _solve(program, tol, "diagonal")
-    if first.status == "optimal":
-        return first
-    retry = _solve(program, tol, "partial")
-    return replace(retry, iterations=first.iterations + retry.iterations)
+    attempts = [("diagonal", None), ("partial", None)]
+    if start is not None:
+        sizes = (start.x.size, start.s.size, start.z_dual.size)
+        if sizes != (program.n_cols, program.n_rows, program.n_rows):
+            raise DimensionError(
+                f"start has (x, s, z) sizes {sizes}, the program needs "
+                f"{(program.n_cols, program.n_rows, program.n_rows)}"
+            )
+        attempts.insert(0, ("diagonal", start))
+    used = 0
+    for pivoting, warm in attempts:
+        sol = _solve(program, tol, pivoting, warm)
+        used += sol.iterations
+        if sol.status == "optimal":
+            break
+    return replace(sol, iterations=used)
 
 
-def _solve(program, tol, pivoting):
+def _solve(program, tol, pivoting, start=None):
     c, A, b = program.c, program.A, program.b
     m, n = A.shape
     AT = A.T
@@ -530,6 +561,7 @@ def _solve(program, tol, pivoting):
             primal_res=float(pres),
             dual_res=float(dres),
             pivoting=pivoting,
+            start="cold" if start is None else "warm",
         )
 
     if m == 0:
@@ -547,7 +579,7 @@ def _solve(program, tol, pivoting):
         """c.x + b.z, the homogeneous gap without kappa."""
         return float(c @ x_ + b @ z_)
 
-    # --- initialization: solve two least-squares-like systems at W = I
+    # --- initialization: least-squares-like systems at W = I
     K = _KKT(A, blocks, pivoting)
     try:
         K.factor(blocks.identity_squared())
@@ -556,14 +588,22 @@ def _solve(program, tol, pivoting):
             "numerical-error", 0, np.zeros(n), np.zeros(m), np.zeros(m), np.inf, np.inf, np.inf
         )
     x, zp = split(K.solve(np.concatenate([np.zeros(n), b])))
-    s = blocks.restrict(-zp)  # equals b - A x on the cone rows at the least-squares point
-    _, z = split(K.solve(np.concatenate([-c, np.zeros(m)])))
-    shift = -blocks.min_eig(s)
-    if shift >= -1e-8:
-        s = s + (1.0 + shift) * e
-    shift = -blocks.min_eig(z)
-    if shift >= -1e-8:
-        z = z + (1.0 + shift) * e
+    if start is None:
+        s = blocks.restrict(-zp)  # equals b - A x on the cone rows at the least-squares point
+        _, z = split(K.solve(np.concatenate([-c, np.zeros(m)])))
+        shift = -blocks.min_eig(s)
+        if shift >= -1e-8:
+            s = s + (1.0 + shift) * e
+        shift = -blocks.min_eig(z)
+        if shift >= -1e-8:
+            z = z + (1.0 + shift) * e
+    else:
+        # e is 0 on the zero-cone rows: their slack stays 0, their dual
+        # keeps the weighted previous value
+        w = _WARM_WEIGHT
+        x = w * start.x + (1.0 - w) * x
+        s = w * blocks.restrict(start.s) + (1.0 - w) * e
+        z = w * start.z_dual + (1.0 - w) * e
     tau, kappa = 1.0, 1.0
 
     best = None  # (metric, x, s, z, gap, pres, dres) of the best iterate

@@ -73,6 +73,7 @@ class SuccessionRecord:
     subsolver_status: str
     subsolver_iterations: int
     subsolver_gap: float
+    subsolver_start: str  # warm | cold: the start point of the solve's result
 
 
 @dataclass
@@ -95,15 +96,24 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(problem, config, region, dump_path=None):
+def _cone_list(program):
+    return [(k.kind, k.dim) for k in program.cones]
+
+
+def _solve_region(problem, config, region, dump_path=None, previous=None):
     """Assemble min P over the region and solve it; returns (artifacts, solution).
 
     dump_path, when given, receives the program before it is solved.
+    previous, the (program, solution) of an earlier region, warm-starts the
+    solve when its program has the same cone list.
     """
     artifacts = assemble(problem, config.penalty, region)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
-    sol = conic.solve(artifacts.program)
+    start = None
+    if previous is not None and _cone_list(previous[0]) == _cone_list(artifacts.program):
+        start = previous[1]
+    sol = conic.solve(artifacts.program, start=start)
     return artifacts, sol
 
 
@@ -161,13 +171,17 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
 
     status = "max-successions"
     successions = 0
+    previous = None  # (program, solution) of the last succession
     for k in range(1, config.max_successions + 1):
         successions = k
         region = build_feasible_region(problem, z, mode)
         dump_path = (
             os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
-        artifacts, sol = _solve_region(problem, config, region, dump_path=dump_path)
+        artifacts, sol = _solve_region(
+            problem, config, region, dump_path=dump_path, previous=previous
+        )
+        previous = (artifacts.program, sol)
         y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
         # below epsilon this solve is the fixed-point test of its anchor z,
@@ -186,6 +200,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
                 subsolver_status=sol.status,
                 subsolver_iterations=sol.iterations,
                 subsolver_gap=sol.gap,
+                subsolver_start=sol.start,
             )
         )
         if accepted:

@@ -219,6 +219,9 @@ def test_report_dict_contents(benchmark_run):
     assert out["cost"] == pytest.approx(benchmark_run.record.cost)
     assert out["penalty"] == out["objective_values"][-1]
     assert len(out["records"]) == out["successions"]
+    assert [r["subsolver_start"] for r in out["records"]] == [
+        r.subsolver_start for r in benchmark_run.report.records
+    ]
     assert out["feasibility"]["defect_max"] <= 1e-7
     assert out["scenario"]["N"] == 25
     assert "wall_time" not in out and "time" not in out
@@ -272,6 +275,11 @@ def test_cli_builtin_run(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "status: converged" in stdout
     assert "fixed-point residual" in stdout
+    table = stdout.splitlines()
+    assert table[0].split() == [
+        "k", "penalty", "improvement", "accepted", "halfspaces", "start", "ipm-iters",
+    ]
+    assert table[2].split()[5] == "cold" and table[3].split()[5] == "warm"
     for name in ("report.json", "trajectory.csv"):
         assert os.path.exists(os.path.join(out, name))
 
@@ -282,7 +290,8 @@ def test_cli_rejects_bad_usage(tmp_path, capsys):
     assert run_cli("run", "a.json", "b.json") == 4  # several without --sweep
     assert run_cli("run", str(tmp_path / "absent.json")) == 4
     assert run_cli("frobnicate") == 4  # argparse usage error remapped
-    capsys.readouterr()
+    assert run_cli("run", "--builtin", "quadrotor", "--jobs", "3") == 4  # --jobs without --sweep
+    assert "--jobs needs --sweep" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_override_values(capsys):

@@ -1,5 +1,7 @@
 """Interior-point cone solver: hand-worked programs, random suites, certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -268,6 +270,42 @@ def test_bitwise_deterministic_resolve():
     assert np.array_equal(sol1.x, sol2.x)
     assert np.array_equal(sol1.s, sol2.s)
     assert np.array_equal(sol1.z_dual, sol2.z_dual)
+
+
+def test_warm_start_from_a_neighbouring_solution():
+    # loosening nonnegative rows keeps the program feasible and bounded;
+    # the warm solve starts from the solution before the change
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        prog = random_feasible_program(rng)
+        base = solve(prog, tol=1e-9)
+        assert base.status == "optimal"
+        b = prog.b.copy()
+        pos = 0
+        for k in prog.cones:
+            if k.kind == "nonneg":
+                rows = pos + np.flatnonzero(rng.random(k.dim) < 0.5)
+                b[rows] += rng.uniform(0.0, 0.5, rows.size)
+            pos += k.dim
+        moved = ConicProgram(prog.c, prog.A, b, prog.cones)
+        cold, warm = solve(moved, tol=1e-9), solve(moved, tol=1e-9, start=base)
+        assert cold.status == warm.status == "optimal"
+        assert cold.start == "cold" and warm.start == "warm"
+        objective = float(moved.c @ cold.x)
+        assert abs(float(moved.c @ warm.x) - objective) <= 1e-8 * (1.0 + abs(objective))
+        assert max(residuals(moved, warm)) <= 1e-8
+        again = solve(moved, tol=1e-9, start=base)
+        assert again.iterations == warm.iterations
+        for u, v in ((warm.x, again.x), (warm.s, again.s), (warm.z_dual, again.z_dual)):
+            assert np.array_equal(u, v)
+
+    # a start outside the cone fails the warm attempt; the cold one answers
+    outside = replace(base, s=-_Blocks(prog.cones).identity())
+    sol = solve(moved, tol=1e-9, start=outside)
+    assert sol.status == "optimal" and sol.start == "cold"
+    assert sol.iterations > cold.iterations  # the failed warm attempt counts
+    with pytest.raises(DimensionError, match="start"):
+        solve(moved, tol=1e-9, start=replace(base, x=base.x[1:]))
 
 
 # ---------------------------------------------------------------------------

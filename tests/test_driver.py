@@ -118,6 +118,14 @@ def test_certificate_takes_no_extra_solve(monkeypatch, quad_problem, quad_config
     assert len(programs) == 1 + report.successions  # the floor, then one per succession
 
 
+def test_successions_start_warm(benchmark_run):
+    # every succession after the first starts from the previous solution
+    records = benchmark_run.report.records
+    assert [r.subsolver_start for r in records] == ["cold"] + ["warm"] * (len(records) - 1)
+    # 129 iterations when every succession starts cold
+    assert sum(r.subsolver_iterations for r in records) <= 100
+
+
 def test_convex_problem_converges_in_one_succession(convex_run):
     assert convex_run.report.successions == 1
     assert convex_run.report.converged
