@@ -96,23 +96,16 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _cone_list(program):
-    return [(k.kind, k.dim) for k in program.cones]
-
-
-def _solve_region(problem, config, region, dump_path=None, previous=None):
+def _solve_region(problem, config, region, dump_path=None, start=None):
     """Assemble min P over the region and solve it; returns (artifacts, solution).
 
     dump_path, when given, receives the program before it is solved.
-    previous, the (program, solution) of an earlier region, warm-starts the
-    solve when its program has the same cone list.
+    start, the solution of an earlier succession, warm-starts the solve:
+    every succession program has the same columns and cone list.
     """
     artifacts = assemble(problem, config.penalty, region)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
-    start = None
-    if previous is not None and _cone_list(previous[0]) == _cone_list(artifacts.program):
-        start = previous[1]
     sol = conic.solve(artifacts.program, start=start)
     return artifacts, sol
 
@@ -171,17 +164,14 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
 
     status = "max-successions"
     successions = 0
-    previous = None  # (program, solution) of the last succession
+    sol = None  # the last succession's solution warm-starts the next
     for k in range(1, config.max_successions + 1):
         successions = k
         region = build_feasible_region(problem, z, mode)
         dump_path = (
             os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
-        artifacts, sol = _solve_region(
-            problem, config, region, dump_path=dump_path, previous=previous
-        )
-        previous = (artifacts.program, sol)
+        artifacts, sol = _solve_region(problem, config, region, dump_path=dump_path, start=sol)
         y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
         # below epsilon this solve is the fixed-point test of its anchor z,
@@ -319,20 +309,18 @@ def find_feasible_start(
             pass
 
         builder = ProgramBuilder()
-        y0 = builder.add_cols(dims.n_y)
+        builder.add_cols(dims.n_y)  # y is columns 0..n_y-1
         s0 = builder.add_cols(len(rows))
         for k in range(len(rows)):
             builder.add_cost(s0 + k, 1.0)
             builder.add_ge([(s0 + k, 1.0)], 0.0)
         eq_rows = np.zeros(0, dtype=int)
         if mode == "equality":
-            eq_rows = add_equality_dynamics_rows(builder, problem, y0)
-        eq_rows = np.concatenate([eq_rows, add_base_set_rows(builder, problem.base_set, y0)])
+            eq_rows = add_equality_dynamics_rows(builder, problem)
+        eq_rows = np.concatenate([eq_rows, add_base_set_rows(builder, problem.base_set)])
         for k, (j, spec) in enumerate(rows):
             hs = linearize_direct(spec, w, j)
-            nz = np.nonzero(hs.normal)[0]
-            pairs = coord_pairs(y0 + nz, hs.normal[nz]) + [(s0 + k, 1.0)]
-            builder.add_ge(pairs, hs.offset)
+            builder.add_ge(coord_pairs(hs.indices, hs.coeffs) + [(s0 + k, 1.0)], hs.offset)
 
         program = builder.build()
         sol = conic.solve(program)

@@ -10,6 +10,11 @@ F_z is the base set Y intersected with these halfspaces.  It contains z
 and is contained in the true feasible set, which is what makes the outer
 loop recursively feasible.  Affine dynamics handled as hard equalities are
 not linearized here; they enter the subproblem as zero-cone rows.
+
+A halfspace is stored as the sparse row of its constraint: the spec's own
+coordinates `indices` and the gradient over them, `coeffs`.  Its offset is
+summed in index order, one formula for both constructions, so that the
+same inputs always round to the same offset.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_q
+from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_g
 from .projection import project
 
 # anchors are accepted as feasible down to this constraint slack; iterates
@@ -35,20 +40,29 @@ GRADIENT_NORM_FLOOR = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Halfspace:
-    """normal . y >= offset, anchored at a projection point."""
+    """coeffs . y[indices] >= offset: a linearized row of constraint_index."""
 
-    normal: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
     offset: float
     constraint_index: int
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        normal.setflags(write=False)
-        object.__setattr__(self, "normal", normal)
+        indices = np.asarray(self.indices, dtype=int)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        indices.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offset", float(self.offset))
 
     def slack(self, y) -> float:
-        return float(self.normal @ y - self.offset)
+        return float(self.coeffs @ y[self.indices] - self.offset)
+
+
+def _dot_in_order(indices, coeffs, y) -> float:
+    """coeffs . y[indices], summed term by term in index order."""
+    return sum(g * y[int(i)] for i, g in zip(indices, coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,45 +103,43 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
             f"anchor violates the base set by {-worst:.3e}; "
             "run find_feasible_start first"
         )
-    q = eval_q(problem, z)
     if mode == "equality":
         # defects are enforced as equalities; tolerate solver-level drift
-        ng = problem.dims.n * (problem.dims.T - 1)
-        defect = float(np.max(np.abs(q[:ng]))) if ng else 0.0
+        g = eval_g(problem, z)
+        defect = float(np.max(np.abs(g))) if g.size else 0.0
         if defect > 1e-7:
             raise InfeasibleAnchorError(
                 f"anchor dynamics defect {defect:.3e} exceeds 1e-7; "
                 "run find_feasible_start first"
             )
-        worst = float(np.min(q[ng:])) if q.size > ng else 0.0
-    else:
-        worst = float(np.min(q)) if q.size else 0.0
-    if worst < -ANCHOR_FEASIBILITY_TOL:
+    rows = _rows_to_linearize(problem, mode)
+    values = [spec.value(z) for _, spec in rows]
+    if values and min(values) < -ANCHOR_FEASIBILITY_TOL:
+        k = int(np.argmin(values))
+        spec = rows[k][1]
         raise InfeasibleAnchorError(
-            f"anchor violates q >= 0 by {-worst:.3e}; run find_feasible_start first"
+            f"anchor violates q >= 0 on constraint ({spec.kind}, step {spec.step}, "
+            f"component {spec.component}): q = {values[k]:.3e}; "
+            "run find_feasible_start first"
         )
     return z
 
 
-def build_feasible_region(
-    problem: OptimalControlProblem, z, mode: str = "equality"
-) -> FeasibleRegion:
+def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> FeasibleRegion:
     """Project z onto every keep-out set and emit the supporting halfspaces."""
     z = check_anchor(problem, z, mode)
-    n_y = problem.dims.n_y
     halfspaces = []
     for j, spec in _rows_to_linearize(problem, mode):
-        result = project(spec, z)
-        zbar = result.point
-        normal = spec.grad_row(zbar, n_y)
-        norm = float(np.linalg.norm(normal))
+        zbar = project(spec, z).point
+        grad = spec.grad_local(zbar)
+        norm = float(np.linalg.norm(grad))
         if norm < GRADIENT_NORM_FLOOR:
             raise DegenerateGradientError(
                 f"constraint ({spec.kind}, step {spec.step}, component "
                 f"{spec.component}) has gradient norm {norm:.3e} at its "
                 "projection point; supporting halfspace undefined"
             )
-        hs = Halfspace(normal, float(normal @ zbar), j)
+        hs = Halfspace(spec.indices, grad, _dot_in_order(spec.indices, grad, zbar), j)
         if hs.slack(z) < -1e-9:
             raise ScvxError(
                 f"anchor lost containment on constraint index {j} "
@@ -137,7 +149,7 @@ def build_feasible_region(
     return FeasibleRegion(problem.base_set, tuple(halfspaces), z)
 
 
-def linearize_direct(constraint: ConstraintSpec, z, index: int = -1) -> Halfspace:
+def linearize_direct(constraint: ConstraintSpec, z, index: int) -> Halfspace:
     """Linearize q_j at z itself (no projection): a.y >= a.z - q_j(z).
 
     Because q_j is convex this is a global under-estimator: any y
@@ -158,9 +170,5 @@ def linearize_direct(constraint: ConstraintSpec, z, index: int = -1) -> Halfspac
         v = np.zeros(fn.p.size)
         v[0] = 1.0
         grad = fn.H.T @ v + fn.a
-    normal = np.zeros(z.size)
-    normal[constraint.indices] = grad
-    # summed in order over the touched coordinates: a dense dot product over
-    # all of y rounds differently and moves the initializer's iterates
-    offset = sum(g * z[int(i)] for i, g in zip(constraint.indices, grad))
-    return Halfspace(normal, offset - constraint.value(z), index)
+    offset = _dot_in_order(constraint.indices, grad, z) - constraint.value(z)
+    return Halfspace(constraint.indices, grad, offset, index)

@@ -109,14 +109,20 @@ def stack(dims: ProblemDims, states, controls) -> np.ndarray:
     return y
 
 
+def _decision(dims: ProblemDims, y) -> np.ndarray:
+    """y as a flat float vector, checked against the decision dimension."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != dims.n_y:
+        raise DimensionError(f"decision vector has length {y.size}, expected {dims.n_y}")
+    return y
+
+
 def unstack(dims: ProblemDims, y: np.ndarray):
     """Split a decision vector into (states, controls) arrays.
 
     Returns arrays of shape (T, n) and (T-1, m); the inverse of stack.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != dims.n_y:
-        raise DimensionError(f"decision vector has length {y.size}, expected {dims.n_y}")
+    y = _decision(dims, y)
     split = dims.n * dims.T
     states = y[:split].reshape(dims.T, dims.n)
     controls = y[split:].reshape(dims.T - 1, dims.m)
@@ -270,11 +276,6 @@ class ConstraintSpec:
                 step=self.step,
                 component=self.component,
             ) from None
-
-    def grad_row(self, y, n_y: int) -> np.ndarray:
-        row = np.zeros(n_y)
-        row[self.indices] = self.grad_local(y)
-        return row
 
 
 # ---------------------------------------------------------------------------
@@ -630,34 +631,26 @@ def _build_constraints(problem) -> tuple:
 # evaluation
 
 
+def _values(specs, y) -> np.ndarray:
+    return np.array([spec.value(y) for spec in specs], dtype=float)
+
+
 def eval_g(problem: OptimalControlProblem, y) -> np.ndarray:
     """Dynamics defect vector, length n(T-1), step-major component-minor."""
     dims = problem.dims
-    states, controls = unstack(dims, y)
     dyn = problem.dynamics
     if isinstance(dyn, AffineDynamics):
+        # vectorized: the exact penalty evaluates this on every candidate
+        states, controls = unstack(dims, y)
         pred = states[:-1] @ dyn.A.T + controls @ dyn.B.T + dyn.d
         return (pred - states[1:]).ravel()
-    g = np.empty((dims.T - 1, dims.n))
-    for i in range(dims.T - 1):
-        w = np.concatenate([states[i], controls[i]])
-        for j, comp in enumerate(dyn.components):
-            g[i, j] = comp.value(w) - states[i + 1, j]
-    return g.ravel()
+    return _values(problem.constraints[: dims.n * (dims.T - 1)], _decision(dims, y))
 
 
 def eval_h(problem: OptimalControlProblem, y) -> np.ndarray:
     """State-constraint vector, length sT, step-major component-minor."""
     dims = problem.dims
-    y = np.asarray(y, dtype=float)
-    out = np.empty(dims.s * dims.T)
-    k = 0
-    states, _ = unstack(dims, y)
-    for i in range(dims.T):
-        for sc in problem.state_constraints:
-            out[k] = sc.fn.value(states[i, list(sc.state_coords)])
-            k += 1
-    return out
+    return _values(problem.constraints[dims.n * (dims.T - 1) :], _decision(dims, y))
 
 
 def eval_q(problem: OptimalControlProblem, y) -> np.ndarray:

@@ -27,48 +27,45 @@ from .projection import add_epigraph
 from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
 
 
-def add_base_set_rows(builder: ProgramBuilder, base, y0: int = 0) -> np.ndarray:
+def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
     """Cone rows for every base-set member, shared with the initializer; returns the pin rows."""
     pins = []
     for mem in base.members:
         if isinstance(mem, Pin):
             for i, v in zip(mem.indices, mem.values):
-                pins.append(builder.add_eq([(y0 + int(i), 1.0)], float(v)))
+                pins.append(builder.add_eq([(int(i), 1.0)], float(v)))
         elif isinstance(mem, Box):
             for i, lo, hi in zip(mem.indices, mem.lower, mem.upper):
                 if np.isfinite(lo):
-                    builder.add_ge([(y0 + int(i), 1.0)], float(lo))
+                    builder.add_ge([(int(i), 1.0)], float(lo))
                 if np.isfinite(hi):
-                    builder.add_ge([(y0 + int(i), -1.0)], float(-hi))
+                    builder.add_ge([(int(i), -1.0)], float(-hi))
         elif isinstance(mem, Ball):
             exprs = [([], float(mem.radius))]
             for i, cc in zip(mem.indices, mem.center):
-                exprs.append(([(y0 + int(i), 1.0)], float(-cc)))
+                exprs.append(([(int(i), 1.0)], float(-cc)))
             builder.add_soc(exprs)
         elif isinstance(mem, Cone):
-            head = coord_pairs(y0 + mem.indices, mem.axis / mem.cos_angle)
+            head = coord_pairs(mem.indices, mem.axis / mem.cos_angle)
             exprs = [(head, 0.0)]
             for i in mem.indices:
-                exprs.append(([(y0 + int(i), 1.0)], 0.0))
+                exprs.append(([(int(i), 1.0)], 0.0))
             builder.add_soc(exprs)
         else:
             raise UnsupportedModelError(f"unknown base-set member {type(mem).__name__}")
     return np.asarray(pins, dtype=int)
 
 
-def add_halfspace_rows(builder: ProgramBuilder, halfspaces, y0: int = 0) -> np.ndarray:
-    """One nonnegative row normal.y >= offset per halfspace; returns the rows."""
-    rows = []
-    for hs in halfspaces:
-        nz = np.nonzero(hs.normal)[0]
-        rows.append(builder.add_ge(coord_pairs(y0 + nz, hs.normal[nz]), float(hs.offset)))
+def add_halfspace_rows(builder: ProgramBuilder, halfspaces) -> np.ndarray:
+    """One nonnegative row coeffs.y[indices] >= offset per halfspace; returns the rows."""
+    rows = [builder.add_ge(coord_pairs(hs.indices, hs.coeffs), hs.offset) for hs in halfspaces]
     return np.asarray(rows, dtype=int)
 
 
-def add_equality_dynamics_rows(builder: ProgramBuilder, problem, y0: int = 0) -> np.ndarray:
+def add_equality_dynamics_rows(builder: ProgramBuilder, problem) -> np.ndarray:
     """Zero-cone rows g_{i,j}(y) = 0 for every (affine) dynamics defect; returns the rows."""
     rows = [
-        builder.add_eq(coord_pairs(y0 + spec.indices, spec.fn.a), -spec.fn.beta)
+        builder.add_eq(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
         for spec in problem.constraints
         if spec.kind == "dynamics-defect"
     ]
@@ -97,11 +94,10 @@ def assemble(
     g_j is |g_j| there).  Each term is one cost column t with weight
     `weight` and the epigraph rows t >= fn(y[indices]).
     """
-    dims = problem.dims
     builder = ProgramBuilder()
-    y0 = builder.add_cols(dims.n_y)
+    builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
 
-    terms = list(problem.objective.terms(dims))
+    terms = list(problem.objective.terms(problem.dims))
     if penalty_config.lam > 0.0:
         terms += [
             (penalty_config.lam, spec.indices, spec.fn)
@@ -111,21 +107,23 @@ def assemble(
     for weight, indices, fn in terms:
         t = builder.add_cols(1)
         builder.add_cost(t, weight)
-        add_epigraph(builder, fn, t, y0 + indices)
+        add_epigraph(builder, fn, t, indices)
 
     # feasible region: hard dynamics (equality mode), base set, halfspaces
     mode = penalty_config.dynamics_mode(problem)
     hard = np.zeros(0, dtype=int)
     if mode == "equality":
-        hard = add_equality_dynamics_rows(builder, problem, y0)
-    pins = add_base_set_rows(builder, problem.base_set, y0)
-    halfspace_rows = add_halfspace_rows(builder, region.halfspaces, y0)
+        hard = add_equality_dynamics_rows(builder, problem)
+    pins = add_base_set_rows(builder, problem.base_set)
+    halfspace_rows = add_halfspace_rows(builder, region.halfspaces)
     if mode == "equality":
         dynamics_rows = hard
     else:
-        # the dynamics defects are the first n(T-1) constraint rows
-        n_dyn = dims.n * (dims.T - 1)
-        dynamics_rows = halfspace_rows[[hs.constraint_index < n_dyn for hs in region.halfspaces]]
+        is_dynamics = [
+            problem.constraints[hs.constraint_index].kind == "dynamics-defect"
+            for hs in region.halfspaces
+        ]
+        dynamics_rows = halfspace_rows[np.asarray(is_dynamics, dtype=bool)]
 
     return SubproblemArtifacts(
         program=builder.build(),

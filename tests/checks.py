@@ -51,8 +51,8 @@ def value_batch(spec: ConstraintSpec, Y) -> np.ndarray:
 def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray:
     """Draw `count` points of Y (optionally filtered by extra halfspaces).
 
-    halfspaces is a sequence of (indices, normal, offset) rows meaning
-    normal . y[indices] >= offset.  Sampling is blockwise rejection: members
+    halfspaces is a sequence of (indices, coeffs, offset) rows meaning
+    coeffs . y[indices] >= offset.  Sampling is blockwise rejection: members
     and halfspaces are grouped by the coordinates they share, each group is
     sampled within its coordinate box and filtered, and independent groups
     are drawn independently.  Pinned coordinates take their fixed values.
@@ -111,11 +111,11 @@ def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray
                 mem.indices,
                 lambda W, ax=ax, ca=ca: W @ ax >= ca * np.linalg.norm(W, axis=1),
             )
-    for indices, normal, offset in halfspaces:
-        normal = np.asarray(normal, dtype=float)
+    for indices, coeffs, offset in halfspaces:
+        coeffs = np.asarray(coeffs, dtype=float)
         add_predicate(
             indices,
-            lambda W, a=normal, off=float(offset): W @ a >= off,
+            lambda W, a=coeffs, off=float(offset): W @ a >= off,
         )
 
     out = np.empty((count, base.n_y))
@@ -211,10 +211,7 @@ def verify_invariance(
         else 0.0
     )
     rng = np.random.default_rng(seed)
-    triples = [
-        (np.nonzero(hs.normal)[0], hs.normal[np.nonzero(hs.normal)[0]], hs.offset)
-        for hs in region.halfspaces
-    ]
+    triples = [(hs.indices, hs.coeffs, hs.offset) for hs in region.halfspaces]
     Y = sample_base_set(region.base, rng, n_samples, halfspaces=triples)
     worst = np.inf
     violations = 0

@@ -79,9 +79,8 @@ def test_disk_linearization_gives_tangent_halfspaces():
     assert len(region.halfspaces) == 2  # one keep-out row per temporal point
     for hs, coords in zip(region.halfspaces, [(0, 1), (2, 3)]):
         # projection of (2,0) onto the unit disk is (1,0): row y_first >= 1
-        np.testing.assert_allclose(hs.normal[list(coords)], [1.0, 0.0], atol=1e-12)
-        others = np.setdiff1d(np.arange(z.size), coords)
-        np.testing.assert_array_equal(hs.normal[others], 0.0)
+        np.testing.assert_array_equal(hs.indices, coords)
+        np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-12)
         assert hs.offset == pytest.approx(1.0, abs=1e-12)
         assert hs.slack(z) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(region.anchor, z)
@@ -95,7 +94,8 @@ def test_affine_constraint_linearizes_to_itself():
     for x in ([2.0, 0.5], [1.5, -3.0]):
         region = build_feasible_region(problem, hold_anchor(problem, x), "equality")
         for hs, coords in zip(region.halfspaces, [(0, 1), (2, 3)]):
-            np.testing.assert_allclose(hs.normal[list(coords)], [1.0, 0.0], atol=1e-12)
+            np.testing.assert_array_equal(hs.indices, coords)
+            np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-12)
             assert hs.offset == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_direct_linearization_is_global_underestimator(rng):
         fn=fn,
     )
     z = np.array([1.7, -0.4])
-    hs = linearize_direct(spec, z)
+    hs = linearize_direct(spec, z, 0)
     assert hs.slack(z) == pytest.approx(spec.value(z), abs=1e-12)
     for _ in range(200):
         y = rng.uniform(-3.0, 3.0, size=2)
@@ -173,6 +173,24 @@ def test_anchor_inside_keepout_rejected():
     z = hold_anchor(problem, [0.2, 0.0])
     with pytest.raises(InfeasibleAnchorError, match="q >= 0"):
         build_feasible_region(problem, z, "equality")
+
+
+def test_anchor_rejection_names_the_worst_row():
+    problem = unit_disk_problem()
+    # both steps inside the disk, the second one deeper: q = -0.5, then -0.8
+    z = stack(problem.dims, [[0.5, 0.0], [0.2, 0.0]], [[-0.3]])
+    with pytest.raises(
+        InfeasibleAnchorError,
+        match=r"\(state-constraint, step 1, component 0\): q = -8\.000e-01",
+    ):
+        build_feasible_region(problem, z, "equality")
+    # penalty mode checks the relaxed dynamics rows g >= 0 too
+    z = stack(problem.dims, [[2.0, 0.0], [2.5, 0.0]], [[0.0]])
+    with pytest.raises(
+        InfeasibleAnchorError,
+        match=r"\(dynamics-defect, step 0, component 0\): q = -5\.000e-01",
+    ):
+        build_feasible_region(problem, z, "penalty")
 
 
 def test_anchor_outside_base_rejected():

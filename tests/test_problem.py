@@ -15,6 +15,7 @@ from scvx.problem import (
     Cone,
     ConstraintSpec,
     ControlNormSum,
+    ConvexDynamics,
     NormFn,
     OptimalControlProblem,
     Pin,
@@ -181,6 +182,56 @@ def test_quadrotor_defect_matches_dense_oracle(quad_problem, rng):
     for i in range(dims.T - 1):
         expect[i] = dyn.A @ states[i] + dyn.B @ controls[i] + dyn.d - states[i + 1]
     np.testing.assert_allclose(eval_g(quad_problem, y), expect.ravel(), atol=1e-12)
+
+
+def test_convex_dynamics_defect_is_the_spec_values(rng):
+    # one affine, one quadratic and one norm component of (x_i, u_i)
+    dims = ProblemDims(n=3, m=2, T=4, s=0)
+    components = (
+        AffineFn(a=rng.standard_normal(5), beta=0.2),
+        QuadFn(L=rng.standard_normal((2, 5)), a=rng.standard_normal(5), beta=-0.4),
+        NormFn(
+            H=rng.standard_normal((2, 5)),
+            p=rng.standard_normal(2),
+            a=rng.standard_normal(5),
+            beta=0.1,
+        ),
+    )
+    prob = OptimalControlProblem(
+        dims=dims,
+        dynamics=ConvexDynamics(components=components),
+        state_constraints=(),
+        base_set=BaseSet(
+            n_y=dims.n_y,
+            members=(
+                Box(
+                    indices=np.arange(dims.n_y),
+                    lower=-np.ones(dims.n_y),
+                    upper=np.ones(dims.n_y),
+                ),
+            ),
+        ),
+        objective=ControlNormSum(),
+    )
+    for _ in range(20):
+        y = rng.uniform(-1.0, 1.0, dims.n_y)
+        g = eval_g(prob, y)
+        np.testing.assert_array_equal(g, [spec.value(y) for spec in prob.constraints])
+        # and they are the one-step defects map(x_i, u_i) - x_{i+1}
+        states, controls = unstack(dims, y)
+        for i in range(dims.T - 1):
+            w = np.concatenate([states[i], controls[i]])
+            expect = [f.value(w) - states[i + 1, j] for j, f in enumerate(components)]
+            np.testing.assert_allclose(g[3 * i : 3 * i + 3], expect, atol=1e-12)
+
+
+def test_state_constraint_vector_is_the_spec_values(quad_problem, rng):
+    y = rng.standard_normal(quad_problem.dims.n_y)
+    specs = [c for c in quad_problem.constraints if c.kind == "state-constraint"]
+    assert len(specs) == 2 * 25
+    np.testing.assert_array_equal(eval_h(quad_problem, y), [c.value(y) for c in specs])
+    with pytest.raises(DimensionError):
+        eval_h(quad_problem, y[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ def test_gradient_fallback_at_norm_center(rng):
     y = np.array([1.0, 2.0])  # exactly at the center: gradient undefined
     with pytest.raises(GradientSingularityError):
         c.grad_local(y)
-    hs = linearize_direct(c, y)
-    np.testing.assert_allclose(hs.normal, [1.0, 0.0], atol=1e-15)
+    hs = linearize_direct(c, y, 0)
+    np.testing.assert_array_equal(hs.indices, c.indices)
+    np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-15)
     assert hs.slack(y) == pytest.approx(c.value(y), abs=1e-15)
     # a subgradient row: still a global under-estimator of q
     for w in rng.uniform(-2.0, 4.0, size=(500, 2)):

@@ -10,6 +10,7 @@ from scvx.driver import ScvxConfig, find_feasible_start, scvx
 from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
+from scvx.projection import project
 from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g, eval_q
 from tests.checks import solver_objective
 from scvx.subproblem import (
@@ -50,13 +51,20 @@ def row_kinds(program):
 
 
 def assert_halfspaces_close_the_program(artifacts, halfspaces):
-    """assemble adds the halfspaces last: one nonneg row each, slack normal.y - offset."""
-    prog, n_y = artifacts.program, artifacts.problem.dims.n_y
+    """assemble adds the halfspaces last: one nonneg row each, slack coeffs.y[indices] - offset.
+
+    A row stores -coeffs on the halfspace's own indices, without the exact
+    zeros, and b holds -offset.
+    """
+    prog = artifacts.program
     rows = np.arange(prog.n_rows - len(halfspaces), prog.n_rows)
     assert np.all(row_kinds(prog)[rows] == "nonneg")
-    A = prog.A[rows.tolist()].toarray()
-    np.testing.assert_array_equal(A[:, :n_y], -np.array([hs.normal for hs in halfspaces]))
-    np.testing.assert_array_equal(A[:, n_y:], 0.0)
+    A = prog.A.tocsr()
+    for r, hs in zip(rows, halfspaces):
+        assert A.indptr[r + 1] - A.indptr[r] == np.count_nonzero(hs.coeffs)
+        expect = np.zeros(prog.n_cols)
+        expect[hs.indices] = -hs.coeffs
+        np.testing.assert_array_equal(A[r].toarray().ravel(), expect)
     np.testing.assert_array_equal(prog.b[rows], [-hs.offset for hs in halfspaces])
     return rows
 
@@ -105,22 +113,47 @@ def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, qu
     )
 
 
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+def test_halfspaces_are_the_sparse_rows_of_their_specs(quad_problem, quad_start, lam):
+    # each halfspace keeps its spec's coordinates and the gradient at the
+    # projection point over them; its offset is the in-order sum, bit for bit
+    config = PenaltyConfig(lam=lam)
+    region = build_feasible_region(quad_problem, quad_start, config.dynamics_mode(quad_problem))
+    for hs in region.halfspaces:
+        spec = quad_problem.constraints[hs.constraint_index]
+        np.testing.assert_array_equal(hs.indices, spec.indices)
+        zbar = project(spec, quad_start).point
+        np.testing.assert_array_equal(hs.coeffs, spec.grad_local(zbar))
+        assert hs.offset == sum(g * zbar[int(i)] for i, g in zip(spec.indices, hs.coeffs))
+    # the program rows drop the exact zeros, which the dynamics rows carry
+    assert_halfspaces_close_the_program(assemble(quad_problem, config, region), region.halfspaces)
+    dynamics = [
+        hs
+        for hs in region.halfspaces
+        if quad_problem.constraints[hs.constraint_index].kind == "dynamics-defect"
+    ]
+    assert len(dynamics) == (24 * 6 if lam else 0)
+    if lam:
+        assert any(np.any(hs.coeffs == 0.0) for hs in dynamics)
+
+
 def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     problem, config, z, artifacts = disk_artifacts()
     region = build_feasible_region(problem, z, "equality")
     assert len(region.halfspaces) == 2  # one per temporal point
     r = assert_halfspaces_close_the_program(artifacts, region.halfspaces)[0]
     A = artifacts.program.A.toarray()
-    # slack s = b - A y must equal normal . y - offset, with normal = e0,
-    # offset = 1 for the unit disk linearized from (2, 0)
+    # slack s = b - A y must equal coeffs . y[indices] - offset, with
+    # coeffs = (1, 0) on the first state and offset = 1 for the unit disk
+    # linearized from (2, 0)
     np.testing.assert_allclose(A[r, 0], -1.0, atol=1e-12)
     assert np.count_nonzero(A[r]) == 1
     assert artifacts.program.b[r] == pytest.approx(-1.0, abs=1e-12)
     # add_halfspace_rows returns the consecutive rows it added, in order
     builder = conic.ProgramBuilder()
-    y0 = builder.add_cols(z.size)
-    builder.add_ge([(y0, 1.0)], 0.0)
-    rows = add_halfspace_rows(builder, region.halfspaces, y0)
+    builder.add_cols(z.size)
+    builder.add_ge([(0, 1.0)], 0.0)
+    rows = add_halfspace_rows(builder, region.halfspaces)
     np.testing.assert_array_equal(rows, [1, 2])
     assert [(k.kind, k.dim) for k in builder.build().cones] == [("nonneg", 3)]
 
