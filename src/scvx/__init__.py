@@ -36,12 +36,10 @@ from .problem import (
     StateConstraint,
     eval_g,
     eval_h,
-    eval_q,
     stack,
     unstack,
 )
-from .conic import ConicProgram, ConicSolution, solve as solve_conic
-from .conic import Cone as ConicCone
+from .conic import ConicProgram, ConicSolution
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .projection import ProjectionResult, project, project_generic
 from .linearize import (

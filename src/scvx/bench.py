@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -148,24 +148,9 @@ class QuadrotorScenario:
         return "penalty" if self.penalty_lambda > 0.0 else "equality"
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "t_f": self.t_f,
-            "V_max": self.V_max,
-            "u_max": self.u_max,
-            "g_vec": list(self.g_vec),
-            "theta_cone": self.theta_cone,
-            "n_hat": list(self.n_hat),
-            "p0": list(self.p0),
-            "v0": list(self.v0),
-            "pf": list(self.pf),
-            "vf": list(self.vf),
-            "obstacles": [
-                {"center": list(ob.center), "radius": ob.radius} for ob in self.obstacles
-            ],
-            "lambda": self.penalty_lambda,
-            "epsilon": self.epsilon,
-        }
+        out = asdict(self)
+        out["lambda"] = out.pop("penalty_lambda")
+        return out
 
 
 _REQUIRED_KEYS = (
@@ -478,23 +463,7 @@ def _json_text(obj, indent=0) -> str:
 
 def report_dict(run: BenchmarkRun) -> dict:
     report = run.report
-    feas = feasibility_summary(run.problem, report.z)
-    records = [
-        {
-            "index": r.index,
-            "penalty_before": r.penalty_before,
-            "penalty_after": r.penalty_after,
-            "improvement": r.improvement,
-            "accepted": r.accepted,
-            "halfspaces": r.halfspaces,
-            "subsolver_status": r.subsolver_status,
-            "subsolver_iterations": r.subsolver_iterations,
-            "subsolver_gap": r.subsolver_gap,
-            "subsolver_start": r.subsolver_start,
-        }
-        for r in report.records
-    ]
-    out = {
+    return {
         "scenario": run.scenario.to_dict(),
         "include_obstacles": run.include_obstacles,
         "epsilon": run.config.epsilon,
@@ -509,77 +478,41 @@ def report_dict(run: BenchmarkRun) -> dict:
         "objective_values": list(report.objective_values),
         "relaxation_floor": report.relaxation_floor,
         "fixed_point_residual": report.fixed_point_residual,
-        "feasibility": feas,
-        "records": records,
-        "penalty_check": (
-            None
-            if report.penalty_check is None
-            else {
-                "status": report.penalty_check.status,
-                "required_lambda": report.penalty_check.required_lambda,
-            }
-        ),
+        "feasibility": feasibility_summary(run.problem, report.z),
+        "records": [asdict(r) for r in report.records],
+        "penalty_check": None if report.penalty_check is None else asdict(report.penalty_check),
     }
-    return out
 
 
-def write_report_json(path, run: BenchmarkRun):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(report_dict(run)))
-        fh.write("\n")
+def _trajectory_columns(rec: TrajectoryRecord) -> dict:
+    """trajectory.csv's columns: header -> formatted values, one per step."""
+    columns = {"step": [str(i) for i in range(rec.times.size)], "t": [_fmt(v) for v in rec.times]}
+    for prefix, block in (("p", rec.positions), ("v", rec.velocities), ("u", rec.controls)):
+        for k, axis in enumerate("xyz"):
+            columns[prefix + axis] = [_fmt(v) for v in block[:, k]]
+    columns["u_norm"] = [_fmt(np.linalg.norm(u)) for u in rec.controls]
+    for j in range(rec.margins.shape[1]):
+        columns[f"margin_{j + 1}"] = [_fmt(v) for v in rec.margins[:, j]]
+    return columns
 
 
-def _write_csv(path, header, rows):
+def _cost_curve_columns(report: SolveReport) -> dict:
+    """cost_curve.csv's columns: one row per iterate, no drop before the first."""
+    p = report.penalty_values
+    return {
+        "iterate": [str(k) for k in range(len(p))],
+        "penalty": [_fmt(v) for v in p],
+        "objective": [_fmt(v) for v in report.objective_values],
+        "improvement": [""] + [_fmt(before - after) for before, after in zip(p, p[1:])],
+    }
+
+
+def _write_csv(path, columns: dict):
+    """One CSV: columns maps each header to its formatted values, in order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(row) + "\n")
-
-
-def write_trajectory_csv(path, run: BenchmarkRun):
-    rec = run.record
-    n_obs = rec.margins.shape[1]
-    header = (
-        ["step", "t", "px", "py", "pz", "vx", "vy", "vz", "ux", "uy", "uz", "u_norm"]
-        + [f"margin_{j + 1}" for j in range(n_obs)]
-    )
-    rows = []
-    for i in range(rec.times.size):
-        row = [str(i), _fmt(rec.times[i])]
-        row += [_fmt(v) for v in rec.positions[i]]
-        row += [_fmt(v) for v in rec.velocities[i]]
-        row += [_fmt(v) for v in rec.controls[i]]
-        row.append(_fmt(np.linalg.norm(rec.controls[i])))
-        row += [_fmt(v) for v in rec.margins[i]]
-        rows.append(row)
-    _write_csv(path, header, rows)
-
-
-def write_ground_track_csv(path, run: BenchmarkRun):
-    rec = run.record
-    rows = [
-        [str(i), _fmt(rec.times[i]), _fmt(rec.positions[i, 0]), _fmt(rec.positions[i, 1])]
-        for i in range(rec.times.size)
-    ]
-    _write_csv(path, ["step", "t", "px", "py"], rows)
-
-
-def write_path3d_csv(path, run: BenchmarkRun):
-    rec = run.record
-    rows = [
-        [str(i), _fmt(rec.times[i])] + [_fmt(v) for v in rec.positions[i]]
-        for i in range(rec.times.size)
-    ]
-    _write_csv(path, ["step", "t", "px", "py", "pz"], rows)
-
-
-def write_cost_curve_csv(path, run: BenchmarkRun):
-    report = run.report
-    rows = []
-    for k, (p, j) in enumerate(zip(report.penalty_values, report.objective_values)):
-        drop = "" if k == 0 else _fmt(report.penalty_values[k - 1] - p)
-        rows.append([str(k), _fmt(p), _fmt(j), drop])
-    _write_csv(path, ["iterate", "penalty", "objective", "improvement"], rows)
 
 
 OUTPUT_FILES = (
@@ -594,9 +527,11 @@ OUTPUT_FILES = (
 def write_outputs(out_dir, run: BenchmarkRun) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in OUTPUT_FILES}
-    write_report_json(paths["report.json"], run)
-    write_trajectory_csv(paths["trajectory.csv"], run)
-    write_ground_track_csv(paths["ground_track.csv"], run)
-    write_path3d_csv(paths["path3d.csv"], run)
-    write_cost_curve_csv(paths["cost_curve.csv"], run)
+    with open(paths["report.json"], "w", encoding="utf-8") as fh:
+        fh.write(_json_text(report_dict(run)) + "\n")
+    trajectory = _trajectory_columns(run.record)
+    _write_csv(paths["trajectory.csv"], trajectory)
+    _write_csv(paths["ground_track.csv"], {k: trajectory[k] for k in ("step", "t", "px", "py")})
+    _write_csv(paths["path3d.csv"], {k: trajectory[k] for k in ("step", "t", "px", "py", "pz")})
+    _write_csv(paths["cost_curve.csv"], _cost_curve_columns(run.report))
     return paths

@@ -1,12 +1,14 @@
 """Command-line front end: scvx run <scenario.json> [flags].
 
 Exit codes: 0 converged, 2 infeasible scenario, 3 solver failure,
-4 bad input.  A penalty-mode run that converges with its weight check
-"invalid" (no trajectory meets the dynamics, or lambda is too small to be
-exact) writes its outputs and exits 2.  All diagnostics go to standard
-error; the iteration table and summary go to standard out.  --sweep runs
-several scenario files concurrently in separate processes, each with an
-isolated output directory, so reports never interleave.
+4 bad input, an --out that cannot be a directory included: output
+directories are made before any solve.  A penalty-mode run that converges
+with its weight check "invalid" (no trajectory meets the dynamics, or
+lambda is too small to be exact) writes its outputs and exits 2.  All
+diagnostics go to standard error; the iteration table and summary go to
+standard out.  --sweep runs several scenario files concurrently in
+separate processes, each with an isolated output directory, so reports
+never interleave.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     BadScenarioError,
     InfeasibleScenarioError,
     ScvxError,
-    SubsolverError,
 )
 
 EXIT_OK = 0
@@ -140,13 +141,29 @@ def _sweep_worker(job) -> tuple:
 
 
 def _unique_dirs(base, names):
-    seen = {}
+    """One directory under base per name, each distinct: a name already
+    taken gets the first free _2, _3, ... suffix."""
+    taken = set()
     out = []
     for name in names:
-        count = seen.get(name, 0)
-        seen[name] = count + 1
-        out.append(os.path.join(base, name if count == 0 else f"{name}_{count + 1}"))
+        candidate, k = name, 2
+        while candidate in taken:
+            candidate, k = f"{name}_{k}", k + 1
+        taken.add(candidate)
+        out.append(os.path.join(base, candidate))
     return out
+
+
+def _make_dirs(paths) -> bool:
+    """Create each output directory before any solve; False (with a message)
+    if one cannot be a directory."""
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            _err(f"cannot create output directory {path}: {exc.strerror or exc}")
+            return False
+    return True
 
 
 def _sweep_workers(jobs, n_scenarios) -> int:
@@ -181,6 +198,8 @@ def _cmd_run(args) -> int:
         else:
             stems = [os.path.splitext(os.path.basename(p))[0] for p in args.scenario]
             jobs = list(zip(args.scenario, _unique_dirs(args.out, stems)))
+        if not _make_dirs(out_dir for _, out_dir in jobs):
+            return EXIT_BAD_INPUT
         flags = {
             "no_obstacles": args.no_obstacles,
             "epsilon": args.epsilon,
@@ -199,6 +218,8 @@ def _cmd_run(args) -> int:
         _err("multiple scenarios need --sweep")
         return EXIT_BAD_INPUT
     scenario = builtin_quadrotor() if args.builtin else scenario_from_file(args.scenario[0])
+    if not _make_dirs([args.out]):
+        return EXIT_BAD_INPUT
     return _solve_and_write(scenario, args, args.out)
 
 
@@ -211,21 +232,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         raise BadScenarioError(f"unknown command {args.command!r}")
-    except BadScenarioError as exc:
-        _err(exc)
-        return EXIT_BAD_INPUT
-    except InfeasibleScenarioError as exc:
-        _err(exc)
-        return EXIT_INFEASIBLE
-    except SubsolverError as exc:
-        _err(exc)
-        return EXIT_SOLVER
-    except ScvxError as exc:
-        _err(exc)
-        return EXIT_SOLVER
-    except Exception as exc:  # pragma: no cover - defensive
-        _err(f"internal failure: {type(exc).__name__}: {exc}")
-        return EXIT_SOLVER
+    except Exception as exc:  # every failure maps to a documented exit code
+        known = isinstance(exc, ScvxError)
+        _err(exc if known else f"internal failure: {type(exc).__name__}: {exc}")
+        return _classify(exc)
 
 
 if __name__ == "__main__":

@@ -118,6 +118,13 @@ class ConicSolution:
     pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
     start: str = "cold"  # warm | cold: the start point the result came from
 
+    def outcome(self) -> str:
+        """Status, iteration count, gap and residuals, for error messages."""
+        return (
+            f"status {self.status!r} after {self.iterations} iterations (gap {self.gap:.3e}, "
+            f"primal residual {self.primal_res:.3e}, dual residual {self.dual_res:.3e})"
+        )
+
 
 class ProgramBuilder:
     """Incremental cone-program builder; rows land in the order they are added.

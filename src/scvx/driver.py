@@ -330,10 +330,7 @@ def find_feasible_start(
                 "dynamics, or bounds)"
             )
         if sol.status != "optimal":
-            raise SubsolverError(
-                f"feasibility subproblem returned status {sol.status!r}",
-                status=sol.status,
-            )
+            raise SubsolverError(f"feasibility subproblem returned {sol.outcome()}")
         w_new = polish_rows(program, eq_rows, dims.n_y, sol.x[:dims.n_y].copy())
         v_new = _violation(problem, rows, w_new, mode)
         if v_new < best - 1e-12:

@@ -16,14 +16,9 @@ class DimensionError(ScvxError):
 class GradientSingularityError(ScvxError):
     """A norm term was differentiated at (or too close to) its center.
 
-    Carries the offending constraint identity so the caller can report it.
+    A constraint spec re-raises it with the constraint's identity in the
+    message.
     """
-
-    def __init__(self, message, kind=None, step=None, component=None):
-        super().__init__(message)
-        self.kind = kind
-        self.step = step
-        self.component = component
 
 
 class DegenerateGradientError(ScvxError):
@@ -39,11 +34,11 @@ class InfeasibleAnchorError(ScvxError):
 
 
 class ProjectionError(ScvxError):
-    """A generic conic projection failed to converge."""
+    """A generic conic projection failed to converge.
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    When its cone solve failed, the message names the constraint and the
+    solve's status, iteration count, gap and residuals.
+    """
 
 
 class UnsupportedModelError(ScvxError):
@@ -51,12 +46,11 @@ class UnsupportedModelError(ScvxError):
 
 
 class SubsolverError(ScvxError):
-    """The conic subsolver failed while the driver needed an optimal point."""
+    """The conic subsolver failed while the driver needed an optimal point.
 
-    def __init__(self, message, status=None, diagnostics=None):
-        super().__init__(message)
-        self.status = status
-        self.diagnostics = diagnostics or {}
+    The message names the cone solve's status, iteration count, gap and
+    residuals.
+    """
 
 
 class InfeasibleScenarioError(ScvxError):

@@ -70,11 +70,6 @@ class ProblemDims:
         """Total decision dimension m(T-1) + nT."""
         return self.m * (self.T - 1) + self.n * self.T
 
-    @property
-    def n_constraints(self) -> int:
-        """Total constraint count sT + n(T-1)."""
-        return self.s * self.T + self.n * (self.T - 1)
-
     def state_slice(self, i: int) -> slice:
         """Coordinates of state x_i (0-based step index)."""
         if not 0 <= i < self.T:
@@ -271,10 +266,7 @@ class ConstraintSpec:
         except GradientSingularityError as exc:
             raise GradientSingularityError(
                 f"constraint ({self.kind}, step {self.step}, component "
-                f"{self.component}): {exc}",
-                kind=self.kind,
-                step=self.step,
-                component=self.component,
+                f"{self.component}): {exc}"
             ) from None
 
 
@@ -651,8 +643,3 @@ def eval_h(problem: OptimalControlProblem, y) -> np.ndarray:
     """State-constraint vector, length sT, step-major component-minor."""
     dims = problem.dims
     return _values(problem.constraints[dims.n * (dims.T - 1) :], _decision(dims, y))
-
-
-def eval_q(problem: OptimalControlProblem, y) -> np.ndarray:
-    """Combined constraint vector q(y) = (g(y), h(y)), length M."""
-    return np.concatenate([eval_g(problem, y), eval_h(problem, y)])

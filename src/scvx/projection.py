@@ -186,15 +186,8 @@ def project_generic(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResu
                     "gradient-step fallback used",
                 )
         raise ProjectionError(
-            f"conic projection failed with status {sol.status!r} for constraint "
-            f"({constraint.kind}, step {constraint.step}, component {constraint.component})",
-            diagnostics={
-                "status": sol.status,
-                "gap": sol.gap,
-                "primal_res": sol.primal_res,
-                "dual_res": sol.dual_res,
-                "iterations": sol.iterations,
-            },
+            f"conic projection failed with {sol.outcome()} for constraint "
+            f"({constraint.kind}, step {constraint.step}, component {constraint.component})"
         )
     w = sol.x[:k]
     if isinstance(constraint.fn, QuadFn):

@@ -157,16 +157,7 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     unless the solve is optimal.
     """
     if solution.status != "optimal":
-        raise SubsolverError(
-            f"subproblem solve returned status {solution.status!r}",
-            status=solution.status,
-            diagnostics={
-                "gap": solution.gap,
-                "primal_res": solution.primal_res,
-                "dual_res": solution.dual_res,
-                "iterations": solution.iterations,
-            },
-        )
+        raise SubsolverError(f"subproblem solve returned {solution.outcome()}")
     program, n_y = artifacts.program, artifacts.problem.dims.n_y
     # one least-squares correction onto the equality rows removes the
     # interior-point method's drift without moving anything else by more

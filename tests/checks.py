@@ -25,7 +25,10 @@ from scvx.problem import (
     NormFn,
     OptimalControlProblem,
     Pin,
+    ProblemDims,
     QuadFn,
+    eval_g,
+    eval_h,
 )
 from scvx.subproblem import SubproblemArtifacts
 
@@ -151,11 +154,21 @@ def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray
     return out
 
 
+def n_constraints(dims: ProblemDims) -> int:
+    """Total constraint count M = sT + n(T-1)."""
+    return dims.s * dims.T + dims.n * (dims.T - 1)
+
+
+def eval_q(problem: OptimalControlProblem, y) -> np.ndarray:
+    """Combined constraint vector q(y) = (g(y), h(y)), length M."""
+    return np.concatenate([eval_g(problem, y), eval_h(problem, y)])
+
+
 def jacobian_q(problem: OptimalControlProblem, y) -> np.ndarray:
     """Dense M x N_y Jacobian of q; row j is the gradient of q_j."""
     y = np.asarray(y, dtype=float)
     dims = problem.dims
-    J = np.zeros((dims.n_constraints, dims.n_y))
+    J = np.zeros((n_constraints(dims), dims.n_y))
     for r, spec in enumerate(problem.constraints):
         J[r, spec.indices] = spec.grad_local(y)
     return J

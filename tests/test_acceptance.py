@@ -16,9 +16,8 @@ from scvx import conic
 from scvx.bench import build_quadrotor_problem
 from scvx.cli import main as cli_main
 from scvx.driver import ScvxConfig, feasibility_summary, scvx
-from tests.checks import residuals, sample_base_set, verify_invariance
+from tests.checks import eval_q, residuals, sample_base_set, verify_invariance
 from scvx.linearize import FeasibleRegion, build_feasible_region
-from scvx.problem import eval_q
 from scvx.projection import project, project_generic
 from scvx.subproblem import assemble, extract
 from tests.test_conic import make_program, random_feasible_program

@@ -27,7 +27,8 @@ from scvx.bench import (
     zoh_blocks,
     _trim_control,
 )
-from scvx.cli import _sweep_workers, main
+from scvx import cli
+from scvx.cli import _sweep_workers, _unique_dirs, main
 from scvx.errors import BadScenarioError, InfeasibleScenarioError
 from scvx.problem import unstack
 
@@ -315,6 +316,33 @@ def test_sweep_worker_count_is_clamped():
     assert _sweep_workers(None, 5) == min(5, cpus)
     assert _sweep_workers(0, 5) == min(5, cpus)
     assert _sweep_workers(1, 5) == 1
+
+
+def test_sweep_directories_are_distinct():
+    # x/a.json, y/a.json and z/a_2.json: the second "a" must not take the
+    # name the third scenario already owns
+    dirs = _unique_dirs("out", ["a", "a", "a_2"])
+    assert dirs == [os.path.join("out", name) for name in ("a", "a_2", "a_2_2")]
+    assert _unique_dirs("out", ["a_2", "a", "a"])[2] == os.path.join("out", "a_3")
+
+
+def test_cli_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch):
+    # the output directory is made before the solve, so a bad --out is a
+    # usage error that costs no solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite an unusable --out")
+
+    monkeypatch.setattr(cli, "solve_quadrotor", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_scenario(tmp_path)
+    assert run_cli("run", "--builtin", "quadrotor", "--out", str(taken)) == 4
+    assert run_cli("run", path, "--out", str(taken)) == 4
+    assert run_cli("run", "--builtin", "quadrotor", "--sweep", "--out", str(taken)) == 4
+    assert run_cli("run", path, path, "--sweep", "--out", str(taken)) == 4
+    err = capsys.readouterr().err
+    assert err.count(f"cannot create output directory {taken}") == 4
+    assert "internal failure" not in err
 
 
 def test_cli_rejects_malformed_scenario(tmp_path, capsys):

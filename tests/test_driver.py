@@ -24,9 +24,9 @@ from scvx.problem import (
     NormFn,
     Pin,
     eval_h,
-    eval_q,
     stack,
 )
+from tests.checks import eval_q
 from tests.test_linearize import hold_anchor, two_step_problem, unit_disk_problem
 
 

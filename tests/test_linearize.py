@@ -8,7 +8,7 @@ from scvx.errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from tests.checks import lipschitz_probe, verify_invariance
+from tests.checks import eval_q, lipschitz_probe, verify_invariance
 from scvx.linearize import (
     FeasibleRegion,
     Halfspace,
@@ -28,7 +28,6 @@ from scvx.problem import (
     ProblemDims,
     QuadFn,
     StateConstraint,
-    eval_q,
     stack,
 )
 

@@ -23,11 +23,16 @@ from scvx.problem import (
     QuadFn,
     eval_g,
     eval_h,
-    eval_q,
     stack,
     unstack,
 )
-from tests.checks import jacobian_q, sample_base_set, validate_convexity
+from tests.checks import (
+    eval_q,
+    jacobian_q,
+    n_constraints,
+    sample_base_set,
+    validate_convexity,
+)
 
 
 def tiny_problem(n=2, m=1, T=3):
@@ -81,7 +86,7 @@ def test_stack_layout_vector_state():
 def test_quadrotor_decision_dimension():
     dims = ProblemDims(n=6, m=3, T=25, s=2)
     assert dims.n_y == 222
-    assert dims.n_constraints == 6 * 24 + 2 * 25
+    assert n_constraints(dims) == 6 * 24 + 2 * 25
 
 
 @settings(deadline=None, max_examples=25)

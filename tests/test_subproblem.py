@@ -11,8 +11,8 @@ from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.projection import project
-from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g, eval_q
-from tests.checks import solver_objective
+from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g
+from tests.checks import eval_q, solver_objective
 from scvx.subproblem import (
     add_halfspace_rows,
     assemble,
@@ -249,6 +249,14 @@ def test_extract_rejects_bad_status_by_default(quad_artifacts, quad_solution):
     bad = dataclasses.replace(quad_solution, status="numerical-error")
     with pytest.raises(SubsolverError):
         extract(quad_artifacts, bad)
+
+
+def test_extract_error_names_the_status_and_iteration_count(quad_artifacts, quad_solution):
+    # the CLI prints only the message, so the solve's outcome has to be in it
+    bad = dataclasses.replace(quad_solution, status="max-iter", iterations=37)
+    with pytest.raises(SubsolverError, match=r"status 'max-iter' after 37 iterations") as info:
+        extract(quad_artifacts, bad)
+    assert "gap" in str(info.value) and "primal residual" in str(info.value)
 
 
 def test_disk_subproblem_minimizer_reaches_the_tangent_line():
