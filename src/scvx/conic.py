@@ -18,11 +18,14 @@ quasi-definite KKT matrix (static regularization + iterative refinement)
 and reuses the factorization for the predictor, the corrector, and the
 embedding's tau column.  Every symmetric permutation of a quasi-definite
 matrix has an LDL^T factorization (Vanderbei 1995), so the matrix is laid
-out once per solve in a minimum-degree symmetric order and factored with
-diagonal pivots only, as ECOS does.  Linearly dependent equality rows can
-still cancel a diagonal pivot; a solve that then ends other than "optimal"
-is run again with threshold partial pivoting, and the solution reports
-which factorization it used.
+out in a minimum-degree symmetric order and factored with diagonal pivots
+only, as ECOS does.  The order and the pattern depend only on the
+program's structure (the sparsity of A and the cone list), so a warm start
+hands its solution's structure to the next solve of a program with the
+same one.  Linearly dependent equality rows can still cancel a diagonal
+pivot; a solve that then ends other than "optimal" is run again with
+threshold partial pivoting, and the solution reports which factorization
+it used.
 
 A solve can be warm-started from the solution of a program with the same
 cone list: the embedding then starts from a convex combination of that
@@ -39,7 +42,7 @@ its first row or column, and build() returns the standard-form program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,6 +120,9 @@ class ConicSolution:
     dual_res: float = np.nan
     pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
     start: str = "cold"  # warm | cold: the start point the result came from
+    # the KKT structure of the solve, which a solve started from this
+    # solution reuses when its program has the same structure
+    kkt: _KKTStructure | None = field(default=None, repr=False)
 
     def outcome(self) -> str:
         """Status, iteration count, gap and residuals, for error messages."""
@@ -412,31 +418,33 @@ class _Scaling:
 # KKT factorization with static regularization + iterative refinement
 
 
-class _KKT:
-    """[[0, A^T], [A, -W^2]] on one CSC pattern per solve, W^2 = 0 on zero-cone rows.
+class _KKTStructure:
+    """The KKT pattern of one program structure, shared by every solve of it.
 
-    The pattern holds every entry of A, every dense (d, d) W^2 slot of the
-    cone blocks and the full diagonal, laid out in one minimum-degree
-    symmetric order: original row r sits at perm_c[r], so the stored matrix
-    is K[q][:, q] with q = argsort(perm_c).  factor() writes -W^2 into a
-    copy of the fixed data, adds the +-reg diagonal and drops exact zeros.
-    Pivoting "diagonal" factors that matrix in place with diagonal pivots,
-    which a quasi-definite matrix admits in every symmetric order; "partial"
-    lets SuperLU reorder columns and pivot rows.  Refinement iterates
-    against the unregularized data on the full pattern.
+    [[0, A^T], [A, -W^2]] holds every entry of A, every dense (d, d) W^2
+    slot of the cone blocks and the full diagonal, laid out in one
+    minimum-degree symmetric order: original row r sits at perm_c[r], so
+    the stored matrix is K[q][:, q] with q = argsort(perm_c).  The slot
+    maps say where A's entries (in A's storage order, then again for A^T),
+    the W^2 values and the diagonal land.  None of it depends on the values
+    of A, so a program with the same A.indptr, A.indices and cone list
+    reuses it (fits), as ECOS keeps one ordering per problem structure.
     """
 
-    def __init__(self, A, blocks: _Blocks, pivoting):
+    def __init__(self, A, cones):
         m, n = A.shape
         dim = n + m
-        M = A.tocoo()
-        w_rows, w_cols = blocks.square_entries()
+        self.blocks = _Blocks(cones)
+        # what the structure was built from, for fits()
+        self.cone_dims = tuple((k.kind, k.dim) for k in cones)
+        self.A_indptr, self.A_indices = A.indptr, A.indices
+        M = A.tocoo()  # in A's storage order
+        w_rows, w_cols = self.blocks.square_entries()
         diag = np.arange(dim)
         # the lower-left block A, its transpose, the W^2 slots, the diagonal
         rows = np.concatenate([n + M.row, M.col, n + w_rows, diag])
         cols = np.concatenate([M.col, n + M.row, n + w_cols, diag])
         self.shape = (dim, dim)
-        self.pivoting = pivoting
         self.perm_c = _symmetric_order(rows, cols, dim)
         self.q = np.argsort(self.perm_c)
         rows, cols = self.perm_c[rows], self.perm_c[cols]
@@ -446,23 +454,48 @@ class _KKT:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // dim, minlength=dim))]
         ).astype(np.int32)
-        self.base = np.zeros(keys.size)
-        np.add.at(self.base, slot[:n_a], np.concatenate([M.data, M.data]))
+        self.a_slots = slot[:n_a]
         self.w2_slots = slot[n_a : n_a + n_w]
         self.diag_slots = slot[n_a + n_w :]  # indexed by original row, like reg
         self.reg = np.concatenate([np.full(n, _REG), np.full(m, -_REG)])
 
+    def fits(self, program) -> bool:
+        """Whether the program has the structure this was built from."""
+        A = program.A
+        return (
+            tuple((k.kind, k.dim) for k in program.cones) == self.cone_dims
+            and np.array_equal(A.indptr, self.A_indptr)
+            and np.array_equal(A.indices, self.A_indices)
+        )
+
+
+class _KKT:
+    """[[0, A^T], [A, -W^2]] of one program on its structure's fixed pattern.
+
+    factor() writes -W^2 into a copy of the program's fixed data, adds the
+    +-reg diagonal and drops exact zeros.  Pivoting "diagonal" factors that
+    matrix in place with diagonal pivots, which a quasi-definite matrix
+    admits in every symmetric order; "partial" lets SuperLU reorder columns
+    and pivot rows.  Refinement iterates against the unregularized data on
+    the full pattern.
+    """
+
+    def __init__(self, structure: _KKTStructure, A, pivoting):
+        self.structure = structure
+        self.pivoting = pivoting
+        self.base = np.zeros(structure.indices.size)
+        np.add.at(self.base, structure.a_slots, np.concatenate([A.data, A.data]))
+
     def matrices(self, w2):
         """K and K + diag(reg) in the stored order, exact zeros dropped, at w2 = w_squared()."""
+        st = self.structure
         data = self.base.copy()
-        data[self.w2_slots] = -w2
-        K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        data[st.w2_slots] = -w2
+        K = sp.csc_matrix((data, st.indices, st.indptr), shape=st.shape)
         data = data.copy()
-        data[self.diag_slots] += self.reg
+        data[st.diag_slots] += st.reg
         # eliminate_zeros rewrites its index arrays in place: never the pattern's
-        K_reg = sp.csc_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
+        K_reg = sp.csc_matrix((data, st.indices.copy(), st.indptr.copy()), shape=st.shape)
         K_reg.eliminate_zeros()
         return K, K_reg
 
@@ -477,7 +510,7 @@ class _KKT:
             self.lu = spla.splu(K_reg)
 
     def solve(self, rhs):
-        rhs = rhs[self.q]
+        rhs = rhs[self.structure.q]
         bound = 1e-13 * max(1.0, np.linalg.norm(rhs, np.inf))
         x = self.lu.solve(rhs)
         for _ in range(_REFINE_STEPS):
@@ -485,7 +518,7 @@ class _KKT:
             if np.linalg.norm(r, np.inf) <= bound:
                 break
             x = x + self.lu.solve(r)
-        return x[self.perm_c]
+        return x[self.structure.perm_c]
 
 
 def _symmetric_order(rows, cols, dim):
@@ -522,7 +555,10 @@ def solve(
     start, a solution of a program with the same cone list, warm-starts the
     first attempt from the convex combination of that solution and the cold
     start point, weighted _WARM_WEIGHT to the solution.  A start whose x, s
-    or z_dual size does not match the program raises DimensionError.
+    or z_dual size does not match the program raises DimensionError.  When
+    the program also has the start's A.indptr, A.indices and cone list, the
+    solve reuses the start's KKT structure (its ordering and pattern)
+    instead of building its own; the result carries the structure it used.
 
     Attempts run in order until one ends "optimal": the warm start (when
     given), the cold start on diagonal pivots, and the cold start with
@@ -541,20 +577,23 @@ def solve(
                 f"{(program.n_cols, program.n_rows, program.n_rows)}"
             )
         attempts.insert(0, ("diagonal", start))
+    kkt = None if start is None else start.kkt
+    if kkt is None or not kkt.fits(program):
+        kkt = _KKTStructure(program.A, program.cones)
     used = 0
     for pivoting, warm in attempts:
-        sol = _solve(program, tol, pivoting, warm)
+        sol = _solve(program, kkt, tol, pivoting, warm)
         used += sol.iterations
         if sol.status == "optimal":
             break
-    return replace(sol, iterations=used)
+    return replace(sol, iterations=used, kkt=kkt)
 
 
-def _solve(program, tol, pivoting, start=None):
+def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
     c, A, b = program.c, program.A, program.b
     m, n = A.shape
     AT = A.T
-    blocks = _Blocks(program.cones)
+    blocks = kkt.blocks
     e = blocks.identity()
 
     def result(status, iters, x, s, z, gap, pres, dres):
@@ -587,7 +626,7 @@ def _solve(program, tol, pivoting, start=None):
         return float(c @ x_ + b @ z_)
 
     # --- initialization: least-squares-like systems at W = I
-    K = _KKT(A, blocks, pivoting)
+    K = _KKT(kkt, A, pivoting)
     try:
         K.factor(blocks.identity_squared())
     except RuntimeError:  # a diagonal pivot cancelled to exactly zero

@@ -38,6 +38,7 @@ from .subproblem import (
     add_equality_dynamics_rows,
     assemble,
     extract,
+    fixed_rows,
     polish_rows,
 )
 
@@ -96,21 +97,23 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(problem, config, region, dump_path=None, start=None):
+def _solve_region(problem, config, region, fixed, dump_path=None, start=None):
     """Assemble min P over the region and solve it; returns (artifacts, solution).
 
-    dump_path, when given, receives the program before it is solved.
-    start, the solution of an earlier succession, warm-starts the solve:
-    every succession program has the same columns and cone list.
+    fixed holds the run's fixed rows.  dump_path, when given, receives the
+    program before it is solved.  start, the solution of an earlier
+    succession, warm-starts the solve: every succession program has the
+    same columns and cone list, and when it also has the same sparsity the
+    solve reuses the start's KKT structure.
     """
-    artifacts = assemble(problem, config.penalty, region)
+    artifacts = assemble(problem, config.penalty, region, fixed)
     if dump_path:
         conic.dump_program(artifacts.program, dump_path)
     sol = conic.solve(artifacts.program, start=start)
     return artifacts, sol
 
 
-def _relaxation_floor(problem, config, z):
+def _relaxation_floor(problem, config, z, fixed):
     """min P over the base set and the affine linearized rows, or None.
 
     Every affine row linearizes to exactly q_j >= 0, so this region
@@ -126,7 +129,7 @@ def _relaxation_floor(problem, config, z):
         elif spec.kind == "dynamics-defect":
             return None
     region = FeasibleRegion(problem.base_set, tuple(halfspaces), z.copy())
-    artifacts, sol = _solve_region(problem, config, region)
+    artifacts, sol = _solve_region(problem, config, region, fixed)
     return extract(artifacts, sol)[2]
 
 
@@ -154,10 +157,11 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     multipliers = None
 
     convex_only = not _rows_to_linearize(problem, mode)
+    fixed = fixed_rows(problem, config.penalty)
 
     relaxation_floor = None
     if not convex_only:
-        relaxation_floor = _relaxation_floor(problem, config, z)
+        relaxation_floor = _relaxation_floor(problem, config, z, fixed)
 
     if config.dump_dir:
         os.makedirs(config.dump_dir, exist_ok=True)
@@ -171,7 +175,9 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
         dump_path = (
             os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
         )
-        artifacts, sol = _solve_region(problem, config, region, dump_path=dump_path, start=sol)
+        artifacts, sol = _solve_region(
+            problem, config, region, fixed, dump_path=dump_path, start=sol
+        )
         y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
         # below epsilon this solve is the fixed-point test of its anchor z,

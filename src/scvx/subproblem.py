@@ -7,8 +7,13 @@ epigraph (a nonnegative row or a second-order cone), the dynamics
 equalities in equality mode, the base set member by member (pins, box
 bounds, balls, thrust cones), then one nonnegative row per supporting
 halfspace.  The row helpers return the indices extract needs, so nothing
-is looked up after the build.  Assembly is deterministic: identical inputs
-produce identical programs.
+is looked up after the build.
+
+Only the halfspace rows depend on the region.  fixed_rows builds the rest
+once per run with ProgramBuilder, and assemble appends each region's
+halfspaces to it as one sparse block, stored as ProgramBuilder stores
+rows, so the program is the one a single build would give.  Assembly is
+deterministic: identical inputs produce identical programs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import conic
 from .conic import ProgramBuilder, coord_pairs
@@ -56,10 +62,34 @@ def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
     return np.asarray(pins, dtype=int)
 
 
-def add_halfspace_rows(builder: ProgramBuilder, halfspaces) -> np.ndarray:
-    """One nonnegative row coeffs.y[indices] >= offset per halfspace; returns the rows."""
-    rows = [builder.add_ge(coord_pairs(hs.indices, hs.coeffs), hs.offset) for hs in halfspaces]
-    return np.asarray(rows, dtype=int)
+def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
+    """program plus one nonnegative row coeffs.y[indices] >= offset per halfspace.
+
+    Returns (program, rows).  The rows are stored as ProgramBuilder.add_ge
+    stores them: -coeffs over indices without the exact zeros, -offset in
+    b, and one nonnegative cone, merged with a trailing nonnegative one.
+    """
+    k, first = len(halfspaces), program.n_rows
+    if k == 0:
+        return program, np.zeros(0, dtype=int)
+    rows = np.repeat(np.arange(k), [hs.indices.size for hs in halfspaces])
+    cols = np.concatenate([hs.indices for hs in halfspaces])
+    coeffs = np.concatenate([hs.coeffs for hs in halfspaces])
+    keep = coeffs != 0.0  # -0.0 too
+    block = sp.coo_matrix(
+        (-coeffs[keep], (rows[keep], cols[keep])), shape=(k, program.n_cols)
+    )
+    cones = list(program.cones)
+    dim = k
+    if cones and cones[-1].kind == "nonneg":
+        dim += cones.pop().dim
+    program = conic.ConicProgram(
+        program.c,
+        sp.vstack([program.A, block], format="csc"),
+        np.concatenate([program.b, [-hs.offset for hs in halfspaces]]),
+        cones + [conic.Cone("nonneg", dim)],
+    )
+    return program, np.arange(first, first + k)
 
 
 def add_equality_dynamics_rows(builder: ProgramBuilder, problem) -> np.ndarray:
@@ -81,12 +111,17 @@ class SubproblemArtifacts:
     penalty: PenaltyConfig
 
 
-def assemble(
-    problem: OptimalControlProblem,
-    penalty_config: PenaltyConfig,
-    region: FeasibleRegion,
-) -> SubproblemArtifacts:
-    """Build the cone program encoding min P(y) over the given region.
+@dataclass(frozen=True, eq=False)
+class FixedRows:
+    """The part of min P that no region changes, built once per run."""
+
+    program: conic.ConicProgram  # cost columns, epigraphs, hard dynamics, base set
+    equality_rows: np.ndarray  # pins, then hard dynamics
+    hard_rows: np.ndarray  # the hard dynamics rows; none in penalty mode
+
+
+def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) -> FixedRows:
+    """Everything of min P but the halfspace rows: columns, costs and fixed rows.
 
     P minus its constant is a list of weighted catalog terms (weight,
     indices, fn): the objective's, then lambda * g_j for every dynamics
@@ -109,15 +144,29 @@ def assemble(
         builder.add_cost(t, weight)
         add_epigraph(builder, fn, t, indices)
 
-    # feasible region: hard dynamics (equality mode), base set, halfspaces
-    mode = penalty_config.dynamics_mode(problem)
     hard = np.zeros(0, dtype=int)
-    if mode == "equality":
+    if penalty_config.dynamics_mode(problem) == "equality":
         hard = add_equality_dynamics_rows(builder, problem)
     pins = add_base_set_rows(builder, problem.base_set)
-    halfspace_rows = add_halfspace_rows(builder, region.halfspaces)
-    if mode == "equality":
-        dynamics_rows = hard
+    return FixedRows(builder.build(), np.concatenate([pins, hard]), hard)
+
+
+def assemble(
+    problem: OptimalControlProblem,
+    penalty_config: PenaltyConfig,
+    region: FeasibleRegion,
+    fixed: FixedRows | None = None,
+) -> SubproblemArtifacts:
+    """Build the cone program encoding min P(y) over the given region.
+
+    fixed is fixed_rows(problem, penalty_config), which a run builds once
+    and passes to every assembly; without it the rows are built here.
+    """
+    if fixed is None:
+        fixed = fixed_rows(problem, penalty_config)
+    program, halfspace_rows = add_halfspace_rows(fixed.program, region.halfspaces)
+    if penalty_config.dynamics_mode(problem) == "equality":
+        dynamics_rows = fixed.hard_rows
     else:
         is_dynamics = [
             problem.constraints[hs.constraint_index].kind == "dynamics-defect"
@@ -126,8 +175,8 @@ def assemble(
         dynamics_rows = halfspace_rows[np.asarray(is_dynamics, dtype=bool)]
 
     return SubproblemArtifacts(
-        program=builder.build(),
-        equality_rows=np.concatenate([pins, hard]),
+        program=program,
+        equality_rows=fixed.equality_rows,
         dynamics_rows=dynamics_rows,
         problem=problem,
         penalty=penalty_config,
@@ -135,18 +184,24 @@ def assemble(
 
 
 def polish_rows(program: conic.ConicProgram, rows: np.ndarray, n_y: int, y: np.ndarray):
-    """Minimum-norm correction of y onto the given equality rows of A x = b."""
+    """Minimum-norm correction of y onto the given equality rows of A x = b.
+
+    With E the rows' entries over y, the correction is E^T (E E^T)^-1 r,
+    r = b - E y, with E E^T formed and factored sparse.  Linearly dependent
+    rows make E E^T exactly singular; their correction is the least-squares
+    solution instead.
+    """
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         return y
-    E = program.A[rows.tolist(), :n_y].toarray()
-    d = program.b[rows]
-    r = d - E @ y
+    E = program.A[rows, :n_y]
+    r = program.b[rows] - E @ y
     try:
-        cho = scipy.linalg.cho_factor(E @ E.T)
-        return y + E.T @ scipy.linalg.cho_solve(cho, r)
-    except scipy.linalg.LinAlgError:
+        lu = spla.splu((E @ E.T).tocsc())
+    except RuntimeError:  # exactly singular
+        E = E.toarray()
         return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]
+    return y + E.T @ lu.solve(r)
 
 
 def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):

@@ -4,7 +4,9 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.
+claims the solve path relies on.  Two references keep earlier forms of the
+solve path: a subproblem program built in one ProgramBuilder pass, and the
+dense Cholesky polish.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from scvx import conic
 from scvx.errors import ScvxError
@@ -30,7 +33,8 @@ from scvx.problem import (
     eval_g,
     eval_h,
 )
-from scvx.subproblem import SubproblemArtifacts
+from scvx.projection import add_epigraph
+from scvx.subproblem import SubproblemArtifacts, add_base_set_rows, add_equality_dynamics_rows
 
 
 class ConvexityError(ScvxError):
@@ -279,3 +283,42 @@ def residuals(program: conic.ConicProgram, solution: conic.ConicSolution):
     pobj = float(c @ x)
     gap = abs(pobj + float(b @ z)) / (1.0 + abs(pobj))
     return float(pres), float(dres), float(gap)
+
+
+def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) -> conic.ConicProgram:
+    """min P over the base set and the halfspaces, built in one ProgramBuilder pass."""
+    builder = conic.ProgramBuilder()
+    builder.add_cols(problem.dims.n_y)
+    terms = list(problem.objective.terms(problem.dims))
+    if penalty_config.lam > 0.0:
+        terms += [
+            (penalty_config.lam, spec.indices, spec.fn)
+            for spec in problem.constraints
+            if spec.kind == "dynamics-defect"
+        ]
+    for weight, indices, fn in terms:
+        t = builder.add_cols(1)
+        builder.add_cost(t, weight)
+        add_epigraph(builder, fn, t, indices)
+    if penalty_config.dynamics_mode(problem) == "equality":
+        add_equality_dynamics_rows(builder, problem)
+    add_base_set_rows(builder, problem.base_set)
+    for hs in halfspaces:
+        builder.add_ge(conic.coord_pairs(hs.indices, hs.coeffs), hs.offset)
+    return builder.build()
+
+
+def dense_polish(program: conic.ConicProgram, rows, n_y: int, y) -> np.ndarray:
+    """The polish onto the equality rows on a dense E: a Cholesky solve of
+    E E^T, or least squares when the factorization fails."""
+    rows = np.asarray(rows, dtype=int)
+    if rows.size == 0:
+        return y
+    E = program.A[rows.tolist(), :n_y].toarray()
+    d = program.b[rows]
+    r = d - E @ y
+    try:
+        cho = scipy.linalg.cho_factor(E @ E.T)
+        return y + E.T @ scipy.linalg.cho_solve(cho, r)
+    except scipy.linalg.LinAlgError:
+        return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]

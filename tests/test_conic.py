@@ -8,9 +8,11 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from scvx import conic
 from scvx.conic import (
     _KKT,
     _REG,
+    _KKTStructure,
     Cone,
     ConicProgram,
     ProgramBuilder,
@@ -210,10 +212,10 @@ def test_dependent_equality_rows_fall_back_to_partial_pivoting():
         assert max(residuals(prog, sol)) <= 1e-8
         retries += dependent and sol.pivoting == "partial"
         if dependent:
-            blocks = _Blocks(prog.cones)
-            kkt = _KKT(prog.A, blocks, "diagonal")
+            structure = _KKTStructure(prog.A, prog.cones)
+            kkt = _KKT(structure, prog.A, "diagonal")
             try:
-                kkt.factor(blocks.identity_squared())
+                kkt.factor(structure.blocks.identity_squared())
             except RuntimeError as err:
                 assert "exactly singular" in str(err)
                 assert sol.pivoting == "partial"
@@ -230,7 +232,8 @@ def test_certificate_from_diagonal_pivots_is_rechecked():
     # certificate; the certificate's re-evaluated b.y rejects it
     rng = np.random.default_rng(11)
     prog = [sparse_feasible_program(rng, k % 2 == 1) for k in range(228)][-1]
-    assert _solve(prog, 1e-9, "diagonal").status != "primal-infeasible"
+    kkt = _KKTStructure(prog.A, prog.cones)
+    assert _solve(prog, kkt, 1e-9, "diagonal").status != "primal-infeasible"
     sol = solve(prog, tol=1e-9)
     assert sol.status == "optimal" and sol.pivoting == "partial"
     assert max(residuals(prog, sol)) <= 1e-8
@@ -306,6 +309,59 @@ def test_warm_start_from_a_neighbouring_solution():
     assert sol.iterations > cold.iterations  # the failed warm attempt counts
     with pytest.raises(DimensionError, match="start"):
         solve(moved, tol=1e-9, start=replace(base, x=base.x[1:]))
+
+
+def _count_orderings(monkeypatch):
+    """A one-element list counting calls to conic._symmetric_order."""
+    count, order = [0], conic._symmetric_order
+
+    def counting(*args):
+        count[0] += 1
+        return order(*args)
+
+    monkeypatch.setattr(conic, "_symmetric_order", counting)
+    return count
+
+
+def test_kkt_structure_is_reused_only_when_it_matches(monkeypatch):
+    rng = np.random.default_rng(29)
+    prog = sparse_feasible_program(rng, dependent=False)
+    base = solve(prog, tol=1e-9)
+    assert base.status == "optimal" and base.kkt is not None
+    # loosened nonnegative rows, on a copy of A: equal patterns, not the same arrays
+    nonneg = np.repeat([k.kind == "nonneg" for k in prog.cones], [k.dim for k in prog.cones])
+    b = prog.b + rng.uniform(0.0, 0.1, prog.n_rows) * nonneg
+    moved = ConicProgram(prog.c, prog.A.copy(), b, prog.cones)
+    orderings = _count_orderings(monkeypatch)
+
+    # the same structure: no new ordering, and the same bits as a solve on
+    # a structure built afresh
+    warm = solve(moved, tol=1e-9, start=base)
+    assert orderings[0] == 0 and warm.kkt is base.kkt
+    fresh = solve(moved, tol=1e-9, start=replace(base, kkt=None))
+    assert orderings[0] == 1 and fresh.kkt is not base.kkt
+    assert warm.status == fresh.status == "optimal" and warm.start == fresh.start == "warm"
+    assert warm.iterations == fresh.iterations
+    for u, v in ((warm.x, fresh.x), (warm.s, fresh.s), (warm.z_dual, fresh.z_dual)):
+        assert np.array_equal(u, v)
+
+    # one more stored entry: the program builds its own structure.  b and c
+    # move with the entry, so the base solution stays primal and dual
+    # feasible and the grown program has an optimum
+    dense = prog.A.toarray()
+    i, j = np.argwhere(dense == 0.0)[0]
+    dense[i, j] = 0.5
+    b, c = prog.b.copy(), prog.c.copy()
+    b[i] += 0.5 * base.x[j]
+    c[j] -= 0.5 * base.z_dual[i]
+    grown = ConicProgram(c, sp.csc_matrix(dense), b, prog.cones)
+    assert grown.A.nnz == prog.A.nnz + 1
+    sol = solve(grown, tol=1e-9, start=base)
+    assert orderings[0] == 2 and sol.kkt is not base.kkt
+    assert sol.status == "optimal"
+    assert max(residuals(grown, sol)) <= 1e-8
+    objective = float(grown.c @ base.x)
+    assert abs(float(grown.c @ sol.x) - objective) <= 1e-7 * (1.0 + abs(objective))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +725,8 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
     cones = [Cone(kind, dim) for kind, dim in cone_spec]
     p_in = sum(k.dim for k in cones)
     assume(p_eq + p_in > 0)  # a program without rows never builds a KKT
-    blocks = _Blocks(([Cone("zero", p_eq)] if p_eq else []) + cones)
+    blocks_cones = ([Cone("zero", p_eq)] if p_eq else []) + cones
+    blocks = _Blocks(blocks_cones)
     rng = np.random.default_rng(seed)
     A_eq, G = _sparse(rng, p_eq, n), _sparse(rng, p_in, n)
     if values == "identity":
@@ -683,14 +740,16 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
     ref_W2 = sp.identity(p_in, format="csc") if values == "identity" else (
         _w_squared_matrix(blocks, w2)[p_eq:, p_eq:]
     )
-    kkt = _KKT(sp.vstack([A_eq, G], format="csc"), blocks, "diagonal")
+    A = sp.vstack([A_eq, G], format="csc")
+    structure = _KKTStructure(A, blocks_cones)
+    kkt = _KKT(structure, A, "diagonal")
     K, K_reg = kkt.matrices(w2)
 
     # the stored order is a symmetric permutation: original row r sits at
     # perm_c[r], so the reference is permuted by q = argsort(perm_c)
     dim = K.shape[0]
-    np.testing.assert_array_equal(np.sort(kkt.perm_c), np.arange(dim))
-    q = np.argsort(kkt.perm_c)
+    np.testing.assert_array_equal(np.sort(structure.perm_c), np.arange(dim))
+    q = np.argsort(structure.perm_c)
     K_ref, K_reg_ref = (M[q][:, q].tocsc() for M in _reference_kkt(A_eq, G, ref_W2))
     K_reg_ref.sort_indices()
 

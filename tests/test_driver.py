@@ -27,6 +27,7 @@ from scvx.problem import (
     stack,
 )
 from tests.checks import eval_q
+from tests.test_conic import _count_orderings
 from tests.test_linearize import hold_anchor, two_step_problem, unit_disk_problem
 
 
@@ -116,6 +117,21 @@ def test_certificate_takes_no_extra_solve(monkeypatch, quad_problem, quad_config
     report = scvx(quad_problem, quad_start, quad_config)
     assert report.successions == 9
     assert len(programs) == 1 + report.successions  # the floor, then one per succession
+
+
+def test_one_kkt_ordering_per_program_structure(
+    monkeypatch, quad_scenario, quad_problem, quad_config
+):
+    # every init round and the floor solve a program of their own; the
+    # successions share succession 1's structure through the warm start
+    orderings = _count_orderings(monkeypatch)
+    programs = _record_programs(monkeypatch)
+    start = find_feasible_start(quad_problem, initial_guess(quad_scenario), quad_config)
+    rounds = len(programs)
+    assert orderings[0] == rounds >= 1
+    report = scvx(quad_problem, start, quad_config)
+    assert report.successions == 9
+    assert orderings[0] == rounds + 2
 
 
 def test_successions_start_warm(benchmark_run):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from scvx import conic
 from scvx.driver import ScvxConfig, find_feasible_start, scvx
@@ -12,11 +14,12 @@ from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.projection import project
 from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g
-from tests.checks import eval_q, solver_objective
+from tests.checks import builder_program, dense_polish, eval_q, solver_objective
 from scvx.subproblem import (
     add_halfspace_rows,
     assemble,
     extract,
+    fixed_rows,
     polish_rows,
 )
 from tests.test_linearize import hold_anchor, unit_disk_problem
@@ -149,13 +152,43 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     np.testing.assert_allclose(A[r, 0], -1.0, atol=1e-12)
     assert np.count_nonzero(A[r]) == 1
     assert artifacts.program.b[r] == pytest.approx(-1.0, abs=1e-12)
-    # add_halfspace_rows returns the consecutive rows it added, in order
+    # add_halfspace_rows returns the consecutive rows it added, in order,
+    # and merges them into a trailing nonnegative cone
     builder = conic.ProgramBuilder()
     builder.add_cols(z.size)
     builder.add_ge([(0, 1.0)], 0.0)
-    rows = add_halfspace_rows(builder, region.halfspaces)
+    program, rows = add_halfspace_rows(builder.build(), region.halfspaces)
     np.testing.assert_array_equal(rows, [1, 2])
-    assert [(k.kind, k.dim) for k in builder.build().cones] == [("nonneg", 3)]
+    assert [(k.kind, k.dim) for k in program.cones] == [("nonneg", 3)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
+    # the run's fixed rows plus one region's halfspace block are, bit for
+    # bit, the program one ProgramBuilder pass gives; a 0.0 and a -0.0
+    # coefficient are dropped as the builder drops them
+    config = PenaltyConfig(lam=lam)
+    region = build_feasible_region(quad_problem, quad_start, config.dynamics_mode(quad_problem))
+    first = region.halfspaces[0]
+    coeffs = first.coeffs.copy()
+    coeffs[np.flatnonzero(coeffs)[:2]] = [0.0, -0.0]
+    signed_zeros = dataclasses.replace(first, coeffs=coeffs)
+    halfspaces = (signed_zeros,) + region.halfspaces
+    artifacts = assemble(
+        quad_problem,
+        config,
+        dataclasses.replace(region, halfspaces=halfspaces),
+        fixed_rows(quad_problem, config),
+    )
+    got, ref = artifacts.program, builder_program(quad_problem, config, halfspaces)
+    np.testing.assert_array_equal(got.A.indptr, ref.A.indptr)
+    np.testing.assert_array_equal(got.A.indices, ref.A.indices)
+    for u, v in ((got.A.data, ref.A.data), (got.b, ref.b), (got.c, ref.c)):
+        assert u.dtype == v.dtype == np.float64
+        np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
+    assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in ref.cones]
+    r = artifacts.program.n_rows - len(halfspaces)
+    assert got.A.tocsr()[r].nnz == np.count_nonzero(first.coeffs) - 2
 
 
 def test_control_norm_objective_emits_one_epigraph_per_step():
@@ -224,6 +257,51 @@ def test_polish_tightens_equality_rows(quad_problem, quad_artifacts, quad_soluti
     assert d_pol <= d_raw
     assert d_pol <= 1e-9
     assert float(np.abs(polished - raw).max()) <= 10.0 * max(d_raw, 1e-12)
+
+
+def _relative_gap(u, v):
+    return float(np.max(np.abs(u - v)) / np.max(np.abs(v)))
+
+
+def test_sparse_polish_matches_the_dense_one(quad_artifacts, quad_solution):
+    # the quad fixture's pins and dynamics rows
+    program, rows = quad_artifacts.program, quad_artifacts.equality_rows
+    y = quad_solution.x[:222].copy()
+    assert _relative_gap(polish_rows(program, rows, 222, y), dense_polish(program, rows, 222, y)) <= 1e-12
+    # random full-row-rank E: a random sparse block beside a unit diagonal
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        k, n_y = int(rng.integers(1, 30)), int(rng.integers(30, 80))
+        dense = rng.standard_normal((k, n_y)) * (rng.uniform(size=(k, n_y)) < 0.2)
+        dense[:, :k] += np.diag(rng.uniform(0.5, 2.0, k))
+        extra = rng.standard_normal((k, 3))  # columns beyond y are not polished
+        A = sp.csc_matrix(np.hstack([dense, extra]))
+        program = conic.ConicProgram(np.zeros(n_y + 3), A, rng.standard_normal(k), [conic.Cone("zero", k)])
+        rows, y = rng.permutation(k), rng.standard_normal(n_y)
+        got = polish_rows(program, rows, n_y, y)
+        assert _relative_gap(got, dense_polish(program, rows, n_y, y)) <= 1e-12
+        np.testing.assert_allclose(dense[rows] @ got, program.b[rows], atol=1e-10)
+
+
+def test_dependent_polish_rows_take_the_least_squares_path(monkeypatch, quad_artifacts, quad_solution):
+    # a repeated pin row makes E E^T exactly singular: the dense Cholesky
+    # factor fails on it, and both polishes answer by least squares
+    program, rows = quad_artifacts.program, quad_artifacts.equality_rows
+    rows = np.concatenate([rows, rows[:1]])
+    E = program.A[rows.tolist(), :222].toarray()
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(E @ E.T)
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    y = quad_solution.x[:222].copy()
+    got = polish_rows(program, rows, 222, y)
+    assert len(calls) == 1
+    assert _relative_gap(got, dense_polish(program, rows, 222, y)) <= 1e-12
 
 
 def test_equality_rows_are_the_same_for_affine_and_convex_dynamics():
