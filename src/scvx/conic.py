@@ -233,7 +233,12 @@ def dump_program(program: ConicProgram, path):
 # but the zero cone is a second-order block.  Blocks of equal dimension d are
 # stacked into one (k, d) index array of program rows, column 0 holding each
 # head t, and every operation runs once per dimension on the gathered (k, d)
-# values.  On d = 1 the formulas reduce to the orthant closed forms.  A
+# values.  The d = 1 group holds every nonnegative row, most rows of a run,
+# and runs in the orthant closed forms: W = sqrt(s/z), lam = sqrt(sz),
+# u o v = uv, the step min(-v/dv) over dv < 0.  The second-order formulas
+# reduce to these bit for bit on d = 1 (sqrt(x*x) is |x| wherever x*x
+# neither underflows nor overflows), so the group only skips their work.
+# Each group's index arrays and J are built once, with the blocks.  A
 # zero-cone row belongs to no block: its slack is 0 and its dual is free, so
 # every operation returns 0 there.
 
@@ -244,7 +249,7 @@ def _split(x):
 
 
 def _dot(u, v):
-    return np.sum(u * v, axis=1)
+    return (u * v).sum(axis=1)
 
 
 def _jnorm(x):
@@ -260,14 +265,28 @@ def _jdiag(d):
     return j
 
 
-def _reflect(u, x):
+def _reflect(u, x, jdiag):
     """(2uu^T - J) x per stacked block."""
-    return (2.0 * _dot(u, x))[:, None] * u - _jdiag(x.shape[1]) * x
+    return (2.0 * _dot(u, x))[:, None] * u - jdiag * x
+
+
+class _Group:
+    """One group of second-order blocks of a dimension d > 1."""
+
+    def __init__(self, idx):
+        self.idx = idx  # (k, d) program rows
+        self.heads, self.tails = idx[:, 0].copy(), idx[:, 1:].copy()
+        self.jdiag = _jdiag(idx.shape[1])
+        self.J = np.diag(self.jdiag)
 
 
 class _Blocks:
     """Program rows of the nonnegative and second-order cones, grouped by
-    dimension into (k, d) index arrays; zero-cone rows are in no group."""
+    dimension into (k, d) index arrays; zero-cone rows are in no group.
+
+    orthant holds the d = 1 group's rows (possibly none) and socs the
+    groups of d > 1, in increasing d.
+    """
 
     def __init__(self, cones):
         starts = {}  # dim -> first program row of each block
@@ -283,6 +302,8 @@ class _Blocks:
         ]
         self.dim = pos
         self.degree = sum(idx.shape[0] for idx in self.groups)
+        self.orthant = np.asarray(starts.get(1, []), dtype=int)
+        self.socs = [_Group(idx) for idx in self.groups if idx.shape[1] > 1]
 
     def restrict(self, v):
         """v on the block rows, 0 on the zero-cone rows."""
@@ -312,29 +333,33 @@ class _Blocks:
 
     def min_eig(self, v):
         """Smallest cone eigenvalue v0 - ||v1|| over all blocks (inf if none)."""
-        vals = []
-        for idx in self.groups:
-            v0, v1 = _split(v[idx])
-            vals.append(np.min(v0 - np.sqrt(_dot(v1, v1))))
+        vals = [v[self.orthant].min()] if self.orthant.size else []
+        for g in self.socs:
+            v0, v1 = _split(v[g.idx])
+            vals.append((v0 - np.sqrt(_dot(v1, v1))).min())
         return min(vals, default=np.inf)
 
     def product(self, u, v):
         """Jordan product u o v blockwise."""
         out = np.zeros(self.dim)
-        for idx in self.groups:
-            (u0, u1), (v0, v1) = _split(u[idx]), _split(v[idx])
-            out[idx[:, 0]] = u0 * v0 + _dot(u1, v1)
-            out[idx[:, 1:]] = u0[:, None] * v1 + v0[:, None] * u1
+        r = self.orthant
+        out[r] = u[r] * v[r]
+        for g in self.socs:
+            (u0, u1), (v0, v1) = _split(u[g.idx]), _split(v[g.idx])
+            out[g.heads] = u0 * v0 + _dot(u1, v1)
+            out[g.tails] = u0[:, None] * v1 + v0[:, None] * u1
         return out
 
     def divide(self, lam, d):
         """Solve lam o w = d for w."""
         out = np.zeros(self.dim)
-        for idx in self.groups:
-            (l0, l1), (d0, d1) = _split(lam[idx]), _split(d[idx])
+        r = self.orthant
+        out[r] = d[r] / lam[r]
+        for g in self.socs:
+            (l0, l1), (d0, d1) = _split(lam[g.idx]), _split(d[g.idx])
             w0 = (d0 - _dot(l1, d1) / l0) / (l0 - _dot(l1, l1) / l0)
-            out[idx[:, 0]] = w0
-            out[idx[:, 1:]] = (d1 - w0[:, None] * l1) / l0[:, None]
+            out[g.heads] = w0
+            out[g.tails] = (d1 - w0[:, None] * l1) / l0[:, None]
         return out
 
     def max_step(self, v, dv):
@@ -345,16 +370,20 @@ class _Blocks:
         scaled by ||v||_J, which makes d = 1 exactly -v/dv.
         """
         alpha = np.inf
-        for idx in self.groups:
-            V, D = v[idx], dv[idx]
+        d = dv[self.orthant]
+        hit = d < 0
+        if hit.any():
+            alpha = min(alpha, float((v[self.orthant][hit] / -d[hit]).min()))
+        for g in self.socs:
+            V, D = v[g.idx], dv[g.idx]
             vn = _jnorm(V)
             (b0, b1), (d0, d1) = _split(V / vn[:, None]), _split(D)
             r0 = b0 * d0 - _dot(b1, d1)
             r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
             shrink = np.sqrt(_dot(r1, r1)) - r0
             hit = shrink > 0
-            if np.any(hit):
-                alpha = min(alpha, float(np.min(vn[hit] / shrink[hit])))
+            if hit.any():
+                alpha = min(alpha, float((vn[hit] / shrink[hit]).min()))
         return alpha
 
 
@@ -364,52 +393,59 @@ class _Scaling:
     For a block the det-normalized scaling point is v = (sbar + J zbar) /
     (2 gamma), which satisfies (2vv^T - J) zbar = sbar, i.e. W^2 = eta^2
     (2vv^T - J).  W itself acts through the Jordan square root u = (v + e) /
-    sqrt(2(v0 + 1)): W = eta (2uu^T - J).  On d = 1, v = u = 1, W = sqrt(s/z)
+    sqrt(2(v0 + 1)): W = eta (2uu^T - J), and W^{-1} = (2 Ju (Ju)^T - J) /
+    eta.  On d = 1, v = u = 1: the orthant group keeps only eta = sqrt(s/z),
     and lam = sqrt(sz).
     """
 
     def __init__(self, blocks: _Blocks, s, z):
         self.blocks = blocks
         self.lam = np.zeros(blocks.dim)
-        self.groups = []  # (eta, v, u) per group: (k,), (k, d), (k, d)
-        for idx in blocks.groups:
-            S, Z = s[idx], z[idx]
+        S, Z = s[blocks.orthant], z[blocks.orthant]
+        self.eta = np.sqrt(S / Z)
+        self.lam[blocks.orthant] = np.sqrt(S * Z)
+        self.socs = []  # (eta, v, u, Ju) per second-order group: (k,), (k, d) x 3
+        for g in blocks.socs:
+            S, Z = s[g.idx], z[g.idx]
             a, bb = _jnorm(S), _jnorm(Z)
             sbar = S / a[:, None]
             zbar = Z / bb[:, None]
             gamma = np.sqrt(0.5 * (1.0 + _dot(sbar, zbar)))
-            v = (sbar + _jdiag(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
+            v = (sbar + g.jdiag * zbar) / (2.0 * gamma)[:, None]
             u = v.copy()
             u[:, 0] += 1.0
             u /= np.sqrt(2.0 * (v[:, 0] + 1.0))[:, None]
-            self.groups.append((np.sqrt(a / bb), v, u))
+            self.socs.append((np.sqrt(a / bb), v, u, g.jdiag * u))
             scale = np.sqrt(a * bb)
             (s0, s1), (z0, z1) = _split(sbar), _split(zbar)
             denom = s0 + z0 + 2.0 * gamma
             lam1 = ((gamma + z0)[:, None] * s1 + (gamma + s0)[:, None] * z1) / denom[:, None]
-            self.lam[idx[:, 0]] = gamma * scale
-            self.lam[idx[:, 1:]] = scale[:, None] * lam1
+            self.lam[g.heads] = gamma * scale
+            self.lam[g.tails] = scale[:, None] * lam1
 
     def apply(self, x):
         """W x"""
         out = np.zeros(self.blocks.dim)
-        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
-            out[idx] = eta[:, None] * _reflect(u, x[idx])
+        r = self.blocks.orthant
+        out[r] = self.eta * x[r]
+        for g, (eta, _, u, _) in zip(self.blocks.socs, self.socs):
+            out[g.idx] = eta[:, None] * _reflect(u, x[g.idx], g.jdiag)
         return out
 
     def apply_inv(self, x):
-        """W^{-1} x = (2 Ju (Ju)^T - J) x / eta"""
+        """W^{-1} x"""
         out = np.zeros(self.blocks.dim)
-        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
-            out[idx] = _reflect(_jdiag(idx.shape[1]) * u, x[idx]) / eta[:, None]
+        r = self.blocks.orthant
+        out[r] = x[r] / self.eta
+        for g, (eta, _, _, ju) in zip(self.blocks.socs, self.socs):
+            out[g.idx] = _reflect(ju, x[g.idx], g.jdiag) / eta[:, None]
         return out
 
     def w_squared(self):
         """W^2 values, one dense (d, d) block per cone, in _KKT's slot order."""
-        vals = [np.zeros(0)]  # keeps a program without cone blocks well formed
-        for idx, (eta, v, _) in zip(self.blocks.groups, self.groups):
-            J = np.diag(_jdiag(idx.shape[1]))
-            M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
+        vals = [self.eta * self.eta]
+        for g, (eta, v, _, _) in zip(self.blocks.socs, self.socs):
+            M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - g.J)
             vals.append(M.ravel())
         return np.concatenate(vals)
 
@@ -500,6 +536,9 @@ class _KKT:
         return K, K_reg
 
     def factor(self, w2):
+        # the previous matrix and factor go first: held while the next ones
+        # are built, they would add to the solve's peak memory
+        self.K = self.lu = None
         self.K, K_reg = self.matrices(w2)
         if self.pivoting == "diagonal":
             self.lu = spla.splu(
@@ -511,11 +550,11 @@ class _KKT:
 
     def solve(self, rhs):
         rhs = rhs[self.structure.q]
-        bound = 1e-13 * max(1.0, np.linalg.norm(rhs, np.inf))
+        bound = 1e-13 * max(1.0, np.abs(rhs).max())
         x = self.lu.solve(rhs)
         for _ in range(_REFINE_STEPS):
             r = rhs - self.K @ x
-            if np.linalg.norm(r, np.inf) <= bound:
+            if np.abs(r).max() <= bound:
                 break
             x = x + self.lu.solve(r)
         return x[self.structure.perm_c]
@@ -540,6 +579,11 @@ def _symmetric_order(rows, cols, dim):
 
 # ---------------------------------------------------------------------------
 # solver
+
+
+def _norm(r):
+    """The 2-norm of a 1-D array, computed as np.linalg.norm computes it."""
+    return np.sqrt(r.dot(r))
 
 
 def solve(
@@ -612,11 +656,11 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
 
     if m == 0:
         # degenerate corner: no rows, so any x is feasible
-        status = "optimal" if np.linalg.norm(c) == 0 else "dual-infeasible"
+        status = "optimal" if _norm(c) == 0 else "dual-infeasible"
         return result(status, 0, np.zeros(n), np.zeros(0), np.zeros(0), 0.0, 0.0, 0.0)
 
-    norm_b = np.linalg.norm(b)
-    norm_c = np.linalg.norm(c)
+    norm_b = _norm(b)
+    norm_c = _norm(c)
 
     def split(sol):
         return sol[:n], sol[n:]
@@ -662,8 +706,8 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
 
         # de-homogenized convergence metrics
         xh, sh, zh = x / tau, s / tau, z / tau
-        pres = np.linalg.norm(A @ xh + sh - b) / (1.0 + norm_b)
-        dres = np.linalg.norm(AT @ zh + c) / (1.0 + norm_c)
+        pres = _norm(A @ xh + sh - b) / (1.0 + norm_b)
+        dres = _norm(AT @ zh + c) / (1.0 + norm_c)
         pobj = float(c @ xh)
         gap_rel = abs(pobj + float(b @ zh)) / (1.0 + abs(pobj))
 
@@ -678,7 +722,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         cert = float(b @ z)
         if cert < 0:
             z_c = z / -cert
-            res = np.linalg.norm(AT @ z_c)
+            res = _norm(AT @ z_c)
             # a dual of size ~1e16 passes the residual test on rounding
             # alone; its normalized b.z must also re-evaluate to -1
             if res <= tol and abs(float(b @ z_c) + 1.0) <= 1e-6:
@@ -686,7 +730,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         ctx = float(c @ x)
         if ctx < 0:
             scale = -ctx
-            if np.linalg.norm(A @ (x / scale) + s / scale) <= tol:
+            if _norm(A @ (x / scale) + s / scale) <= tol:
                 return result(
                     "dual-infeasible", iters, x / scale, s / scale, zh, gap_rel, pres, dres
                 )
@@ -705,7 +749,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         except (RuntimeError, FloatingPointError, ValueError):
             break
         lam = scal.lam
-        if not np.all(np.isfinite(lam)):
+        if not np.isfinite(lam).all():
             break
 
         x1, z1 = split(K.solve(np.concatenate([-c, b])))

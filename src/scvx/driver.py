@@ -34,12 +34,12 @@ from .linearize import (
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .problem import AffineFn, OptimalControlProblem, eval_g
 from .subproblem import (
+    Polish,
     add_base_set_rows,
     add_equality_dynamics_rows,
     assemble,
     extract,
     fixed_rows,
-    polish_rows,
 )
 
 # rounds of the feasibility search before it gives up, and rounds without
@@ -337,7 +337,7 @@ def find_feasible_start(
             )
         if sol.status != "optimal":
             raise SubsolverError(f"feasibility subproblem returned {sol.outcome()}")
-        w_new = polish_rows(program, eq_rows, dims.n_y, sol.x[:dims.n_y].copy())
+        w_new = Polish(program, eq_rows, dims.n_y)(sol.x[:dims.n_y].copy())
         v_new = _violation(problem, rows, w_new, mode)
         if v_new < best - 1e-12:
             w = w_new

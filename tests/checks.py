@@ -4,9 +4,9 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Two references keep earlier forms of the
-solve path: a subproblem program built in one ProgramBuilder pass, and the
-dense Cholesky polish.
+claims the solve path relies on.  Three references keep earlier forms of
+the solve path: a subproblem program built in one ProgramBuilder pass, the
+dense Cholesky polish, and the d-general cone algebra.
 """
 
 from __future__ import annotations
@@ -322,3 +322,190 @@ def dense_polish(program: conic.ConicProgram, rows, n_y: int, y) -> np.ndarray:
         return y + E.T @ scipy.linalg.cho_solve(cho, r)
     except scipy.linalg.LinAlgError:
         return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]
+
+
+# ---------------------------------------------------------------------------
+# the d-general cone algebra
+#
+# The cone operations as they ran before the d = 1 group got its closed
+# forms: every group, d = 1 included, goes through the second-order
+# formulas, on empty (k, 0) tails for d = 1.  conic._Blocks and
+# conic._Scaling must give the same bits.
+
+
+def _split(x):
+    """Heads (k,) and tails (k, d-1) of stacked blocks."""
+    return x[:, 0], x[:, 1:]
+
+
+def _dot(u, v):
+    return np.sum(u * v, axis=1)
+
+
+def _jnorm(x):
+    """sqrt(x0^2 - ||x1||^2) per block: the cone's own scale."""
+    x0, x1 = _split(x)
+    return np.sqrt(x0 * x0 - _dot(x1, x1))
+
+
+def _jdiag(d):
+    """The diagonal of J = diag(1, -1, ..., -1)."""
+    j = -np.ones(d)
+    j[0] = 1.0
+    return j
+
+
+def _reflect(u, x):
+    """(2uu^T - J) x per stacked block."""
+    return (2.0 * _dot(u, x))[:, None] * u - _jdiag(x.shape[1]) * x
+
+
+class ReferenceBlocks:
+    """conic._Blocks in its d-general form: program rows of the nonnegative
+    and second-order cones, grouped by dimension into (k, d) index arrays;
+    zero-cone rows are in no group."""
+
+    def __init__(self, cones):
+        starts = {}  # dim -> first program row of each block
+        pos = 0
+        for k in cones:
+            if k.kind == "nonneg":
+                starts.setdefault(1, []).extend(range(pos, pos + k.dim))
+            elif k.kind == "soc":
+                starts.setdefault(k.dim, []).append(pos)
+            pos += k.dim
+        self.groups = [
+            np.asarray(starts[d], dtype=int)[:, None] + np.arange(d) for d in sorted(starts)
+        ]
+        self.dim = pos
+        self.degree = sum(idx.shape[0] for idx in self.groups)
+
+    def restrict(self, v):
+        """v on the block rows, 0 on the zero-cone rows."""
+        out = np.zeros(self.dim)
+        for idx in self.groups:
+            out[idx] = v[idx]
+        return out
+
+    def identity(self):
+        e = np.zeros(self.dim)
+        for idx in self.groups:
+            e[idx[:, 0]] = 1.0
+        return e
+
+    def square_entries(self):
+        """(rows, cols) of the W^2 values, in w_squared's order: (k, d, d) per group."""
+        shapes = [idx.shape + idx.shape[1:] for idx in self.groups]
+        rows = [np.broadcast_to(idx[:, :, None], f).ravel() for idx, f in zip(self.groups, shapes)]
+        cols = [np.broadcast_to(idx[:, None, :], f).ravel() for idx, f in zip(self.groups, shapes)]
+        empty = [np.zeros(0, dtype=int)]
+        return np.concatenate(empty + rows), np.concatenate(empty + cols)
+
+    def identity_squared(self):
+        """W^2 values at W = I, in w_squared's order."""
+        rows, cols = self.square_entries()
+        return (rows == cols).astype(float)
+
+    def min_eig(self, v):
+        """Smallest cone eigenvalue v0 - ||v1|| over all blocks (inf if none)."""
+        vals = []
+        for idx in self.groups:
+            v0, v1 = _split(v[idx])
+            vals.append(np.min(v0 - np.sqrt(_dot(v1, v1))))
+        return min(vals, default=np.inf)
+
+    def product(self, u, v):
+        """Jordan product u o v blockwise."""
+        out = np.zeros(self.dim)
+        for idx in self.groups:
+            (u0, u1), (v0, v1) = _split(u[idx]), _split(v[idx])
+            out[idx[:, 0]] = u0 * v0 + _dot(u1, v1)
+            out[idx[:, 1:]] = u0[:, None] * v1 + v0[:, None] * u1
+        return out
+
+    def divide(self, lam, d):
+        """Solve lam o w = d for w."""
+        out = np.zeros(self.dim)
+        for idx in self.groups:
+            (l0, l1), (d0, d1) = _split(lam[idx]), _split(d[idx])
+            w0 = (d0 - _dot(l1, d1) / l0) / (l0 - _dot(l1, l1) / l0)
+            out[idx[:, 0]] = w0
+            out[idx[:, 1:]] = (d1 - w0[:, None] * l1) / l0[:, None]
+        return out
+
+    def max_step(self, v, dv):
+        """Largest alpha with v + alpha*dv in the cone (v strictly inside).
+
+        In the frame where v / ||v||_J is the identity, dv / ||v||_J maps to
+        rho, and the step is 1 / max(0, -(rho0 - ||rho1||)).  rho is kept
+        scaled by ||v||_J, which makes d = 1 exactly -v/dv.
+        """
+        alpha = np.inf
+        for idx in self.groups:
+            V, D = v[idx], dv[idx]
+            vn = _jnorm(V)
+            (b0, b1), (d0, d1) = _split(V / vn[:, None]), _split(D)
+            r0 = b0 * d0 - _dot(b1, d1)
+            r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
+            shrink = np.sqrt(_dot(r1, r1)) - r0
+            hit = shrink > 0
+            if np.any(hit):
+                alpha = min(alpha, float(np.min(vn[hit] / shrink[hit])))
+        return alpha
+
+
+class ReferenceScaling:
+    """conic._Scaling in its d-general form: Nesterov-Todd scaling W with
+    lam = W z = W^{-1} s, per block group.
+
+    For a block the det-normalized scaling point is v = (sbar + J zbar) /
+    (2 gamma), which satisfies (2vv^T - J) zbar = sbar, i.e. W^2 = eta^2
+    (2vv^T - J).  W itself acts through the Jordan square root u = (v + e) /
+    sqrt(2(v0 + 1)): W = eta (2uu^T - J).  On d = 1, v = u = 1, W = sqrt(s/z)
+    and lam = sqrt(sz).
+    """
+
+    def __init__(self, blocks: ReferenceBlocks, s, z):
+        self.blocks = blocks
+        self.lam = np.zeros(blocks.dim)
+        self.groups = []  # (eta, v, u) per group: (k,), (k, d), (k, d)
+        for idx in blocks.groups:
+            S, Z = s[idx], z[idx]
+            a, bb = _jnorm(S), _jnorm(Z)
+            sbar = S / a[:, None]
+            zbar = Z / bb[:, None]
+            gamma = np.sqrt(0.5 * (1.0 + _dot(sbar, zbar)))
+            v = (sbar + _jdiag(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
+            u = v.copy()
+            u[:, 0] += 1.0
+            u /= np.sqrt(2.0 * (v[:, 0] + 1.0))[:, None]
+            self.groups.append((np.sqrt(a / bb), v, u))
+            scale = np.sqrt(a * bb)
+            (s0, s1), (z0, z1) = _split(sbar), _split(zbar)
+            denom = s0 + z0 + 2.0 * gamma
+            lam1 = ((gamma + z0)[:, None] * s1 + (gamma + s0)[:, None] * z1) / denom[:, None]
+            self.lam[idx[:, 0]] = gamma * scale
+            self.lam[idx[:, 1:]] = scale[:, None] * lam1
+
+    def apply(self, x):
+        """W x"""
+        out = np.zeros(self.blocks.dim)
+        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
+            out[idx] = eta[:, None] * _reflect(u, x[idx])
+        return out
+
+    def apply_inv(self, x):
+        """W^{-1} x = (2 Ju (Ju)^T - J) x / eta"""
+        out = np.zeros(self.blocks.dim)
+        for idx, (eta, _, u) in zip(self.blocks.groups, self.groups):
+            out[idx] = _reflect(_jdiag(idx.shape[1]) * u, x[idx]) / eta[:, None]
+        return out
+
+    def w_squared(self):
+        """W^2 values, one dense (d, d) block per cone, in _KKT's slot order."""
+        vals = [np.zeros(0)]  # keeps a program without cone blocks well formed
+        for idx, (eta, v, _) in zip(self.blocks.groups, self.groups):
+            J = np.diag(_jdiag(idx.shape[1]))
+            M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
+            vals.append(M.ravel())
+        return np.concatenate(vals)

@@ -23,7 +23,7 @@ from scvx.conic import (
     solve,
 )
 from scvx.errors import DimensionError
-from tests.checks import residuals
+from tests.checks import ReferenceBlocks, ReferenceScaling, residuals
 
 
 def make_program(c, A, b, cones):
@@ -597,11 +597,14 @@ def _w_squared_matrix(blocks, values):
 
 
 def _interior(rng, cones):
-    """A strictly interior point, tails scaled over a few decades."""
+    """A strictly interior point, tails scaled over a few decades; arbitrary
+    values on the zero-cone rows."""
     v = np.empty(sum(k.dim for k in cones))
     pos = 0
     for k in cones:
-        if k.kind == "nonneg":
+        if k.kind == "zero":
+            v[pos : pos + k.dim] = rng.standard_normal(k.dim)
+        elif k.kind == "nonneg":
             v[pos : pos + k.dim] = rng.uniform(0.05, 3.0, k.dim)
         else:
             tail = rng.standard_normal(k.dim - 1) * 10.0 ** rng.uniform(-2, 1)
@@ -680,6 +683,87 @@ def test_one_dimensional_group_is_the_orthant(small, seed):
     neg = dv < 0
     expect = float(np.min(-s[neg] / dv[neg])) if np.any(neg) else np.inf
     assert blocks.max_step(s, dv) == expect
+
+
+# ---------------------------------------------------------------------------
+# cone algebra against the d-general formulas, bit for bit
+
+
+def _spread(rng, n):
+    """Normal-range values over six decades, with some 0.0 and -0.0."""
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    v[rng.random(n) < 0.1] = 0.0
+    v[rng.random(n) < 0.1] = -0.0
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["zero", "nonneg", "soc"]), st.integers(1, 6)),
+             min_size=1, max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+@example([("nonneg", 3), ("zero", 2), ("soc", 4), ("soc", 1), ("zero", 1), ("nonneg", 2)], 0)
+@example([("soc", 3), ("zero", 1), ("soc", 5)], 1)  # no d = 1 group
+@example([("zero", 2)], 2)  # no cone block
+def test_cone_algebra_matches_the_d_general_formulas_bit_for_bit(spec, seed):
+    # the d = 1 group's closed forms and the constants built once change no
+    # bit of any operation, on every group and around zero-cone rows
+    rng = np.random.default_rng(seed)
+    cones = [Cone(kind, dim) for kind, dim in spec]
+    blocks, ref = _Blocks(cones), ReferenceBlocks(cones)
+    s, z = _interior(rng, cones), _interior(rng, cones)
+    scal, ref_scal = _Scaling(blocks, s, z), ReferenceScaling(ref, s, z)
+    x, y = _spread(rng, blocks.dim), _spread(rng, blocks.dim)
+    pairs = {
+        "lam": (scal.lam, ref_scal.lam),
+        "apply": (scal.apply(x), ref_scal.apply(x)),
+        "apply_inv": (scal.apply_inv(x), ref_scal.apply_inv(x)),
+        "w_squared": (scal.w_squared(), ref_scal.w_squared()),
+        "product": (blocks.product(x, y), ref.product(x, y)),
+        "product lam": (blocks.product(scal.lam, scal.lam), ref.product(ref_scal.lam, ref_scal.lam)),
+        "divide": (blocks.divide(scal.lam, x), ref.divide(ref_scal.lam, x)),
+        "max_step": (blocks.max_step(s, x), ref.max_step(s, x)),
+        "max_step z": (blocks.max_step(z, y), ref.max_step(z, y)),
+        "min_eig": (blocks.min_eig(x), ref.min_eig(x)),
+        "min_eig s": (blocks.min_eig(s), ref.min_eig(s)),
+    }
+    for name, (got, want) in pairs.items():
+        assert np.array_equal(_bits(got), _bits(want)), name
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_solves_match_the_d_general_algebra_bit_for_bit(monkeypatch, seed):
+    # whole solves, cold and warm, take the very iterates of the d-general
+    # algebra: no change to an iterate hides between the operations
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(3):
+        prog = random_feasible_program(rng)
+        b = prog.b.copy()
+        pos = 0
+        for k in prog.cones:
+            if k.kind == "nonneg":
+                b[pos : pos + k.dim] += rng.uniform(0.0, 0.5, k.dim)
+            pos += k.dim
+        pairs.append((prog, ConicProgram(prog.c, prog.A, b, prog.cones)))
+
+    def solves():
+        out = []
+        for prog, moved in pairs:
+            cold = solve(prog, tol=1e-9)
+            out += [cold, solve(moved, tol=1e-9, start=cold)]
+        return out
+
+    got = solves()
+    monkeypatch.setattr(conic, "_Blocks", ReferenceBlocks)
+    monkeypatch.setattr(conic, "_Scaling", ReferenceScaling)
+    want = solves()
+    assert [sol.start for sol in got] == ["cold", "warm"] * len(pairs)
+    for g, w in zip(got, want):
+        assert (g.status, g.iterations, g.start) == (w.status, w.iterations, w.start)
+        for u, v in ((g.x, w.x), (g.s, w.s), (g.z_dual, w.z_dual)):
+            np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from scvx.problem import (
     eval_h,
     stack,
 )
+from scvx.subproblem import Polish
 from tests.checks import eval_q
 from tests.test_conic import _count_orderings
 from tests.test_linearize import hold_anchor, two_step_problem, unit_disk_problem
@@ -132,6 +133,25 @@ def test_one_kkt_ordering_per_program_structure(
     report = scvx(quad_problem, start, quad_config)
     assert report.successions == 9
     assert orderings[0] == rounds + 2
+
+
+def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_config):
+    # every init round polishes onto the rows of its own program; the floor
+    # and every succession reuse the E and E E^T built with the fixed rows
+    built, init = [0], Polish.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Polish, "__init__", counting)
+    programs = _record_programs(monkeypatch)
+    start = find_feasible_start(quad_problem, initial_guess(quad_scenario), quad_config)
+    rounds = len(programs)
+    assert built[0] == rounds >= 1
+    report = scvx(quad_problem, start, quad_config)
+    assert report.successions == 9 and len(programs) == rounds + 10
+    assert built[0] == rounds + 1
 
 
 def test_successions_start_warm(benchmark_run):

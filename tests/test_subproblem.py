@@ -16,11 +16,11 @@ from scvx.projection import project
 from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g
 from tests.checks import builder_program, dense_polish, eval_q, solver_objective
 from scvx.subproblem import (
+    Polish,
     add_halfspace_rows,
     assemble,
     extract,
     fixed_rows,
-    polish_rows,
 )
 from tests.test_linearize import hold_anchor, unit_disk_problem
 
@@ -89,7 +89,7 @@ def test_benchmark_program_dimensions(quad_problem, quad_artifacts, quad_region)
     assert_halfspaces_close_the_program(quad_artifacts, quad_region.halfspaces)
     # pins, then the hard dynamics: every zero-cone row, and the dynamics'
     # rows carry their multipliers
-    eq = quad_artifacts.equality_rows
+    eq = quad_artifacts.polish.rows
     np.testing.assert_array_equal(np.sort(eq), np.flatnonzero(row_kinds(prog) == "zero"))
     np.testing.assert_array_equal(eq[-24 * 6 :], quad_artifacts.dynamics_rows)
     assert eq.size > quad_artifacts.dynamics_rows.size == 24 * 6
@@ -110,7 +110,7 @@ def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, qu
     dyn = [r for r, hs in zip(rows, region.halfspaces) if hs.constraint_index < 24 * 6]
     np.testing.assert_array_equal(artifacts.dynamics_rows, dyn)
     pins = np.flatnonzero(row_kinds(artifacts.program) == "zero")
-    np.testing.assert_array_equal(artifacts.equality_rows, pins)
+    np.testing.assert_array_equal(artifacts.polish.rows, pins)
     assert pins.size == sum(
         mem.indices.size for mem in quad_problem.base_set.members if isinstance(mem, Pin)
     )
@@ -209,7 +209,7 @@ def test_assembly_is_deterministic(quad_problem, quad_config, quad_start):
     assert [(c.kind, c.dim) for c in a1.program.cones] == [
         (c.kind, c.dim) for c in a2.program.cones
     ]
-    np.testing.assert_array_equal(a1.equality_rows, a2.equality_rows)
+    np.testing.assert_array_equal(a1.polish.rows, a2.polish.rows)
     np.testing.assert_array_equal(a1.dynamics_rows, a2.dynamics_rows)
 
 
@@ -221,7 +221,7 @@ def test_extract_satisfies_pins_and_dynamics(quad_problem, quad_artifacts, quad_
     assert quad_solution.status == "optimal"
     y, multipliers, value = extract(quad_artifacts, quad_solution)
     # every equality row (pins and dynamics) holds at the polished point
-    eq = quad_artifacts.equality_rows
+    eq = quad_artifacts.polish.rows
     A = quad_artifacts.program.A
     eq_err = np.abs(A[eq.tolist(), :222] @ y - quad_artifacts.program.b[eq])
     assert float(eq_err.max()) <= 1e-8
@@ -251,7 +251,7 @@ def test_subproblem_step_never_increases_penalty(
 
 def test_polish_tightens_equality_rows(quad_problem, quad_artifacts, quad_solution):
     raw = quad_solution.x[:222].copy()
-    polished = polish_rows(quad_artifacts.program, quad_artifacts.equality_rows, 222, raw)
+    polished = quad_artifacts.polish(raw)
     d_raw = float(np.abs(eval_g(quad_problem, raw)).max())
     d_pol = float(np.abs(eval_g(quad_problem, polished)).max())
     assert d_pol <= d_raw
@@ -265,9 +265,9 @@ def _relative_gap(u, v):
 
 def test_sparse_polish_matches_the_dense_one(quad_artifacts, quad_solution):
     # the quad fixture's pins and dynamics rows
-    program, rows = quad_artifacts.program, quad_artifacts.equality_rows
+    program, rows = quad_artifacts.program, quad_artifacts.polish.rows
     y = quad_solution.x[:222].copy()
-    assert _relative_gap(polish_rows(program, rows, 222, y), dense_polish(program, rows, 222, y)) <= 1e-12
+    assert _relative_gap(Polish(program, rows, 222)(y), dense_polish(program, rows, 222, y)) <= 1e-12
     # random full-row-rank E: a random sparse block beside a unit diagonal
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -278,7 +278,7 @@ def test_sparse_polish_matches_the_dense_one(quad_artifacts, quad_solution):
         A = sp.csc_matrix(np.hstack([dense, extra]))
         program = conic.ConicProgram(np.zeros(n_y + 3), A, rng.standard_normal(k), [conic.Cone("zero", k)])
         rows, y = rng.permutation(k), rng.standard_normal(n_y)
-        got = polish_rows(program, rows, n_y, y)
+        got = Polish(program, rows, n_y)(y)
         assert _relative_gap(got, dense_polish(program, rows, n_y, y)) <= 1e-12
         np.testing.assert_allclose(dense[rows] @ got, program.b[rows], atol=1e-10)
 
@@ -286,7 +286,7 @@ def test_sparse_polish_matches_the_dense_one(quad_artifacts, quad_solution):
 def test_dependent_polish_rows_take_the_least_squares_path(monkeypatch, quad_artifacts, quad_solution):
     # a repeated pin row makes E E^T exactly singular: the dense Cholesky
     # factor fails on it, and both polishes answer by least squares
-    program, rows = quad_artifacts.program, quad_artifacts.equality_rows
+    program, rows = quad_artifacts.program, quad_artifacts.polish.rows
     rows = np.concatenate([rows, rows[:1]])
     E = program.A[rows.tolist(), :222].toarray()
     with pytest.raises(scipy.linalg.LinAlgError):
@@ -299,7 +299,7 @@ def test_dependent_polish_rows_take_the_least_squares_path(monkeypatch, quad_art
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     y = quad_solution.x[:222].copy()
-    got = polish_rows(program, rows, 222, y)
+    got = Polish(program, rows, 222)(y)
     assert len(calls) == 1
     assert _relative_gap(got, dense_polish(program, rows, 222, y)) <= 1e-12
 
