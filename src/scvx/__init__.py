@@ -13,7 +13,6 @@ from .errors import (
     GradientSingularityError,
     InfeasibleAnchorError,
     InfeasibleScenarioError,
-    ProjectionError,
     ScvxError,
     SubsolverError,
     UnsupportedModelError,
@@ -26,13 +25,10 @@ from .problem import (
     Box,
     Cone,
     ControlNormSum,
-    ConvexDynamics,
     NormFn,
     OptimalControlProblem,
     Pin,
     ProblemDims,
-    QuadFn,
-    QuadraticObjective,
     StateConstraint,
     eval_g,
     eval_h,
@@ -41,7 +37,7 @@ from .problem import (
 )
 from .conic import ConicProgram, ConicSolution
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
-from .projection import ProjectionResult, project, project_generic
+from .projection import ProjectionResult, project
 from .linearize import (
     FeasibleRegion,
     Halfspace,

@@ -75,7 +75,8 @@ class QuadrotorScenario:
     """Benchmark parameters; JSON field names match the attribute names.
 
     The JSON key for penalty_lambda is "lambda" (a reserved word here).
-    theta_cone is the thrust tilt half-angle in degrees around n_hat.
+    theta_cone is the thrust tilt half-angle in degrees around n_hat, in
+    (0, 90).
     """
 
     N: int
@@ -106,8 +107,10 @@ class QuadrotorScenario:
                 raise BadScenarioError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
         theta = float(self.theta_cone)
-        if not (0.0 < theta <= 90.0):
-            raise BadScenarioError(f"theta_cone must be in (0, 90] degrees, got {theta!r}")
+        # at 90 degrees cos(theta) is 6e-17 and the thrust cone's rows carry
+        # axis / cos(theta), about 1.6e16: no cone solve survives that
+        if not (0.0 < theta < 90.0):
+            raise BadScenarioError(f"theta_cone must be in (0, 90) degrees, got {theta!r}")
         object.__setattr__(self, "theta_cone", theta)
         for name in ("g_vec", "n_hat", "p0", "v0", "pf", "vf"):
             object.__setattr__(self, name, _vec3(name, getattr(self, name)))
@@ -468,7 +471,7 @@ def report_dict(run: BenchmarkRun) -> dict:
         "include_obstacles": run.include_obstacles,
         "epsilon": run.config.epsilon,
         "max_successions": run.config.max_successions,
-        "mode": run.config.penalty.dynamics_mode(run.problem),
+        "mode": run.config.penalty.mode,
         "status": report.status,
         "converged": report.converged,
         "successions": report.successions,

@@ -114,20 +114,19 @@ def _solve_region(problem, config, region, fixed, dump_path=None, start=None):
 
 
 def _relaxation_floor(problem, config, z, fixed):
-    """min P over the base set and the affine linearized rows, or None.
+    """min P over the base set and the affine linearized rows.
 
     Every affine row linearizes to exactly q_j >= 0, so this region
     contains every succession's region and its minimum bounds the cost from
-    below.  Dropping a non-affine row relaxes a keep-out, except for a
-    dynamics defect: without g_j >= 0 its one-sided penalty epigraph
-    t_j >= g_j no longer measures |g_j|, and no bound follows.
+    below.  The rows it drops are keep-outs: every dynamics defect is
+    affine, so in penalty mode each g_j >= 0 stays and its one-sided
+    epigraph t_j >= g_j still measures |g_j|.
     """
-    halfspaces = []
-    for j, spec in _rows_to_linearize(problem, config.penalty.dynamics_mode(problem)):
-        if isinstance(spec.fn, AffineFn):
-            halfspaces.append(linearize_direct(spec, z, j))
-        elif spec.kind == "dynamics-defect":
-            return None
+    halfspaces = [
+        linearize_direct(spec, z, j)
+        for j, spec in _rows_to_linearize(problem, config.penalty.mode)
+        if isinstance(spec.fn, AffineFn)
+    ]
     region = FeasibleRegion(problem.base_set, tuple(halfspaces), z.copy())
     artifacts, sol = _solve_region(problem, config, region, fixed)
     return extract(artifacts, sol)[2]
@@ -140,7 +139,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     find_feasible_start), SubsolverError if a subproblem solve fails.
     """
     config = config or ScvxConfig()
-    mode = config.penalty.dynamics_mode(problem)
+    mode = config.penalty.mode
     t0 = time.perf_counter()
     z = np.array(z0, dtype=float).ravel()
     if z.size != problem.dims.n_y:
@@ -293,7 +292,7 @@ def find_feasible_start(
     mean no feasible point was found.  Both raise InfeasibleScenarioError.
     """
     config = config or ScvxConfig()
-    mode = config.penalty.dynamics_mode(problem)
+    mode = config.penalty.mode
     dims = problem.dims
     if guess is None:
         lo, hi = problem.base_set.coordinate_bounds()

@@ -33,16 +33,13 @@ class InfeasibleAnchorError(ScvxError):
     """A point handed to the linearizer or driver is not feasible."""
 
 
-class ProjectionError(ScvxError):
-    """A generic conic projection failed to converge.
-
-    When its cone solve failed, the message names the constraint and the
-    solve's status, iteration count, gap and residuals.
-    """
-
-
 class UnsupportedModelError(ScvxError):
-    """A requested encoding falls outside the cone-representable catalog."""
+    """A model function has no encoding here.
+
+    A state constraint must be a halfspace or a ball or cylinder keep-out
+    (the shapes with a closed-form projection), and a cost term an affine
+    function or a norm.
+    """
 
 
 class SubsolverError(ScvxError):

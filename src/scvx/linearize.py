@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_g
+from .problem import BaseSet, ConstraintSpec, OptimalControlProblem, eval_g
 from .projection import project
 
 # anchors are accepted as feasible down to this constraint slack; iterates
@@ -163,10 +163,8 @@ def linearize_direct(constraint: ConstraintSpec, z, index: int) -> Halfspace:
     z = np.asarray(z, dtype=float)
     try:
         grad = constraint.grad_local(z)
-    except GradientSingularityError:
+    except GradientSingularityError:  # only a NormFn raises it
         fn = constraint.fn
-        if not isinstance(fn, NormFn):
-            raise
         v = np.zeros(fn.p.size)
         v[0] = 1.0
         grad = fn.H.T @ v + fn.a

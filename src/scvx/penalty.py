@@ -1,9 +1,9 @@
 """Exact penalty objective P(y) = J(y) + lambda * ||g(y)||_1.
 
-lambda is the only setting; the mode follows from it and from the
-dynamics.  Affine defects at lambda = 0 stay hard equality constraints
-("equality" mode), and the penalty term vanishes at every feasible point.
-Otherwise ("penalty" mode) the defects are relaxed to g(y) >= 0 and the
+lambda is the only setting, and the mode follows from it alone.  At
+lambda = 0 the affine defects stay hard equality constraints ("equality"
+mode), and the penalty term vanishes at every feasible point.  At
+lambda > 0 ("penalty" mode) the defects are relaxed to g(y) >= 0 and the
 weighted 1-norm enters the objective; the penalty is exact once lambda
 dominates the infinity norm of the dynamics multipliers.
 """
@@ -26,9 +26,10 @@ class PenaltyConfig:
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise DimensionError(f"penalty weight must be nonnegative and finite, got {self.lam!r}")
 
-    def dynamics_mode(self, problem: OptimalControlProblem) -> str:
-        """"equality" when lambda = 0 and the dynamics are affine, else "penalty"."""
-        return "equality" if self.lam == 0.0 and problem.dynamics.is_affine else "penalty"
+    @property
+    def mode(self) -> str:
+        """"equality" when lambda = 0, else "penalty"."""
+        return "equality" if self.lam == 0.0 else "penalty"
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def validate_penalty_weight(
     defect stays positive.  Only meaningful in penalty mode; equality mode
     has no relaxation to validate and reports not-applicable.
     """
-    if config.dynamics_mode(problem) == "equality":
+    if config.mode == "equality":
         return PenaltyCheck("not-applicable")
     multipliers = np.asarray(multipliers, dtype=float)
     required = float(np.max(np.abs(multipliers))) if multipliers.size else 0.0

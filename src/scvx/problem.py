@@ -4,14 +4,16 @@ The decision vector y stacks the T states followed by the T-1 controls:
 
     y = (x_1, ..., x_T, u_1, ..., u_{T-1})
 
-Dynamics are given as a one-step map; the defect at step i is
+Dynamics are the affine one-step map x_{i+1} = A x_i + B u_i + d; the
+defect at step i is
 
-    g_i(y) = map(x_i, u_i) - x_{i+1}
+    g_i(y) = A x_i + B u_i + d - x_{i+1}
 
 which is zero exactly when the discrete dynamics hold.  State constraints
-h(x_i) >= 0 are convex functions of the state (keep-out zones), so the
-combined constraint vector q(y) = (g(y), h(y)) has convex components while
-the feasible set {q >= 0} is generally non-convex.
+h(x_i) >= 0 are convex functions of the state (halfspaces, and keep-out
+balls and cylinders), so the combined constraint vector q(y) = (g(y), h(y))
+has convex components while the feasible set {q >= 0} is generally
+non-convex.
 
 Constraint row ordering is fixed and documented: dynamics defects first
 (step-major, component-minor), then state constraints (step-major,
@@ -21,13 +23,13 @@ immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, GradientSingularityError
+from .errors import DimensionError, GradientSingularityError, UnsupportedModelError
 
 # Norm terms are treated as non-differentiable within this radius of their
 # center; feasible iterates stay outside keep-out zones so this guard is
@@ -127,9 +129,10 @@ def unstack(dims: ProblemDims, y: np.ndarray):
 # ---------------------------------------------------------------------------
 # convex scalar functions over a local coordinate block
 #
-# Every constraint component is one of these three shapes over the few
-# coordinates it touches.  The catalog is closed under appending extra
-# linear terms, which is how dynamics defects pick up their -x_{i+1} column.
+# Every constraint component is one of these two shapes over the few
+# coordinates it touches: affine (a dynamics defect or a halfspace), or a
+# keep-out ball or cylinder (a norm with a row-orthonormal H).  The
+# objective's thrust terms are norms too.
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,34 +155,6 @@ class AffineFn:
 
     def grad(self, w):
         return self.a.copy()
-
-
-@dataclass(frozen=True, eq=False)
-class QuadFn:
-    """w -> 0.5*||L w||^2 + a.w + beta  (convex; L is any factor matrix)"""
-
-    L: np.ndarray
-    a: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        L = np.atleast_2d(np.asarray(self.L, dtype=float))
-        object.__setattr__(self, "L", _freeze(L))
-        object.__setattr__(self, "a", _freeze(self.a))
-        object.__setattr__(self, "beta", float(self.beta))
-        if self.L.shape[1] != self.a.size:
-            raise DimensionError("QuadFn: L and a disagree on dimension")
-
-    @property
-    def dim(self):
-        return self.a.size
-
-    def value(self, w):
-        Lw = self.L @ w
-        return float(0.5 * (Lw @ Lw) + self.a @ w + self.beta)
-
-    def grad(self, w):
-        return self.L.T @ (self.L @ w) + self.a
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +199,7 @@ class NormFn:
         return self.H.T @ (r / nr) + self.a
 
 
-ConvexFn = Union[AffineFn, QuadFn, NormFn]
+ConvexFn = Union[AffineFn, NormFn]
 
 
 # ---------------------------------------------------------------------------
@@ -435,28 +410,6 @@ class AffineDynamics:
         if self.A.shape != (n, n) or self.B.shape[0] != n or self.d.size != n:
             raise DimensionError("AffineDynamics: A, B, d shapes disagree")
 
-    @property
-    def is_affine(self):
-        return True
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexDynamics:
-    """One-step map with per-component convex functions of (x_i, u_i).
-
-    components[j] gives x_{i+1,j} = components[j](x_i, u_i); each must be
-    convex, which keeps every defect component convex in y.
-    """
-
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @property
-    def is_affine(self):
-        return all(isinstance(f, AffineFn) for f in self.components)
-
 
 # ---------------------------------------------------------------------------
 # state constraints (per-step templates)
@@ -466,20 +419,28 @@ class ConvexDynamics:
 class StateConstraint:
     """A convex component h_j(x_i) >= 0 applied at every step.
 
-    fn reads x_i[state_coords].
+    fn reads x_i[state_coords].  It is a halfspace (AffineFn) or a ball or
+    cylinder keep-out (a NormFn with is_ball), the shapes project has a
+    closed form for.
     """
 
     fn: ConvexFn
     state_coords: tuple
 
     def __post_init__(self):
+        fn = self.fn
+        if not (isinstance(fn, AffineFn) or (isinstance(fn, NormFn) and fn.is_ball)):
+            raise UnsupportedModelError(
+                f"StateConstraint: {type(fn).__name__} is neither an AffineFn nor a "
+                "ball NormFn (no linear term, row-orthonormal H)"
+            )
         object.__setattr__(self, "state_coords", tuple(int(c) for c in self.state_coords))
         if self.fn.dim != len(self.state_coords):
             raise DimensionError("StateConstraint: fn dimension != touched coords")
 
 
 # ---------------------------------------------------------------------------
-# objectives (fixed catalog, guaranteed convex and cone-representable)
+# objective: the thrust-norm sum, convex and cone-representable
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,33 +478,6 @@ class ControlNormSum:
         return self.weight * sum(float(np.linalg.norm(v)) for v in self.fixed_terms)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticObjective:
-    """J(y) = 0.5*||L y||^2 + a.y + beta over the full decision vector."""
-
-    L: np.ndarray
-    a: np.ndarray
-    beta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "L", _freeze(np.atleast_2d(self.L)))
-        object.__setattr__(self, "a", _freeze(self.a))
-        object.__setattr__(self, "beta", float(self.beta))
-
-    def value(self, dims: ProblemDims, y) -> float:
-        Ly = self.L @ y
-        return float(0.5 * (Ly @ Ly) + self.a @ y + self.beta)
-
-    def terms(self, dims: ProblemDims) -> list:
-        """J itself, as one (weight, indices, fn) term over all of y."""
-        return [(1.0, np.arange(dims.n_y), QuadFn(self.L, self.a, self.beta))]
-
-    constant = 0.0
-
-
-Objective = Union[ControlNormSum, QuadraticObjective]
-
-
 # ---------------------------------------------------------------------------
 # the problem object
 
@@ -551,10 +485,10 @@ Objective = Union[ControlNormSum, QuadraticObjective]
 @dataclass(frozen=True, eq=False)
 class OptimalControlProblem:
     dims: ProblemDims
-    dynamics: Union[AffineDynamics, ConvexDynamics]
+    dynamics: AffineDynamics
     state_constraints: tuple
     base_set: BaseSet
-    objective: Objective
+    objective: ControlNormSum
 
     def __post_init__(self):
         object.__setattr__(self, "state_constraints", tuple(self.state_constraints))
@@ -586,22 +520,8 @@ def _dynamics_row_fn(problem, i, j):
         [np.arange(xs.start, xs.stop), np.arange(us.start, us.stop), [nxt]]
     )
     dyn = problem.dynamics
-    if isinstance(dyn, AffineDynamics):
-        a = np.concatenate([dyn.A[j], dyn.B[j], [-1.0]])
-        return indices, AffineFn(a, dyn.d[j])
-    comp = dyn.components[j]
-    if isinstance(comp, AffineFn):
-        a = np.concatenate([comp.a, [-1.0]])
-        return indices, AffineFn(a, comp.beta)
-    if isinstance(comp, QuadFn):
-        L = np.hstack([comp.L, np.zeros((comp.L.shape[0], 1))])
-        a = np.concatenate([comp.a, [-1.0]])
-        return indices, QuadFn(L, a, comp.beta)
-    if isinstance(comp, NormFn):
-        H = np.hstack([comp.H, np.zeros((comp.H.shape[0], 1))])
-        a = np.concatenate([comp.a, [-1.0]])
-        return indices, NormFn(H, comp.p, a, comp.beta)
-    raise DimensionError(f"unsupported dynamics component type {type(comp).__name__}")
+    a = np.concatenate([dyn.A[j], dyn.B[j], [-1.0]])
+    return indices, AffineFn(a, dyn.d[j])
 
 
 def _build_constraints(problem) -> tuple:
@@ -623,23 +543,18 @@ def _build_constraints(problem) -> tuple:
 # evaluation
 
 
-def _values(specs, y) -> np.ndarray:
-    return np.array([spec.value(y) for spec in specs], dtype=float)
-
-
 def eval_g(problem: OptimalControlProblem, y) -> np.ndarray:
     """Dynamics defect vector, length n(T-1), step-major component-minor."""
-    dims = problem.dims
     dyn = problem.dynamics
-    if isinstance(dyn, AffineDynamics):
-        # vectorized: the exact penalty evaluates this on every candidate
-        states, controls = unstack(dims, y)
-        pred = states[:-1] @ dyn.A.T + controls @ dyn.B.T + dyn.d
-        return (pred - states[1:]).ravel()
-    return _values(problem.constraints[: dims.n * (dims.T - 1)], _decision(dims, y))
+    # vectorized: the exact penalty evaluates this on every candidate
+    states, controls = unstack(problem.dims, y)
+    pred = states[:-1] @ dyn.A.T + controls @ dyn.B.T + dyn.d
+    return (pred - states[1:]).ravel()
 
 
 def eval_h(problem: OptimalControlProblem, y) -> np.ndarray:
     """State-constraint vector, length sT, step-major component-minor."""
     dims = problem.dims
-    return _values(problem.constraints[dims.n * (dims.T - 1) :], _decision(dims, y))
+    y = _decision(dims, y)
+    specs = problem.constraints[dims.n * (dims.T - 1) :]
+    return np.array([spec.value(y) for spec in specs], dtype=float)

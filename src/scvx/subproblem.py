@@ -30,8 +30,23 @@ from .conic import ProgramBuilder, coord_pairs
 from .errors import SubsolverError, UnsupportedModelError
 from .linearize import FeasibleRegion
 from .penalty import PenaltyConfig, penalty_value
-from .projection import add_epigraph
-from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
+from .problem import AffineFn, Ball, Box, Cone, OptimalControlProblem, Pin
+
+
+def add_epigraph(builder: ProgramBuilder, fn, t_col, w_cols):
+    """Emit the cone rows of t >= fn(w) over the given builder columns.
+
+    An affine function (a dynamics defect) gives one nonnegative row
+    t - a.w >= beta, a NormFn (a thrust norm) one second-order cone
+    (t - a.w - beta, H w - p).
+    """
+    w_cols = np.asarray(w_cols, dtype=int)
+    lin = [(int(t_col), 1.0)] + coord_pairs(w_cols, -fn.a)  # t - a.w
+    if isinstance(fn, AffineFn):
+        builder.add_ge(lin, fn.beta)
+    else:
+        tail = [(coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+        builder.add_soc([(lin, -fn.beta)] + tail)
 
 
 def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
@@ -94,7 +109,7 @@ def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
 
 
 def add_equality_dynamics_rows(builder: ProgramBuilder, problem) -> np.ndarray:
-    """Zero-cone rows g_{i,j}(y) = 0 for every (affine) dynamics defect; returns the rows."""
+    """Zero-cone rows g_{i,j}(y) = 0 for every dynamics defect; returns the rows."""
     rows = [
         builder.add_eq(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
         for spec in problem.constraints
@@ -154,8 +169,8 @@ class FixedRows:
 def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) -> FixedRows:
     """Everything of min P but the halfspace rows: columns, costs and fixed rows.
 
-    P minus its constant is a list of weighted catalog terms (weight,
-    indices, fn): the objective's, then lambda * g_j for every dynamics
+    P minus its constant is a list of weighted terms (weight, indices,
+    fn): the objective's norms, then lambda * g_j for every dynamics
     defect when lambda > 0 (the region holds the linearized g_j >= 0, so
     g_j is |g_j| there).  Each term is one cost column t with weight
     `weight` and the epigraph rows t >= fn(y[indices]).
@@ -176,7 +191,7 @@ def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) ->
         add_epigraph(builder, fn, t, indices)
 
     hard = np.zeros(0, dtype=int)
-    if penalty_config.dynamics_mode(problem) == "equality":
+    if penalty_config.mode == "equality":
         hard = add_equality_dynamics_rows(builder, problem)
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
@@ -197,7 +212,7 @@ def assemble(
     if fixed is None:
         fixed = fixed_rows(problem, penalty_config)
     program, halfspace_rows = add_halfspace_rows(fixed.program, region.halfspaces)
-    if penalty_config.dynamics_mode(problem) == "equality":
+    if penalty_config.mode == "equality":
         dynamics_rows = fixed.hard_rows
     else:
         is_dynamics = [
@@ -229,7 +244,7 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     # interior-point method's drift without moving anything else by more
     y = artifacts.polish(solution.x[:n_y].copy())
     multipliers = solution.z_dual[artifacts.dynamics_rows]
-    if artifacts.penalty.dynamics_mode(artifacts.problem) == "penalty":
+    if artifacts.penalty.mode == "penalty":
         # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
         # at lambda, so the multiplier of g_j is lambda minus the dual of its
         # linearized row g_j >= 0

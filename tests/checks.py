@@ -4,9 +4,10 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Three references keep earlier forms of
+claims the solve path relies on.  Four references keep earlier forms of
 the solve path: a subproblem program built in one ProgramBuilder pass, the
-dense Cholesky polish, and the d-general cone algebra.
+dense Cholesky polish, the d-general cone algebra, and a projection through
+a cone solve, against which the closed-form projections are checked.
 """
 
 from __future__ import annotations
@@ -29,12 +30,16 @@ from scvx.problem import (
     OptimalControlProblem,
     Pin,
     ProblemDims,
-    QuadFn,
     eval_g,
     eval_h,
 )
-from scvx.projection import add_epigraph
-from scvx.subproblem import SubproblemArtifacts, add_base_set_rows, add_equality_dynamics_rows
+from scvx.projection import ProjectionResult
+from scvx.subproblem import (
+    SubproblemArtifacts,
+    add_base_set_rows,
+    add_epigraph,
+    add_equality_dynamics_rows,
+)
 
 
 class ConvexityError(ScvxError):
@@ -46,13 +51,44 @@ def value_batch(spec: ConstraintSpec, Y) -> np.ndarray:
     fn, W = spec.fn, Y[:, spec.indices]
     if isinstance(fn, AffineFn):
         return W @ fn.a + fn.beta
-    if isinstance(fn, QuadFn):
-        LW = W @ fn.L.T
-        return 0.5 * np.einsum("ij,ij->i", LW, LW) + W @ fn.a + fn.beta
     if isinstance(fn, NormFn):
         R = W @ fn.H.T - fn.p
         return np.linalg.norm(R, axis=1) + W @ fn.a + fn.beta
     raise TypeError(f"no batch evaluator for {type(fn).__name__}")
+
+
+def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
+    """Projection of z onto {q_j <= 0} through a small cone program.
+
+    minimize t subject to t >= ||w - z[idx]|| and q_j(w) <= 0 over the
+    touched coordinates w: one nonnegative row -a.w >= beta for an affine
+    q_j, one second-order cone (-a.w - beta, H w - p) for a norm.
+    """
+    z = np.asarray(z, dtype=float)
+    if constraint.value(z) <= 0.0:
+        return ProjectionResult(point=z.copy(), method="conic")
+    idx, fn = constraint.indices, constraint.fn
+    k = idx.size
+    builder = conic.ProgramBuilder()
+    w_cols = builder.add_cols(k) + np.arange(k)
+    t = builder.add_cols(1)
+    builder.add_cost(t, 1.0)
+    add_epigraph(builder, NormFn(np.eye(k), z[idx], np.zeros(k), 0.0), t, w_cols)
+    head = conic.coord_pairs(w_cols, -fn.a)
+    if isinstance(fn, AffineFn):
+        builder.add_ge(head, fn.beta)
+    else:
+        tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+        builder.add_soc([(head, -fn.beta)] + tail)
+    sol = conic.solve(builder.build())
+    if sol.status != "optimal":
+        raise ScvxError(
+            f"conic projection failed with {sol.outcome()} for constraint "
+            f"({constraint.kind}, step {constraint.step}, component {constraint.component})"
+        )
+    point = z.copy()
+    point[idx] = sol.x[:k]
+    return ProjectionResult(point=point, method="conic")
 
 
 def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray:
@@ -300,7 +336,7 @@ def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) 
         t = builder.add_cols(1)
         builder.add_cost(t, weight)
         add_epigraph(builder, fn, t, indices)
-    if penalty_config.dynamics_mode(problem) == "equality":
+    if penalty_config.mode == "equality":
         add_equality_dynamics_rows(builder, problem)
     add_base_set_rows(builder, problem.base_set)
     for hs in halfspaces:

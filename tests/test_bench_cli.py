@@ -90,11 +90,21 @@ def test_scenario_dict_round_trip():
         {"obstacles": [[0, 0, 1]]},
         {"lambda": -1.0},
         {"epsilon": 0.0},
+        {"theta_cone": 90.0},
     ],
 )
 def test_bad_scenario_values_rejected(overrides):
     with pytest.raises(BadScenarioError):
         scenario_from_dict(builtin_dict(**overrides))
+
+
+def test_tilt_just_below_90_degrees_solves():
+    # 90 degrees is rejected above: the thrust cone's rows would carry
+    # axis / cos(theta), about 1.6e16, and the built-in run's cone solve
+    # failed there; just below it the run is the built-in one
+    run = solve_quadrotor(scenario_from_dict(builtin_dict(theta_cone=89.99)))
+    assert run.report.converged and run.report.successions == 9
+    assert run.record.cost == pytest.approx(245.4575, abs=1e-4)
 
 
 def test_unknown_and_missing_fields_rejected():

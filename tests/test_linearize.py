@@ -7,15 +7,15 @@ from scvx.errors import (
     DegenerateGradientError,
     InfeasibleAnchorError,
     ScvxError,
+    UnsupportedModelError,
 )
-from tests.checks import eval_q, lipschitz_probe, verify_invariance
+from tests.checks import lipschitz_probe, verify_invariance
 from scvx.linearize import (
     FeasibleRegion,
     Halfspace,
     build_feasible_region,
     linearize_direct,
 )
-from scvx.projection import project
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
@@ -26,7 +26,6 @@ from scvx.problem import (
     NormFn,
     OptimalControlProblem,
     ProblemDims,
-    QuadFn,
     StateConstraint,
     stack,
 )
@@ -120,9 +119,8 @@ def test_region_contained_in_true_feasible_set():
 
 
 def test_direct_linearization_is_global_underestimator(rng):
-    # quadratic disk q(w) = ||w||^2 - 1, linearized at the point itself
-    L = np.sqrt(2.0) * np.eye(2)
-    fn = QuadFn(L=L, a=np.zeros(2), beta=-1.0)
+    # unit-disk keep-out q(w) = ||w|| - 1, linearized at the point itself
+    fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
     spec = ConstraintSpec(
         kind="state-constraint",
         step=0,
@@ -141,22 +139,16 @@ def test_direct_linearization_is_global_underestimator(rng):
 def test_scaled_norm_keepout_is_projected_by_its_own_geometry():
     # ||2 w|| >= 1 keeps out the disk of radius 0.5; H = 2I is not
     # row-orthonormal, so the ball formula (which would land at (0.2, 0),
-    # inside the keep-out) must not be used
+    # inside the keep-out) does not apply, and the problem is not built
     fn = NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    problem = two_step_problem(fn)
-    z = hold_anchor(problem, [0.6, 0.0])
-    spec = problem.constraints[-1]
-    np.testing.assert_allclose(project(spec, z).point[spec.indices], [0.5, 0.0], atol=1e-6)
-    region = build_feasible_region(problem, z, "equality")
-    inside = hold_anchor(problem, [0.45, 0.0])
-    assert float(eval_q(problem, inside).min()) < 0.0
-    assert min(hs.slack(inside) for hs in region.halfspaces) < 0.0
+    with pytest.raises(UnsupportedModelError, match="NormFn"):
+        two_step_problem(fn)
 
 
 def test_degenerate_gradient_raises():
-    # {q <= 0} is the singleton origin; anchoring there lands the projection
-    # on a vanishing gradient
-    fn = QuadFn(L=np.eye(2), a=np.zeros(2), beta=0.0)
+    # q = 0.w + 0: {q <= 0} is the whole plane, so the anchor is its own
+    # projection point, where the gradient vanishes
+    fn = AffineFn(a=np.zeros(2), beta=0.0)
     problem = two_step_problem(fn)
     z = hold_anchor(problem, [0.0, 0.0])
     with pytest.raises(DegenerateGradientError):

@@ -18,57 +18,15 @@ from scvx.errors import DimensionError
 from scvx.penalty import PenaltyConfig, penalty_value, validate_penalty_weight
 from scvx.problem import (
     AffineDynamics,
+    AffineFn,
     BaseSet,
     Box,
     ControlNormSum,
-    ConvexDynamics,
     OptimalControlProblem,
-    Pin,
     ProblemDims,
-    QuadFn,
-    QuadraticObjective,
     eval_g,
     stack,
 )
-
-
-def nonlinear_toy():
-    """Scalar state x_{i+1} = 0.5 x_i^2 + x_i + u_i, x_0 = 1, x_2 = 2.
-
-    Minimizing 0.5(u_0^2 + u_1^2): relaxing the dynamics to >= 0 with no
-    penalty admits J = 0 by overshooting the second step by 0.625, while a
-    large enough penalty weight recovers the equality-constrained optimum.
-    """
-    dims = ProblemDims(n=1, m=1, T=3, s=0)
-    f = QuadFn(L=np.array([[1.0, 0.0]]), a=np.array([1.0, 1.0]), beta=0.0)
-    base = BaseSet(
-        n_y=dims.n_y,
-        members=(
-            Pin(indices=np.array([0]), values=np.array([1.0])),
-            Pin(indices=np.array([2]), values=np.array([2.0])),
-            Box(
-                indices=np.arange(dims.n_y),
-                lower=-5.0 * np.ones(dims.n_y),
-                upper=5.0 * np.ones(dims.n_y),
-            ),
-        ),
-    )
-    L = np.zeros((2, dims.n_y))
-    L[0, 3] = 1.0
-    L[1, 4] = 1.0
-    prob = OptimalControlProblem(
-        dims=dims,
-        dynamics=ConvexDynamics(components=(f,)),
-        state_constraints=(),
-        base_set=base,
-        objective=QuadraticObjective(L=L, a=np.zeros(dims.n_y), beta=0.0),
-    )
-    z0 = stack(dims, [[1.0], [1.5], [2.0]], [[0.0], [0.0]])
-    return prob, z0
-
-
-# equality-constrained optimum of the toy, from an independent NLP solve
-TOY_OPT_COST = 0.029117290550
 
 
 def test_config_validation():
@@ -79,13 +37,14 @@ def test_config_validation():
 
 
 def test_equality_mode_requires_affine_dynamics(quad_problem):
-    # lambda = 0 keeps affine defects as equalities; non-affine defects and
-    # any positive weight are relaxed and penalized
-    prob, _ = nonlinear_toy()
-    assert PenaltyConfig().dynamics_mode(prob) == "penalty"
-    assert PenaltyConfig(lam=5.0).dynamics_mode(prob) == "penalty"
-    assert PenaltyConfig().dynamics_mode(quad_problem) == "equality"
-    assert PenaltyConfig(lam=100.0).dynamics_mode(quad_problem) == "penalty"
+    # equality mode writes each defect as a zero-cone row a.y = -beta; every
+    # dynamics row is affine, so the mode follows from lambda alone: 0 keeps
+    # the defects as equalities, any positive weight relaxes and penalizes them
+    dynamics = [spec for spec in quad_problem.constraints if spec.kind == "dynamics-defect"]
+    assert dynamics and all(isinstance(spec.fn, AffineFn) for spec in dynamics)
+    assert PenaltyConfig().mode == "equality"
+    assert PenaltyConfig(lam=5.0).mode == "penalty"
+    assert PenaltyConfig(lam=100.0).mode == "penalty"
 
 
 def test_zero_weight_is_plain_objective(quad_problem, rng):
@@ -96,7 +55,7 @@ def test_zero_weight_is_plain_objective(quad_problem, rng):
 
 
 def test_penalty_value_counts_absolute_defects():
-    # J == 0, two defect components (1, -1), weight 2 -> P = 4
+    # J == 0 at zero thrust, two defect components (1, -1), weight 2 -> P = 4
     dims = ProblemDims(n=1, m=1, T=3, s=0)
     prob = OptimalControlProblem(
         dims=dims,
@@ -112,21 +71,18 @@ def test_penalty_value_counts_absolute_defects():
                 ),
             ),
         ),
-        objective=QuadraticObjective(
-            L=np.zeros((1, dims.n_y)), a=np.zeros(dims.n_y), beta=0.0
-        ),
+        objective=ControlNormSum(),
     )
-    y = stack(dims, [[0.0], [-1.0], [0.0]], [[0.0], [0.0]])
+    y = stack(dims, [[0.0], [-1.0], [0.0]], [[0.0], [0.0]])  # zero thrust
     np.testing.assert_array_equal(eval_g(prob, y), [1.0, -1.0])
     assert penalty_value(prob, PenaltyConfig(lam=2.0), y) == pytest.approx(4.0)
 
 
-def test_weight_validation_cases(quad_problem):
-    toy, _ = nonlinear_toy()
-    # x_1 = 0.5 + 1 + 0 = 1.5 and x_2 = 1.125 + 1.5 - 0.625 = 2: no defect
-    feasible = stack(toy.dims, [[1.0], [1.5], [2.0]], [[0.0], [-0.625]])
-    assert validate_penalty_weight(toy, PenaltyConfig(lam=0.0), [0.0, 0.0], feasible).status == "valid"
-    check = validate_penalty_weight(toy, PenaltyConfig(lam=1.0), [0.5, -2.0], feasible)
+def test_weight_validation_cases(quad_problem, quad_start):
+    # quad_start meets the dynamics, so the multipliers alone decide
+    config = PenaltyConfig(lam=1.0)
+    assert validate_penalty_weight(quad_problem, config, [0.5, -1.0], quad_start).status == "valid"
+    check = validate_penalty_weight(quad_problem, config, [0.5, -2.0], quad_start)
     assert check.status == "invalid"
     assert check.required_lambda == pytest.approx(2.0)
     y = np.zeros(quad_problem.dims.n_y)
@@ -157,29 +113,6 @@ def test_penalty_convex_along_segments(quad_problem, rng):
         pb = penalty_value(quad_problem, cfg, b)
         pm = penalty_value(quad_problem, cfg, 0.5 * (a + b))
         assert pm <= 0.5 * (pa + pb) + 1e-9
-
-
-def test_zero_weight_exploits_relaxation():
-    prob, z0 = nonlinear_toy()
-    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=0.0))
-    rep = scvx(prob, z0, cfg)
-    assert rep.converged
-    assert prob.objective_value(rep.z) == pytest.approx(0.0, abs=1e-7)
-    # the relaxed problem keeps a strictly positive defect: penalty not exact
-    assert np.abs(eval_g(prob, rep.z)).sum() == pytest.approx(0.625, abs=1e-6)
-    assert rep.penalty_check.status == "invalid"
-
-
-def test_large_weight_recovers_equality_optimum():
-    prob, z0 = nonlinear_toy()
-    cfg = ScvxConfig(epsilon=1e-9, penalty=PenaltyConfig(lam=5.0))
-    rep = scvx(prob, z0, cfg)
-    assert rep.converged
-    assert np.abs(eval_g(prob, rep.z)).sum() <= 1e-6
-    assert prob.objective_value(rep.z) == pytest.approx(TOY_OPT_COST, abs=1e-6)
-    assert rep.penalty_check.status == "valid"
-    # the floor would drop the non-affine defect rows, which bounds nothing
-    assert rep.relaxation_floor is None
 
 
 @pytest.fixture(scope="module")

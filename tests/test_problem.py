@@ -15,12 +15,10 @@ from scvx.problem import (
     Cone,
     ConstraintSpec,
     ControlNormSum,
-    ConvexDynamics,
     NormFn,
     OptimalControlProblem,
     Pin,
     ProblemDims,
-    QuadFn,
     eval_g,
     eval_h,
     stack,
@@ -189,47 +187,6 @@ def test_quadrotor_defect_matches_dense_oracle(quad_problem, rng):
     np.testing.assert_allclose(eval_g(quad_problem, y), expect.ravel(), atol=1e-12)
 
 
-def test_convex_dynamics_defect_is_the_spec_values(rng):
-    # one affine, one quadratic and one norm component of (x_i, u_i)
-    dims = ProblemDims(n=3, m=2, T=4, s=0)
-    components = (
-        AffineFn(a=rng.standard_normal(5), beta=0.2),
-        QuadFn(L=rng.standard_normal((2, 5)), a=rng.standard_normal(5), beta=-0.4),
-        NormFn(
-            H=rng.standard_normal((2, 5)),
-            p=rng.standard_normal(2),
-            a=rng.standard_normal(5),
-            beta=0.1,
-        ),
-    )
-    prob = OptimalControlProblem(
-        dims=dims,
-        dynamics=ConvexDynamics(components=components),
-        state_constraints=(),
-        base_set=BaseSet(
-            n_y=dims.n_y,
-            members=(
-                Box(
-                    indices=np.arange(dims.n_y),
-                    lower=-np.ones(dims.n_y),
-                    upper=np.ones(dims.n_y),
-                ),
-            ),
-        ),
-        objective=ControlNormSum(),
-    )
-    for _ in range(20):
-        y = rng.uniform(-1.0, 1.0, dims.n_y)
-        g = eval_g(prob, y)
-        np.testing.assert_array_equal(g, [spec.value(y) for spec in prob.constraints])
-        # and they are the one-step defects map(x_i, u_i) - x_{i+1}
-        states, controls = unstack(dims, y)
-        for i in range(dims.T - 1):
-            w = np.concatenate([states[i], controls[i]])
-            expect = [f.value(w) - states[i + 1, j] for j, f in enumerate(components)]
-            np.testing.assert_allclose(g[3 * i : 3 * i + 3], expect, atol=1e-12)
-
-
 def test_state_constraint_vector_is_the_spec_values(quad_problem, rng):
     y = rng.standard_normal(quad_problem.dims.n_y)
     specs = [c for c in quad_problem.constraints if c.kind == "state-constraint"]
@@ -316,18 +273,6 @@ def test_norm_gradient_singularity_guard():
     fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
     with pytest.raises(GradientSingularityError):
         fn.grad(np.zeros(2))
-
-
-def test_quad_gradient_matches_central_difference(rng):
-    fn = QuadFn(L=rng.standard_normal((2, 3)), a=rng.standard_normal(3), beta=0.4)
-    w = rng.standard_normal(3)
-    grad = fn.grad(w)
-    step = 1e-6
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = step
-        fd = (fn.value(w + e) - fn.value(w - e)) / (2.0 * step)
-        assert fd == pytest.approx(grad[k], rel=1e-6, abs=1e-9)
 
 
 def test_jacobian_rows_are_sparse_gradients(quad_problem, rng):

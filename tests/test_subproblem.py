@@ -8,12 +8,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from scvx import conic
-from scvx.driver import ScvxConfig, find_feasible_start, scvx
 from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.projection import project
-from scvx.problem import AffineFn, ConvexDynamics, Pin, eval_g
+from scvx.problem import Pin, eval_g
 from tests.checks import builder_program, dense_polish, eval_q, solver_objective
 from scvx.subproblem import (
     Polish,
@@ -121,7 +120,7 @@ def test_halfspaces_are_the_sparse_rows_of_their_specs(quad_problem, quad_start,
     # each halfspace keeps its spec's coordinates and the gradient at the
     # projection point over them; its offset is the in-order sum, bit for bit
     config = PenaltyConfig(lam=lam)
-    region = build_feasible_region(quad_problem, quad_start, config.dynamics_mode(quad_problem))
+    region = build_feasible_region(quad_problem, quad_start, config.mode)
     for hs in region.halfspaces:
         spec = quad_problem.constraints[hs.constraint_index]
         np.testing.assert_array_equal(hs.indices, spec.indices)
@@ -168,7 +167,7 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
     # bit, the program one ProgramBuilder pass gives; a 0.0 and a -0.0
     # coefficient are dropped as the builder drops them
     config = PenaltyConfig(lam=lam)
-    region = build_feasible_region(quad_problem, quad_start, config.dynamics_mode(quad_problem))
+    region = build_feasible_region(quad_problem, quad_start, config.mode)
     first = region.halfspaces[0]
     coeffs = first.coeffs.copy()
     coeffs[np.flatnonzero(coeffs)[:2]] = [0.0, -0.0]
@@ -302,25 +301,6 @@ def test_dependent_polish_rows_take_the_least_squares_path(monkeypatch, quad_art
     got = Polish(program, rows, 222)(y)
     assert len(calls) == 1
     assert _relative_gap(got, dense_polish(program, rows, 222, y)) <= 1e-12
-
-
-def test_equality_rows_are_the_same_for_affine_and_convex_dynamics():
-    # ConvexDynamics with all-affine components is the same model as
-    # AffineDynamics, and equality mode must treat it the same way
-    problem = unit_disk_problem()
-    dyn = problem.dynamics
-    convex = dataclasses.replace(
-        problem,
-        dynamics=ConvexDynamics(
-            tuple(AffineFn(np.concatenate([dyn.A[j], dyn.B[j]]), dyn.d[j]) for j in range(2))
-        ),
-    )
-    config = ScvxConfig(penalty=PenaltyConfig())
-    guess = hold_anchor(problem, [0.0, 0.5])
-    runs = [scvx(p, find_feasible_start(p, guess, config), config) for p in (problem, convex)]
-    assert runs[0].converged and runs[1].converged
-    np.testing.assert_array_equal(runs[0].z, runs[1].z)
-    np.testing.assert_array_equal(runs[0].multipliers, runs[1].multipliers)
 
 
 def test_extract_rejects_bad_status_by_default(quad_artifacts, quad_solution):
