@@ -26,17 +26,18 @@ from .errors import (
 )
 from .linearize import (
     FeasibleRegion,
-    _rows_to_linearize,
+    _anchor_rows,
+    _keepout_rows,
     build_feasible_region,
     check_anchor,
     linearize_direct,
 )
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
-from .problem import AffineFn, OptimalControlProblem, eval_g
+from .problem import OptimalControlProblem, eval_g
 from .subproblem import (
     Polish,
     add_base_set_rows,
-    add_equality_dynamics_rows,
+    add_dynamics_rows,
     assemble,
     extract,
     fixed_rows,
@@ -114,20 +115,14 @@ def _solve_region(problem, config, region, fixed, dump_path=None, start=None):
 
 
 def _relaxation_floor(problem, config, z, fixed):
-    """min P over the base set and the affine linearized rows.
+    """min P over the fixed rows alone: the base set and every affine row.
 
-    Every affine row linearizes to exactly q_j >= 0, so this region
-    contains every succession's region and its minimum bounds the cost from
-    below.  The rows it drops are keep-outs: every dynamics defect is
-    affine, so in penalty mode each g_j >= 0 stays and its one-sided
-    epigraph t_j >= g_j still measures |g_j|.
+    This drops only the keep-outs, so it contains every succession's
+    region and its minimum bounds the cost from below.  In penalty mode
+    each g_j >= 0 is a fixed row, so its one-sided epigraph t_j >= g_j
+    still measures |g_j|.
     """
-    halfspaces = [
-        linearize_direct(spec, z, j)
-        for j, spec in _rows_to_linearize(problem, config.penalty.mode)
-        if isinstance(spec.fn, AffineFn)
-    ]
-    region = FeasibleRegion(problem.base_set, tuple(halfspaces), z.copy())
+    region = FeasibleRegion(problem.base_set, (), z.copy())
     artifacts, sol = _solve_region(problem, config, region, fixed)
     return extract(artifacts, sol)[2]
 
@@ -155,7 +150,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     records = []
     multipliers = None
 
-    convex_only = not _rows_to_linearize(problem, mode)
+    convex_only = not _keepout_rows(problem)
     fixed = fixed_rows(problem, config.penalty)
 
     relaxation_floor = None
@@ -263,8 +258,8 @@ def feasibility_summary(problem: OptimalControlProblem, y) -> dict:
 
 
 def _violation(problem, rows, w, mode):
-    """Total constraint violation at w: keep-out rows, base set, hard defects."""
-    v = sum(max(0.0, -spec.value(w)) for _, spec in rows)
+    """Total constraint violation at w: the anchor rows, base set, hard defects."""
+    v = sum(max(0.0, -spec.value(w)) for spec in rows)
     v += float(np.sum(np.maximum(0.0, -problem.base_set.margins(w))))
     if mode == "equality":
         v += float(np.sum(np.abs(eval_g(problem, w))))
@@ -304,7 +299,7 @@ def find_feasible_start(
                 f"guess has {w.size} coordinates, expected {dims.n_y}"
             )
 
-    rows = _rows_to_linearize(problem, mode)
+    rows = _anchor_rows(problem, mode)
     best = _violation(problem, rows, w, mode)
     stall = 0
     for _ in range(FEASIBILITY_MAX_ROUNDS):
@@ -321,10 +316,10 @@ def find_feasible_start(
             builder.add_ge([(s0 + k, 1.0)], 0.0)
         eq_rows = np.zeros(0, dtype=int)
         if mode == "equality":
-            eq_rows = add_equality_dynamics_rows(builder, problem)
+            eq_rows = add_dynamics_rows(builder, problem, mode)
         eq_rows = np.concatenate([eq_rows, add_base_set_rows(builder, problem.base_set)])
-        for k, (j, spec) in enumerate(rows):
-            hs = linearize_direct(spec, w, j)
+        for k, spec in enumerate(rows):
+            hs = linearize_direct(spec, w)
             builder.add_ge(coord_pairs(hs.indices, hs.coeffs) + [(s0 + k, 1.0)], hs.offset)
 
         program = builder.build()

@@ -1,15 +1,17 @@
 """Supporting-halfspace construction of the convexified region F_z.
 
-For each constraint component q_j(y) >= 0 that must be convexified, the
-current iterate z is projected onto the keep-out set {q_j <= 0} and q_j is
+For each keep-out row q_j(y) >= 0 (a ball or cylinder NormFn), the current
+iterate z is projected onto the keep-out set {q_j <= 0} and q_j is
 linearized at the projection point, producing the supporting halfspace
 
     l_j(y, z) = grad q_j(zbar_j) . (y - zbar_j) >= 0.
 
-F_z is the base set Y intersected with these halfspaces.  It contains z
-and is contained in the true feasible set, which is what makes the outer
-loop recursively feasible.  Affine dynamics handled as hard equalities are
-not linearized here; they enter the subproblem as zero-cone rows.
+F_z is the base set Y, the affine rows and these halfspaces.  It contains
+z and is contained in the true feasible set, which is what makes the outer
+loop recursively feasible.  An affine row (a dynamics defect or a halfspace
+state constraint) is its own supporting halfspace, so it is not linearized
+here: the subproblem builds it once per run as a fixed row, and a region
+holds the keep-out halfspaces only.
 
 A halfspace is stored as the sparse row of its constraint: the spec's own
 coordinates `indices` and the gradient over them, `coeffs`.  Its offset is
@@ -29,7 +31,7 @@ from .errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from .problem import BaseSet, ConstraintSpec, OptimalControlProblem, eval_g
+from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_g
 from .projection import project
 
 # anchors are accepted as feasible down to this constraint slack; iterates
@@ -40,12 +42,11 @@ GRADIENT_NORM_FLOOR = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Halfspace:
-    """coeffs . y[indices] >= offset: a linearized row of constraint_index."""
+    """coeffs . y[indices] >= offset: a linearized constraint row."""
 
     indices: np.ndarray
     coeffs: np.ndarray
     offset: float
-    constraint_index: int
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=int)
@@ -78,20 +79,24 @@ class FeasibleRegion:
         object.__setattr__(self, "anchor", anchor)
 
 
-def _rows_to_linearize(problem: OptimalControlProblem, mode: str):
-    """Constraint rows that go through project-and-linearize.
+def _anchor_rows(problem: OptimalControlProblem, mode: str):
+    """The rows q_j >= 0 an anchor must meet, which the feasibility init slacks.
 
-    equality mode: state constraints only (affine defects become zero-cone
-    rows downstream); penalty mode: relaxed dynamics rows too.
+    equality mode: the state constraints (the defects are equalities);
+    penalty mode: the relaxed dynamics rows g_j >= 0 too.
     """
     if mode not in ("equality", "penalty"):
         raise ScvxError(f"unknown linearization mode {mode!r}")
-    rows = []
-    for j, spec in enumerate(problem.constraints):
-        if spec.kind == "dynamics-defect" and mode == "equality":
-            continue
-        rows.append((j, spec))
-    return rows
+    return [
+        spec
+        for spec in problem.constraints
+        if mode == "penalty" or spec.kind != "dynamics-defect"
+    ]
+
+
+def _keepout_rows(problem: OptimalControlProblem):
+    """The rows a region linearizes: every ball or cylinder keep-out."""
+    return [spec for spec in problem.constraints if isinstance(spec.fn, NormFn)]
 
 
 def check_anchor(problem: OptimalControlProblem, z, mode: str):
@@ -112,11 +117,11 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
                 f"anchor dynamics defect {defect:.3e} exceeds 1e-7; "
                 "run find_feasible_start first"
             )
-    rows = _rows_to_linearize(problem, mode)
-    values = [spec.value(z) for _, spec in rows]
+    rows = _anchor_rows(problem, mode)
+    values = [spec.value(z) for spec in rows]
     if values and min(values) < -ANCHOR_FEASIBILITY_TOL:
         k = int(np.argmin(values))
-        spec = rows[k][1]
+        spec = rows[k]
         raise InfeasibleAnchorError(
             f"anchor violates q >= 0 on constraint ({spec.kind}, step {spec.step}, "
             f"component {spec.component}): q = {values[k]:.3e}; "
@@ -129,7 +134,7 @@ def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> Feasi
     """Project z onto every keep-out set and emit the supporting halfspaces."""
     z = check_anchor(problem, z, mode)
     halfspaces = []
-    for j, spec in _rows_to_linearize(problem, mode):
+    for spec in _keepout_rows(problem):
         zbar = project(spec, z).point
         grad = spec.grad_local(zbar)
         norm = float(np.linalg.norm(grad))
@@ -139,26 +144,26 @@ def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> Feasi
                 f"{spec.component}) has gradient norm {norm:.3e} at its "
                 "projection point; supporting halfspace undefined"
             )
-        hs = Halfspace(spec.indices, grad, _dot_in_order(spec.indices, grad, zbar), j)
+        hs = Halfspace(spec.indices, grad, _dot_in_order(spec.indices, grad, zbar))
         if hs.slack(z) < -1e-9:
             raise ScvxError(
-                f"anchor lost containment on constraint index {j} "
-                f"(slack {hs.slack(z):.3e}); this indicates a projector defect"
+                f"anchor lost containment on constraint ({spec.kind}, step "
+                f"{spec.step}, component {spec.component}) (slack "
+                f"{hs.slack(z):.3e}); this indicates a projector defect"
             )
         halfspaces.append(hs)
     return FeasibleRegion(problem.base_set, tuple(halfspaces), z)
 
 
-def linearize_direct(constraint: ConstraintSpec, z, index: int) -> Halfspace:
+def linearize_direct(constraint: ConstraintSpec, z) -> Halfspace:
     """Linearize q_j at z itself (no projection): a.y >= a.z - q_j(z).
 
     Because q_j is convex this is a global under-estimator: any y
     satisfying the row satisfies q_j(y) >= 0.  Anchoring at z instead of at
     the projection point generally yields a smaller region than F_z; the
-    feasibility initializer uses this form with slack variables, and the
-    relaxation floor uses it for affine rows, where it is exactly q_j >= 0.
-    At the center of a norm term, where the gradient is undefined, the
-    subgradient along the first image direction is used.
+    feasibility initializer uses this form, with slack variables, for every
+    row it slacks.  At the center of a norm term, where the gradient is
+    undefined, the subgradient along the first image direction is used.
     """
     z = np.asarray(z, dtype=float)
     try:
@@ -169,4 +174,4 @@ def linearize_direct(constraint: ConstraintSpec, z, index: int) -> Halfspace:
         v[0] = 1.0
         grad = fn.H.T @ v + fn.a
     offset = _dot_in_order(constraint.indices, grad, z) - constraint.value(z)
-    return Halfspace(constraint.indices, grad, offset, index)
+    return Halfspace(constraint.indices, grad, offset)

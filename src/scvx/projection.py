@@ -1,13 +1,13 @@
 """Euclidean projection onto the convex sublevel set {q_j(y) <= 0}.
 
-Each constraint component q_j >= 0 keeps the iterate out of a convex set;
-the projection of the current iterate onto that set is where the
-supporting halfspace gets anchored.  Every row the linearization projects
-has a closed form: affine rows (halfspaces) and Euclidean balls or
-infinite cylinders (a ball in a row-orthonormal linear image).  Any other
-function raises UnsupportedModelError.  Projections move only the
-coordinates the constraint reads, which is exactly the gradient sparsity
-pattern.
+Each keep-out row q_j >= 0 keeps the iterate out of a convex set; the
+projection of the current iterate onto that set is where the supporting
+halfspace gets anchored.  The linearization projects keep-out rows only
+(an affine row is its own supporting halfspace), and each is a Euclidean
+ball or infinite cylinder (a ball in a row-orthonormal linear image) with
+a closed form.  Any other function raises UnsupportedModelError.
+Projections move only the coordinates the constraint reads, which is
+exactly the gradient sparsity pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UnsupportedModelError
-from .problem import AffineFn, ConstraintSpec, NormFn
+from .problem import ConstraintSpec, NormFn
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,31 +31,19 @@ class ProjectionResult:
 def project(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResult:
     """Unique Euclidean projection of z onto {q_j <= 0}.
 
-    The function picks the route: an affine q_j has the halfspace formula
-    and a pure norm ||H w - p|| - r with H H^T = I the ball formula.
+    q_j must be a pure norm ||H w - p|| - r with H H^T = I, which has the
+    ball formula.
     """
     z = np.asarray(z, dtype=float)
-    val = constraint.value(z)
-    if val <= 0.0:
+    if constraint.value(z) <= 0.0:
         return ProjectionResult(point=z.copy(), method="analytic")
     fn = constraint.fn
-    if isinstance(fn, AffineFn):
-        return _project_halfspace(constraint, z, val)
     if isinstance(fn, NormFn) and fn.is_ball:
         return _project_norm_ball(constraint, z)
     raise UnsupportedModelError(
         f"no projection formula for {type(fn).__name__} on constraint "
         f"({constraint.kind}, step {constraint.step}, component {constraint.component})"
     )
-
-
-def _project_halfspace(constraint, z, val):
-    # {a.w + beta <= 0}: step along -a by the violation over ||a||^2
-    fn = constraint.fn
-    point = z.copy()
-    w = z[constraint.indices]
-    point[constraint.indices] = w - fn.a * (val / (fn.a @ fn.a))
-    return ProjectionResult(point=point, method="analytic")
 
 
 def _project_norm_ball(constraint, z):

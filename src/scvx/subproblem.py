@@ -3,18 +3,19 @@
 Column layout: the decision vector y first, then one epigraph auxiliary
 per cost term (the objective's, then, when lambda > 0, one per dynamics
 defect).  Rows land in the order assemble adds them: each cost term's
-epigraph (a nonnegative row or a second-order cone), the dynamics
-equalities in equality mode, the base set member by member (pins, box
-bounds, balls, thrust cones), then one nonnegative row per supporting
-halfspace.  The row helpers return the indices extract needs, so nothing
-is looked up after the build.
+epigraph (a nonnegative row or a second-order cone), one row per dynamics
+defect (g_j = 0 in equality mode, g_j >= 0 in penalty mode), one
+nonnegative row per affine state constraint, the base set member by member
+(pins, box bounds, balls, thrust cones), then one nonnegative row per
+keep-out halfspace.  The row helpers return the indices extract needs, so
+nothing is looked up after the build.
 
-Only the halfspace rows depend on the region.  fixed_rows builds the rest
-once per run with ProgramBuilder, together with the polish onto its pins
-and hard dynamics, and assemble appends each region's halfspaces to it as
-one sparse block, stored as ProgramBuilder stores rows, so the program is
-the one a single build would give.  Assembly is deterministic: identical
-inputs produce identical programs.
+Only the halfspace rows depend on the region.  fixed_rows builds the rest,
+every affine row included, once per run with ProgramBuilder, together with
+the polish onto its pins and hard dynamics, and assemble appends each
+region's halfspaces to it as one sparse block, stored as ProgramBuilder
+stores rows, so the program is the one a single build would give.
+Assembly is deterministic: identical inputs produce identical programs.
 """
 
 from __future__ import annotations
@@ -81,13 +82,13 @@ def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
 def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
     """program plus one nonnegative row coeffs.y[indices] >= offset per halfspace.
 
-    Returns (program, rows).  The rows are stored as ProgramBuilder.add_ge
-    stores them: -coeffs over indices without the exact zeros, -offset in
-    b, and one nonnegative cone, merged with a trailing nonnegative one.
+    The rows are stored as ProgramBuilder.add_ge stores them: -coeffs over
+    indices without the exact zeros, -offset in b, and one nonnegative
+    cone, merged with a trailing nonnegative one.
     """
-    k, first = len(halfspaces), program.n_rows
+    k = len(halfspaces)
     if k == 0:
-        return program, np.zeros(0, dtype=int)
+        return program
     rows = np.repeat(np.arange(k), [hs.indices.size for hs in halfspaces])
     cols = np.concatenate([hs.indices for hs in halfspaces])
     coeffs = np.concatenate([hs.coeffs for hs in halfspaces])
@@ -99,19 +100,23 @@ def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
     dim = k
     if cones and cones[-1].kind == "nonneg":
         dim += cones.pop().dim
-    program = conic.ConicProgram(
+    return conic.ConicProgram(
         program.c,
         sp.vstack([program.A, block], format="csc"),
         np.concatenate([program.b, [-hs.offset for hs in halfspaces]]),
         cones + [conic.Cone("nonneg", dim)],
     )
-    return program, np.arange(first, first + k)
 
 
-def add_equality_dynamics_rows(builder: ProgramBuilder, problem) -> np.ndarray:
-    """Zero-cone rows g_{i,j}(y) = 0 for every dynamics defect; returns the rows."""
+def add_dynamics_rows(builder: ProgramBuilder, problem, mode: str) -> np.ndarray:
+    """One row per dynamics defect, in order; returns the rows.
+
+    equality mode: the zero-cone row g_{i,j}(y) = 0; penalty mode: the
+    nonnegative row g_{i,j}(y) >= 0.  Both carry the defect's exact beta.
+    """
+    add = builder.add_eq if mode == "equality" else builder.add_ge
     rows = [
-        builder.add_eq(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
+        add(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
         for spec in problem.constraints
         if spec.kind == "dynamics-defect"
     ]
@@ -161,19 +166,22 @@ class SubproblemArtifacts:
 class FixedRows:
     """The part of min P that no region changes, built once per run."""
 
-    program: conic.ConicProgram  # cost columns, epigraphs, hard dynamics, base set
+    program: conic.ConicProgram  # cost columns, epigraphs, affine rows, base set
     polish: Polish  # onto the pins, then the hard dynamics
-    hard_rows: np.ndarray  # the hard dynamics rows; none in penalty mode
+    dynamics_rows: np.ndarray  # g_j = 0 in equality mode, g_j >= 0 in penalty mode
 
 
 def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) -> FixedRows:
-    """Everything of min P but the halfspace rows: columns, costs and fixed rows.
+    """Everything of min P but the keep-out halfspaces: columns, costs, fixed rows.
 
     P minus its constant is a list of weighted terms (weight, indices,
     fn): the objective's norms, then lambda * g_j for every dynamics
-    defect when lambda > 0 (the region holds the linearized g_j >= 0, so
-    g_j is |g_j| there).  Each term is one cost column t with weight
-    `weight` and the epigraph rows t >= fn(y[indices]).
+    defect when lambda > 0 (its fixed row g_j >= 0 makes g_j equal |g_j|).
+    Each term is one cost column t with weight `weight` and the epigraph
+    rows t >= fn(y[indices]).  Every affine row is a fixed row: each
+    dynamics defect (g_j = 0 at lambda = 0, g_j >= 0 at lambda > 0) and
+    each affine state constraint q_j >= 0.  The polish projects onto the
+    pins and, in equality mode only, the dynamics rows.
     """
     builder = ProgramBuilder()
     builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
@@ -190,12 +198,16 @@ def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) ->
         builder.add_cost(t, weight)
         add_epigraph(builder, fn, t, indices)
 
-    hard = np.zeros(0, dtype=int)
-    if penalty_config.mode == "equality":
-        hard = add_equality_dynamics_rows(builder, problem)
+    mode = penalty_config.mode
+    dynamics = add_dynamics_rows(builder, problem, mode)
+    for spec in problem.constraints:
+        if spec.kind == "state-constraint" and isinstance(spec.fn, AffineFn):
+            builder.add_ge(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
-    return FixedRows(program, Polish(program, np.concatenate([pins, hard]), problem.dims.n_y), hard)
+    hard = dynamics if mode == "equality" else np.zeros(0, dtype=int)
+    polish = Polish(program, np.concatenate([pins, hard]), problem.dims.n_y)
+    return FixedRows(program, polish, dynamics)
 
 
 def assemble(
@@ -211,20 +223,10 @@ def assemble(
     """
     if fixed is None:
         fixed = fixed_rows(problem, penalty_config)
-    program, halfspace_rows = add_halfspace_rows(fixed.program, region.halfspaces)
-    if penalty_config.mode == "equality":
-        dynamics_rows = fixed.hard_rows
-    else:
-        is_dynamics = [
-            problem.constraints[hs.constraint_index].kind == "dynamics-defect"
-            for hs in region.halfspaces
-        ]
-        dynamics_rows = halfspace_rows[np.asarray(is_dynamics, dtype=bool)]
-
     return SubproblemArtifacts(
-        program=program,
+        program=add_halfspace_rows(fixed.program, region.halfspaces),
         polish=fixed.polish,
-        dynamics_rows=dynamics_rows,
+        dynamics_rows=fixed.dynamics_rows,
         problem=problem,
         penalty=penalty_config,
     )
@@ -247,7 +249,7 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     if artifacts.penalty.mode == "penalty":
         # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
         # at lambda, so the multiplier of g_j is lambda minus the dual of its
-        # linearized row g_j >= 0
+        # row g_j >= 0
         multipliers = artifacts.penalty.lam - multipliers
     value = penalty_value(artifacts.problem, artifacts.penalty, y)
     return y, multipliers, value

@@ -38,7 +38,6 @@ from scvx.subproblem import (
     SubproblemArtifacts,
     add_base_set_rows,
     add_epigraph,
-    add_equality_dynamics_rows,
 )
 
 
@@ -61,8 +60,8 @@ def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
     """Projection of z onto {q_j <= 0} through a small cone program.
 
     minimize t subject to t >= ||w - z[idx]|| and q_j(w) <= 0 over the
-    touched coordinates w: one nonnegative row -a.w >= beta for an affine
-    q_j, one second-order cone (-a.w - beta, H w - p) for a norm.
+    touched coordinates w: one second-order cone (-a.w - beta, H w - p)
+    for the keep-out norm.
     """
     z = np.asarray(z, dtype=float)
     if constraint.value(z) <= 0.0:
@@ -74,12 +73,8 @@ def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
     t = builder.add_cols(1)
     builder.add_cost(t, 1.0)
     add_epigraph(builder, NormFn(np.eye(k), z[idx], np.zeros(k), 0.0), t, w_cols)
-    head = conic.coord_pairs(w_cols, -fn.a)
-    if isinstance(fn, AffineFn):
-        builder.add_ge(head, fn.beta)
-    else:
-        tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
-        builder.add_soc([(head, -fn.beta)] + tail)
+    tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+    builder.add_soc([(conic.coord_pairs(w_cols, -fn.a), -fn.beta)] + tail)
     sol = conic.solve(builder.build())
     if sol.status != "optimal":
         raise ScvxError(
@@ -252,10 +247,11 @@ def verify_invariance(
     """Sampled check of anchor membership and F_z containment.
 
     Samples points of F_z (base set filtered by the halfspaces) and
-    evaluates the linearized constraint rows at each: every sample must
-    satisfy q_j >= -1e-8.  Rows handled as hard equalities are not part of
-    the halfspace description and are excluded (their feasibility is
-    enforced exactly by the subproblem, not by this containment argument).
+    evaluates the linearized keep-out rows at each: every sample must
+    satisfy q_j >= -1e-8.  The region holds one halfspace per keep-out
+    spec, in constraint order.  Affine rows are fixed rows of the
+    subproblem, not part of the halfspace description, and are excluded
+    (the subproblem enforces them exactly, not this containment argument).
     Failures are reported, not raised.
     """
     anchor_slack = (
@@ -269,8 +265,9 @@ def verify_invariance(
     worst = np.inf
     violations = 0
     checked = 0
-    for hs in region.halfspaces:
-        spec = problem.constraints[hs.constraint_index]
+    keepouts = [spec for spec in problem.constraints if isinstance(spec.fn, NormFn)]
+    assert len(keepouts) == len(region.halfspaces)
+    for hs, spec in zip(region.halfspaces, keepouts):
         vals = value_batch(spec, Y)
         worst = min(worst, float(np.min(vals))) if vals.size else worst
         violations += int(np.sum(vals < -1e-8))
@@ -322,7 +319,7 @@ def residuals(program: conic.ConicProgram, solution: conic.ConicSolution):
 
 
 def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) -> conic.ConicProgram:
-    """min P over the base set and the halfspaces, built in one ProgramBuilder pass."""
+    """min P over the base set, the affine rows and the halfspaces, in one ProgramBuilder pass."""
     builder = conic.ProgramBuilder()
     builder.add_cols(problem.dims.n_y)
     terms = list(problem.objective.terms(problem.dims))
@@ -336,8 +333,11 @@ def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) 
         t = builder.add_cols(1)
         builder.add_cost(t, weight)
         add_epigraph(builder, fn, t, indices)
-    if penalty_config.mode == "equality":
-        add_equality_dynamics_rows(builder, problem)
+    for spec in problem.constraints:
+        if isinstance(spec.fn, AffineFn):  # every dynamics defect, then affine state rows
+            hard = penalty_config.mode == "equality" and spec.kind == "dynamics-defect"
+            add = builder.add_eq if hard else builder.add_ge
+            add(conic.coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
     add_base_set_rows(builder, problem.base_set)
     for hs in halfspaces:
         builder.add_ge(conic.coord_pairs(hs.indices, hs.coeffs), hs.offset)

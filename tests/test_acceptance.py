@@ -4,29 +4,22 @@ Each test covers one acceptance criterion end to end and prints a single
 ACCEPTANCE PASS line when it holds; run with -v (or -s) to see the lines.
 """
 
-import dataclasses
 import json
 import os
 import time
 
 import numpy as np
-import pytest
 
 from scvx import conic
 from scvx.bench import build_quadrotor_problem
 from scvx.cli import main as cli_main
-from scvx.driver import ScvxConfig, feasibility_summary, scvx
-from tests.checks import eval_q, project_generic, residuals, sample_base_set, verify_invariance
+from scvx.driver import feasibility_summary, scvx
+from tests.checks import eval_q, project_generic, residuals, verify_invariance
 from scvx.linearize import FeasibleRegion, build_feasible_region
 from scvx.projection import project
 from scvx.subproblem import assemble, extract
 from tests.test_conic import make_program, random_feasible_program
-from tests.test_projection import (
-    _unit,
-    disk_constraint,
-    grid_oracle,
-    halfspace_constraint,
-)
+from tests.test_projection import _unit, disk_constraint, grid_oracle, tilted_cylinder
 
 
 def ok(name, detail=""):
@@ -120,12 +113,7 @@ def test_projection_correctness(rng):
             z[[1, 2]] = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
             z[[0, 3]] = rng.standard_normal(2)
         else:
-            a = rng.standard_normal(3)
-            b = float(rng.uniform(-1.0, 1.0))
-            c = halfspace_constraint(a, b, indices=(0, 1, 2))
-            w = rng.standard_normal(3)
-            zb = w - a * (a @ w - b) / (a @ a)
-            z = zb + a / np.linalg.norm(a) * rng.uniform(0.1, 2.0)
+            c, z = tilted_cylinder(rng)
         gap = float(np.linalg.norm(project(c, z).point - project_generic(c, z).point))
         worst_agree = max(worst_agree, gap)
         assert gap <= 1e-6
@@ -147,7 +135,7 @@ def test_projection_correctness(rng):
     specs = [
         disk_constraint([0.0, 0.0], 1.0),
         disk_constraint([1.0, -1.0], 2.0),
-        halfspace_constraint([1.0, 2.0], 0.5, indices=(0, 1)),
+        disk_constraint([0.5], 0.5, H=[[0.6, 0.8]]),  # a slab keep-out
     ]
     for i in range(1000):
         c = specs[i % len(specs)]

@@ -1,7 +1,6 @@
 """Benchmark scenario handling, discretization oracle, writers, CLI contract."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -14,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scvx.bench import (
-    Obstacle,
     builtin_quadrotor,
     build_quadrotor_problem,
     initial_guess,
@@ -22,7 +20,6 @@ from scvx.bench import (
     scenario_from_dict,
     scenario_from_file,
     solve_quadrotor,
-    trajectory_record,
     write_outputs,
     zoh_blocks,
     _trim_control,

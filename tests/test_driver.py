@@ -18,14 +18,7 @@ from scvx.errors import (
 )
 from scvx.linearize import check_anchor
 from scvx.penalty import PenaltyConfig
-from scvx.problem import (
-    BaseSet,
-    Box,
-    NormFn,
-    Pin,
-    eval_h,
-    stack,
-)
+from scvx.problem import BaseSet, NormFn, Pin, eval_h
 from scvx.subproblem import Polish
 from tests.checks import eval_q
 from tests.test_conic import _count_orderings

@@ -10,12 +10,8 @@ from scvx.errors import (
     UnsupportedModelError,
 )
 from tests.checks import lipschitz_probe, verify_invariance
-from scvx.linearize import (
-    FeasibleRegion,
-    Halfspace,
-    build_feasible_region,
-    linearize_direct,
-)
+from scvx.linearize import build_feasible_region, linearize_direct
+from scvx.penalty import PenaltyConfig
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
@@ -29,6 +25,7 @@ from scvx.problem import (
     StateConstraint,
     stack,
 )
+from scvx.subproblem import fixed_rows
 
 
 def two_step_problem(fn, box=6.0):
@@ -84,17 +81,33 @@ def test_disk_linearization_gives_tangent_halfspaces():
     np.testing.assert_array_equal(region.anchor, z)
 
 
-def test_affine_constraint_linearizes_to_itself():
-    # q(x) = x_0 - 1 >= 0: the supporting halfspace is the constraint itself,
-    # independent of the anchor
+def affine_state_rows(problem, lam):
+    """The fixed program and its affine state-constraint rows, which follow the dynamics rows."""
+    fixed = fixed_rows(problem, PenaltyConfig(lam=lam))
+    first = int(fixed.dynamics_rows[-1]) + 1
+    return fixed.program, first + np.arange(problem.dims.T)
+
+
+def test_affine_state_constraint_is_a_fixed_row():
+    # q(x) = x_0 - 1 >= 0 is its own supporting halfspace: in both modes
+    # the fixed program holds it exactly, one nonnegative row -a with beta
+    # in b per step (slack x_0 - 1), and no region carries it at any anchor
     fn = AffineFn(a=np.array([1.0, 0.0]), beta=-1.0)
     problem = two_step_problem(fn)
-    for x in ([2.0, 0.5], [1.5, -3.0]):
-        region = build_feasible_region(problem, hold_anchor(problem, x), "equality")
-        for hs, coords in zip(region.halfspaces, [(0, 1), (2, 3)]):
-            np.testing.assert_array_equal(hs.indices, coords)
-            np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-12)
-            assert hs.offset == pytest.approx(1.0, abs=1e-12)
+    for lam in (0.0, 1.0):
+        program, rows = affine_state_rows(problem, lam)
+        kinds = np.repeat([k.kind for k in program.cones], [k.dim for k in program.cones])
+        assert np.all(kinds[rows] == "nonneg")
+        A = program.A.tocsr()
+        for r, coords in zip(rows, [(0, 1), (2, 3)]):
+            expect = np.zeros(program.n_cols)
+            expect[coords[0]] = -1.0  # the exact zero of a is dropped
+            assert A.indptr[r + 1] - A.indptr[r] == 1
+            np.testing.assert_array_equal(A[r].toarray().ravel(), expect)
+        np.testing.assert_array_equal(program.b[rows], [-1.0, -1.0])
+        mode = PenaltyConfig(lam=lam).mode
+        for x in ([2.0, 0.5], [1.5, -3.0]):
+            assert build_feasible_region(problem, hold_anchor(problem, x), mode).halfspaces == ()
 
 
 def test_anchor_is_contained_for_random_feasible_points(rng):
@@ -129,7 +142,7 @@ def test_direct_linearization_is_global_underestimator(rng):
         fn=fn,
     )
     z = np.array([1.7, -0.4])
-    hs = linearize_direct(spec, z, 0)
+    hs = linearize_direct(spec, z)
     assert hs.slack(z) == pytest.approx(spec.value(z), abs=1e-12)
     for _ in range(200):
         y = rng.uniform(-3.0, 3.0, size=2)
@@ -145,14 +158,22 @@ def test_scaled_norm_keepout_is_projected_by_its_own_geometry():
         two_step_problem(fn)
 
 
-def test_degenerate_gradient_raises():
-    # q = 0.w + 0: {q <= 0} is the whole plane, so the anchor is its own
-    # projection point, where the gradient vanishes
-    fn = AffineFn(a=np.zeros(2), beta=0.0)
-    problem = two_step_problem(fn)
+def test_degenerate_gradient_raises(monkeypatch):
+    # q = 0.w + 0 is an affine row: a fixed row 0 >= 0 with no entries, which
+    # no region linearizes, so its zero gradient raises nothing
+    problem = two_step_problem(AffineFn(a=np.zeros(2), beta=0.0))
     z = hold_anchor(problem, [0.0, 0.0])
-    with pytest.raises(DegenerateGradientError):
-        build_feasible_region(problem, z, "equality")
+    assert build_feasible_region(problem, z, "equality").halfspaces == ()
+    program, rows = affine_state_rows(problem, 0.0)
+    A = program.A.tocsr()
+    assert all(A.indptr[r + 1] == A.indptr[r] for r in rows)
+    np.testing.assert_array_equal(program.b[rows], 0.0)
+    # a keep-out whose gradient vanishes at its projection point has no
+    # supporting halfspace
+    problem = unit_disk_problem()
+    monkeypatch.setattr(ConstraintSpec, "grad_local", lambda self, y: np.zeros(self.indices.size))
+    with pytest.raises(DegenerateGradientError, match="gradient norm"):
+        build_feasible_region(problem, hold_anchor(problem, [2.0, 0.0]), "equality")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +247,7 @@ def test_benchmark_region_sampled_containment(quad_problem, quad_start):
 
 
 def test_lipschitz_probe_zero_for_affine(rng):
+    # an affine row is a fixed row, never a region row: both regions are empty
     fn = AffineFn(a=np.array([1.0, 0.0]), beta=-1.0)
     problem = two_step_problem(fn)
     z1 = hold_anchor(problem, [2.0, 0.5])

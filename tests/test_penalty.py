@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scvx import conic
 from scvx.bench import (
     BenchmarkRun,
     build_quadrotor_problem,
@@ -154,6 +155,29 @@ def test_penalty_relaxation_floor_bounds_the_cost(small_runs):
     floor = penalty.report.relaxation_floor
     assert floor is not None
     assert floor <= penalty.record.cost + 1e-9
+
+
+def test_obstacle_free_penalty_run_is_one_solve(monkeypatch, quad_scenario, convex_run):
+    # every affine row is a fixed row, so without keep-outs the region is
+    # empty at every anchor: as at lambda = 0, the one succession is the
+    # optimum and certifies itself, and no floor solve runs
+    scenario = dataclasses.replace(quad_scenario, penalty_lambda=100.0)
+    problem = build_quadrotor_problem(scenario, include_obstacles=False)
+    config = ScvxConfig(epsilon=scenario.epsilon, penalty=PenaltyConfig(lam=100.0))
+    start = find_feasible_start(problem, initial_guess(scenario), config)
+    solve, calls = conic.solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "solve", counting)
+    report = scvx(problem, start, config)
+    assert len(calls) == 1
+    assert report.converged and report.successions == 1
+    assert report.relaxation_floor is None
+    assert report.penalty_check.status == "valid"
+    assert report.penalty_values[-1] == pytest.approx(convex_run.record.cost, abs=1e-6)
 
 
 def test_benchmark_penalty_equals_control_norm_sum(benchmark_run):

@@ -9,28 +9,32 @@ from scvx.projection import project
 from tests.checks import project_generic
 
 
-def disk_constraint(center, radius, indices=(0, 1)):
-    """Keep-out disk ||y[idx] - center|| >= radius, projected onto its complement."""
+def disk_constraint(center, radius, indices=(0, 1), H=None):
+    """Keep-out ||H y[idx] - center|| >= radius (H = I unless given), projected onto its complement."""
     center = np.asarray(center, dtype=float)
-    k = center.size
+    H = np.eye(center.size) if H is None else np.asarray(H, dtype=float)
     return ConstraintSpec(
         kind="state-constraint",
         step=0,
         component=0,
         indices=np.asarray(indices, dtype=int),
-        fn=NormFn(H=np.eye(k), p=center, a=np.zeros(k), beta=-float(radius)),
+        fn=NormFn(H=H, p=center, a=np.zeros(H.shape[1]), beta=-float(radius)),
     )
 
 
-def halfspace_constraint(a, b, indices):
-    # a.y - b >= 0, complement {a.y <= b}
-    return ConstraintSpec(
-        kind="state-constraint",
-        step=0,
-        component=0,
-        indices=np.asarray(indices, dtype=int),
-        fn=AffineFn(a=np.asarray(a, dtype=float), beta=-float(b)),
-    )
+def tilted_cylinder(rng):
+    """A cylinder keep-out over 3 coordinates in a rotated frame, and a point outside it.
+
+    H is 2 orthonormal rows; the point sits 1.1-3 radii from the axis in
+    H's image and anywhere along the axis.
+    """
+    H = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    center = rng.uniform(-2.0, 2.0, size=2)
+    radius = float(rng.uniform(0.3, 2.0))
+    along = rng.standard_normal(3)
+    along -= H.T @ (H @ along)
+    z = H.T @ (center + rng.uniform(1.1, 3.0) * radius * _unit(rng)) + along
+    return disk_constraint(center, radius, indices=(0, 1, 2), H=H), z
 
 
 def grid_oracle(center, radius, z, step=1e-3):
@@ -90,6 +94,10 @@ def test_route_is_decided_once_per_function(monkeypatch):
     assert project(ball, z).method == "analytic"
     with pytest.raises(UnsupportedModelError):
         project(spec, z)
+    # an affine row is its own supporting halfspace and is never projected
+    affine = ConstraintSpec("state-constraint", 0, 0, np.arange(2), AffineFn(np.array([1.0, 0.0]), -1.0))
+    with pytest.raises(UnsupportedModelError, match="AffineFn"):
+        project(affine, z)
 
 
 def test_member_point_projects_to_itself():
@@ -111,17 +119,6 @@ def test_cylinder_projection_touches_only_its_coordinates():
     assert abs(c.fn.value(res.point[[2, 3]])) <= 1e-12
 
 
-def test_halfspace_projection_formula():
-    a = np.array([3.0, 4.0])
-    c = halfspace_constraint(a, 5.0, indices=(0, 1))
-    z = np.array([3.0, 4.0])  # a.z = 25 > 5: outside the complement set
-    res = project(c, z)
-    expect = z - a * (a @ z - 5.0) / (a @ a)
-    np.testing.assert_allclose(res.point, expect, atol=1e-12)
-    np.testing.assert_allclose(res.point, [0.6, 0.8], atol=1e-12)
-    assert abs(c.fn.value(res.point)) <= 1e-9
-
-
 def test_gradient_fallback_at_norm_center(rng):
     from scvx.errors import GradientSingularityError
     from scvx.linearize import linearize_direct
@@ -130,7 +127,7 @@ def test_gradient_fallback_at_norm_center(rng):
     y = np.array([1.0, 2.0])  # exactly at the center: gradient undefined
     with pytest.raises(GradientSingularityError):
         c.grad_local(y)
-    hs = linearize_direct(c, y, 0)
+    hs = linearize_direct(c, y)
     np.testing.assert_array_equal(hs.indices, c.indices)
     np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-15)
     assert hs.slack(y) == pytest.approx(c.value(y), abs=1e-15)
@@ -193,13 +190,7 @@ def test_analytic_conic_agreement_100_instances(rng):
             z[[1, 2]] = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
             z[[0, 3]] = rng.standard_normal(2)
         else:
-            a = rng.standard_normal(3)
-            b = float(rng.uniform(-1.0, 1.0))
-            c = halfspace_constraint(a, b, indices=(0, 1, 2))
-            w = rng.standard_normal(3)
-            # boundary point plus an outward step, so the projection is proper
-            zb = w - a * (a @ w - b) / (a @ a)
-            z = zb + a / np.linalg.norm(a) * rng.uniform(0.1, 2.0)
+            c, z = tilted_cylinder(rng)
         analytic = project(c, z)
         conic = project_generic(c, z)
         assert np.linalg.norm(analytic.point - conic.point) <= 1e-6
@@ -222,7 +213,7 @@ def test_non_expansiveness_1000_pairs(rng):
     specs = [
         disk_constraint([0.0, 0.0], 1.0),
         disk_constraint([1.0, -1.0], 2.0),
-        halfspace_constraint([1.0, 2.0], 0.5, indices=(0, 1)),
+        disk_constraint([0.5], 0.5, H=[[0.6, 0.8]]),  # the slab |0.6 y0 + 0.8 y1 - 0.5| <= 0.5
     ]
     for i in range(1000):
         c = specs[i % len(specs)]

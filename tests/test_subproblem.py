@@ -12,7 +12,7 @@ from scvx.errors import SubsolverError
 from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.projection import project
-from scvx.problem import Pin, eval_g
+from scvx.problem import NormFn, Pin, eval_g
 from tests.checks import builder_program, dense_polish, eval_q, solver_objective
 from scvx.subproblem import (
     Polish,
@@ -50,6 +50,28 @@ def quad_solution(quad_artifacts):
 def row_kinds(program):
     """The cone kind of every program row."""
     return np.repeat([k.kind for k in program.cones], [k.dim for k in program.cones])
+
+
+def assert_exact_dynamics_rows(problem, program, rows, mode):
+    """rows hold every defect g_j, in order, as ProgramBuilder stores it.
+
+    equality mode: g_j = 0, a zero-cone row a over the spec's indices with
+    -beta in b; penalty mode: g_j >= 0, a nonnegative row -a with beta in b,
+    so that its slack b - A y is g_j.  The exact zeros of a are dropped,
+    and b is bit for bit the defect's own beta.
+    """
+    specs = [spec for spec in problem.constraints if spec.kind == "dynamics-defect"]
+    assert len(rows) == len(specs)
+    kind, sign = ("zero", 1.0) if mode == "equality" else ("nonneg", -1.0)
+    assert np.all(row_kinds(program)[rows] == kind)
+    A = program.A.tocsr()
+    for r, spec in zip(rows, specs):
+        assert A.indptr[r + 1] - A.indptr[r] == np.count_nonzero(spec.fn.a)
+        expect = np.zeros(program.n_cols)
+        expect[spec.indices] = sign * spec.fn.a
+        np.testing.assert_array_equal(A[r].toarray().ravel(), expect)
+    beta = np.array([-sign * spec.fn.beta for spec in specs])
+    np.testing.assert_array_equal(program.b[rows].view(np.uint64), beta.view(np.uint64))
 
 
 def assert_halfspaces_close_the_program(artifacts, halfspaces):
@@ -96,18 +118,24 @@ def test_benchmark_program_dimensions(quad_problem, quad_artifacts, quad_region)
 
 def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, quad_start):
     # lambda > 0: one weighted epigraph column per dynamics defect after the
-    # 24 control norms, and no zero-cone dynamics rows
-    region = build_feasible_region(quad_problem, quad_start, "penalty")
-    artifacts = assemble(quad_problem, PenaltyConfig(lam=100.0), region)
+    # 24 control norms, and each defect a fixed row g_j >= 0 in place of its
+    # zero-cone row; the region holds the 50 keep-out rows, as at lambda = 0
+    config = PenaltyConfig(lam=100.0)
+    region = build_feasible_region(quad_problem, quad_start, config.mode)
+    fixed = fixed_rows(quad_problem, config)
+    artifacts = assemble(quad_problem, config, region, fixed)
     c = artifacts.program.c[222:]
     assert c.size == 24 + 24 * 6
     np.testing.assert_array_equal(c[24:], 100.0)
-    assert len(region.halfspaces) == 50 + 24 * 6
-    rows = assert_halfspaces_close_the_program(artifacts, region.halfspaces)
-    # the multipliers come from the linearized dynamics rows g_j >= 0, and
-    # the only equality rows are the pins
-    dyn = [r for r, hs in zip(rows, region.halfspaces) if hs.constraint_index < 24 * 6]
-    np.testing.assert_array_equal(artifacts.dynamics_rows, dyn)
+    assert len(region.halfspaces) == 50
+    assert_halfspaces_close_the_program(artifacts, region.halfspaces)
+    # the multipliers come from the fixed rows g_j >= 0, which directly
+    # follow the epigraphs (24 four-row thrust cones, then 144 penalty
+    # rows), and the only equality rows are the pins
+    np.testing.assert_array_equal(artifacts.dynamics_rows, fixed.dynamics_rows)
+    np.testing.assert_array_equal(fixed.dynamics_rows, 24 * 4 + 24 * 6 + np.arange(24 * 6))
+    assert_exact_dynamics_rows(quad_problem, fixed.program, fixed.dynamics_rows, "penalty")
+    assert_exact_dynamics_rows(quad_problem, artifacts.program, artifacts.dynamics_rows, "penalty")
     pins = np.flatnonzero(row_kinds(artifacts.program) == "zero")
     np.testing.assert_array_equal(artifacts.polish.rows, pins)
     assert pins.size == sum(
@@ -117,26 +145,24 @@ def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, qu
 
 @pytest.mark.parametrize("lam", [0.0, 100.0])
 def test_halfspaces_are_the_sparse_rows_of_their_specs(quad_problem, quad_start, lam):
-    # each halfspace keeps its spec's coordinates and the gradient at the
-    # projection point over them; its offset is the in-order sum, bit for bit
+    # each halfspace keeps its keep-out spec's coordinates and the gradient
+    # at the projection point over them; its offset is the in-order sum, bit
+    # for bit; the region holds one per keep-out spec, in order, in both modes
     config = PenaltyConfig(lam=lam)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
-    for hs in region.halfspaces:
-        spec = quad_problem.constraints[hs.constraint_index]
+    keepouts = [spec for spec in quad_problem.constraints if isinstance(spec.fn, NormFn)]
+    assert len(region.halfspaces) == len(keepouts) == 50
+    for hs, spec in zip(region.halfspaces, keepouts):
         np.testing.assert_array_equal(hs.indices, spec.indices)
         zbar = project(spec, quad_start).point
         np.testing.assert_array_equal(hs.coeffs, spec.grad_local(zbar))
         assert hs.offset == sum(g * zbar[int(i)] for i, g in zip(spec.indices, hs.coeffs))
-    # the program rows drop the exact zeros, which the dynamics rows carry
-    assert_halfspaces_close_the_program(assemble(quad_problem, config, region), region.halfspaces)
-    dynamics = [
-        hs
-        for hs in region.halfspaces
-        if quad_problem.constraints[hs.constraint_index].kind == "dynamics-defect"
-    ]
-    assert len(dynamics) == (24 * 6 if lam else 0)
-    if lam:
-        assert any(np.any(hs.coeffs == 0.0) for hs in dynamics)
+    artifacts = assemble(quad_problem, config, region)
+    assert_halfspaces_close_the_program(artifacts, region.halfspaces)
+    # the dynamics rows are fixed rows in both modes; their program rows drop
+    # the exact zeros their coefficients carry
+    assert_exact_dynamics_rows(quad_problem, artifacts.program, artifacts.dynamics_rows, config.mode)
+    assert any(np.any(spec.fn.a == 0.0) for spec in quad_problem.constraints[: 24 * 6])
 
 
 def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
@@ -156,8 +182,9 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     builder = conic.ProgramBuilder()
     builder.add_cols(z.size)
     builder.add_ge([(0, 1.0)], 0.0)
-    program, rows = add_halfspace_rows(builder.build(), region.halfspaces)
-    np.testing.assert_array_equal(rows, [1, 2])
+    program = add_halfspace_rows(builder.build(), region.halfspaces)
+    assert program.n_rows == 3
+    np.testing.assert_array_equal(program.b[1:], [-hs.offset for hs in region.halfspaces])
     assert [(k.kind, k.dim) for k in program.cones] == [("nonneg", 3)]
 
 
@@ -168,6 +195,7 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
     # coefficient are dropped as the builder drops them
     config = PenaltyConfig(lam=lam)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
+    assert len(region.halfspaces) == 50
     first = region.halfspaces[0]
     coeffs = first.coeffs.copy()
     coeffs[np.flatnonzero(coeffs)[:2]] = [0.0, -0.0]
@@ -188,6 +216,10 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
     assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in ref.cones]
     r = artifacts.program.n_rows - len(halfspaces)
     assert got.A.tocsr()[r].nnz == np.count_nonzero(first.coeffs) - 2
+    # the one-pass build emits each exact defect row where the fixed rows do,
+    # ahead of the region's block
+    assert artifacts.dynamics_rows.max() < r
+    assert_exact_dynamics_rows(quad_problem, ref, artifacts.dynamics_rows, config.mode)
 
 
 def test_control_norm_objective_emits_one_epigraph_per_step():
