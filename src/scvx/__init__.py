@@ -41,6 +41,7 @@ from .projection import ProjectionResult, project
 from .linearize import (
     FeasibleRegion,
     Halfspace,
+    Halfspaces,
     build_feasible_region,
     check_anchor,
     linearize_direct,

@@ -58,6 +58,10 @@ _REG = 1e-8
 _REFINE_STEPS = 3
 _MIN_STEP = 1e-9  # treat smaller line-search steps as numerical stagnation
 _STEP_FRACTION = 0.99
+# SuperLU's panel width for the diagonal-pivot factors.  Wide panels pay
+# off on factors with much fill; a KKT factor adds little, and one-column
+# panels halve its time.
+_PANEL_SIZE = 1
 _MAX_ITER = 100  # interior-point iterations per factorization attempt
 # weight of the previous solution in a warm start (Skajaa, Andersen & Ye 2013)
 _WARM_WEIGHT = 0.9
@@ -511,8 +515,9 @@ class _KKT:
     factor() writes -W^2 into a copy of the program's fixed data, adds the
     +-reg diagonal and drops exact zeros.  Pivoting "diagonal" factors that
     matrix in place with diagonal pivots, which a quasi-definite matrix
-    admits in every symmetric order; "partial" lets SuperLU reorder columns
-    and pivot rows.  Refinement iterates against the unregularized data on
+    admits in every symmetric order, in _PANEL_SIZE-column panels;
+    "partial" lets SuperLU reorder columns and pivot rows, with its
+    default panels.  Refinement iterates against the unregularized data on
     the full pattern.
     """
 
@@ -543,7 +548,7 @@ class _KKT:
         if self.pivoting == "diagonal":
             self.lu = spla.splu(
                 K_reg, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
+                panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True),
             )
         else:
             self.lu = spla.splu(K_reg)
@@ -565,14 +570,17 @@ def _symmetric_order(rows, cols, dim):
 
     Only the structure matters, so SuperLU orders a stand-in with the same
     pattern, 1 off the diagonal and dim on it: diagonally dominant, it
-    factors with diagonal pivots without breaking down.
+    factors with diagonal pivots without breaking down.  The stand-in is
+    factored in one-column panels, as the KKT matrices are: SuperLU
+    computes the order before it factors, and the panel width shapes only
+    the factor.
     """
     stand_in = sp.csc_matrix(
         (np.where(rows == cols, float(dim), 1.0), (rows, cols)), shape=(dim, dim)
     )
     lu = spla.splu(
         stand_in, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
+        panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True),
     )
     return lu.perm_c
 

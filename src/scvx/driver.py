@@ -27,7 +27,7 @@ from .errors import (
 from .linearize import (
     FeasibleRegion,
     _anchor_rows,
-    _keepout_rows,
+    _anchor_values,
     build_feasible_region,
     check_anchor,
     linearize_direct,
@@ -150,7 +150,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     records = []
     multipliers = None
 
-    convex_only = not _keepout_rows(problem)
+    convex_only = not problem.keepouts
     fixed = fixed_rows(problem, config.penalty)
 
     relaxation_floor = None
@@ -257,9 +257,9 @@ def feasibility_summary(problem: OptimalControlProblem, y) -> dict:
     }
 
 
-def _violation(problem, rows, w, mode):
+def _violation(problem, w, mode):
     """Total constraint violation at w: the anchor rows, base set, hard defects."""
-    v = sum(max(0.0, -spec.value(w)) for spec in rows)
+    v = sum(max(0.0, -q) for q in _anchor_values(problem, w, mode).tolist())
     v += float(np.sum(np.maximum(0.0, -problem.base_set.margins(w))))
     if mode == "equality":
         v += float(np.sum(np.abs(eval_g(problem, w))))
@@ -300,7 +300,7 @@ def find_feasible_start(
             )
 
     rows = _anchor_rows(problem, mode)
-    best = _violation(problem, rows, w, mode)
+    best = _violation(problem, w, mode)
     stall = 0
     for _ in range(FEASIBILITY_MAX_ROUNDS):
         try:
@@ -332,7 +332,7 @@ def find_feasible_start(
         if sol.status != "optimal":
             raise SubsolverError(f"feasibility subproblem returned {sol.outcome()}")
         w_new = Polish(program, eq_rows, dims.n_y)(sol.x[:dims.n_y].copy())
-        v_new = _violation(problem, rows, w_new, mode)
+        v_new = _violation(problem, w_new, mode)
         if v_new < best - 1e-12:
             w = w_new
             best = v_new

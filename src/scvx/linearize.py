@@ -13,10 +13,13 @@ state constraint) is its own supporting halfspace, so it is not linearized
 here: the subproblem builds it once per run as a fixed row, and a region
 holds the keep-out halfspaces only.
 
-A halfspace is stored as the sparse row of its constraint: the spec's own
-coordinates `indices` and the gradient over them, `coeffs`.  Its offset is
-summed in index order, one formula for both constructions, so that the
-same inputs always round to the same offset.
+The keep-outs are worked one KeepoutGroup at a time: projection,
+gradients, offsets and the containment check are each one array pass, and
+a region's rows are one Halfspaces of index, coefficient and offset
+arrays.  A row is the sparse row of its constraint: the spec's own
+coordinates and the gradient over them.  Its offset is summed in index
+order, as linearize_direct sums the offset of its one Halfspace, so that
+the same inputs always round to the same offset.
 """
 
 from __future__ import annotations
@@ -31,7 +34,15 @@ from .errors import (
     InfeasibleAnchorError,
     ScvxError,
 )
-from .problem import BaseSet, ConstraintSpec, NormFn, OptimalControlProblem, eval_g
+from .problem import (
+    BaseSet,
+    ConstraintSpec,
+    KeepoutGroup,
+    OptimalControlProblem,
+    _dots,
+    _freeze,
+    eval_g,
+)
 from .projection import project
 
 # anchors are accepted as feasible down to this constraint slack; iterates
@@ -42,23 +53,16 @@ GRADIENT_NORM_FLOOR = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Halfspace:
-    """coeffs . y[indices] >= offset: a linearized constraint row."""
+    """coeffs . y[indices] >= offset: one row linearized at a point (the init's)."""
 
     indices: np.ndarray
     coeffs: np.ndarray
     offset: float
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=int)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        indices.setflags(write=False)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
+        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
         object.__setattr__(self, "offset", float(self.offset))
-
-    def slack(self, y) -> float:
-        return float(self.coeffs @ y[self.indices] - self.offset)
 
 
 def _dot_in_order(indices, coeffs, y) -> float:
@@ -67,36 +71,63 @@ def _dot_in_order(indices, coeffs, y) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Halfspaces:
+    """Rows coeffs . y[indices] >= offset as arrays, one row per keep-out.
+
+    Entry e puts coeffs[e] on coordinate indices[e] of row rows[e]; the
+    entries run row by row, each row's in its spec's index order.
+    """
+
+    rows: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.offsets.size
+
+
+def _stack(blocks) -> Halfspaces:
+    """The rows of (indices, coeffs, offsets) blocks of shapes (k, d), (k, d), (k,), in order."""
+    blocks = [(np.zeros((0, 0), dtype=int), np.zeros((0, 0)), np.zeros(0))] + list(blocks)
+    widths = np.concatenate([np.full(len(offsets), idx.shape[1]) for idx, _, offsets in blocks])
+    indices, coeffs, offsets = (np.concatenate([b[i].ravel() for b in blocks]) for i in range(3))
+    return Halfspaces(np.repeat(np.arange(offsets.size), widths), indices, coeffs, offsets)
+
+
+@dataclass(frozen=True, eq=False)
 class FeasibleRegion:
     base: BaseSet
-    halfspaces: tuple
+    halfspaces: Halfspaces  # or a sequence of blocks _stack takes: () for none
     anchor: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
+        if not isinstance(self.halfspaces, Halfspaces):
+            object.__setattr__(self, "halfspaces", _stack(self.halfspaces))
         anchor = np.asarray(self.anchor, dtype=float)
         anchor.setflags(write=False)
         object.__setattr__(self, "anchor", anchor)
 
 
-def _anchor_rows(problem: OptimalControlProblem, mode: str):
-    """The rows q_j >= 0 an anchor must meet, which the feasibility init slacks.
-
-    equality mode: the state constraints (the defects are equalities);
-    penalty mode: the relaxed dynamics rows g_j >= 0 too.
+def _anchor_groups(problem: OptimalControlProblem, mode: str) -> tuple:
+    """The row groups q >= 0 an anchor must meet, which the feasibility init
+    slacks: the affine ones, then the keep-outs.  Equality mode holds the
+    dynamics defects as equalities; penalty mode relaxes them to g_j >= 0.
     """
     if mode not in ("equality", "penalty"):
         raise ScvxError(f"unknown linearization mode {mode!r}")
-    return [
-        spec
-        for spec in problem.constraints
-        if mode == "penalty" or spec.kind != "dynamics-defect"
-    ]
+    hard = "dynamics-defect" if mode == "equality" else None
+    return tuple(g for g in problem.affine_rows if g.specs[0].kind != hard) + problem.keepouts
 
 
-def _keepout_rows(problem: OptimalControlProblem):
-    """The rows a region linearizes: every ball or cylinder keep-out."""
-    return [spec for spec in problem.constraints if isinstance(spec.fn, NormFn)]
+def _anchor_rows(problem: OptimalControlProblem, mode: str) -> list:
+    """The specs of _anchor_groups, in order."""
+    return [spec for group in _anchor_groups(problem, mode) for spec in group.specs]
+
+
+def _anchor_values(problem: OptimalControlProblem, z, mode: str) -> np.ndarray:
+    """q_j(z) of every row _anchor_rows lists, one array pass per group."""
+    return np.concatenate([[]] + [group.values(z) for group in _anchor_groups(problem, mode)])
 
 
 def check_anchor(problem: OptimalControlProblem, z, mode: str):
@@ -117,42 +148,46 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
                 f"anchor dynamics defect {defect:.3e} exceeds 1e-7; "
                 "run find_feasible_start first"
             )
-    rows = _anchor_rows(problem, mode)
-    values = [spec.value(z) for spec in rows]
-    if values and min(values) < -ANCHOR_FEASIBILITY_TOL:
+    values = _anchor_values(problem, z, mode)
+    if values.size and values.min() < -ANCHOR_FEASIBILITY_TOL:
         k = int(np.argmin(values))
-        spec = rows[k]
+        spec = _anchor_rows(problem, mode)[k]
         raise InfeasibleAnchorError(
-            f"anchor violates q >= 0 on constraint ({spec.kind}, step {spec.step}, "
-            f"component {spec.component}): q = {values[k]:.3e}; "
+            f"anchor violates q >= 0 on {spec.label}: q = {values[k]:.3e}; "
             "run find_feasible_start first"
         )
     return z
 
 
+def _supporting_rows(group: KeepoutGroup, z):
+    """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets)."""
+    points = project(group, z).points
+    coeffs = group.grads(points)
+    norms = np.sqrt(_dots(coeffs, coeffs))
+    if np.any(norms < GRADIENT_NORM_FLOOR):
+        k = int(np.argmax(norms < GRADIENT_NORM_FLOOR))
+        raise DegenerateGradientError(
+            f"{group.specs[k].label} has gradient norm {norms[k]:.3e} at its "
+            "projection point; supporting halfspace undefined"
+        )
+    offsets = np.zeros(len(points))
+    for terms in (coeffs * points).T:  # in index order, as _dot_in_order sums
+        offsets += terms
+    slack = _dots(coeffs, z[group.indices]) - offsets
+    if np.any(slack < -1e-9):
+        k = int(np.argmax(slack < -1e-9))
+        raise ScvxError(
+            f"anchor lost containment on {group.specs[k].label} (slack "
+            f"{slack[k]:.3e}); this indicates a projector defect"
+        )
+    return group.indices, coeffs, offsets
+
+
 def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> FeasibleRegion:
     """Project z onto every keep-out set and emit the supporting halfspaces."""
     z = check_anchor(problem, z, mode)
-    halfspaces = []
-    for spec in _keepout_rows(problem):
-        zbar = project(spec, z).point
-        grad = spec.grad_local(zbar)
-        norm = float(np.linalg.norm(grad))
-        if norm < GRADIENT_NORM_FLOOR:
-            raise DegenerateGradientError(
-                f"constraint ({spec.kind}, step {spec.step}, component "
-                f"{spec.component}) has gradient norm {norm:.3e} at its "
-                "projection point; supporting halfspace undefined"
-            )
-        hs = Halfspace(spec.indices, grad, _dot_in_order(spec.indices, grad, zbar))
-        if hs.slack(z) < -1e-9:
-            raise ScvxError(
-                f"anchor lost containment on constraint ({spec.kind}, step "
-                f"{spec.step}, component {spec.component}) (slack "
-                f"{hs.slack(z):.3e}); this indicates a projector defect"
-            )
-        halfspaces.append(hs)
-    return FeasibleRegion(problem.base_set, tuple(halfspaces), z)
+    rows = _stack(_supporting_rows(group, z) for group in problem.keepouts)
+    return FeasibleRegion(problem.base_set, rows, z)
 
 
 def linearize_direct(constraint: ConstraintSpec, z) -> Halfspace:

@@ -18,7 +18,10 @@ non-convex.
 Constraint row ordering is fixed and documented: dynamics defects first
 (step-major, component-minor), then state constraints (step-major,
 component-minor).  All evaluation functions are pure; problem objects are
-immutable after construction.
+immutable after construction.  A problem also holds its rows grouped into
+arrays, built on first use: the keep-outs by shape (KeepoutGroup) and the
+affine rows by kind and width (AffineGroup), each group evaluated in one
+array pass that rounds every row as the row's own function does.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from .errors import DimensionError, GradientSingularityError, UnsupportedModelEr
 NORM_SINGULARITY_RADIUS = 1e-12
 
 
-def _freeze(a):
-    a = np.array(a, dtype=float)
+def _freeze(a, dtype=float):
+    # C order whatever the input's: a row's BLAS products round by layout,
+    # and a KeepoutGroup stacks its rows' H in C order
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -186,11 +191,12 @@ class NormFn:
         return not np.any(self.a) and np.allclose(self.H @ self.H.T, eye, rtol=0.0, atol=1e-12)
 
     def value(self, w):
-        return float(np.linalg.norm(self.H @ w - self.p) + self.a @ w + self.beta)
+        r = self.H @ w - self.p
+        return float(np.sqrt(r.dot(r)) + self.a @ w + self.beta)
 
     def grad(self, w):
         r = self.H @ w - self.p
-        nr = np.linalg.norm(r)
+        nr = np.sqrt(r.dot(r))
         if nr <= NORM_SINGULARITY_RADIUS:
             raise GradientSingularityError(
                 "norm term differentiated at its center (residual norm "
@@ -232,6 +238,11 @@ class ConstraintSpec:
                 f"{idx.size} touched coordinates"
             )
 
+    @property
+    def label(self) -> str:
+        """How errors and warnings name the row."""
+        return f"constraint ({self.kind}, step {self.step}, component {self.component})"
+
     def value(self, y) -> float:
         return self.fn.value(y[self.indices])
 
@@ -239,10 +250,115 @@ class ConstraintSpec:
         try:
             return self.fn.grad(y[self.indices])
         except GradientSingularityError as exc:
+            raise GradientSingularityError(f"{self.label}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# keep-out groups: the ball and cylinder rows as arrays
+
+
+def _matvecs(M, x):
+    """M[k] @ x[k] for every k.
+
+    A stacked matmul hands each block to BLAS as M[k] @ x[k] alone does, so
+    every row rounds as its one-row product (fused multiply-adds included),
+    which a row-wise sum of products would not.
+    """
+    return (M @ x[:, :, None])[:, :, 0]
+
+
+def _dots(u, v):
+    """u[k] . v[k] for every k, rounded as u[k].dot(v[k]) rounds."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class KeepoutGroup:
+    """Ball and cylinder keep-outs of one shape, one row per ConstraintSpec.
+
+    Row k reads w_k = y[indices[k]] (d coordinates) and keeps it out of the
+    ball ||H[k] w_k - centers[k]|| <= radii[k], H[k] being p row-orthonormal
+    rows: q_k(y) = ||H[k] w_k - centers[k]|| - radii[k] >= 0.  Every array
+    operation on the group rounds each row as the row's own NormFn does.
+    """
+
+    specs: tuple
+    indices: np.ndarray  # (k, d)
+    H: np.ndarray  # (k, p, d)
+    centers: np.ndarray  # (k, p)
+    radii: np.ndarray  # (k,)
+
+    def residuals(self, w):
+        """H[k] w[k] - centers[k] and its norm, for local coordinates w of shape (k, d)."""
+        v = _matvecs(self.H, w) - self.centers
+        return v, np.sqrt(_dots(v, v))
+
+    def values(self, y) -> np.ndarray:
+        """q_k(y) of every row."""
+        return self.residuals(y[self.indices])[1] - self.radii
+
+    def grads(self, w) -> np.ndarray:
+        """The gradient H[k]^T v_k / |v_k| of every row at local coordinates w (k, d).
+
+        Raises GradientSingularityError, as NormFn.grad does, for a row
+        whose image residual v_k is within NORM_SINGULARITY_RADIUS of 0.
+        """
+        v, nv = self.residuals(w)
+        near = nv <= NORM_SINGULARITY_RADIUS
+        if near.any():
+            k = int(np.argmax(near))
             raise GradientSingularityError(
-                f"constraint ({self.kind}, step {self.step}, component "
-                f"{self.component}): {exc}"
-            ) from None
+                f"{self.specs[k].label}: norm term differentiated at its center "
+                f"(residual norm {nv[k]:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
+            )
+        # + 0.0 is the ball's zero linear term: it turns -0.0 into 0.0 as NormFn.grad does
+        return _matvecs(np.swapaxes(self.H, 1, 2), v / nv[:, None]) + 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class AffineGroup:
+    """Affine rows q_k(y) = a[k] . y[indices[k]] + beta[k] of one kind and width."""
+
+    specs: tuple
+    indices: np.ndarray  # (k, d)
+    a: np.ndarray  # (k, d)
+    beta: np.ndarray  # (k,)
+
+    def values(self, y) -> np.ndarray:
+        """q_k(y) of every row."""
+        return _dots(self.a, y[self.indices]) + self.beta
+
+
+def _split(specs, key) -> list:
+    """specs split by key(spec), in order of first appearance, each in the order given."""
+    groups = {}
+    for spec in specs:
+        groups.setdefault(key(spec), []).append(spec)
+    return list(groups.values())
+
+
+def keepout_groups(specs) -> tuple:
+    """The keep-out specs as KeepoutGroups, one per (p, d) shape.
+
+    Raises UnsupportedModelError for a spec that is not a ball NormFn (no
+    linear term, row-orthonormal H), the one shape with a projection formula.
+    """
+    for spec in specs:
+        fn = spec.fn
+        if not (isinstance(fn, NormFn) and fn.is_ball):
+            raise UnsupportedModelError(
+                f"no projection formula for {type(fn).__name__} on {spec.label}"
+            )
+    return tuple(
+        KeepoutGroup(
+            specs=tuple(group),
+            indices=_freeze([spec.indices for spec in group], dtype=int),
+            H=_freeze([spec.fn.H for spec in group]),
+            centers=_freeze([spec.fn.p for spec in group]),
+            radii=_freeze([-spec.fn.beta for spec in group]),
+        )
+        for group in _split(specs, lambda spec: spec.fn.H.shape)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +386,7 @@ class Box:
 
     def margin(self, y) -> float:
         w = y[self.indices]
-        return float(min(np.min(w - self.lower), np.min(self.upper - w)))
+        return float(min((w - self.lower).min(), (self.upper - w).min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +409,8 @@ class Ball:
             raise DimensionError("Ball: radius must be positive")
 
     def margin(self, y) -> float:
-        return float(self.radius - np.linalg.norm(y[self.indices] - self.center))
+        r = y[self.indices] - self.center
+        return float(self.radius - np.sqrt(r.dot(r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +436,7 @@ class Cone:
 
     def margin(self, y) -> float:
         w = y[self.indices]
-        return float(self.axis @ w - self.cos_angle * np.linalg.norm(w))
+        return float(self.axis @ w - self.cos_angle * np.sqrt(w.dot(w)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +455,7 @@ class Pin:
             raise DimensionError("Pin: index/value sizes disagree")
 
     def margin(self, y) -> float:
-        return float(-np.max(np.abs(y[self.indices] - self.values)))
+        return float(-np.abs(y[self.indices] - self.values).max())
 
 
 BaseMember = Union[Box, Ball, Cone, Pin]
@@ -505,6 +622,25 @@ class OptimalControlProblem:
     def constraints(self) -> tuple:
         """All M ConstraintSpec rows in the documented order."""
         return self._constraints
+
+    @cached_property
+    def keepouts(self) -> tuple:
+        """The ball and cylinder keep-out rows as KeepoutGroups, grouped on first use."""
+        return keepout_groups([spec for spec in self._constraints if isinstance(spec.fn, NormFn)])
+
+    @cached_property
+    def affine_rows(self) -> tuple:
+        """The affine rows as AffineGroups, one per kind and width, grouped on first use."""
+        specs = [spec for spec in self._constraints if isinstance(spec.fn, AffineFn)]
+        return tuple(
+            AffineGroup(
+                specs=tuple(group),
+                indices=_freeze([spec.indices for spec in group], dtype=int),
+                a=_freeze([spec.fn.a for spec in group]),
+                beta=_freeze([spec.fn.beta for spec in group]),
+            )
+            for group in _split(specs, lambda spec: (spec.kind, spec.indices.size))
+        )
 
     def objective_value(self, y) -> float:
         return self.objective.value(self.dims, np.asarray(y, dtype=float))

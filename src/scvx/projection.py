@@ -1,72 +1,56 @@
-"""Euclidean projection onto the convex sublevel set {q_j(y) <= 0}.
+"""Euclidean projection onto the keep-out sets {q_k(y) <= 0}, a group at a time.
 
-Each keep-out row q_j >= 0 keeps the iterate out of a convex set; the
+Each keep-out row q_k >= 0 keeps the iterate out of a convex set; the
 projection of the current iterate onto that set is where the supporting
 halfspace gets anchored.  The linearization projects keep-out rows only
 (an affine row is its own supporting halfspace), and each is a Euclidean
 ball or infinite cylinder (a ball in a row-orthonormal linear image) with
-a closed form.  Any other function raises UnsupportedModelError.
-Projections move only the coordinates the constraint reads, which is
-exactly the gradient sparsity pattern.
+a closed form, so a KeepoutGroup of rows of one shape is projected in one
+array pass.  Projections move only the coordinates a row reads, which is
+exactly its gradient sparsity pattern, so the result holds each row's own
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedModelError
-from .problem import ConstraintSpec, NormFn
+from .problem import KeepoutGroup, _matvecs
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    point: np.ndarray
+    points: np.ndarray  # (k, d): row k's coordinates y[indices[k]], projected
     method: str  # "analytic": every library route is a closed form
-    warning: Optional[str] = None
+    warnings: tuple = ()  # one per row that took the axis fallback
 
 
-def project(constraint: ConstraintSpec, z: np.ndarray) -> ProjectionResult:
-    """Unique Euclidean projection of z onto {q_j <= 0}.
+def project(group: KeepoutGroup, z) -> ProjectionResult:
+    """Unique Euclidean projection of each row's coordinates onto its keep-out set.
 
-    q_j must be a pure norm ||H w - p|| - r with H H^T = I, which has the
-    ball formula.
+    Row k's set is the ball ||H w - p|| <= r in the image of a
+    row-orthonormal H: a point outside it moves onto the sphere within the
+    row space of H, and a member is its own projection.
     """
-    z = np.asarray(z, dtype=float)
-    if constraint.value(z) <= 0.0:
-        return ProjectionResult(point=z.copy(), method="analytic")
-    fn = constraint.fn
-    if isinstance(fn, NormFn) and fn.is_ball:
-        return _project_norm_ball(constraint, z)
-    raise UnsupportedModelError(
-        f"no projection formula for {type(fn).__name__} on constraint "
-        f"({constraint.kind}, step {constraint.step}, component {constraint.component})"
+    w = np.asarray(z, dtype=float)[group.indices]
+    v, nv = group.residuals(w)
+    out = np.flatnonzero(nv - group.radii > 0.0)
+    v, nv = v[out], nv[out]
+    axis = nv <= 1e-12
+    # a row whose point sits on the cylinder axis (possible only for deeply
+    # infeasible input) falls back to the first image direction, so the
+    # projection stays total and deterministic
+    warnings = tuple(
+        f"degenerate projection input at the axis of {group.specs[k].label}; "
+        "used fallback direction"
+        for k in out[axis]
     )
-
-
-def _project_norm_ball(constraint, z):
-    # {||H w - p|| <= r} with H row-orthonormal: pull the image point onto
-    # the sphere, moving z only within the row space of H
-    fn = constraint.fn
-    r = -fn.beta
-    w = z[constraint.indices]
-    v = fn.H @ w - fn.p
-    nv = float(np.linalg.norm(v))
-    warning = None
-    if nv <= 1e-12:
-        # z sits on the cylinder axis (possible only for deeply infeasible
-        # input); fall back to the first image direction so the projection
-        # stays total and deterministic
-        v = np.zeros(fn.p.size)
-        v[0] = 1.0
-        nv = 1.0
-        warning = (
-            f"degenerate projection input at the axis of constraint "
-            f"({constraint.kind}, step {constraint.step}, component "
-            f"{constraint.component}); used fallback direction"
-        )
-    point = z.copy()
-    point[constraint.indices] = w - fn.H.T @ (v * (1.0 - r / nv))
-    return ProjectionResult(point=point, method="analytic", warning=warning)
+    v[axis] = 0.0
+    v[axis, 0] = 1.0
+    nv[axis] = 1.0
+    points = w.copy()
+    step = v * (1.0 - group.radii[out] / nv)[:, None]
+    points[out] = w[out] - _matvecs(np.swapaxes(group.H[out], 1, 2), step)
+    return ProjectionResult(points=points, method="analytic", warnings=warnings)

@@ -89,12 +89,10 @@ def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
     k = len(halfspaces)
     if k == 0:
         return program
-    rows = np.repeat(np.arange(k), [hs.indices.size for hs in halfspaces])
-    cols = np.concatenate([hs.indices for hs in halfspaces])
-    coeffs = np.concatenate([hs.coeffs for hs in halfspaces])
-    keep = coeffs != 0.0  # -0.0 too
+    keep = halfspaces.coeffs != 0.0  # -0.0 too
     block = sp.coo_matrix(
-        (-coeffs[keep], (rows[keep], cols[keep])), shape=(k, program.n_cols)
+        (-halfspaces.coeffs[keep], (halfspaces.rows[keep], halfspaces.indices[keep])),
+        shape=(k, program.n_cols),
     )
     cones = list(program.cones)
     dim = k
@@ -103,7 +101,7 @@ def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
     return conic.ConicProgram(
         program.c,
         sp.vstack([program.A, block], format="csc"),
-        np.concatenate([program.b, [-hs.offset for hs in halfspaces]]),
+        np.concatenate([program.b, -halfspaces.offsets]),
         cones + [conic.Cone("nonneg", dim)],
     )
 

@@ -4,10 +4,12 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Four references keep earlier forms of
+claims the solve path relies on.  Five references keep earlier forms of
 the solve path: a subproblem program built in one ProgramBuilder pass, the
-dense Cholesky polish, the d-general cone algebra, and a projection through
-a cone solve, against which the closed-form projections are checked.
+dense Cholesky polish, the d-general cone algebra, the one-spec-at-a-time
+projection and linearization that the keep-out groups replace, and a
+projection through a cone solve, against which the closed-form
+projections are checked.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import scipy.linalg
 
 from scvx import conic
 from scvx.errors import ScvxError
-from scvx.linearize import FeasibleRegion, build_feasible_region
+from scvx.linearize import FeasibleRegion, _dot_in_order, build_feasible_region
 from scvx.problem import (
     AffineFn,
     Ball,
@@ -32,8 +34,9 @@ from scvx.problem import (
     ProblemDims,
     eval_g,
     eval_h,
+    keepout_groups,
 )
-from scvx.projection import ProjectionResult
+from scvx.projection import project
 from scvx.subproblem import (
     SubproblemArtifacts,
     add_base_set_rows,
@@ -56,7 +59,76 @@ def value_batch(spec: ConstraintSpec, Y) -> np.ndarray:
     raise TypeError(f"no batch evaluator for {type(fn).__name__}")
 
 
-def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
+def project_point(constraint: ConstraintSpec, z) -> np.ndarray:
+    """z with the constraint's coordinates moved by the library's projection.
+
+    The constraint is projected as a KeepoutGroup of one row.
+    """
+    (group,) = keepout_groups([constraint])
+    point = np.array(z, dtype=float)
+    point[constraint.indices] = project(group, point).points[0]
+    return point
+
+
+def project_reference(constraint: ConstraintSpec, z):
+    """The projection one keep-out spec at a time: (point, warning).
+
+    The closed form before keep-outs were grouped: pull the image point
+    H w - p onto the sphere of radius r, moving z only within the row space
+    of H, with the first image direction when z sits on the axis.
+    """
+    z = np.asarray(z, dtype=float)
+    if constraint.value(z) <= 0.0:
+        return z.copy(), None
+    fn = constraint.fn
+    r = -fn.beta
+    w = z[constraint.indices]
+    v = fn.H @ w - fn.p
+    nv = float(np.linalg.norm(v))
+    warning = None
+    if nv <= 1e-12:
+        v = np.zeros(fn.p.size)
+        v[0] = 1.0
+        nv = 1.0
+        warning = (
+            f"degenerate projection input at the axis of {constraint.label}; "
+            "used fallback direction"
+        )
+    point = z.copy()
+    point[constraint.indices] = w - fn.H.T @ (v * (1.0 - r / nv))
+    return point, warning
+
+
+def linearize_reference(constraint: ConstraintSpec, z):
+    """The supporting halfspace of one keep-out spec at z: (coeffs, offset).
+
+    The gradient at the reference projection and its in-order offset, as
+    build_feasible_region formed each row before keep-outs were grouped.
+    """
+    zbar, _ = project_reference(constraint, z)
+    grad = constraint.grad_local(zbar)
+    return grad, _dot_in_order(constraint.indices, grad, zbar)
+
+
+def halfspace_rows(halfspaces):
+    """The rows of a Halfspaces as (indices, coeffs, offset) triples, in order."""
+    return [
+        (halfspaces.indices[halfspaces.rows == k], halfspaces.coeffs[halfspaces.rows == k], offset)
+        for k, offset in enumerate(halfspaces.offsets)
+    ]
+
+
+def slacks(halfspaces, y) -> np.ndarray:
+    """coeffs . y[indices] - offset of every row."""
+    return np.array([coeffs @ y[idx] - offset for idx, coeffs, offset in halfspace_rows(halfspaces)])
+
+
+def keepout_specs(problem: OptimalControlProblem) -> list:
+    """The keep-out specs in region row order: group by group."""
+    return [spec for group in problem.keepouts for spec in group.specs]
+
+
+def project_generic(constraint: ConstraintSpec, z) -> np.ndarray:
     """Projection of z onto {q_j <= 0} through a small cone program.
 
     minimize t subject to t >= ||w - z[idx]|| and q_j(w) <= 0 over the
@@ -65,7 +137,7 @@ def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
     """
     z = np.asarray(z, dtype=float)
     if constraint.value(z) <= 0.0:
-        return ProjectionResult(point=z.copy(), method="conic")
+        return z.copy()
     idx, fn = constraint.indices, constraint.fn
     k = idx.size
     builder = conic.ProgramBuilder()
@@ -77,13 +149,10 @@ def project_generic(constraint: ConstraintSpec, z) -> ProjectionResult:
     builder.add_soc([(conic.coord_pairs(w_cols, -fn.a), -fn.beta)] + tail)
     sol = conic.solve(builder.build())
     if sol.status != "optimal":
-        raise ScvxError(
-            f"conic projection failed with {sol.outcome()} for constraint "
-            f"({constraint.kind}, step {constraint.step}, component {constraint.component})"
-        )
+        raise ScvxError(f"conic projection failed with {sol.outcome()} for {constraint.label}")
     point = z.copy()
     point[idx] = sol.x[:k]
-    return ProjectionResult(point=point, method="conic")
+    return point
 
 
 def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray:
@@ -249,30 +318,26 @@ def verify_invariance(
     Samples points of F_z (base set filtered by the halfspaces) and
     evaluates the linearized keep-out rows at each: every sample must
     satisfy q_j >= -1e-8.  The region holds one halfspace per keep-out
-    spec, in constraint order.  Affine rows are fixed rows of the
+    spec, group by group, each group in constraint order.  Affine rows are fixed rows of the
     subproblem, not part of the halfspace description, and are excluded
     (the subproblem enforces them exactly, not this containment argument).
     Failures are reported, not raised.
     """
-    anchor_slack = (
-        min(hs.slack(region.anchor) for hs in region.halfspaces)
-        if region.halfspaces
-        else 0.0
-    )
+    rows = halfspace_rows(region.halfspaces)
+    anchor_slack = float(np.min(slacks(region.halfspaces, region.anchor))) if rows else 0.0
     rng = np.random.default_rng(seed)
-    triples = [(hs.indices, hs.coeffs, hs.offset) for hs in region.halfspaces]
-    Y = sample_base_set(region.base, rng, n_samples, halfspaces=triples)
+    Y = sample_base_set(region.base, rng, n_samples, halfspaces=rows)
     worst = np.inf
     violations = 0
     checked = 0
-    keepouts = [spec for spec in problem.constraints if isinstance(spec.fn, NormFn)]
-    assert len(keepouts) == len(region.halfspaces)
-    for hs, spec in zip(region.halfspaces, keepouts):
+    keepouts = keepout_specs(problem)
+    assert len(keepouts) == len(rows)
+    for spec in keepouts:
         vals = value_batch(spec, Y)
         worst = min(worst, float(np.min(vals))) if vals.size else worst
         violations += int(np.sum(vals < -1e-8))
         checked += 1
-    if not region.halfspaces:
+    if not rows:
         worst = 0.0
     return InvarianceReport(
         samples=n_samples,
@@ -297,9 +362,7 @@ def lipschitz_probe(problem: OptimalControlProblem, z1, z2, y) -> float:
     r1 = build_feasible_region(problem, z1, "equality")
     r2 = build_feasible_region(problem, z2, "equality")
     y = np.asarray(y, dtype=float)
-    l1 = np.array([hs.slack(y) for hs in r1.halfspaces])
-    l2 = np.array([hs.slack(y) for hs in r2.halfspaces])
-    return float(np.linalg.norm(l1 - l2) / dz)
+    return float(np.linalg.norm(slacks(r1.halfspaces, y) - slacks(r2.halfspaces, y)) / dz)
 
 
 def solver_objective(artifacts: SubproblemArtifacts, solution: conic.ConicSolution) -> float:
@@ -339,8 +402,8 @@ def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) 
             add = builder.add_eq if hard else builder.add_ge
             add(conic.coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
     add_base_set_rows(builder, problem.base_set)
-    for hs in halfspaces:
-        builder.add_ge(conic.coord_pairs(hs.indices, hs.coeffs), hs.offset)
+    for indices, coeffs, offset in halfspace_rows(halfspaces):
+        builder.add_ge(conic.coord_pairs(indices, coeffs), offset)
     return builder.build()
 
 

@@ -14,9 +14,8 @@ from scvx import conic
 from scvx.bench import build_quadrotor_problem
 from scvx.cli import main as cli_main
 from scvx.driver import feasibility_summary, scvx
-from tests.checks import eval_q, project_generic, residuals, verify_invariance
+from tests.checks import eval_q, project_generic, project_point, residuals, verify_invariance
 from scvx.linearize import FeasibleRegion, build_feasible_region
-from scvx.projection import project
 from scvx.subproblem import assemble, extract
 from tests.test_conic import make_program, random_feasible_program
 from tests.test_projection import _unit, disk_constraint, grid_oracle, tilted_cylinder
@@ -114,7 +113,7 @@ def test_projection_correctness(rng):
             z[[0, 3]] = rng.standard_normal(2)
         else:
             c, z = tilted_cylinder(rng)
-        gap = float(np.linalg.norm(project(c, z).point - project_generic(c, z).point))
+        gap = float(np.linalg.norm(project_point(c, z) - project_generic(c, z)))
         worst_agree = max(worst_agree, gap)
         assert gap <= 1e-6
 
@@ -126,7 +125,7 @@ def test_projection_correctness(rng):
         radius = float(rng.uniform(0.2, 0.5))
         cases.append((center, radius, center + rng.uniform(1.5, 3.0) * _unit(rng)))
     for center, radius, z in cases:
-        distance = np.linalg.norm(project(disk_constraint(center, radius), z).point - z)
+        distance = np.linalg.norm(project_point(disk_constraint(center, radius), z) - z)
         gap = grid_oracle(center, radius, z) - distance
         worst_grid = max(worst_grid, abs(gap))
         assert 0.0 <= gap <= 2e-3
@@ -141,8 +140,8 @@ def test_projection_correctness(rng):
         c = specs[i % len(specs)]
         a = rng.uniform(-5.0, 5.0, size=2)
         b = rng.uniform(-5.0, 5.0, size=2)
-        pa = project(c, a).point
-        pb = project(c, b).point
+        pa = project_point(c, a)
+        pb = project_point(c, b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
     ok(
         "projection correctness",

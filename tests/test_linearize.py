@@ -1,7 +1,11 @@
 """Supporting-halfspace construction: anchoring, containment, degeneracies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvx.errors import (
     DegenerateGradientError,
@@ -9,7 +13,15 @@ from scvx.errors import (
     ScvxError,
     UnsupportedModelError,
 )
-from tests.checks import lipschitz_probe, verify_invariance
+from tests.checks import (
+    halfspace_rows,
+    keepout_specs,
+    linearize_reference,
+    lipschitz_probe,
+    slacks,
+    verify_invariance,
+)
+from scvx.bench import solve_quadrotor
 from scvx.linearize import build_feasible_region, linearize_direct
 from scvx.penalty import PenaltyConfig
 from scvx.problem import (
@@ -28,12 +40,11 @@ from scvx.problem import (
 from scvx.subproblem import fixed_rows
 
 
-def two_step_problem(fn, box=6.0):
-    """T=2 hold-state dynamics with one keep-out constraint on the state."""
-    dims = ProblemDims(n=2, m=1, T=2, s=1)
-    B = np.zeros((2, 1))
+def held_problem(state_constraints, n=2, box=6.0):
+    """T=2 hold-state dynamics over n states with the given state constraints."""
+    dims = ProblemDims(n=n, m=1, T=2, s=len(state_constraints))
+    B = np.zeros((n, 1))
     B[0, 0] = 1.0
-    sc = StateConstraint(fn=fn, state_coords=(0, 1))
     base = BaseSet(
         n_y=dims.n_y,
         members=(
@@ -46,11 +57,16 @@ def two_step_problem(fn, box=6.0):
     )
     return OptimalControlProblem(
         dims=dims,
-        dynamics=AffineDynamics(A=np.eye(2), B=B, d=np.zeros(2)),
-        state_constraints=(sc,),
+        dynamics=AffineDynamics(A=np.eye(n), B=B, d=np.zeros(n)),
+        state_constraints=tuple(state_constraints),
         base_set=base,
         objective=ControlNormSum(weight=1.0),
     )
+
+
+def two_step_problem(fn, box=6.0):
+    """T=2 hold-state dynamics with one keep-out constraint on the state."""
+    return held_problem([StateConstraint(fn=fn, state_coords=(0, 1))], box=box)
 
 
 def unit_disk_problem():
@@ -72,12 +88,12 @@ def test_disk_linearization_gives_tangent_halfspaces():
     z = hold_anchor(problem, [2.0, 0.0])
     region = build_feasible_region(problem, z, "equality")
     assert len(region.halfspaces) == 2  # one keep-out row per temporal point
-    for hs, coords in zip(region.halfspaces, [(0, 1), (2, 3)]):
+    for (indices, coeffs, offset), coords in zip(halfspace_rows(region.halfspaces), [(0, 1), (2, 3)]):
         # projection of (2,0) onto the unit disk is (1,0): row y_first >= 1
-        np.testing.assert_array_equal(hs.indices, coords)
-        np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-12)
-        assert hs.offset == pytest.approx(1.0, abs=1e-12)
-        assert hs.slack(z) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(indices, coords)
+        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-12)
+        assert offset == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(slacks(region.halfspaces, z), [1.0, 1.0], atol=1e-12)
     np.testing.assert_array_equal(region.anchor, z)
 
 
@@ -107,7 +123,7 @@ def test_affine_state_constraint_is_a_fixed_row():
         np.testing.assert_array_equal(program.b[rows], [-1.0, -1.0])
         mode = PenaltyConfig(lam=lam).mode
         for x in ([2.0, 0.5], [1.5, -3.0]):
-            assert build_feasible_region(problem, hold_anchor(problem, x), mode).halfspaces == ()
+            assert len(build_feasible_region(problem, hold_anchor(problem, x), mode).halfspaces) == 0
 
 
 def test_anchor_is_contained_for_random_feasible_points(rng):
@@ -117,7 +133,7 @@ def test_anchor_is_contained_for_random_feasible_points(rng):
         th = rng.uniform(0, 2 * np.pi)
         z = hold_anchor(problem, [r * np.cos(th), r * np.sin(th)])
         region = build_feasible_region(problem, z, "equality")
-        assert min(hs.slack(z) for hs in region.halfspaces) >= -1e-9
+        assert min(slacks(region.halfspaces, z)) >= -1e-9
 
 
 def test_region_contained_in_true_feasible_set():
@@ -143,10 +159,10 @@ def test_direct_linearization_is_global_underestimator(rng):
     )
     z = np.array([1.7, -0.4])
     hs = linearize_direct(spec, z)
-    assert hs.slack(z) == pytest.approx(spec.value(z), abs=1e-12)
+    assert hs.coeffs @ z - hs.offset == pytest.approx(spec.value(z), abs=1e-12)
     for _ in range(200):
         y = rng.uniform(-3.0, 3.0, size=2)
-        assert spec.value(y) >= hs.slack(y) - 1e-12
+        assert spec.value(y) >= hs.coeffs @ y - hs.offset - 1e-12
 
 
 def test_scaled_norm_keepout_is_projected_by_its_own_geometry():
@@ -163,16 +179,21 @@ def test_degenerate_gradient_raises(monkeypatch):
     # no region linearizes, so its zero gradient raises nothing
     problem = two_step_problem(AffineFn(a=np.zeros(2), beta=0.0))
     z = hold_anchor(problem, [0.0, 0.0])
-    assert build_feasible_region(problem, z, "equality").halfspaces == ()
+    assert len(build_feasible_region(problem, z, "equality").halfspaces) == 0
     program, rows = affine_state_rows(problem, 0.0)
     A = program.A.tocsr()
     assert all(A.indptr[r + 1] == A.indptr[r] for r in rows)
     np.testing.assert_array_equal(program.b[rows], 0.0)
     # a keep-out whose gradient vanishes at its projection point has no
-    # supporting halfspace
+    # supporting halfspace: a group with H = 0 keeps out ||0 w - (3, 0)|| <= 1,
+    # which no point is in, and its gradient H^T v / |v| is 0 everywhere
     problem = unit_disk_problem()
-    monkeypatch.setattr(ConstraintSpec, "grad_local", lambda self, y: np.zeros(self.indices.size))
-    with pytest.raises(DegenerateGradientError, match="gradient norm"):
+    (group,) = problem.keepouts
+    flat = dataclasses.replace(
+        group, H=np.zeros_like(group.H), centers=np.tile([3.0, 0.0], (2, 1))
+    )
+    monkeypatch.setitem(problem.__dict__, "keepouts", (flat,))
+    with pytest.raises(DegenerateGradientError, match="step 0, component 0.*gradient norm"):
         build_feasible_region(problem, hold_anchor(problem, [2.0, 0.0]), "equality")
 
 
@@ -232,7 +253,7 @@ def test_unknown_mode_rejected():
 def test_benchmark_region_has_one_row_per_obstacle_and_step(quad_problem, quad_start):
     region = build_feasible_region(quad_problem, quad_start, "equality")
     assert len(region.halfspaces) == 50  # 25 temporal points x 2 obstacles
-    assert min(hs.slack(quad_start) for hs in region.halfspaces) >= -1e-9
+    assert min(slacks(region.halfspaces, quad_start)) >= -1e-9
 
 
 def test_benchmark_region_sampled_containment(quad_problem, quad_start):
@@ -243,17 +264,68 @@ def test_benchmark_region_sampled_containment(quad_problem, quad_start):
 
 
 # ---------------------------------------------------------------------------
+# the grouped region against the one-spec-at-a-time reference
+
+
+def assert_region_matches_the_reference(problem, z, mode):
+    """Every row of the region equals linearize_reference of its spec, bit for bit."""
+    region = build_feasible_region(problem, z, mode)
+    specs = keepout_specs(problem)
+    rows = halfspace_rows(region.halfspaces)
+    assert len(rows) == len(specs)
+    for (indices, coeffs, offset), spec in zip(rows, specs):
+        ref_coeffs, ref_offset = linearize_reference(spec, z)
+        np.testing.assert_array_equal(indices, spec.indices)
+        np.testing.assert_array_equal(coeffs.view(np.uint64), ref_coeffs.view(np.uint64))
+        assert np.float64(offset).view(np.uint64) == np.float64(ref_offset).view(np.uint64)
+
+
+@st.composite
+def keepout_scenes(draw):
+    """A held state x and keep-outs it sits outside of, on the boundary of, or just inside.
+
+    Each keep-out is a unit-H disk over (x_0, x_1) or a cylinder over all
+    three coordinates with a tilted 2x3 row-orthonormal H; "inside" lies
+    within the anchor tolerance, 1e-10 of the radius deep.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-4.0, 4.0, size=3)
+    constraints = []
+    for kind in draw(st.lists(st.sampled_from(["disk", "tilted"]), min_size=1, max_size=4)):
+        coords = (0, 1) if kind == "disk" else (0, 1, 2)
+        H = np.eye(2) if kind == "disk" else np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        center = rng.uniform(-3.0, 3.0, size=2)
+        dist = np.linalg.norm(H @ x[list(coords)] - center)
+        scale = {"outside": rng.uniform(0.1, 0.9), "boundary": 1.0, "inside": 1.0 + 1e-10}
+        radius = dist * scale[draw(st.sampled_from(sorted(scale)))]
+        fn = NormFn(H=H, p=center, a=np.zeros(len(coords)), beta=-radius)
+        constraints.append(StateConstraint(fn=fn, state_coords=coords))
+    problem = held_problem(constraints, n=3, box=50.0)
+    return problem, stack(problem.dims, [x, x], [[0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(keepout_scenes())
+def test_grouped_region_matches_the_per_spec_reference(scene):
+    # unit-H and tilted keep-outs group apart; each group's rows, computed
+    # in one array pass, round exactly as the spec-by-spec construction
+    problem, z = scene
+    assert_region_matches_the_reference(problem, z, "equality")
+
+
+def test_region_matches_the_reference_at_the_benchmark_anchors(
+    quad_scenario, quad_start, benchmark_run
+):
+    anchors = [quad_start] + benchmark_run.report.iterates
+    for z in anchors:
+        assert_region_matches_the_reference(benchmark_run.problem, z, "equality")
+    penalty = solve_quadrotor(dataclasses.replace(quad_scenario, penalty_lambda=100.0))
+    for z in [penalty.start] + penalty.report.iterates:
+        assert_region_matches_the_reference(penalty.problem, z, "penalty")
+
+
+# ---------------------------------------------------------------------------
 # linearization continuity probe
-
-
-def test_lipschitz_probe_zero_for_affine(rng):
-    # an affine row is a fixed row, never a region row: both regions are empty
-    fn = AffineFn(a=np.array([1.0, 0.0]), beta=-1.0)
-    problem = two_step_problem(fn)
-    z1 = hold_anchor(problem, [2.0, 0.5])
-    z2 = hold_anchor(problem, [3.0, -1.0])
-    y = rng.uniform(-5.0, 5.0, size=z1.size)
-    assert lipschitz_probe(problem, z1, z2, y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lipschitz_probe_bounded_for_disk(rng):

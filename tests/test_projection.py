@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvx.errors import UnsupportedModelError
-from scvx.problem import AffineFn, ConstraintSpec, NormFn, StateConstraint
+from scvx.problem import AffineFn, ConstraintSpec, NormFn, StateConstraint, keepout_groups
 from scvx.projection import project
-from tests.checks import project_generic
+from tests.checks import project_generic, project_point, project_reference
 
 
 def disk_constraint(center, radius, indices=(0, 1), H=None):
@@ -68,55 +70,56 @@ def grid_oracle(center, radius, z, step=1e-3):
 def test_ball_projection_radial():
     c = disk_constraint([0.0, 0.0], 1.0)
     z = np.array([2.0, 0.0])
-    res = project(c, z)
-    np.testing.assert_allclose(res.point, [1.0, 0.0], atol=1e-12)
-    assert np.linalg.norm(res.point - z) == pytest.approx(1.0, abs=1e-12)
-    assert abs(c.fn.value(res.point)) <= 1e-8
-    assert res.method == "analytic"
+    (group,) = keepout_groups([c])
+    res = project(group, z)
+    np.testing.assert_allclose(res.points, [[1.0, 0.0]], atol=1e-12)
+    assert np.linalg.norm(res.points[0] - z) == pytest.approx(1.0, abs=1e-12)
+    assert abs(c.fn.value(res.points[0])) <= 1e-8
+    assert res.method == "analytic" and res.warnings == ()
 
 
 def test_route_is_decided_once_per_function(monkeypatch):
     ball = disk_constraint([0.0, 0.0], 1.0)
     stretched = NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
     z = np.array([2.0, 0.0])
-    assert project(ball, z).method == "analytic"
+    assert project(keepout_groups([ball])[0], z).method == "analytic"
     # H = 2I is not row-orthonormal: no closed form, so no keep-out
     with pytest.raises(UnsupportedModelError, match="NormFn"):
         StateConstraint(fn=stretched, state_coords=(0, 1))
     spec = ConstraintSpec("state-constraint", 0, 0, np.arange(2), stretched)
     with pytest.raises(UnsupportedModelError, match="NormFn"):
-        project(spec, z)
-    # later projections read the cached route instead of testing H H^T again
+        keepout_groups([ball, spec])
+    # later groupings read the cached route instead of testing H H^T again
     def no_retest(*args, **kwargs):
         raise AssertionError("the ball test ran again")
 
     monkeypatch.setattr(np, "allclose", no_retest)
-    assert project(ball, z).method == "analytic"
+    assert project(keepout_groups([ball])[0], z).method == "analytic"
     with pytest.raises(UnsupportedModelError):
-        project(spec, z)
+        keepout_groups([spec])
     # an affine row is its own supporting halfspace and is never projected
     affine = ConstraintSpec("state-constraint", 0, 0, np.arange(2), AffineFn(np.array([1.0, 0.0]), -1.0))
     with pytest.raises(UnsupportedModelError, match="AffineFn"):
-        project(affine, z)
+        keepout_groups([affine])
 
 
 def test_member_point_projects_to_itself():
     c = disk_constraint([0.0, 0.0], 1.0)
     z = np.array([0.3, -0.2])
-    res = project(c, z)
-    np.testing.assert_array_equal(res.point, z)
-    assert np.linalg.norm(res.point - z) == 0.0
+    point = project_point(c, z)
+    np.testing.assert_array_equal(point, z)
+    assert np.linalg.norm(point - z) == 0.0
 
 
 def test_cylinder_projection_touches_only_its_coordinates():
     # ground-plane keep-out in a larger stacked vector
     c = disk_constraint([-1.0, 0.0], 3.0, indices=(2, 3))
     z = np.array([9.0, 9.0, -8.0, -1.0, 9.0])
-    res = project(c, z)
+    point = project_point(c, z)
     d = np.array([-7.0, -1.0]) / np.sqrt(50.0)
-    np.testing.assert_allclose(res.point[[2, 3]], np.array([-1.0, 0.0]) + 3.0 * d, atol=1e-12)
-    np.testing.assert_array_equal(res.point[[0, 1, 4]], [9.0, 9.0, 9.0])
-    assert abs(c.fn.value(res.point[[2, 3]])) <= 1e-12
+    np.testing.assert_allclose(point[[2, 3]], np.array([-1.0, 0.0]) + 3.0 * d, atol=1e-12)
+    np.testing.assert_array_equal(point[[0, 1, 4]], [9.0, 9.0, 9.0])
+    assert abs(c.fn.value(point[[2, 3]])) <= 1e-12
 
 
 def test_gradient_fallback_at_norm_center(rng):
@@ -130,10 +133,47 @@ def test_gradient_fallback_at_norm_center(rng):
     hs = linearize_direct(c, y)
     np.testing.assert_array_equal(hs.indices, c.indices)
     np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-15)
-    assert hs.slack(y) == pytest.approx(c.value(y), abs=1e-15)
+    assert hs.coeffs @ y - hs.offset == pytest.approx(c.value(y), abs=1e-15)
     # a subgradient row: still a global under-estimator of q
     for w in rng.uniform(-2.0, 4.0, size=(500, 2)):
-        assert c.value(w) >= hs.slack(w) - 1e-12
+        assert c.value(w) >= hs.coeffs @ w - hs.offset - 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["disk", "tilted"]),
+    st.lists(st.sampled_from(["outside", "inside", "axis"]), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_grouped_projection_matches_the_per_spec_reference(shape, kinds, seed):
+    # one group of rows over disjoint coordinates, each row's point outside
+    # its keep-out, inside it, or on its axis, where the first image
+    # direction stands in: every row's projection and fallback warning are
+    # those of the spec-by-spec closed form, bit for bit
+    rng = np.random.default_rng(seed)
+    d = 2 if shape == "disk" else 3
+    specs, z = [], np.zeros(d * len(kinds))
+    for k, kind in enumerate(kinds):
+        H = np.eye(2) if shape == "disk" else np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        center = rng.uniform(-2.0, 2.0, size=2)
+        radius = float(rng.uniform(0.3, 2.0))
+        reach = {"outside": rng.uniform(1.1, 3.0) * radius, "inside": rng.uniform(0.0, 0.9) * radius}
+        if kind == "axis":  # radius 0 a hair off the axis, or a negative radius on it
+            radius, reach["axis"] = [(0.0, 1e-13), (-0.5, 0.0)][k % 2]
+        along = rng.standard_normal(d)
+        along -= H.T @ (H @ along)
+        indices = np.arange(d) + d * k
+        z[indices] = H.T @ (center + reach[kind] * _unit(rng)) + along
+        specs.append(disk_constraint(center, radius, indices=indices, H=H))
+    (group,) = keepout_groups(specs)
+    res = project(group, z)
+    warnings = []
+    for point, spec in zip(res.points, specs):
+        ref, warning = project_reference(spec, z)
+        np.testing.assert_array_equal(point.view(np.uint64), ref[spec.indices].view(np.uint64))
+        warnings += [warning] if warning else []
+    assert list(res.warnings) == warnings
+    assert len(warnings) == kinds.count("axis")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +184,7 @@ def test_benchmark_cylinder_against_grid():
     center = np.array([-1.0, 0.0])
     z = np.array([-8.0, -1.0])
     c = disk_constraint(center, 3.0)
-    distance = np.linalg.norm(project(c, z).point - z)
+    distance = np.linalg.norm(project_point(c, z) - z)
     d_grid = grid_oracle(center, 3.0, z)
     assert distance == pytest.approx(np.sqrt(50.0) - 3.0, abs=1e-12)
     assert 0.0 <= d_grid - distance <= 2e-3
@@ -156,7 +196,7 @@ def test_twenty_random_instances_against_grid(rng):
         radius = float(rng.uniform(0.2, 0.5))
         z = center + rng.uniform(1.5, 3.0) * _unit(rng)
         c = disk_constraint(center, radius)
-        distance = np.linalg.norm(project(c, z).point - z)
+        distance = np.linalg.norm(project_point(c, z) - z)
         d_grid = grid_oracle(center, radius, z)
         assert 0.0 <= d_grid - distance <= 2e-3
 
@@ -179,8 +219,8 @@ def test_analytic_conic_agreement_100_instances(rng):
             c = disk_constraint(center, radius)
             z = center + rng.uniform(1.1, 3.0) * radius * _unit(rng)
             # the distances agree as well as the points
-            analytic = np.linalg.norm(project(c, z).point - z)
-            conic = np.linalg.norm(project_generic(c, z).point - z)
+            analytic = np.linalg.norm(project_point(c, z) - z)
+            conic = np.linalg.norm(project_generic(c, z) - z)
             assert abs(conic - analytic) <= 1e-7
         elif kind == 1:
             center = rng.uniform(-2.0, 2.0, size=2)
@@ -191,9 +231,9 @@ def test_analytic_conic_agreement_100_instances(rng):
             z[[0, 3]] = rng.standard_normal(2)
         else:
             c, z = tilted_cylinder(rng)
-        analytic = project(c, z)
+        analytic = project_point(c, z)
         conic = project_generic(c, z)
-        assert np.linalg.norm(analytic.point - conic.point) <= 1e-6
+        assert np.linalg.norm(analytic - conic) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +244,8 @@ def test_idempotence(rng):
     c = disk_constraint([0.5, -0.25], 1.25)
     for _ in range(50):
         z = rng.uniform(-4.0, 4.0, size=2)
-        p1 = project(c, z).point
-        p2 = project(c, p1).point
+        p1 = project_point(c, z)
+        p2 = project_point(c, p1)
         assert np.linalg.norm(p2 - p1) <= 1e-9
 
 
@@ -219,8 +259,8 @@ def test_non_expansiveness_1000_pairs(rng):
         c = specs[i % len(specs)]
         a = rng.uniform(-5.0, 5.0, size=2)
         b = rng.uniform(-5.0, 5.0, size=2)
-        pa = project(c, a).point
-        pb = project(c, b).point
+        pa = project_point(c, a)
+        pb = project_point(c, b)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
 
 
@@ -228,30 +268,33 @@ def test_obtuse_angle_characterization(rng):
     c = disk_constraint([0.0, 0.0], 1.0)
     for _ in range(100):
         z = rng.uniform(1.1, 4.0) * _unit(rng)
-        res = project(c, z)
+        point = project_point(c, z)
         # random members of the disk
         y = rng.uniform(0.0, 1.0) * _unit(rng)
-        assert (z - res.point) @ (y - res.point) <= 1e-8
+        assert (z - point) @ (y - point) <= 1e-8
 
 
 @pytest.mark.parametrize("constraint", [disk_constraint([0.5, -0.25], 1.0)], ids=["norm"])
-@pytest.mark.parametrize("projector", [project, project_generic])
+@pytest.mark.parametrize(
+    "projector",
+    [pytest.param(project_point, id="project"), pytest.param(project_generic, id="project_generic")],
+)
 def test_projection_lands_on_boundary(rng, constraint, projector):
     # an outside point lands on the boundary; a member point is its own
     # projection at distance 0
     for _ in range(5):
         z = np.array([0.5, -0.25]) + rng.uniform(1.2, 4.0) * _unit(rng)
         out = projector(constraint, z)
-        assert abs(constraint.fn.value(out.point)) <= 1e-8
+        assert abs(constraint.fn.value(out)) <= 1e-8
         inside = np.array([0.5, -0.25]) + rng.uniform(0.0, 0.9) * _unit(rng)
         member = projector(constraint, inside)
-        np.testing.assert_array_equal(member.point, inside)
-        assert np.linalg.norm(member.point - inside) == 0.0
+        np.testing.assert_array_equal(member, inside)
+        assert np.linalg.norm(member - inside) == 0.0
 
 
 def test_generic_projection_of_member_point_is_identity():
     c = disk_constraint([0.0, 0.0], 1.0)
     z = np.array([0.4, 0.1])
-    res = project_generic(c, z)
-    np.testing.assert_array_equal(res.point, z)
-    assert np.linalg.norm(res.point - z) == 0.0
+    point = project_generic(c, z)
+    np.testing.assert_array_equal(point, z)
+    assert np.linalg.norm(point - z) == 0.0
