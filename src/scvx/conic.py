@@ -16,10 +16,13 @@ The algorithm is a homogeneous self-dual embedding with Nesterov-Todd
 scaling and Mehrotra predictor-corrector steps.  Each iteration factors one
 quasi-definite KKT matrix (static regularization + iterative refinement)
 and reuses the factorization for the predictor, the corrector, and the
-embedding's tau column.  Every symmetric permutation of a quasi-definite
-matrix has an LDL^T factorization (Vanderbei 1995), so the matrix is laid
-out in a minimum-degree symmetric order and factored with diagonal pivots
-only, as ECOS does.  The order and the pattern depend only on the
+embedding's tau column; it gathers the iterate's s and z once per cone
+group, for the interiority test, the scaling and both step lengths.  Every
+symmetric permutation of a quasi-definite matrix has an LDL^T
+factorization (Vanderbei 1995), so the matrix is laid out in a
+minimum-degree symmetric order, read from an incomplete factor of a
+stand-in with the same pattern, and factored with diagonal pivots only,
+as ECOS does.  The order and the pattern depend only on the
 program's structure (the sparsity of A and the cone list), so a warm start
 hands its solution's structure to the next solve of a program with the
 same one.  Linearly dependent equality rows can still cancel a diagonal
@@ -29,11 +32,12 @@ it used.
 
 A solve can be warm-started from the solution of a program with the same
 cone list: the embedding then starts from a convex combination of that
-solution and the cold start point (Skajaa, Andersen & Ye, Math. Prog.
-Comp. 2013).  A warm attempt that ends other than "optimal" is run again
-cold, and the solution reports which start it came from.  Solves are
-deterministic: identical inputs, start included, produce bitwise-identical
-iterates.
+solution and the cold point x = 0, s = z = e (Skajaa, Andersen & Ye, Math.
+Prog. Comp. 2013), with no factor before its first iteration; a cold start
+factors at W = I for its least-squares point.  A warm attempt that ends
+other than "optimal" is run again cold, and the solution reports which
+start it came from.  Solves are deterministic: identical inputs, start
+included, produce bitwise-identical iterates.
 
 ProgramBuilder is the one way programs are put together: rows land in
 the program in the order they are added, each add returns the index of
@@ -256,10 +260,10 @@ def _dot(u, v):
     return (u * v).sum(axis=1)
 
 
-def _jnorm(x):
-    """sqrt(x0^2 - ||x1||^2) per block: the cone's own scale."""
-    x0, x1 = _split(x)
-    return np.sqrt(x0 * x0 - _dot(x1, x1))
+def _halves(x):
+    """The s and z halves of an array stacked s first."""
+    k = len(x) // 2
+    return x[:k], x[k:]
 
 
 def _jdiag(d):
@@ -277,9 +281,10 @@ def _reflect(u, x, jdiag):
 class _Group:
     """One group of second-order blocks of a dimension d > 1."""
 
-    def __init__(self, idx):
+    def __init__(self, idx, dim):
         self.idx = idx  # (k, d) program rows
         self.heads, self.tails = idx[:, 0].copy(), idx[:, 1:].copy()
+        self.pair = np.concatenate([idx, idx + dim])  # (2k, d) rows of [s; z]
         self.jdiag = _jdiag(idx.shape[1])
         self.J = np.diag(self.jdiag)
 
@@ -289,7 +294,8 @@ class _Blocks:
     dimension into (k, d) index arrays; zero-cone rows are in no group.
 
     orthant holds the d = 1 group's rows (possibly none) and socs the
-    groups of d > 1, in increasing d.
+    groups of d > 1, in increasing d; orthant_pair and each group's pair
+    index the same rows of s and z stacked as one vector [s; z].
     """
 
     def __init__(self, cones):
@@ -307,7 +313,8 @@ class _Blocks:
         self.dim = pos
         self.degree = sum(idx.shape[0] for idx in self.groups)
         self.orthant = np.asarray(starts.get(1, []), dtype=int)
-        self.socs = [_Group(idx) for idx in self.groups if idx.shape[1] > 1]
+        self.orthant_pair = np.concatenate([self.orthant, self.orthant + pos])
+        self.socs = [_Group(idx, pos) for idx in self.groups if idx.shape[1] > 1]
 
     def restrict(self, v):
         """v on the block rows, 0 on the zero-cone rows."""
@@ -366,22 +373,57 @@ class _Blocks:
             out[g.tails] = (d1 - w0[:, None] * l1) / l0[:, None]
         return out
 
-    def max_step(self, v, dv):
-        """Largest alpha with v + alpha*dv in the cone (v strictly inside).
+    def interior(self, s, z):
+        """s and z gathered once per group, or None unless both are strictly
+        inside: every cone eigenvalue v0 - ||v1|| of each is positive."""
+        sz = np.concatenate([s, z])
+        orthant = sz[self.orthant_pair]
+        socs = [sz[g.pair] for g in self.socs]
+        tails = []  # ||v1||^2 per stacked block
+        eigs = [orthant.min()] if orthant.size else []
+        for V in socs:
+            v0, v1 = _split(V)
+            tails.append(_dot(v1, v1))
+            eigs.append((v0 - np.sqrt(tails[-1])).min())
+        if not min(eigs, default=np.inf) > 0.0:
+            return None
+        return _Interior(self, orthant, socs, tails)
+
+
+class _Interior:
+    """s and z of a strictly interior iterate, gathered once per cone group.
+
+    Each group stacks s first: the orthant rows as one (2k,) array, each
+    second-order group as one (2k, d) array with every block's J-norm
+    ||v||_J and normalized point v / ||v||_J.  The scaling and both step
+    lengths of the iteration read them from here.
+    """
+
+    def __init__(self, blocks: _Blocks, orthant, socs, tails):
+        self.blocks = blocks
+        self.orthant = orthant
+        self.socs = []  # (norms (2k,), points (2k, d)) per second-order group
+        for V, tail in zip(socs, tails):
+            v0 = V[:, 0]
+            norms = np.sqrt(v0 * v0 - tail)
+            self.socs.append((norms, V / norms[:, None]))
+
+    def max_step(self, ds, dz):
+        """Largest alpha with s + alpha*ds and z + alpha*dz in the cone.
 
         In the frame where v / ||v||_J is the identity, dv / ||v||_J maps to
         rho, and the step is 1 / max(0, -(rho0 - ||rho1||)).  rho is kept
         scaled by ||v||_J, which makes d = 1 exactly -v/dv.
         """
+        blocks = self.blocks
+        dsz = np.concatenate([ds, dz])
         alpha = np.inf
-        d = dv[self.orthant]
+        d = dsz[blocks.orthant_pair]
         hit = d < 0
         if hit.any():
-            alpha = min(alpha, float((v[self.orthant][hit] / -d[hit]).min()))
-        for g in self.socs:
-            V, D = v[g.idx], dv[g.idx]
-            vn = _jnorm(V)
-            (b0, b1), (d0, d1) = _split(V / vn[:, None]), _split(D)
+            alpha = min(alpha, float((self.orthant[hit] / -d[hit]).min()))
+        for g, (vn, points) in zip(blocks.socs, self.socs):
+            (b0, b1), (d0, d1) = _split(points), _split(dsz[g.pair])
             r0 = b0 * d0 - _dot(b1, d1)
             r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
             shrink = np.sqrt(_dot(r1, r1)) - r0
@@ -402,18 +444,16 @@ class _Scaling:
     and lam = sqrt(sz).
     """
 
-    def __init__(self, blocks: _Blocks, s, z):
-        self.blocks = blocks
+    def __init__(self, point: _Interior):
+        blocks = self.blocks = point.blocks
         self.lam = np.zeros(blocks.dim)
-        S, Z = s[blocks.orthant], z[blocks.orthant]
+        S, Z = _halves(point.orthant)
         self.eta = np.sqrt(S / Z)
         self.lam[blocks.orthant] = np.sqrt(S * Z)
         self.socs = []  # (eta, v, u, Ju) per second-order group: (k,), (k, d) x 3
-        for g in blocks.socs:
-            S, Z = s[g.idx], z[g.idx]
-            a, bb = _jnorm(S), _jnorm(Z)
-            sbar = S / a[:, None]
-            zbar = Z / bb[:, None]
+        for g, (norms, points) in zip(blocks.socs, point.socs):
+            a, bb = _halves(norms)
+            sbar, zbar = _halves(points)
             gamma = np.sqrt(0.5 * (1.0 + _dot(sbar, zbar)))
             v = (sbar + g.jdiag * zbar) / (2.0 * gamma)[:, None]
             u = v.copy()
@@ -570,17 +610,18 @@ def _symmetric_order(rows, cols, dim):
 
     Only the structure matters, so SuperLU orders a stand-in with the same
     pattern, 1 off the diagonal and dim on it: diagonally dominant, it
-    factors with diagonal pivots without breaking down.  The stand-in is
-    factored in one-column panels, as the KKT matrices are: SuperLU
-    computes the order before it factors, and the panel width shapes only
-    the factor.
+    factors with diagonal pivots without breaking down.  SuperLU computes
+    the order before it factors, so an incomplete factor that drops every
+    entry it may (drop_tol = fill_factor = 1) yields the order a full
+    factor would, at a fraction of its work and memory.
     """
     stand_in = sp.csc_matrix(
         (np.where(rows == cols, float(dim), 1.0), (rows, cols)), shape=(dim, dim)
     )
-    lu = spla.splu(
+    lu = spla.spilu(
         stand_in, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True),
+        drop_tol=1.0, fill_factor=1.0, panel_size=_PANEL_SIZE,
+        options=dict(SymmetricMode=True),
     )
     return lu.perm_c
 
@@ -605,8 +646,9 @@ def solve(
     is normalized to b.z = -1 and must re-evaluate to it).
 
     start, a solution of a program with the same cone list, warm-starts the
-    first attempt from the convex combination of that solution and the cold
-    start point, weighted _WARM_WEIGHT to the solution.  A start whose x, s
+    first attempt from the convex combination of that solution and the
+    point x = 0, s = z = e (the cone identity), weighted _WARM_WEIGHT to the
+    solution; a warm attempt makes no factor at W = I.  A start whose x, s
     or z_dual size does not match the program raises DimensionError.  When
     the program also has the start's A.indptr, A.indices and cone list, the
     solve reuses the start's KKT structure (its ordering and pattern)
@@ -677,16 +719,16 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         """c.x + b.z, the homogeneous gap without kappa."""
         return float(c @ x_ + b @ z_)
 
-    # --- initialization: least-squares-like systems at W = I
     K = _KKT(kkt, A, pivoting)
-    try:
-        K.factor(blocks.identity_squared())
-    except RuntimeError:  # a diagonal pivot cancelled to exactly zero
-        return result(
-            "numerical-error", 0, np.zeros(n), np.zeros(m), np.zeros(m), np.inf, np.inf, np.inf
-        )
-    x, zp = split(K.solve(np.concatenate([np.zeros(n), b])))
     if start is None:
+        # cold: least-squares-like systems at W = I
+        try:
+            K.factor(blocks.identity_squared())
+        except RuntimeError:  # a diagonal pivot cancelled to exactly zero
+            return result(
+                "numerical-error", 0, np.zeros(n), np.zeros(m), np.zeros(m), np.inf, np.inf, np.inf
+            )
+        x, zp = split(K.solve(np.concatenate([np.zeros(n), b])))
         s = blocks.restrict(-zp)  # equals b - A x on the cone rows at the least-squares point
         _, z = split(K.solve(np.concatenate([-c, np.zeros(m)])))
         shift = -blocks.min_eig(s)
@@ -696,10 +738,12 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if shift >= -1e-8:
             z = z + (1.0 + shift) * e
     else:
-        # e is 0 on the zero-cone rows: their slack stays 0, their dual
-        # keeps the weighted previous value
+        # warm: the combination with the cold point of Skajaa, Andersen &
+        # Ye, whose x is 0 and whose s and z are e.  e is 0 on the zero-cone
+        # rows: their slack stays 0, their dual keeps the weighted previous
+        # value.  The first factor is the first iteration's.
         w = _WARM_WEIGHT
-        x = w * start.x + (1.0 - w) * x
+        x = w * start.x
         s = w * blocks.restrict(start.s) + (1.0 - w) * e
         z = w * start.z_dual + (1.0 - w) * e
     tau, kappa = 1.0, 1.0
@@ -714,8 +758,8 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
 
         # de-homogenized convergence metrics
         xh, sh, zh = x / tau, s / tau, z / tau
-        pres = _norm(A @ xh + sh - b) / (1.0 + norm_b)
-        dres = _norm(AT @ zh + c) / (1.0 + norm_c)
+        pres = _norm(f_z) / tau / (1.0 + norm_b)
+        dres = _norm(f_x) / tau / (1.0 + norm_c)
         pobj = float(c @ xh)
         gap_rel = abs(pobj + float(b @ zh)) / (1.0 + abs(pobj))
 
@@ -748,11 +792,12 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         # where the scaling degenerates) and fall back to the best point
         if tau <= 0.0 or kappa <= 0.0 or not np.isfinite(tau) or not np.isfinite(kappa):
             break
-        if blocks.min_eig(s) <= 0.0 or blocks.min_eig(z) <= 0.0:
+        point = blocks.interior(s, z)
+        if point is None:
             break
         mu = (float(s @ z) + tau * kappa) / (blocks.degree + 1)
         try:
-            scal = _Scaling(blocks, s, z)
+            scal = _Scaling(point)
             K.factor(scal.w_squared())
         except (RuntimeError, FloatingPointError, ValueError):
             break
@@ -775,7 +820,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
             return dx, dz, dtau, ds, dkappa
 
         def max_alpha(ds, dz, dtau, dkappa):
-            alpha = min(blocks.max_step(s, ds), blocks.max_step(z, dz))
+            alpha = point.max_step(ds, dz)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:

@@ -4,12 +4,14 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Five references keep earlier forms of
+claims the solve path relies on.  Six references keep earlier forms of
 the solve path: a subproblem program built in one ProgramBuilder pass, the
-dense Cholesky polish, the d-general cone algebra, the one-spec-at-a-time
-projection and linearization that the keep-out groups replace, and a
-projection through a cone solve, against which the closed-form
-projections are checked.
+dense Cholesky polish, the d-general cone algebra, the KKT ordering read
+from a full factor, the one-spec-at-a-time projection and linearization
+that the keep-out groups replace, and a projection through a cone solve,
+against which the closed-form projections are checked.  Seeded random
+cone programs, feasible and bounded by construction, serve the solver's
+tests and its program sweep (tests/program_sweep.py).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from scvx import conic
 from scvx.errors import ScvxError
@@ -428,8 +432,8 @@ def dense_polish(program: conic.ConicProgram, rows, n_y: int, y) -> np.ndarray:
 #
 # The cone operations as they ran before the d = 1 group got its closed
 # forms: every group, d = 1 included, goes through the second-order
-# formulas, on empty (k, 0) tails for d = 1.  conic._Blocks and
-# conic._Scaling must give the same bits.
+# formulas, on empty (k, 0) tails for d = 1.  conic._Blocks,
+# conic._Interior and conic._Scaling must give the same bits.
 
 
 def _split(x):
@@ -532,24 +536,46 @@ class ReferenceBlocks:
             out[idx[:, 1:]] = (d1 - w0[:, None] * l1) / l0[:, None]
         return out
 
-    def max_step(self, v, dv):
-        """Largest alpha with v + alpha*dv in the cone (v strictly inside).
+    def interior(self, s, z):
+        """s and z one at a time, or None unless both are strictly inside:
+        the smallest cone eigenvalue of each is positive."""
+        if not (self.min_eig(s) > 0.0 and self.min_eig(z) > 0.0):
+            return None
+        return ReferenceInterior(self, s, z)
+
+
+class ReferenceInterior:
+    """conic._Interior in its d-general form, with s and z gathered apart:
+    per group, each block's J-norm ||v||_J and normalized point v / ||v||_J
+    of s and of z."""
+
+    def __init__(self, blocks: ReferenceBlocks, s, z):
+        self.blocks = blocks
+        self.groups = []  # ((norms, points) of s, (norms, points) of z) per group
+        for idx in blocks.groups:
+            pair = []
+            for v in (s, z):
+                norms = _jnorm(v[idx])
+                pair.append((norms, v[idx] / norms[:, None]))
+            self.groups.append(tuple(pair))
+
+    def max_step(self, ds, dz):
+        """Largest alpha with s + alpha*ds and z + alpha*dz in the cone.
 
         In the frame where v / ||v||_J is the identity, dv / ||v||_J maps to
         rho, and the step is 1 / max(0, -(rho0 - ||rho1||)).  rho is kept
         scaled by ||v||_J, which makes d = 1 exactly -v/dv.
         """
         alpha = np.inf
-        for idx in self.groups:
-            V, D = v[idx], dv[idx]
-            vn = _jnorm(V)
-            (b0, b1), (d0, d1) = _split(V / vn[:, None]), _split(D)
-            r0 = b0 * d0 - _dot(b1, d1)
-            r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
-            shrink = np.sqrt(_dot(r1, r1)) - r0
-            hit = shrink > 0
-            if np.any(hit):
-                alpha = min(alpha, float(np.min(vn[hit] / shrink[hit])))
+        for idx, pair in zip(self.blocks.groups, self.groups):
+            for (vn, points), dv in zip(pair, (ds, dz)):
+                (b0, b1), (d0, d1) = _split(points), _split(dv[idx])
+                r0 = b0 * d0 - _dot(b1, d1)
+                r1 = d1 - ((r0 + d0) / (b0 + 1.0))[:, None] * b1
+                shrink = np.sqrt(_dot(r1, r1)) - r0
+                hit = shrink > 0
+                if np.any(hit):
+                    alpha = min(alpha, float(np.min(vn[hit] / shrink[hit])))
         return alpha
 
 
@@ -564,15 +590,11 @@ class ReferenceScaling:
     and lam = sqrt(sz).
     """
 
-    def __init__(self, blocks: ReferenceBlocks, s, z):
-        self.blocks = blocks
+    def __init__(self, point: ReferenceInterior):
+        blocks = self.blocks = point.blocks
         self.lam = np.zeros(blocks.dim)
         self.groups = []  # (eta, v, u) per group: (k,), (k, d), (k, d)
-        for idx in blocks.groups:
-            S, Z = s[idx], z[idx]
-            a, bb = _jnorm(S), _jnorm(Z)
-            sbar = S / a[:, None]
-            zbar = Z / bb[:, None]
+        for idx, ((a, sbar), (bb, zbar)) in zip(blocks.groups, point.groups):
             gamma = np.sqrt(0.5 * (1.0 + _dot(sbar, zbar)))
             v = (sbar + _jdiag(idx.shape[1]) * zbar) / (2.0 * gamma)[:, None]
             u = v.copy()
@@ -608,3 +630,75 @@ class ReferenceScaling:
             M = (eta * eta)[:, None, None] * (2.0 * v[:, :, None] * v[:, None, :] - J)
             vals.append(M.ravel())
         return np.concatenate(vals)
+
+
+def symmetric_order_reference(rows, cols, dim):
+    """conic._symmetric_order as it read perm_c from a full factor of the
+    stand-in, in the same one-column panels."""
+    stand_in = sp.csc_matrix(
+        (np.where(rows == cols, float(dim), 1.0), (rows, cols)), shape=(dim, dim)
+    )
+    lu = spla.splu(
+        stand_in, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        panel_size=conic._PANEL_SIZE, options=dict(SymmetricMode=True),
+    )
+    return lu.perm_c
+
+
+# ---------------------------------------------------------------------------
+# random cone programs
+
+
+def interior_point(rng, cones):
+    """A strictly interior point, tails scaled over a few decades; arbitrary
+    values on the zero-cone rows."""
+    v = np.empty(sum(k.dim for k in cones))
+    pos = 0
+    for k in cones:
+        if k.kind == "zero":
+            v[pos : pos + k.dim] = rng.standard_normal(k.dim)
+        elif k.kind == "nonneg":
+            v[pos : pos + k.dim] = rng.uniform(0.05, 3.0, k.dim)
+        else:
+            tail = rng.standard_normal(k.dim - 1) * 10.0 ** rng.uniform(-2, 1)
+            v[pos] = np.linalg.norm(tail) + rng.uniform(0.05, 3.0)
+            v[pos + 1 : pos + k.dim] = tail
+        pos += k.dim
+    return v
+
+
+def sparse_feasible_program(rng, dependent) -> conic.ConicProgram:
+    """A sparse program, feasible and bounded by construction.
+
+    With dependent set, equality row 1 (and its dual value) repeats row 0,
+    and the last column is empty: the KKT matrix stays quasi-definite only
+    through its regularization.
+    """
+    n = int(rng.integers(5, 60))
+    p_eq = int(rng.integers(2, max(2, n // 3) + 1) if dependent else rng.integers(0, n // 3 + 1))
+    cones = [conic.Cone("zero", p_eq)] if p_eq else []
+    for _ in range(int(rng.integers(1, n // 2 + 1))):
+        cones.append(conic.Cone(str(rng.choice(["nonneg", "soc"])), int(rng.integers(1, 6))))
+    m = sum(k.dim for k in cones)
+    A = rng.standard_normal((m, n)) * (rng.uniform(size=(m, n)) < 0.3)
+    s, z = np.zeros(m), rng.standard_normal(m)
+    s[p_eq:] = interior_point(rng, cones[1:] if p_eq else cones)
+    z[p_eq:] = interior_point(rng, cones[1:] if p_eq else cones)
+    if dependent:
+        A[1], z[1] = A[0], z[0]
+        A[:, -1] = 0.0
+    b = A @ rng.standard_normal(n) + s
+    c = -(A.T @ z)
+    return conic.ConicProgram(c, sp.csc_matrix(A), b, tuple(cones))
+
+
+def loosened(rng, program) -> conic.ConicProgram:
+    """program with b moved up by up to 0.5 on every nonnegative row: still
+    feasible and bounded, with the same structure."""
+    b = program.b.copy()
+    pos = 0
+    for k in program.cones:
+        if k.kind == "nonneg":
+            b[pos : pos + k.dim] += rng.uniform(0.0, 0.5, k.dim)
+        pos += k.dim
+    return conic.ConicProgram(program.c, program.A, b, program.cones)

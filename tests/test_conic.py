@@ -1,6 +1,8 @@
 """Interior-point cone solver: hand-worked programs, random suites, certificates."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scvx import conic
+from scvx.bench import builtin_quadrotor, solve_quadrotor
 from scvx.conic import (
     _KKT,
     _REG,
@@ -23,7 +26,15 @@ from scvx.conic import (
     solve,
 )
 from scvx.errors import DimensionError
-from tests.checks import ReferenceBlocks, ReferenceScaling, residuals
+from tests.checks import (
+    ReferenceBlocks,
+    ReferenceScaling,
+    interior_point,
+    loosened,
+    residuals,
+    sparse_feasible_program,
+    symmetric_order_reference,
+)
 
 
 def make_program(c, A, b, cones):
@@ -71,31 +82,6 @@ def feasible_program(rng, n, cones):
 
     b = A @ rng.standard_normal(n) + interior(allow_free=False)
     c = -(A.T @ interior(allow_free=True))
-    return make_program(c, A, b, cones)
-
-
-def sparse_feasible_program(rng, dependent):
-    """A sparse program, feasible and bounded by construction.
-
-    With dependent set, equality row 1 (and its dual value) repeats row 0,
-    and the last column is empty: the KKT matrix stays quasi-definite only
-    through its regularization.
-    """
-    n = int(rng.integers(5, 60))
-    p_eq = int(rng.integers(2, max(2, n // 3) + 1) if dependent else rng.integers(0, n // 3 + 1))
-    cones = [Cone("zero", p_eq)] if p_eq else []
-    for _ in range(int(rng.integers(1, n // 2 + 1))):
-        cones.append(Cone(str(rng.choice(["nonneg", "soc"])), int(rng.integers(1, 6))))
-    m = sum(k.dim for k in cones)
-    A = rng.standard_normal((m, n)) * (rng.uniform(size=(m, n)) < 0.3)
-    s, z = np.zeros(m), rng.standard_normal(m)
-    s[p_eq:] = _interior(rng, cones[1:] if p_eq else cones)
-    z[p_eq:] = _interior(rng, cones[1:] if p_eq else cones)
-    if dependent:
-        A[1], z[1] = A[0], z[0]
-        A[:, -1] = 0.0
-    b = A @ rng.standard_normal(n) + s
-    c = -(A.T @ z)
     return make_program(c, A, b, cones)
 
 
@@ -311,16 +297,40 @@ def test_warm_start_from_a_neighbouring_solution():
         solve(moved, tol=1e-9, start=replace(base, x=base.x[1:]))
 
 
-def _count_orderings(monkeypatch):
-    """A one-element list counting calls to conic._symmetric_order."""
-    count, order = [0], conic._symmetric_order
+def test_warm_attempt_factors_once_per_iteration(monkeypatch):
+    # a cold attempt factors at W = I for its start point and then once per
+    # iteration but the last, which only measures; a warm attempt starts
+    # without a factor
+    factors, factor = [0], _KKT.factor
 
-    def counting(*args):
-        count[0] += 1
+    def counting(self, w2):
+        factors[0] += 1
+        return factor(self, w2)
+
+    monkeypatch.setattr(_KKT, "factor", counting)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        prog = random_feasible_program(rng)
+        factors[0] = 0
+        base = solve(prog, tol=1e-9)
+        assert (base.status, base.start, base.pivoting) == ("optimal", "cold", "diagonal")
+        assert factors[0] == base.iterations
+        factors[0] = 0
+        warm = solve(loosened(rng, prog), tol=1e-9, start=base)
+        assert (warm.status, warm.start) == ("optimal", "warm")
+        assert factors[0] == warm.iterations - 1
+
+
+def _recorded_orderings(monkeypatch):
+    """A list that collects the (rows, cols, dim) of every KKT ordering."""
+    patterns, order = [], conic._symmetric_order
+
+    def recording(*args):
+        patterns.append(args)
         return order(*args)
 
-    monkeypatch.setattr(conic, "_symmetric_order", counting)
-    return count
+    monkeypatch.setattr(conic, "_symmetric_order", recording)
+    return patterns
 
 
 def test_kkt_structure_is_reused_only_when_it_matches(monkeypatch):
@@ -332,14 +342,14 @@ def test_kkt_structure_is_reused_only_when_it_matches(monkeypatch):
     nonneg = np.repeat([k.kind == "nonneg" for k in prog.cones], [k.dim for k in prog.cones])
     b = prog.b + rng.uniform(0.0, 0.1, prog.n_rows) * nonneg
     moved = ConicProgram(prog.c, prog.A.copy(), b, prog.cones)
-    orderings = _count_orderings(monkeypatch)
+    orderings = _recorded_orderings(monkeypatch)
 
     # the same structure: no new ordering, and the same bits as a solve on
     # a structure built afresh
     warm = solve(moved, tol=1e-9, start=base)
-    assert orderings[0] == 0 and warm.kkt is base.kkt
+    assert len(orderings) == 0 and warm.kkt is base.kkt
     fresh = solve(moved, tol=1e-9, start=replace(base, kkt=None))
-    assert orderings[0] == 1 and fresh.kkt is not base.kkt
+    assert len(orderings) == 1 and fresh.kkt is not base.kkt
     assert warm.status == fresh.status == "optimal" and warm.start == fresh.start == "warm"
     assert warm.iterations == fresh.iterations
     for u, v in ((warm.x, fresh.x), (warm.s, fresh.s), (warm.z_dual, fresh.z_dual)):
@@ -357,11 +367,54 @@ def test_kkt_structure_is_reused_only_when_it_matches(monkeypatch):
     grown = ConicProgram(c, sp.csc_matrix(dense), b, prog.cones)
     assert grown.A.nnz == prog.A.nnz + 1
     sol = solve(grown, tol=1e-9, start=base)
-    assert orderings[0] == 2 and sol.kkt is not base.kkt
+    assert len(orderings) == 2 and sol.kkt is not base.kkt
     assert sol.status == "optimal"
     assert max(residuals(grown, sol)) <= 1e-8
     objective = float(grown.c @ base.x)
     assert abs(float(grown.c @ sol.x) - objective) <= 1e-7 * (1.0 + abs(objective))
+
+
+def _workloads():
+    """benchmarks/workloads.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ordering_matches_a_full_factor_on_the_benchmark_programs(monkeypatch):
+    # every ordering of a run (each init round, the floor, the first
+    # succession) comes before its second succession
+    base = builtin_quadrotor()
+    scenarios = [
+        base, replace(base, N=50), replace(base, N=100),
+        _workloads().scenario("penalty", 1),
+    ]
+    patterns = _recorded_orderings(monkeypatch)
+    for scenario in scenarios:
+        solve_quadrotor(scenario, max_successions=1)
+    monkeypatch.undo()
+    assert len(patterns) >= 3 * len(scenarios)
+    for rows, cols, dim in patterns:
+        np.testing.assert_array_equal(
+            conic._symmetric_order(rows, cols, dim), symmetric_order_reference(rows, cols, dim)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+@example(1, 0.0, 0)  # one row
+@example(40, 0.0, 1)  # diagonal only
+def test_ordering_matches_a_full_factor_on_symmetric_patterns(dim, density, seed):
+    # a symmetric pattern with its full diagonal, as every KKT pattern has
+    rng = np.random.default_rng(seed)
+    off = np.argwhere(np.triu(rng.random((dim, dim)) < density, 1))
+    rows = np.concatenate([off[:, 0], off[:, 1], np.arange(dim)])
+    cols = np.concatenate([off[:, 1], off[:, 0], np.arange(dim)])
+    np.testing.assert_array_equal(
+        conic._symmetric_order(rows, cols, dim), symmetric_order_reference(rows, cols, dim)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,24 +649,6 @@ def _w_squared_matrix(blocks, values):
     ).tocsc()
 
 
-def _interior(rng, cones):
-    """A strictly interior point, tails scaled over a few decades; arbitrary
-    values on the zero-cone rows."""
-    v = np.empty(sum(k.dim for k in cones))
-    pos = 0
-    for k in cones:
-        if k.kind == "zero":
-            v[pos : pos + k.dim] = rng.standard_normal(k.dim)
-        elif k.kind == "nonneg":
-            v[pos : pos + k.dim] = rng.uniform(0.05, 3.0, k.dim)
-        else:
-            tail = rng.standard_normal(k.dim - 1) * 10.0 ** rng.uniform(-2, 1)
-            v[pos] = np.linalg.norm(tail) + rng.uniform(0.05, 3.0)
-            v[pos + 1 : pos + k.dim] = tail
-        pos += k.dim
-    return v
-
-
 mixed_cones = st.lists(
     st.tuples(st.sampled_from(["nonneg", "soc"]), st.integers(1, 6)), min_size=1, max_size=8
 )
@@ -625,8 +660,9 @@ def test_batched_cone_algebra_matches_the_per_block_formulas(small, big, seed):
     rng = np.random.default_rng(seed)
     cones = [Cone(kind, dim) for kind, dim in small] + [Cone("soc", big)]
     blocks = _Blocks(cones)
-    s, z = _interior(rng, cones), _interior(rng, cones)
-    scal = _Scaling(blocks, s, z)
+    s, z = interior_point(rng, cones), interior_point(rng, cones)
+    point = blocks.interior(s, z)
+    scal = _Scaling(point)
     lam_ref, W_ref = _reference_scaling(cones, s, z)
 
     # W z = lam = W^{-1} s, and lam is the reference scaled point
@@ -651,15 +687,16 @@ def test_batched_cone_algebra_matches_the_per_block_formulas(small, big, seed):
         blocks.divide(scal.lam, blocks.product(scal.lam, w)), w, rtol=1e-8, atol=1e-8
     )
 
-    # the full step lands on the cone boundary and agrees with the
-    # quadratic-root reference
-    dv = 5.0 * rng.standard_normal(blocks.dim)
-    alpha = blocks.max_step(s, dv)
+    # the full step of s and z together lands on the boundary of the cone
+    # it meets first and agrees with the quadratic-root reference
+    ds, dz = 5.0 * rng.standard_normal(blocks.dim), 5.0 * rng.standard_normal(blocks.dim)
+    alpha = point.max_step(ds, dz)
     assert np.isfinite(alpha)
-    assert alpha == pytest.approx(_reference_max_step(cones, s, dv), rel=1e-7)
-    scale = 1.0 + np.linalg.norm(s) + alpha * np.linalg.norm(dv)
-    assert abs(blocks.min_eig(s + alpha * dv)) <= 1e-10 * scale
-    assert blocks.min_eig(s + 0.99 * alpha * dv) > 0.0
+    expect = min(_reference_max_step(cones, s, ds), _reference_max_step(cones, z, dz))
+    assert alpha == pytest.approx(expect, rel=1e-7)
+    scale = 1.0 + np.linalg.norm([s, z]) + alpha * np.linalg.norm([ds, dz])
+    assert abs(min(blocks.min_eig(s + alpha * ds), blocks.min_eig(z + alpha * dz))) <= 1e-10 * scale
+    assert blocks.interior(s + 0.99 * alpha * ds, z + 0.99 * alpha * dz) is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -673,16 +710,18 @@ def test_one_dimensional_group_is_the_orthant(small, seed):
     blocks = _Blocks(cones)
     assert [idx.shape[1] for idx in blocks.groups] == [1]
     s, z = rng.uniform(0.05, 3.0, blocks.dim), rng.uniform(0.05, 3.0, blocks.dim)
-    scal = _Scaling(blocks, s, z)
+    point = blocks.interior(s, z)
+    scal = _Scaling(point)
     x = rng.standard_normal(blocks.dim)
     np.testing.assert_array_equal(scal.lam, np.sqrt(s * z))
     np.testing.assert_array_equal(scal.apply(x), np.sqrt(s / z) * x)
     np.testing.assert_array_equal(scal.apply_inv(x), x / np.sqrt(s / z))
     np.testing.assert_array_equal(blocks.divide(scal.lam, x), x / scal.lam)
-    dv = rng.standard_normal(blocks.dim)
+    ds, dz = rng.standard_normal(blocks.dim), rng.standard_normal(blocks.dim)
+    v, dv = np.concatenate([s, z]), np.concatenate([ds, dz])
     neg = dv < 0
-    expect = float(np.min(-s[neg] / dv[neg])) if np.any(neg) else np.inf
-    assert blocks.max_step(s, dv) == expect
+    expect = float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+    assert point.max_step(ds, dz) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +736,16 @@ def _spread(rng, n):
     return v
 
 
+def _outside(rng, blocks, v):
+    """v with one cone block moved outside its cone: the head of a
+    second-order block to half its tail's norm, an orthant row to -v."""
+    out = v.copy()
+    idx = blocks.groups[rng.integers(len(blocks.groups))]
+    row = idx[rng.integers(idx.shape[0])]
+    out[row[0]] = 0.5 * np.linalg.norm(v[row[1:]]) if row.size > 1 else -v[row[0]]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from(["zero", "nonneg", "soc"]), st.integers(1, 6)),
@@ -706,14 +755,17 @@ def _spread(rng, n):
 @example([("nonneg", 3), ("zero", 2), ("soc", 4), ("soc", 1), ("zero", 1), ("nonneg", 2)], 0)
 @example([("soc", 3), ("zero", 1), ("soc", 5)], 1)  # no d = 1 group
 @example([("zero", 2)], 2)  # no cone block
+@example([("soc", 40), ("nonneg", 2), ("soc", 3)], 3)  # one wide block, two when stacked
 def test_cone_algebra_matches_the_d_general_formulas_bit_for_bit(spec, seed):
-    # the d = 1 group's closed forms and the constants built once change no
-    # bit of any operation, on every group and around zero-cone rows
+    # the d = 1 group's closed forms, the constants built once and the one
+    # gather of s and z per iterate change no bit of any operation, on
+    # every group and around zero-cone rows
     rng = np.random.default_rng(seed)
     cones = [Cone(kind, dim) for kind, dim in spec]
     blocks, ref = _Blocks(cones), ReferenceBlocks(cones)
-    s, z = _interior(rng, cones), _interior(rng, cones)
-    scal, ref_scal = _Scaling(blocks, s, z), ReferenceScaling(ref, s, z)
+    s, z = interior_point(rng, cones), interior_point(rng, cones)
+    point, ref_point = blocks.interior(s, z), ref.interior(s, z)
+    scal, ref_scal = _Scaling(point), ReferenceScaling(ref_point)
     x, y = _spread(rng, blocks.dim), _spread(rng, blocks.dim)
     pairs = {
         "lam": (scal.lam, ref_scal.lam),
@@ -723,13 +775,22 @@ def test_cone_algebra_matches_the_d_general_formulas_bit_for_bit(spec, seed):
         "product": (blocks.product(x, y), ref.product(x, y)),
         "product lam": (blocks.product(scal.lam, scal.lam), ref.product(ref_scal.lam, ref_scal.lam)),
         "divide": (blocks.divide(scal.lam, x), ref.divide(ref_scal.lam, x)),
-        "max_step": (blocks.max_step(s, x), ref.max_step(s, x)),
-        "max_step z": (blocks.max_step(z, y), ref.max_step(z, y)),
+        "max_step": (point.max_step(x, y), ref_point.max_step(x, y)),
+        "max_step swapped": (point.max_step(y, x), ref_point.max_step(y, x)),
+        "max_step s only": (point.max_step(x, 0.0 * y), ref_point.max_step(x, 0.0 * y)),
         "min_eig": (blocks.min_eig(x), ref.min_eig(x)),
         "min_eig s": (blocks.min_eig(s), ref.min_eig(s)),
     }
     for name, (got, want) in pairs.items():
         assert np.array_equal(_bits(got), _bits(want)), name
+
+    # the interiority test comes before any J-norm: a block outside its cone
+    # (RuntimeWarning is an error here, so no sqrt of a negative may run)
+    # fails it, on either side, as it fails the reference's
+    assert (blocks.interior(x, y) is None) == (ref.interior(x, y) is None)
+    if blocks.groups:
+        for bad in ((_outside(rng, blocks, s), z), (s, _outside(rng, blocks, z))):
+            assert blocks.interior(*bad) is None and ref.interior(*bad) is None
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -740,13 +801,7 @@ def test_solves_match_the_d_general_algebra_bit_for_bit(monkeypatch, seed):
     pairs = []
     for _ in range(3):
         prog = random_feasible_program(rng)
-        b = prog.b.copy()
-        pos = 0
-        for k in prog.cones:
-            if k.kind == "nonneg":
-                b[pos : pos + k.dim] += rng.uniform(0.0, 0.5, k.dim)
-            pos += k.dim
-        pairs.append((prog, ConicProgram(prog.c, prog.A, b, prog.cones)))
+        pairs.append((prog, loosened(rng, prog)))
 
     def solves():
         out = []
@@ -817,8 +872,8 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
         w2 = blocks.identity_squared()
     else:
         # the zero-cone rows carry no cone point: their values are never read
-        s, z = (np.concatenate([np.full(p_eq, np.nan), _interior(rng, cones)]) for _ in range(2))
-        w2 = _Scaling(blocks, s, z).w_squared()
+        s, z = (np.concatenate([np.full(p_eq, np.nan), interior_point(rng, cones)]) for _ in range(2))
+        w2 = _Scaling(blocks.interior(s, z)).w_squared()
         if values == "zero-entry" and w2.size:
             w2[rng.integers(w2.size)] = 0.0
     ref_W2 = sp.identity(p_in, format="csc") if values == "identity" else (
