@@ -38,14 +38,7 @@ from .problem import (
 from .conic import ConicProgram, ConicSolution
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .projection import ProjectionResult, project
-from .linearize import (
-    FeasibleRegion,
-    Halfspace,
-    Halfspaces,
-    build_feasible_region,
-    check_anchor,
-    linearize_direct,
-)
+from .linearize import FeasibleRegion, Halfspaces, build_feasible_region, check_anchor
 from .subproblem import SubproblemArtifacts, assemble, extract
 from .driver import (
     ScvxConfig,

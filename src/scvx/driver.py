@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conic
-from .conic import ProgramBuilder, coord_pairs
+from .conic import ProgramBuilder
 from .errors import (
     DimensionError,
     InfeasibleAnchorError,
@@ -26,11 +26,11 @@ from .errors import (
 )
 from .linearize import (
     FeasibleRegion,
-    _anchor_rows,
+    _anchor_groups,
     _anchor_values,
     build_feasible_region,
     check_anchor,
-    linearize_direct,
+    direct_rows,
 )
 from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalty_weight
 from .problem import OptimalControlProblem, eval_g
@@ -38,6 +38,7 @@ from .subproblem import (
     Polish,
     add_base_set_rows,
     add_dynamics_rows,
+    add_halfspace_rows,
     assemble,
     extract,
     fixed_rows,
@@ -266,6 +267,28 @@ def _violation(problem, w, mode):
     return float(v)
 
 
+def _slack_rows(problem: OptimalControlProblem, mode: str):
+    """The search's rows that no round changes: (first slack column, program, polish).
+
+    A slack sigma_k >= 0 of cost 1 per row of _anchor_groups, the hard
+    dynamics in equality mode and the base set; the polish is onto the hard
+    dynamics, then the pins.
+    """
+    count = sum(len(group.specs) for group in _anchor_groups(problem, mode))
+    builder = ProgramBuilder()
+    builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
+    slack = builder.add_cols(count)
+    for k in range(count):
+        builder.add_cost(slack + k, 1.0)
+        builder.add_ge([(slack + k, 1.0)], 0.0)
+    hard = np.zeros(0, dtype=int)
+    if mode == "equality":
+        hard = add_dynamics_rows(builder, problem, mode)
+    pins = add_base_set_rows(builder, problem.base_set)
+    program = builder.build()
+    return slack, program, Polish(program, np.concatenate([hard, pins]), problem.dims.n_y)
+
+
 def find_feasible_start(
     problem: OptimalControlProblem,
     guess=None,
@@ -273,18 +296,22 @@ def find_feasible_start(
 ):
     """Search for a valid anchor by slack minimization (majorize-minimize).
 
-    Each round linearizes every keep-out row q_k at the incumbent w
-    (linearize_direct) and minimizes the total slack the linearized rows
-    l_k(y) + sigma_k >= 0 need, subject to the base set and, in equality
-    mode, the hard dynamics.  q_k is convex, so q_k >= l_k everywhere and
-    q_k(w) = l_k(w): the slack sum majorizes the true violation and equals
-    it at w.  The rounds are therefore a majorize-minimize scheme, the
-    violation does not go up, and zero slack implies true feasibility.  The
-    base set is compact, so each round is bounded without a trust region.
+    Each round linearizes every anchor row q_k (_anchor_groups) at the
+    incumbent w (direct_rows) and minimizes the total slack the linearized
+    rows l_k(y) + sigma_k >= 0 need, subject to the base set and, in
+    equality mode, the hard dynamics.  q_k is convex, so q_k >= l_k
+    everywhere and q_k(w) = l_k(w): the slack sum majorizes the true
+    violation and equals it at w.  The rounds are therefore a
+    majorize-minimize scheme, the violation does not go up, and zero slack
+    implies true feasibility.  The base set is compact, so each round is
+    bounded without a trust region; the rows no round changes are built
+    once (_slack_rows).
 
     A primal-infeasible round means the hard set itself (pins, dynamics,
     base set) is empty; FEASIBILITY_STALL_LIMIT rounds without improvement
     mean no feasible point was found.  Both raise InfeasibleScenarioError.
+    A guess of the wrong size or with a non-finite coordinate raises
+    DimensionError.
     """
     config = config or ScvxConfig()
     mode = config.penalty.mode
@@ -298,32 +325,22 @@ def find_feasible_start(
             raise DimensionError(
                 f"guess has {w.size} coordinates, expected {dims.n_y}"
             )
+        if not np.isfinite(w).all():
+            raise DimensionError(
+                f"guess has a non-finite coordinate at index {int(np.argmin(np.isfinite(w)))}"
+            )
 
-    rows = _anchor_rows(problem, mode)
     best = _violation(problem, w, mode)
     stall = 0
-    for _ in range(FEASIBILITY_MAX_ROUNDS):
+    for k in range(FEASIBILITY_MAX_ROUNDS):
         try:
             return check_anchor(problem, w, mode)
         except InfeasibleAnchorError:
             pass
+        if k == 0:  # a guess that is already an anchor needs none of this
+            slack, fixed, polish = _slack_rows(problem, mode)
 
-        builder = ProgramBuilder()
-        builder.add_cols(dims.n_y)  # y is columns 0..n_y-1
-        s0 = builder.add_cols(len(rows))
-        for k in range(len(rows)):
-            builder.add_cost(s0 + k, 1.0)
-            builder.add_ge([(s0 + k, 1.0)], 0.0)
-        eq_rows = np.zeros(0, dtype=int)
-        if mode == "equality":
-            eq_rows = add_dynamics_rows(builder, problem, mode)
-        eq_rows = np.concatenate([eq_rows, add_base_set_rows(builder, problem.base_set)])
-        for k, spec in enumerate(rows):
-            hs = linearize_direct(spec, w)
-            builder.add_ge(coord_pairs(hs.indices, hs.coeffs) + [(s0 + k, 1.0)], hs.offset)
-
-        program = builder.build()
-        sol = conic.solve(program)
+        sol = conic.solve(add_halfspace_rows(fixed, direct_rows(problem, w, mode, slack)))
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(
                 "the hard constraint set is empty (inconsistent pins, "
@@ -331,7 +348,7 @@ def find_feasible_start(
             )
         if sol.status != "optimal":
             raise SubsolverError(f"feasibility subproblem returned {sol.outcome()}")
-        w_new = Polish(program, eq_rows, dims.n_y)(sol.x[:dims.n_y].copy())
+        w_new = polish(sol.x[:dims.n_y].copy())
         v_new = _violation(problem, w_new, mode)
         if v_new < best - 1e-12:
             w = w_new

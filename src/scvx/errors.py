@@ -16,8 +16,8 @@ class DimensionError(ScvxError):
 class GradientSingularityError(ScvxError):
     """A norm term was differentiated at (or too close to) its center.
 
-    A constraint spec re-raises it with the constraint's identity in the
-    message.
+    A keep-out group names the row in the message.  The feasibility init
+    never raises it: at a center it takes a subgradient instead.
     """
 
 

@@ -13,13 +13,13 @@ state constraint) is its own supporting halfspace, so it is not linearized
 here: the subproblem builds it once per run as a fixed row, and a region
 holds the keep-out halfspaces only.
 
-The keep-outs are worked one KeepoutGroup at a time: projection,
-gradients, offsets and the containment check are each one array pass, and
-a region's rows are one Halfspaces of index, coefficient and offset
-arrays.  A row is the sparse row of its constraint: the spec's own
-coordinates and the gradient over them.  Its offset is summed in index
-order, as linearize_direct sums the offset of its one Halfspace, so that
-the same inputs always round to the same offset.
+The feasibility init instead linearizes every row it slacks at the
+incumbent itself (direct_rows).  Both work one row group at a time:
+projection, gradients, offsets and the containment check are each one
+array pass, and the rows are one Halfspaces of index, coefficient and
+offset arrays.  A row is the sparse row of its constraint: the spec's own
+coordinates and the gradient over them.  Its offset is summed term by
+term in index order, so the same inputs always round to the same offset.
 """
 
 from __future__ import annotations
@@ -28,19 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGradientError,
-    GradientSingularityError,
-    InfeasibleAnchorError,
-    ScvxError,
-)
+from .errors import DegenerateGradientError, InfeasibleAnchorError, ScvxError
 from .problem import (
+    NORM_SINGULARITY_RADIUS,
     BaseSet,
-    ConstraintSpec,
     KeepoutGroup,
     OptimalControlProblem,
     _dots,
-    _freeze,
+    _matvecs,
     eval_g,
 )
 from .projection import project
@@ -52,30 +47,11 @@ GRADIENT_NORM_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """coeffs . y[indices] >= offset: one row linearized at a point (the init's)."""
-
-    indices: np.ndarray
-    coeffs: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        object.__setattr__(self, "offset", float(self.offset))
-
-
-def _dot_in_order(indices, coeffs, y) -> float:
-    """coeffs . y[indices], summed term by term in index order."""
-    return sum(g * y[int(i)] for i, g in zip(indices, coeffs))
-
-
-@dataclass(frozen=True, eq=False)
 class Halfspaces:
-    """Rows coeffs . y[indices] >= offset as arrays, one row per keep-out.
+    """Rows coeffs . y[indices] >= offset as arrays.
 
     Entry e puts coeffs[e] on coordinate indices[e] of row rows[e]; the
-    entries run row by row, each row's in its spec's index order.
+    entries run row by row, each in its spec's index order, a slack last.
     """
 
     rows: np.ndarray
@@ -120,13 +96,8 @@ def _anchor_groups(problem: OptimalControlProblem, mode: str) -> tuple:
     return tuple(g for g in problem.affine_rows if g.specs[0].kind != hard) + problem.keepouts
 
 
-def _anchor_rows(problem: OptimalControlProblem, mode: str) -> list:
-    """The specs of _anchor_groups, in order."""
-    return [spec for group in _anchor_groups(problem, mode) for spec in group.specs]
-
-
 def _anchor_values(problem: OptimalControlProblem, z, mode: str) -> np.ndarray:
-    """q_j(z) of every row _anchor_rows lists, one array pass per group."""
+    """q_j(z) of every row of _anchor_groups, in order, one array pass per group."""
     return np.concatenate([[]] + [group.values(z) for group in _anchor_groups(problem, mode)])
 
 
@@ -151,12 +122,24 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
     values = _anchor_values(problem, z, mode)
     if values.size and values.min() < -ANCHOR_FEASIBILITY_TOL:
         k = int(np.argmin(values))
-        spec = _anchor_rows(problem, mode)[k]
+        q = values[k]
+        for group in _anchor_groups(problem, mode):  # row k of the whole list
+            if k < len(group.specs):
+                break
+            k -= len(group.specs)
         raise InfeasibleAnchorError(
-            f"anchor violates q >= 0 on {spec.label}: q = {values[k]:.3e}; "
+            f"anchor violates q >= 0 on {group.specs[k].label}: q = {q:.3e}; "
             "run find_feasible_start first"
         )
     return z
+
+
+def _sums_in_order(coeffs, points) -> np.ndarray:
+    """coeffs[k] . points[k] for every k, summed term by term in index order."""
+    sums = np.zeros(len(points))
+    for terms in (coeffs * points).T:
+        sums += terms
+    return sums
 
 
 def _supporting_rows(group: KeepoutGroup, z):
@@ -170,9 +153,7 @@ def _supporting_rows(group: KeepoutGroup, z):
             f"{group.specs[k].label} has gradient norm {norms[k]:.3e} at its "
             "projection point; supporting halfspace undefined"
         )
-    offsets = np.zeros(len(points))
-    for terms in (coeffs * points).T:  # in index order, as _dot_in_order sums
-        offsets += terms
+    offsets = _sums_in_order(coeffs, points)
     slack = _dots(coeffs, z[group.indices]) - offsets
     if np.any(slack < -1e-9):
         k = int(np.argmax(slack < -1e-9))
@@ -190,23 +171,32 @@ def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> Feasi
     return FeasibleRegion(problem.base_set, rows, z)
 
 
-def linearize_direct(constraint: ConstraintSpec, z) -> Halfspace:
-    """Linearize q_j at z itself (no projection): a.y >= a.z - q_j(z).
+def direct_rows(problem: OptimalControlProblem, w, mode: str, slack: int) -> Halfspaces:
+    """Every row q_j >= 0 of _anchor_groups linearized at w itself, with a slack.
 
-    Because q_j is convex this is a global under-estimator: any y
-    satisfying the row satisfies q_j(y) >= 0.  Anchoring at z instead of at
-    the projection point generally yields a smaller region than F_z; the
-    feasibility initializer uses this form, with slack variables, for every
-    row it slacks.  At the center of a norm term, where the gradient is
-    undefined, the subgradient along the first image direction is used.
+    Row j is a_j . y + sigma_j >= a_j . w - q_j(w), a_j the gradient of q_j
+    at w and sigma_j the column slack + j.  q_j is convex, so a_j . (y - w)
+    + q_j(w) under-estimates q_j everywhere and is tight at w.  An affine
+    row's gradient is its own a.  At the center of a keep-out, where the
+    gradient is undefined, the row takes the subgradient along the first
+    image direction.
     """
-    z = np.asarray(z, dtype=float)
-    try:
-        grad = constraint.grad_local(z)
-    except GradientSingularityError:  # only a NormFn raises it
-        fn = constraint.fn
-        v = np.zeros(fn.p.size)
-        v[0] = 1.0
-        grad = fn.H.T @ v + fn.a
-    offset = _dot_in_order(constraint.indices, grad, z) - constraint.value(z)
-    return Halfspace(constraint.indices, grad, offset)
+    blocks = []
+    first = slack
+    for group in _anchor_groups(problem, mode):
+        points = w[group.indices]
+        if isinstance(group, KeepoutGroup):
+            v, nv = group.residuals(points)
+            center = nv <= NORM_SINGULARITY_RADIUS
+            unit = v / np.where(center, 1.0, nv)[:, None]
+            unit[center] = np.eye(v.shape[1])[0]
+            # + 0.0 turns -0.0 into 0.0, as KeepoutGroup.grads does
+            coeffs = _matvecs(np.swapaxes(group.H, 1, 2), unit) + 0.0
+        else:
+            coeffs = group.a
+        offsets = _sums_in_order(coeffs, points) - group.values(w)
+        k = len(offsets)
+        cols, ones = first + np.arange(k), np.ones(k)
+        blocks.append((np.column_stack([group.indices, cols]), np.column_stack([coeffs, ones]), offsets))
+        first += k
+    return _stack(blocks)

@@ -246,12 +246,6 @@ class ConstraintSpec:
     def value(self, y) -> float:
         return self.fn.value(y[self.indices])
 
-    def grad_local(self, y) -> np.ndarray:
-        try:
-            return self.fn.grad(y[self.indices])
-        except GradientSingularityError as exc:
-            raise GradientSingularityError(f"{self.label}: {exc}") from None
-
 
 # ---------------------------------------------------------------------------
 # keep-out groups: the ball and cylinder rows as arrays

@@ -4,12 +4,14 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Six references keep earlier forms of
+claims the solve path relies on.  Seven references keep earlier forms of
 the solve path: a subproblem program built in one ProgramBuilder pass, the
 dense Cholesky polish, the d-general cone algebra, the KKT ordering read
 from a full factor, the one-spec-at-a-time projection and linearization
-that the keep-out groups replace, and a projection through a cone solve,
-against which the closed-form projections are checked.  Seeded random
+that the keep-out groups replace, the one-spec-at-a-time linearization at
+a point that the feasibility init's row groups replace, and a projection
+through a cone solve, against which the closed-form projections are
+checked.  Seeded random
 cone programs, feasible and bounded by construction, serve the solver's
 tests and its program sweep (tests/program_sweep.py).
 """
@@ -24,8 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from scvx import conic
-from scvx.errors import ScvxError
-from scvx.linearize import FeasibleRegion, _dot_in_order, build_feasible_region
+from scvx.errors import GradientSingularityError, ScvxError
+from scvx.linearize import FeasibleRegion, _anchor_groups, build_feasible_region
 from scvx.problem import (
     AffineFn,
     Ball,
@@ -103,6 +105,11 @@ def project_reference(constraint: ConstraintSpec, z):
     return point, warning
 
 
+def _dot_in_order(indices, coeffs, y) -> float:
+    """coeffs . y[indices], summed term by term in index order."""
+    return sum(g * y[int(i)] for i, g in zip(indices, coeffs))
+
+
 def linearize_reference(constraint: ConstraintSpec, z):
     """The supporting halfspace of one keep-out spec at z: (coeffs, offset).
 
@@ -110,8 +117,27 @@ def linearize_reference(constraint: ConstraintSpec, z):
     build_feasible_region formed each row before keep-outs were grouped.
     """
     zbar, _ = project_reference(constraint, z)
-    grad = constraint.grad_local(zbar)
+    grad = constraint.fn.grad(zbar[constraint.indices])
     return grad, _dot_in_order(constraint.indices, grad, zbar)
+
+
+def linearize_direct(constraint: ConstraintSpec, z):
+    """q_j linearized at z itself, one spec at a time: (coeffs, offset) of
+    coeffs . y >= offset = coeffs . z - q_j(z).
+
+    The feasibility init's row before its rows were grouped: the gradient
+    at z, or at the center of a norm term the subgradient along the first
+    image direction, and the in-order offset.
+    """
+    z = np.asarray(z, dtype=float)
+    fn = constraint.fn
+    try:
+        grad = fn.grad(z[constraint.indices])
+    except GradientSingularityError:  # only a NormFn raises it
+        v = np.zeros(fn.p.size)
+        v[0] = 1.0
+        grad = fn.H.T @ v + fn.a
+    return grad, _dot_in_order(constraint.indices, grad, z) - constraint.value(z)
 
 
 def halfspace_rows(halfspaces):
@@ -130,6 +156,11 @@ def slacks(halfspaces, y) -> np.ndarray:
 def keepout_specs(problem: OptimalControlProblem) -> list:
     """The keep-out specs in region row order: group by group."""
     return [spec for group in problem.keepouts for spec in group.specs]
+
+
+def anchor_specs(problem: OptimalControlProblem, mode: str) -> list:
+    """The specs the feasibility init slacks, in its row order: group by group."""
+    return [spec for group in _anchor_groups(problem, mode) for spec in group.specs]
 
 
 def project_generic(constraint: ConstraintSpec, z) -> np.ndarray:
@@ -278,7 +309,7 @@ def jacobian_q(problem: OptimalControlProblem, y) -> np.ndarray:
     dims = problem.dims
     J = np.zeros((n_constraints(dims), dims.n_y))
     for r, spec in enumerate(problem.constraints):
-        J[r, spec.indices] = spec.grad_local(y)
+        J[r, spec.indices] = spec.fn.grad(y[spec.indices])
     return J
 
 

@@ -220,10 +220,18 @@ def test_feasible_start_returns_valid_guess_unchanged():
     np.testing.assert_array_equal(z, guess)
 
 
-def test_feasible_start_rejects_wrong_size():
+def test_feasible_start_rejects_wrong_size(monkeypatch):
     problem = unit_disk_problem()
     with pytest.raises(DimensionError, match="coordinates"):
         find_feasible_start(problem, np.zeros(2), tiny_config())
+    # a non-finite coordinate is rejected before any cone solve
+    programs = _record_programs(monkeypatch)
+    for bad in (np.nan, np.inf, -np.inf):
+        guess = hold_anchor(problem, [2.0, 1.0])
+        guess[3] = bad
+        with pytest.raises(DimensionError, match="non-finite coordinate at index 3"):
+            find_feasible_start(problem, guess, tiny_config())
+    assert programs == []
 
 
 def _record_violations(monkeypatch):

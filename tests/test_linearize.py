@@ -14,22 +14,23 @@ from scvx.errors import (
     UnsupportedModelError,
 )
 from tests.checks import (
+    anchor_specs,
     halfspace_rows,
     keepout_specs,
+    linearize_direct,
     linearize_reference,
     lipschitz_probe,
     slacks,
     verify_invariance,
 )
-from scvx.bench import solve_quadrotor
-from scvx.linearize import build_feasible_region, linearize_direct
+from scvx.bench import initial_guess, solve_quadrotor
+from scvx.linearize import build_feasible_region, direct_rows
 from scvx.penalty import PenaltyConfig
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
     BaseSet,
     Box,
-    ConstraintSpec,
     ControlNormSum,
     NormFn,
     OptimalControlProblem,
@@ -147,22 +148,25 @@ def test_region_contained_in_true_feasible_set():
     assert report.anchor_slack >= -1e-9
 
 
+def direct_keepout_rows(problem, z):
+    """(spec, indices, coeffs, offset) of each keep-out row of direct_rows at z,
+    without its slack entry: equality mode slacks the keep-outs alone."""
+    rows = halfspace_rows(direct_rows(problem, z, "equality", problem.dims.n_y))
+    specs = keepout_specs(problem)
+    assert len(rows) == len(specs)
+    return [(spec, idx[:-1], coeffs[:-1], offset) for spec, (idx, coeffs, offset) in zip(specs, rows)]
+
+
 def test_direct_linearization_is_global_underestimator(rng):
     # unit-disk keep-out q(w) = ||w|| - 1, linearized at the point itself
-    fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    spec = ConstraintSpec(
-        kind="state-constraint",
-        step=0,
-        component=0,
-        indices=np.array([0, 1]),
-        fn=fn,
-    )
-    z = np.array([1.7, -0.4])
-    hs = linearize_direct(spec, z)
-    assert hs.coeffs @ z - hs.offset == pytest.approx(spec.value(z), abs=1e-12)
-    for _ in range(200):
-        y = rng.uniform(-3.0, 3.0, size=2)
-        assert spec.value(y) >= hs.coeffs @ y - hs.offset - 1e-12
+    problem = unit_disk_problem()
+    z = hold_anchor(problem, [1.7, -0.4])
+    for spec, idx, coeffs, offset in direct_keepout_rows(problem, z):
+        np.testing.assert_array_equal(idx, spec.indices)
+        assert coeffs @ z[idx] - offset == pytest.approx(spec.value(z), abs=1e-12)
+        for _ in range(200):
+            y = rng.uniform(-3.0, 3.0, size=z.size)
+            assert spec.value(y) >= coeffs @ y[idx] - offset - 1e-12
 
 
 def test_scaled_norm_keepout_is_projected_by_its_own_geometry():
@@ -267,6 +271,12 @@ def test_benchmark_region_sampled_containment(quad_problem, quad_start):
 # the grouped region against the one-spec-at-a-time reference
 
 
+def assert_same_bits(x, ref):
+    np.testing.assert_array_equal(
+        np.asarray(x, dtype=float).view(np.uint64), np.asarray(ref, dtype=float).view(np.uint64)
+    )
+
+
 def assert_region_matches_the_reference(problem, z, mode):
     """Every row of the region equals linearize_reference of its spec, bit for bit."""
     region = build_feasible_region(problem, z, mode)
@@ -276,52 +286,89 @@ def assert_region_matches_the_reference(problem, z, mode):
     for (indices, coeffs, offset), spec in zip(rows, specs):
         ref_coeffs, ref_offset = linearize_reference(spec, z)
         np.testing.assert_array_equal(indices, spec.indices)
-        np.testing.assert_array_equal(coeffs.view(np.uint64), ref_coeffs.view(np.uint64))
-        assert np.float64(offset).view(np.uint64) == np.float64(ref_offset).view(np.uint64)
+        assert_same_bits(coeffs, ref_coeffs)
+        assert_same_bits(offset, ref_offset)
+
+
+def assert_direct_rows_match_the_reference(problem, w, mode):
+    """Every row of direct_rows equals linearize_direct of its spec, bit for
+    bit, with the slack column of its row as one more entry of 1.0."""
+    slack = problem.dims.n_y
+    specs = anchor_specs(problem, mode)
+    rows = halfspace_rows(direct_rows(problem, w, mode, slack))
+    assert len(rows) == len(specs)
+    for j, ((indices, coeffs, offset), spec) in enumerate(zip(rows, specs)):
+        ref_coeffs, ref_offset = linearize_direct(spec, w)
+        np.testing.assert_array_equal(indices, np.append(spec.indices, slack + j))
+        assert_same_bits(coeffs, np.append(ref_coeffs, 1.0))
+        assert_same_bits(offset, ref_offset)
 
 
 @st.composite
 def keepout_scenes(draw):
-    """A held state x and keep-outs it sits outside of, on the boundary of, or just inside.
+    """A held state x and keep-outs it sits outside of, on the boundary of,
+    just inside, or on the axis of; and whether x is a valid anchor.
 
     Each keep-out is a unit-H disk over (x_0, x_1) or a cylinder over all
     three coordinates with a tilted 2x3 row-orthonormal H; "inside" lies
-    within the anchor tolerance, 1e-10 of the radius deep.
+    within the anchor tolerance, 1e-10 of the radius deep.  "axis" centers
+    the keep-out on H x: there the gradient is undefined, and x lies deep
+    inside, so it is no anchor.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(-4.0, 4.0, size=3)
     constraints = []
+    anchor = True
     for kind in draw(st.lists(st.sampled_from(["disk", "tilted"]), min_size=1, max_size=4)):
         coords = (0, 1) if kind == "disk" else (0, 1, 2)
         H = np.eye(2) if kind == "disk" else np.linalg.qr(rng.standard_normal((3, 2)))[0].T
         center = rng.uniform(-3.0, 3.0, size=2)
         dist = np.linalg.norm(H @ x[list(coords)] - center)
         scale = {"outside": rng.uniform(0.1, 0.9), "boundary": 1.0, "inside": 1.0 + 1e-10}
-        radius = dist * scale[draw(st.sampled_from(sorted(scale)))]
+        placement = draw(st.sampled_from(sorted(scale) + ["axis"]))
+        if placement == "axis":
+            center, radius, anchor = H @ x[list(coords)], rng.uniform(0.1, 3.0), False
+        else:
+            radius = dist * scale[placement]
         fn = NormFn(H=H, p=center, a=np.zeros(len(coords)), beta=-radius)
         constraints.append(StateConstraint(fn=fn, state_coords=coords))
     problem = held_problem(constraints, n=3, box=50.0)
-    return problem, stack(problem.dims, [x, x], [[0.0]])
+    return problem, stack(problem.dims, [x, x], [[0.0]]), anchor
 
 
 @settings(max_examples=60, deadline=None)
 @given(keepout_scenes())
 def test_grouped_region_matches_the_per_spec_reference(scene):
     # unit-H and tilted keep-outs group apart; each group's rows, computed
-    # in one array pass, round exactly as the spec-by-spec construction
-    problem, z = scene
-    assert_region_matches_the_reference(problem, z, "equality")
+    # in one array pass, round exactly as the spec-by-spec construction, in
+    # the region and in the feasibility init's rows, whose penalty mode also
+    # slacks the dynamics rows with their exact zeros
+    problem, z, anchor = scene
+    if anchor:
+        assert_region_matches_the_reference(problem, z, "equality")
+    else:
+        with pytest.raises(InfeasibleAnchorError):
+            build_feasible_region(problem, z, "equality")
+    for mode in ("equality", "penalty"):
+        assert_direct_rows_match_the_reference(problem, z, mode)
 
 
 def test_region_matches_the_reference_at_the_benchmark_anchors(
     quad_scenario, quad_start, benchmark_run
 ):
+    # the feasibility init's rows too, at the same anchors and at the guess
+    # the init linearizes first
+    guess = initial_guess(quad_scenario)
     anchors = [quad_start] + benchmark_run.report.iterates
     for z in anchors:
         assert_region_matches_the_reference(benchmark_run.problem, z, "equality")
+    for z in [guess] + anchors:
+        assert_direct_rows_match_the_reference(benchmark_run.problem, z, "equality")
     penalty = solve_quadrotor(dataclasses.replace(quad_scenario, penalty_lambda=100.0))
     for z in [penalty.start] + penalty.report.iterates:
         assert_region_matches_the_reference(penalty.problem, z, "penalty")
+    for z in [guess, penalty.start] + penalty.report.iterates:
+        assert_direct_rows_match_the_reference(penalty.problem, z, "penalty")
 
 
 # ---------------------------------------------------------------------------

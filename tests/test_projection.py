@@ -124,19 +124,21 @@ def test_cylinder_projection_touches_only_its_coordinates():
 
 def test_gradient_fallback_at_norm_center(rng):
     from scvx.errors import GradientSingularityError
-    from scvx.linearize import linearize_direct
+    from tests.test_linearize import direct_keepout_rows, hold_anchor, two_step_problem
 
     c = disk_constraint([1.0, 2.0], 0.5)
-    y = np.array([1.0, 2.0])  # exactly at the center: gradient undefined
+    problem = two_step_problem(c.fn)
+    (group,) = problem.keepouts
+    y = hold_anchor(problem, [1.0, 2.0])  # exactly at the center: gradient undefined
     with pytest.raises(GradientSingularityError):
-        c.grad_local(y)
-    hs = linearize_direct(c, y)
-    np.testing.assert_array_equal(hs.indices, c.indices)
-    np.testing.assert_allclose(hs.coeffs, [1.0, 0.0], atol=1e-15)
-    assert hs.coeffs @ y - hs.offset == pytest.approx(c.value(y), abs=1e-15)
-    # a subgradient row: still a global under-estimator of q
-    for w in rng.uniform(-2.0, 4.0, size=(500, 2)):
-        assert c.value(w) >= hs.coeffs @ w - hs.offset - 1e-12
+        group.grads(y[group.indices])
+    for spec, idx, coeffs, offset in direct_keepout_rows(problem, y):
+        np.testing.assert_array_equal(idx, spec.indices)
+        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-15)
+        assert coeffs @ y[idx] - offset == pytest.approx(spec.value(y), abs=1e-15)
+        # a subgradient row: still a global under-estimator of q
+        for w in rng.uniform(-2.0, 4.0, size=(500, 2)):
+            assert c.value(w) >= coeffs @ w - offset - 1e-12
 
 
 @settings(max_examples=80, deadline=None)
