@@ -39,9 +39,12 @@ other than "optimal" is run again cold, and the solution reports which
 start it came from.  Solves are deterministic: identical inputs, start
 included, produce bitwise-identical iterates.
 
-ProgramBuilder is the one way programs are put together: rows land in
-the program in the order they are added, each add returns the index of
-its first row or column, and build() returns the standard-form program.
+ProgramBuilder is the one way programs are put together.  Each add takes
+a block of rows as (rows, cols, coeffs) entry arrays and one right-hand
+side per row, rows land in the program in the order they are added, each
+add returns the index of its first row or column, and build() returns
+the standard-form program.  A builder started from a built program
+appends rows to it, as each succession appends its region's halfspaces.
 """
 
 from __future__ import annotations
@@ -141,71 +144,85 @@ class ConicSolution:
 
 
 class ProgramBuilder:
-    """Incremental cone-program builder; rows land in the order they are added.
+    """Cone-program builder; rows land in the order they are added.
 
-    Expressions are (pairs, const) with pairs = [(column, coefficient)...];
-    the slack of an emitted cone row equals const + sum(coeff * x[col]).
-    add_cols returns the first new column, add_eq, add_ge and add_soc the
-    program row of their first row.  Adjacent equality rows share one zero
-    cone and adjacent inequality rows one nonnegative cone.
+    Every add takes a block of rows as entry arrays: entry e puts coeffs[e]
+    on column cols[e] of block row rows[e], and rhs has one value per block
+    row.  add_eq adds rows coeffs.x = rhs, add_ge rows coeffs.x >= rhs, and
+    add_soc second-order cones of dimension dim over consecutive rows, head
+    first, on the slacks coeffs.x - rhs.  add_cols returns the first new
+    column and every add the program row of its block's first row.  A
+    builder started from a built program appends to it.
     """
 
-    def __init__(self):
-        self.n_cols = 0
-        self._cost = []  # (col, coeff)
-        self._rows, self._cols, self._vals = [], [], []  # entries of A
+    def __init__(self, program: ConicProgram | None = None):
+        self.n_cols = self.n_rows = 0
+        self._c = np.zeros(0)
+        self._cost = []  # (cols, coeffs) blocks
+        self._entries = []  # (rows, cols, values) blocks of A
         self._b = []
-        self._cones = []  # [kind, dim], in row order
+        self._cones = []  # in row order
+        if program is not None:
+            A = program.A.tocoo()
+            self.n_cols, self.n_rows = program.n_cols, program.n_rows
+            self._c = program.c
+            self._entries.append((A.row, A.col, A.data))
+            self._b.append(program.b)
+            self._cones = list(program.cones)
 
     def add_cols(self, count) -> int:
         start = self.n_cols
         self.n_cols += count
         return start
 
-    def add_cost(self, col, coeff):
-        self._cost.append((int(col), float(coeff)))
+    def add_cost(self, cols, coeffs):
+        """c[cols[e]] += coeffs[e], entry by entry."""
+        self._cost.append((np.asarray(cols, dtype=int), np.asarray(coeffs, dtype=float)))
 
-    def add_eq(self, pairs, rhs) -> int:
-        """sum coeff*x = rhs: A x = b."""
-        return self._emit("zero", [(pairs, float(rhs))], 1.0)
+    def add_eq(self, rows, cols, coeffs, rhs) -> int:
+        return self._add("zero", rows, cols, coeffs, rhs)
 
-    def add_ge(self, pairs, rhs) -> int:
-        """sum coeff*x >= rhs: s = sum coeff*x - rhs."""
-        return self._emit("nonneg", [(pairs, -float(rhs))], -1.0)
+    def add_ge(self, rows, cols, coeffs, rhs) -> int:
+        return self._add("nonneg", rows, cols, coeffs, rhs)
 
-    def add_soc(self, exprs) -> int:
-        """One second-order cone over the expressions, head first."""
-        return self._emit("soc", [(p, float(k)) for p, k in exprs], -1.0)
+    def add_soc(self, rows, cols, coeffs, rhs, dim) -> int:
+        return self._add("soc", rows, cols, coeffs, rhs, dim)
 
-    def _emit(self, kind, exprs, sign):
-        start = len(self._b)
-        for pairs, const in exprs:
-            for col, coeff in pairs:
-                if coeff != 0.0:
-                    self._rows.append(len(self._b))
-                    self._cols.append(int(col))
-                    self._vals.append(sign * float(coeff))
-            self._b.append(const)
-        if kind != "soc" and self._cones and self._cones[-1][0] == kind:
-            self._cones[-1][1] += len(exprs)
-        else:
-            self._cones.append([kind, len(exprs)])
+    def _add(self, kind, rows, cols, coeffs, rhs, dim=1):
+        """Store a block as A x + s = b: an equality row as coeffs and rhs
+        (s = 0), any other row as -coeffs and -rhs (s = coeffs.x - rhs).
+
+        Exact zeros of coeffs, -0.0 included, are not stored.  Adjacent
+        equality rows share one zero cone, adjacent inequality rows one
+        nonnegative cone, each second-order block is its own cone, and an
+        empty block adds none.
+        """
+        sign = 1.0 if kind == "zero" else -1.0
+        coeffs = np.asarray(coeffs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        keep = coeffs != 0.0
+        start = self.n_rows
+        rows = start + np.asarray(rows, dtype=int)[keep]
+        self._entries.append((rows, np.asarray(cols, dtype=int)[keep], sign * coeffs[keep]))
+        self._b.append(sign * rhs)
+        self.n_rows += rhs.size
+        if kind == "soc":
+            self._cones += [Cone("soc", dim)] * (rhs.size // dim)
+        elif rhs.size and self._cones and self._cones[-1].kind == kind:
+            self._cones[-1] = Cone(kind, self._cones[-1].dim + rhs.size)
+        elif rhs.size:
+            self._cones.append(Cone(kind, rhs.size))
         return start
 
     def build(self) -> ConicProgram:
         c = np.zeros(self.n_cols)
-        for col, coeff in self._cost:
-            c[col] += coeff
-        A = sp.coo_matrix(
-            (self._vals, (self._rows, self._cols)), shape=(len(self._b), self.n_cols)
-        ).tocsc()
-        cones = tuple(Cone(kind, dim) for kind, dim in self._cones)
-        return ConicProgram(c, A, np.asarray(self._b, dtype=float), cones)
-
-
-def coord_pairs(cols, coeffs):
-    """Expression pairs [(column, coefficient)...] for ProgramBuilder rows."""
-    return [(int(i), float(a)) for i, a in zip(cols, coeffs)]
+        c[: self._c.size] = self._c
+        for cols, coeffs in self._cost:
+            np.add.at(c, cols, coeffs)
+        empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        rows, cols, vals = (np.concatenate(block) for block in zip(empty, *self._entries))
+        A = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols)).tocsc()
+        return ConicProgram(c, A, np.concatenate([np.zeros(0)] + self._b), tuple(self._cones))
 
 
 def dump_program(program: ConicProgram, path):

@@ -128,20 +128,29 @@ def _relaxation_floor(problem, config, z, fixed):
     return extract(artifacts, sol)[2]
 
 
+def _point(values, n_y: int, name: str) -> np.ndarray:
+    """values as a flat float vector; DimensionError unless it has n_y finite coordinates."""
+    w = np.array(values, dtype=float).ravel()
+    if w.size != n_y:
+        raise DimensionError(f"{name} has {w.size} coordinates, expected {n_y}")
+    if not np.isfinite(w).all():
+        raise DimensionError(
+            f"{name} has a non-finite coordinate at index {int(np.argmin(np.isfinite(w)))}"
+        )
+    return w
+
+
 def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -> SolveReport:
     """Run successions from a feasible anchor z0 until convergence.
 
-    Raises InfeasibleAnchorError if z0 is not a valid anchor (use
+    Raises DimensionError if z0 has the wrong size or a non-finite
+    coordinate, InfeasibleAnchorError if it is not a valid anchor (use
     find_feasible_start), SubsolverError if a subproblem solve fails.
     """
     config = config or ScvxConfig()
     mode = config.penalty.mode
     t0 = time.perf_counter()
-    z = np.array(z0, dtype=float).ravel()
-    if z.size != problem.dims.n_y:
-        raise DimensionError(
-            f"anchor has {z.size} coordinates, expected {problem.dims.n_y}"
-        )
+    z = _point(z0, problem.dims.n_y, "anchor")
     check_anchor(problem, z, mode)
     P_z = penalty_value(problem, config.penalty, z)
 
@@ -274,13 +283,13 @@ def _slack_rows(problem: OptimalControlProblem, mode: str):
     dynamics in equality mode and the base set; the polish is onto the hard
     dynamics, then the pins.
     """
-    count = sum(len(group.specs) for group in _anchor_groups(problem, mode))
+    count = sum(len(group) for group in _anchor_groups(problem, mode))
     builder = ProgramBuilder()
     builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
     slack = builder.add_cols(count)
-    for k in range(count):
-        builder.add_cost(slack + k, 1.0)
-        builder.add_ge([(slack + k, 1.0)], 0.0)
+    sigma = slack + np.arange(count)
+    builder.add_cost(sigma, np.ones(count))
+    builder.add_ge(np.arange(count), sigma, np.ones(count), np.zeros(count))
     hard = np.zeros(0, dtype=int)
     if mode == "equality":
         hard = add_dynamics_rows(builder, problem, mode)
@@ -320,15 +329,7 @@ def find_feasible_start(
         lo, hi = problem.base_set.coordinate_bounds()
         w = 0.5 * (lo + hi)
     else:
-        w = np.array(guess, dtype=float).ravel()
-        if w.size != dims.n_y:
-            raise DimensionError(
-                f"guess has {w.size} coordinates, expected {dims.n_y}"
-            )
-        if not np.isfinite(w).all():
-            raise DimensionError(
-                f"guess has a non-finite coordinate at index {int(np.argmin(np.isfinite(w)))}"
-            )
+        w = _point(guess, dims.n_y, "guess")
 
     best = _violation(problem, w, mode)
     stall = 0

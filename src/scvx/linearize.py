@@ -1,6 +1,6 @@
 """Supporting-halfspace construction of the convexified region F_z.
 
-For each keep-out row q_j(y) >= 0 (a ball or cylinder NormFn), the current
+For each keep-out row q_j(y) >= 0 (a ball or cylinder), the current
 iterate z is projected onto the keep-out set {q_j <= 0} and q_j is
 linearized at the projection point, producing the supporting halfspace
 
@@ -14,12 +14,14 @@ here: the subproblem builds it once per run as a fixed row, and a region
 holds the keep-out halfspaces only.
 
 The feasibility init instead linearizes every row it slacks at the
-incumbent itself (direct_rows).  Both work one row group at a time:
-projection, gradients, offsets and the containment check are each one
-array pass, and the rows are one Halfspaces of index, coefficient and
-offset arrays.  A row is the sparse row of its constraint: the spec's own
-coordinates and the gradient over them.  Its offset is summed term by
-term in index order, so the same inputs always round to the same offset.
+incumbent itself (direct_rows).  Both work one of the problem's row
+groups at a time: projection, gradients, offsets and the containment
+check are each one array pass, and the rows are one Halfspaces of index,
+coefficient and offset arrays, which add_halfspace_rows appends to a
+program through ProgramBuilder.  A row is the sparse row of its
+constraint: the row's own coordinates (group.indices[k]) and the gradient
+over them.  Its offset is summed term by term in index order, so the same
+inputs always round to the same offset.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class Halfspaces:
     """Rows coeffs . y[indices] >= offset as arrays.
 
     Entry e puts coeffs[e] on coordinate indices[e] of row rows[e]; the
-    entries run row by row, each in its spec's index order, a slack last.
+    entries run row by row, each in its row's index order, a slack last.
     """
 
     rows: np.ndarray
@@ -93,7 +95,7 @@ def _anchor_groups(problem: OptimalControlProblem, mode: str) -> tuple:
     if mode not in ("equality", "penalty"):
         raise ScvxError(f"unknown linearization mode {mode!r}")
     hard = "dynamics-defect" if mode == "equality" else None
-    return tuple(g for g in problem.affine_rows if g.specs[0].kind != hard) + problem.keepouts
+    return tuple(g for g in problem.affine_rows if g.kind != hard) + problem.keepouts
 
 
 def _anchor_values(problem: OptimalControlProblem, z, mode: str) -> np.ndarray:
@@ -124,11 +126,11 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
         k = int(np.argmin(values))
         q = values[k]
         for group in _anchor_groups(problem, mode):  # row k of the whole list
-            if k < len(group.specs):
+            if k < len(group):
                 break
-            k -= len(group.specs)
+            k -= len(group)
         raise InfeasibleAnchorError(
-            f"anchor violates q >= 0 on {group.specs[k].label}: q = {q:.3e}; "
+            f"anchor violates q >= 0 on {group.label(k)}: q = {q:.3e}; "
             "run find_feasible_start first"
         )
     return z
@@ -150,7 +152,7 @@ def _supporting_rows(group: KeepoutGroup, z):
     if np.any(norms < GRADIENT_NORM_FLOOR):
         k = int(np.argmax(norms < GRADIENT_NORM_FLOOR))
         raise DegenerateGradientError(
-            f"{group.specs[k].label} has gradient norm {norms[k]:.3e} at its "
+            f"{group.label(k)} has gradient norm {norms[k]:.3e} at its "
             "projection point; supporting halfspace undefined"
         )
     offsets = _sums_in_order(coeffs, points)
@@ -158,7 +160,7 @@ def _supporting_rows(group: KeepoutGroup, z):
     if np.any(slack < -1e-9):
         k = int(np.argmax(slack < -1e-9))
         raise ScvxError(
-            f"anchor lost containment on {group.specs[k].label} (slack "
+            f"anchor lost containment on {group.label(k)} (slack "
             f"{slack[k]:.3e}); this indicates a projector defect"
         )
     return group.indices, coeffs, offsets

@@ -1,4 +1,4 @@
-"""Discrete optimal control problem: decision layout, constraints, gradients.
+"""Discrete optimal control problem: decision layout, constraint row groups.
 
 The decision vector y stacks the T states followed by the T-1 controls:
 
@@ -15,18 +15,20 @@ balls and cylinders), so the combined constraint vector q(y) = (g(y), h(y))
 has convex components while the feasible set {q >= 0} is generally
 non-convex.
 
-Constraint row ordering is fixed and documented: dynamics defects first
-(step-major, component-minor), then state constraints (step-major,
-component-minor).  All evaluation functions are pure; problem objects are
-immutable after construction.  A problem also holds its rows grouped into
-arrays, built on first use: the keep-outs by shape (KeepoutGroup) and the
-affine rows by kind and width (AffineGroup), each group evaluated in one
-array pass that rounds every row as the row's own function does.
+The problem holds its constraint rows only as array groups, built from
+the dynamics and the state constraints when the problem is: the affine
+rows (AffineGroup), the dynamics defects first and then the affine state
+constraints by width, and the keep-outs by H shape (KeepoutGroup).  Each
+group's rows are step-major; g and h are step-major, component-minor, and
+eval_h scatters the groups' values into that order.  A group evaluates
+all its rows in one array pass that rounds every row as that row alone
+would round.  All evaluation functions are pure; problem objects are
+immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -134,10 +136,10 @@ def unstack(dims: ProblemDims, y: np.ndarray):
 # ---------------------------------------------------------------------------
 # convex scalar functions over a local coordinate block
 #
-# Every constraint component is one of these two shapes over the few
-# coordinates it touches: affine (a dynamics defect or a halfspace), or a
-# keep-out ball or cylinder (a norm with a row-orthonormal H).  The
-# objective's thrust terms are norms too.
+# A state constraint is one of these two shapes over the few coordinates it
+# touches: affine (a halfspace), or a keep-out ball or cylinder (a norm with
+# a row-orthonormal H).  They describe its rows; the problem's row groups
+# evaluate them.
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +156,6 @@ class AffineFn:
     @property
     def dim(self):
         return self.a.size
-
-    def value(self, w):
-        return float(self.a @ w + self.beta)
-
-    def grad(self, w):
-        return self.a.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,65 +186,12 @@ class NormFn:
         eye = np.eye(self.p.size)
         return not np.any(self.a) and np.allclose(self.H @ self.H.T, eye, rtol=0.0, atol=1e-12)
 
-    def value(self, w):
-        r = self.H @ w - self.p
-        return float(np.sqrt(r.dot(r)) + self.a @ w + self.beta)
-
-    def grad(self, w):
-        r = self.H @ w - self.p
-        nr = np.sqrt(r.dot(r))
-        if nr <= NORM_SINGULARITY_RADIUS:
-            raise GradientSingularityError(
-                "norm term differentiated at its center (residual norm "
-                f"{nr:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
-            )
-        return self.H.T @ (r / nr) + self.a
-
 
 ConvexFn = Union[AffineFn, NormFn]
 
 
 # ---------------------------------------------------------------------------
-# constraint specification
-
-
-@dataclass(frozen=True, eq=False)
-class ConstraintSpec:
-    """One scalar constraint component q_j(y) >= 0.
-
-    The function reads only y[indices]; gradients are therefore sparse rows.
-    """
-
-    kind: str  # "dynamics-defect" | "state-constraint"
-    step: int
-    component: int
-    indices: np.ndarray  # global y coordinates, ascending
-    fn: ConvexFn
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        if self.kind not in ("dynamics-defect", "state-constraint"):
-            raise DimensionError(f"unknown constraint kind {self.kind!r}")
-        if self.fn.dim != idx.size:
-            raise DimensionError(
-                f"constraint ({self.kind}, step {self.step}, component "
-                f"{self.component}): function dimension {self.fn.dim} != "
-                f"{idx.size} touched coordinates"
-            )
-
-    @property
-    def label(self) -> str:
-        """How errors and warnings name the row."""
-        return f"constraint ({self.kind}, step {self.step}, component {self.component})"
-
-    def value(self, y) -> float:
-        return self.fn.value(y[self.indices])
-
-
-# ---------------------------------------------------------------------------
-# keep-out groups: the ball and cylinder rows as arrays
+# constraint rows as array groups
 
 
 def _matvecs(M, x):
@@ -267,16 +210,31 @@ def _dots(u, v):
 
 
 @dataclass(frozen=True, eq=False)
-class KeepoutGroup:
-    """Ball and cylinder keep-outs of one shape, one row per ConstraintSpec.
+class RowGroup:
+    """Rows q_k(y) >= 0 of one kind: row k is component components[k] at step steps[k]."""
+
+    kind: str  # "dynamics-defect" | "state-constraint"
+    steps: np.ndarray  # (k,)
+    components: np.ndarray  # (k,)
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+    def label(self, k) -> str:
+        """How errors and warnings name row k."""
+        return f"constraint ({self.kind}, step {self.steps[k]}, component {self.components[k]})"
+
+
+@dataclass(frozen=True, eq=False)
+class KeepoutGroup(RowGroup):
+    """Ball and cylinder keep-outs of one shape.
 
     Row k reads w_k = y[indices[k]] (d coordinates) and keeps it out of the
     ball ||H[k] w_k - centers[k]|| <= radii[k], H[k] being p row-orthonormal
     rows: q_k(y) = ||H[k] w_k - centers[k]|| - radii[k] >= 0.  Every array
-    operation on the group rounds each row as the row's own NormFn does.
+    operation on the group rounds each row as that row alone would round.
     """
 
-    specs: tuple
     indices: np.ndarray  # (k, d)
     H: np.ndarray  # (k, p, d)
     centers: np.ndarray  # (k, p)
@@ -294,26 +252,25 @@ class KeepoutGroup:
     def grads(self, w) -> np.ndarray:
         """The gradient H[k]^T v_k / |v_k| of every row at local coordinates w (k, d).
 
-        Raises GradientSingularityError, as NormFn.grad does, for a row
-        whose image residual v_k is within NORM_SINGULARITY_RADIUS of 0.
+        Raises GradientSingularityError for a row whose image residual v_k
+        is within NORM_SINGULARITY_RADIUS of 0, where q_k has no gradient.
         """
         v, nv = self.residuals(w)
         near = nv <= NORM_SINGULARITY_RADIUS
         if near.any():
             k = int(np.argmax(near))
             raise GradientSingularityError(
-                f"{self.specs[k].label}: norm term differentiated at its center "
+                f"{self.label(k)}: norm term differentiated at its center "
                 f"(residual norm {nv[k]:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
             )
-        # + 0.0 is the ball's zero linear term: it turns -0.0 into 0.0 as NormFn.grad does
+        # + 0.0 is the ball's zero linear term: it turns -0.0 into 0.0
         return _matvecs(np.swapaxes(self.H, 1, 2), v / nv[:, None]) + 0.0
 
 
 @dataclass(frozen=True, eq=False)
-class AffineGroup:
+class AffineGroup(RowGroup):
     """Affine rows q_k(y) = a[k] . y[indices[k]] + beta[k] of one kind and width."""
 
-    specs: tuple
     indices: np.ndarray  # (k, d)
     a: np.ndarray  # (k, d)
     beta: np.ndarray  # (k,)
@@ -321,38 +278,6 @@ class AffineGroup:
     def values(self, y) -> np.ndarray:
         """q_k(y) of every row."""
         return _dots(self.a, y[self.indices]) + self.beta
-
-
-def _split(specs, key) -> list:
-    """specs split by key(spec), in order of first appearance, each in the order given."""
-    groups = {}
-    for spec in specs:
-        groups.setdefault(key(spec), []).append(spec)
-    return list(groups.values())
-
-
-def keepout_groups(specs) -> tuple:
-    """The keep-out specs as KeepoutGroups, one per (p, d) shape.
-
-    Raises UnsupportedModelError for a spec that is not a ball NormFn (no
-    linear term, row-orthonormal H), the one shape with a projection formula.
-    """
-    for spec in specs:
-        fn = spec.fn
-        if not (isinstance(fn, NormFn) and fn.is_ball):
-            raise UnsupportedModelError(
-                f"no projection formula for {type(fn).__name__} on {spec.label}"
-            )
-    return tuple(
-        KeepoutGroup(
-            specs=tuple(group),
-            indices=_freeze([spec.indices for spec in group], dtype=int),
-            H=_freeze([spec.fn.H for spec in group]),
-            centers=_freeze([spec.fn.p for spec in group]),
-            radii=_freeze([-spec.fn.beta for spec in group]),
-        )
-        for group in _split(specs, lambda spec: spec.fn.H.shape)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +502,6 @@ class ControlNormSum:
         _, controls = unstack(dims, y)
         return self.weight * float(np.sum(np.linalg.norm(controls, axis=1))) + self.constant
 
-    def terms(self, dims: ProblemDims) -> list:
-        """weight * ||u_i|| for every control, as (weight, indices, fn)."""
-        norm = NormFn(np.eye(dims.m), np.zeros(dims.m), np.zeros(dims.m), 0.0)
-        controls = np.arange(dims.n * dims.T, dims.n_y).reshape(dims.T - 1, dims.m)
-        return [(self.weight, idx, norm) for idx in controls]
-
     @property
     def constant(self) -> float:
         """The fixed terms' share of J, which no decision variable moves."""
@@ -595,11 +514,21 @@ class ControlNormSum:
 
 @dataclass(frozen=True, eq=False)
 class OptimalControlProblem:
+    """The problem, with its constraint rows q >= 0 as array groups.
+
+    affine_rows holds the dynamics defects first, then the affine state
+    constraints, one group per width; keepouts holds the ball and cylinder
+    keep-outs, one group per H shape.  State-constraint groups follow
+    their first member constraint, and every group's rows are step-major.
+    """
+
     dims: ProblemDims
     dynamics: AffineDynamics
     state_constraints: tuple
     base_set: BaseSet
     objective: ControlNormSum
+    affine_rows: tuple = field(init=False, repr=False)
+    keepouts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "state_constraints", tuple(self.state_constraints))
@@ -610,63 +539,69 @@ class OptimalControlProblem:
         if self.base_set.n_y != self.dims.n_y:
             raise DimensionError("base set dimensioned for a different decision vector")
         self.base_set.coordinate_bounds()  # compactness check
-        object.__setattr__(self, "_constraints", _build_constraints(self))
-
-    @property
-    def constraints(self) -> tuple:
-        """All M ConstraintSpec rows in the documented order."""
-        return self._constraints
-
-    @cached_property
-    def keepouts(self) -> tuple:
-        """The ball and cylinder keep-out rows as KeepoutGroups, grouped on first use."""
-        return keepout_groups([spec for spec in self._constraints if isinstance(spec.fn, NormFn)])
-
-    @cached_property
-    def affine_rows(self) -> tuple:
-        """The affine rows as AffineGroups, one per kind and width, grouped on first use."""
-        specs = [spec for spec in self._constraints if isinstance(spec.fn, AffineFn)]
-        return tuple(
-            AffineGroup(
-                specs=tuple(group),
-                indices=_freeze([spec.indices for spec in group], dtype=int),
-                a=_freeze([spec.fn.a for spec in group]),
-                beta=_freeze([spec.fn.beta for spec in group]),
-            )
-            for group in _split(specs, lambda spec: (spec.kind, spec.indices.size))
-        )
+        dynamics = _dynamics_group(self.dims, self.dynamics)
+        affine, keepouts = _state_groups(self.dims, self.state_constraints)
+        object.__setattr__(self, "affine_rows", (dynamics,) + affine)
+        object.__setattr__(self, "keepouts", keepouts)
 
     def objective_value(self, y) -> float:
         return self.objective.value(self.dims, np.asarray(y, dtype=float))
 
 
-def _dynamics_row_fn(problem, i, j):
-    """ConstraintSpec data for defect component g_{i,j}."""
-    dims = problem.dims
-    xs = dims.state_slice(i)
-    us = dims.control_slice(i)
-    nxt = dims.state_slice(i + 1).start + j
-    indices = np.concatenate(
-        [np.arange(xs.start, xs.stop), np.arange(us.start, us.stop), [nxt]]
+def _dynamics_group(dims: ProblemDims, dyn: AffineDynamics) -> AffineGroup:
+    """The defects g_{i,j}: row (i, j) reads x_i, u_i and x_{i+1,j} with a = (A_j, B_j, -1)."""
+    n, m, T = dims.n, dims.m, dims.T
+    steps = np.repeat(np.arange(T - 1), n)
+    components = np.tile(np.arange(n), T - 1)
+    indices = np.column_stack(
+        [
+            steps[:, None] * n + np.arange(n),
+            n * T + steps[:, None] * m + np.arange(m),
+            (steps + 1) * n + components,
+        ]
     )
-    dyn = problem.dynamics
-    a = np.concatenate([dyn.A[j], dyn.B[j], [-1.0]])
-    return indices, AffineFn(a, dyn.d[j])
+    a = np.tile(np.column_stack([dyn.A, dyn.B, -np.ones(n)]), (T - 1, 1))
+    return AffineGroup(
+        kind="dynamics-defect",
+        steps=_freeze(steps, dtype=int),
+        components=_freeze(components, dtype=int),
+        indices=_freeze(indices, dtype=int),
+        a=_freeze(a),
+        beta=_freeze(np.tile(dyn.d, T - 1)),
+    )
 
 
-def _build_constraints(problem) -> tuple:
-    dims = problem.dims
-    rows = []
-    for i in range(dims.T - 1):
-        for j in range(dims.n):
-            indices, fn = _dynamics_row_fn(problem, i, j)
-            rows.append(ConstraintSpec("dynamics-defect", i, j, indices, fn))
-    for i in range(dims.T):
-        base = dims.state_slice(i).start
-        for j, sc in enumerate(problem.state_constraints):
-            indices = np.asarray([base + c for c in sc.state_coords])
-            rows.append(ConstraintSpec("state-constraint", i, j, indices, sc.fn))
-    return tuple(rows)
+def _state_groups(dims: ProblemDims, constraints) -> tuple:
+    """(affine groups by width, keep-out groups by H shape) of the state constraints."""
+    members = {}
+    for j, sc in enumerate(constraints):
+        affine = isinstance(sc.fn, AffineFn)
+        members.setdefault((affine, sc.fn.dim if affine else sc.fn.H.shape), []).append(j)
+    affine, keepouts = [], []
+    for (is_affine, _), js in members.items():
+        # row r is constraint js[member[r]] at step steps[r]
+        member = np.tile(np.arange(len(js)), dims.T)
+        steps = np.repeat(np.arange(dims.T), len(js))
+        fns = [constraints[j].fn for j in js]
+
+        def per_row(values, dtype=float):
+            return _freeze(np.array(values, dtype=dtype)[member], dtype=dtype)
+
+        coords = per_row([constraints[j].state_coords for j in js], int)
+        rows = dict(
+            kind="state-constraint",
+            steps=_freeze(steps, dtype=int),
+            components=per_row(js, int),
+            indices=_freeze(steps[:, None] * dims.n + coords, dtype=int),
+        )
+        if is_affine:
+            a, beta = per_row([fn.a for fn in fns]), per_row([fn.beta for fn in fns])
+            affine.append(AffineGroup(**rows, a=a, beta=beta))
+        else:
+            H, centers = per_row([fn.H for fn in fns]), per_row([fn.p for fn in fns])
+            radii = per_row([-fn.beta for fn in fns])
+            keepouts.append(KeepoutGroup(**rows, H=H, centers=centers, radii=radii))
+    return tuple(affine), tuple(keepouts)
 
 
 # ---------------------------------------------------------------------------
@@ -686,5 +621,7 @@ def eval_h(problem: OptimalControlProblem, y) -> np.ndarray:
     """State-constraint vector, length sT, step-major component-minor."""
     dims = problem.dims
     y = _decision(dims, y)
-    specs = problem.constraints[dims.n * (dims.T - 1) :]
-    return np.array([spec.value(y) for spec in specs], dtype=float)
+    h = np.empty(dims.s * dims.T)
+    for group in problem.affine_rows[1:] + problem.keepouts:  # the state-constraint groups
+        h[group.steps * dims.s + group.components] = group.values(y)
+    return h

@@ -43,7 +43,7 @@ def project(group: KeepoutGroup, z) -> ProjectionResult:
     # infeasible input) falls back to the first image direction, so the
     # projection stays total and deterministic
     warnings = tuple(
-        f"degenerate projection input at the axis of {group.specs[k].label}; "
+        f"degenerate projection input at the axis of {group.label(k)}; "
         "used fallback direction"
         for k in out[axis]
     )

@@ -5,17 +5,20 @@ per cost term (the objective's, then, when lambda > 0, one per dynamics
 defect).  Rows land in the order assemble adds them: each cost term's
 epigraph (a nonnegative row or a second-order cone), one row per dynamics
 defect (g_j = 0 in equality mode, g_j >= 0 in penalty mode), one
-nonnegative row per affine state constraint, the base set member by member
-(pins, box bounds, balls, thrust cones), then one nonnegative row per
-keep-out halfspace.  The row helpers return the indices extract needs, so
+nonnegative row per affine state-constraint row, group by group, the base
+set member by member (pins, box bounds, balls, thrust cones), then one
+nonnegative row per keep-out halfspace.  The row helpers return the indices extract needs, so
 nothing is looked up after the build.
 
 Only the halfspace rows depend on the region.  fixed_rows builds the rest,
-every affine row included, once per run with ProgramBuilder, together with
-the polish onto its pins and hard dynamics, and assemble appends each
-region's halfspaces to it as one sparse block, stored as ProgramBuilder
-stores rows, so the program is the one a single build would give.
-Assembly is deterministic: identical inputs produce identical programs.
+every affine row included, once per run, together with the polish onto
+its pins and hard dynamics, and assemble appends each region's halfspaces
+to that program through ProgramBuilder, so the program is the one a
+single build would give.  Every row emitter hands the builder array
+blocks: the objective cones and penalty epigraphs from the control index
+array and the dynamics group, the affine rows group by group, the base
+set one block per member.  Assembly is deterministic: identical inputs
+produce identical programs.
 """
 
 from __future__ import annotations
@@ -23,87 +26,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import conic
-from .conic import ProgramBuilder, coord_pairs
+from .conic import ProgramBuilder
 from .errors import SubsolverError, UnsupportedModelError
 from .linearize import FeasibleRegion
 from .penalty import PenaltyConfig, penalty_value
-from .problem import AffineFn, Ball, Box, Cone, OptimalControlProblem, Pin
+from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
 
 
-def add_epigraph(builder: ProgramBuilder, fn, t_col, w_cols):
-    """Emit the cone rows of t >= fn(w) over the given builder columns.
-
-    An affine function (a dynamics defect) gives one nonnegative row
-    t - a.w >= beta, a NormFn (a thrust norm) one second-order cone
-    (t - a.w - beta, H w - p).
-    """
-    w_cols = np.asarray(w_cols, dtype=int)
-    lin = [(int(t_col), 1.0)] + coord_pairs(w_cols, -fn.a)  # t - a.w
-    if isinstance(fn, AffineFn):
-        builder.add_ge(lin, fn.beta)
-    else:
-        tail = [(coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
-        builder.add_soc([(lin, -fn.beta)] + tail)
+def _affine_block(group):
+    """(rows, cols, coeffs, rhs) of the rows a_k . y[indices_k] >= -beta_k of an AffineGroup."""
+    k, d = group.indices.shape
+    return np.repeat(np.arange(k), d), group.indices.ravel(), group.a.ravel(), -group.beta
 
 
 def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
-    """Cone rows for every base-set member, shared with the initializer; returns the pin rows."""
-    pins = []
+    """One block of cone rows per base-set member, in member order; returns the pin rows.
+
+    Shared with the initializer.  A pin is one equality row per
+    coordinate, a box one row per finite bound (lower, then upper, per
+    coordinate), a ball the cone (r, w - c) and a thrust cone the cone
+    (axis.w / cos_angle, w).
+    """
+    pins = [np.zeros(0, dtype=int)]
     for mem in base.members:
+        idx = mem.indices
+        k, ones = idx.size, np.ones(idx.size)
         if isinstance(mem, Pin):
-            for i, v in zip(mem.indices, mem.values):
-                pins.append(builder.add_eq([(int(i), 1.0)], float(v)))
+            pins.append(builder.add_eq(np.arange(k), idx, ones, mem.values) + np.arange(k))
         elif isinstance(mem, Box):
-            for i, lo, hi in zip(mem.indices, mem.lower, mem.upper):
-                if np.isfinite(lo):
-                    builder.add_ge([(int(i), 1.0)], float(lo))
-                if np.isfinite(hi):
-                    builder.add_ge([(int(i), -1.0)], float(-hi))
+            # x_i >= lower_i and -x_i >= -upper_i
+            rhs = np.column_stack([mem.lower, -mem.upper]).ravel()
+            finite = np.isfinite(rhs)
+            coeffs = np.column_stack([ones, -ones]).ravel()[finite]
+            builder.add_ge(np.arange(coeffs.size), np.repeat(idx, 2)[finite], coeffs, rhs[finite])
         elif isinstance(mem, Ball):
-            exprs = [([], float(mem.radius))]
-            for i, cc in zip(mem.indices, mem.center):
-                exprs.append(([(int(i), 1.0)], float(-cc)))
-            builder.add_soc(exprs)
+            rhs = np.concatenate([[-mem.radius], mem.center])
+            builder.add_soc(1 + np.arange(k), idx, ones, rhs, k + 1)
         elif isinstance(mem, Cone):
-            head = coord_pairs(mem.indices, mem.axis / mem.cos_angle)
-            exprs = [(head, 0.0)]
-            for i in mem.indices:
-                exprs.append(([(int(i), 1.0)], 0.0))
-            builder.add_soc(exprs)
+            rows = np.concatenate([np.zeros(k, dtype=int), 1 + np.arange(k)])
+            coeffs = np.concatenate([mem.axis / mem.cos_angle, ones])
+            # rhs -0.0 stores b = +0.0, the cone's zero offset
+            builder.add_soc(rows, np.concatenate([idx, idx]), coeffs, np.full(k + 1, -0.0), k + 1)
         else:
             raise UnsupportedModelError(f"unknown base-set member {type(mem).__name__}")
-    return np.asarray(pins, dtype=int)
+    return np.concatenate(pins)
 
 
 def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
-    """program plus one nonnegative row coeffs.y[indices] >= offset per halfspace.
-
-    The rows are stored as ProgramBuilder.add_ge stores them: -coeffs over
-    indices without the exact zeros, -offset in b, and one nonnegative
-    cone, merged with a trailing nonnegative one.
-    """
-    k = len(halfspaces)
-    if k == 0:
-        return program
-    keep = halfspaces.coeffs != 0.0  # -0.0 too
-    block = sp.coo_matrix(
-        (-halfspaces.coeffs[keep], (halfspaces.rows[keep], halfspaces.indices[keep])),
-        shape=(k, program.n_cols),
-    )
-    cones = list(program.cones)
-    dim = k
-    if cones and cones[-1].kind == "nonneg":
-        dim += cones.pop().dim
-    return conic.ConicProgram(
-        program.c,
-        sp.vstack([program.A, block], format="csc"),
-        np.concatenate([program.b, -halfspaces.offsets]),
-        cones + [conic.Cone("nonneg", dim)],
-    )
+    """program plus one nonnegative row coeffs . y[indices] >= offset per halfspace."""
+    builder = ProgramBuilder(program)
+    builder.add_ge(halfspaces.rows, halfspaces.indices, halfspaces.coeffs, halfspaces.offsets)
+    return builder.build()
 
 
 def add_dynamics_rows(builder: ProgramBuilder, problem, mode: str) -> np.ndarray:
@@ -113,12 +89,8 @@ def add_dynamics_rows(builder: ProgramBuilder, problem, mode: str) -> np.ndarray
     nonnegative row g_{i,j}(y) >= 0.  Both carry the defect's exact beta.
     """
     add = builder.add_eq if mode == "equality" else builder.add_ge
-    rows = [
-        add(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
-        for spec in problem.constraints
-        if spec.kind == "dynamics-defect"
-    ]
-    return np.asarray(rows, dtype=int)
+    dynamics = problem.affine_rows[0]
+    return add(*_affine_block(dynamics)) + np.arange(len(dynamics))
 
 
 class Polish:
@@ -172,40 +144,44 @@ class FixedRows:
 def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) -> FixedRows:
     """Everything of min P but the keep-out halfspaces: columns, costs, fixed rows.
 
-    P minus its constant is a list of weighted terms (weight, indices,
-    fn): the objective's norms, then lambda * g_j for every dynamics
-    defect when lambda > 0 (its fixed row g_j >= 0 makes g_j equal |g_j|).
-    Each term is one cost column t with weight `weight` and the epigraph
-    rows t >= fn(y[indices]).  Every affine row is a fixed row: each
-    dynamics defect (g_j = 0 at lambda = 0, g_j >= 0 at lambda > 0) and
-    each affine state constraint q_j >= 0.  The polish projects onto the
-    pins and, in equality mode only, the dynamics rows.
+    P minus its constant is a sum of weighted terms, each a cost column t
+    with its epigraph rows: weight * ||u_i|| for every control (the cone
+    t >= ||u_i||), then, when lambda > 0, lambda * g_j for every dynamics
+    defect (the row t >= g_j; the fixed row g_j >= 0 makes g_j equal
+    |g_j|).  Every affine row is a fixed row: each dynamics defect (g_j = 0
+    at lambda = 0, g_j >= 0 at lambda > 0) and each affine state
+    constraint q_j >= 0, group by group.  The polish projects onto the pins
+    and, in equality mode only, the dynamics rows.
     """
+    dims = problem.dims
     builder = ProgramBuilder()
-    builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
+    builder.add_cols(dims.n_y)  # y is columns 0..n_y-1
 
-    terms = list(problem.objective.terms(problem.dims))
+    controls = np.arange(dims.n * dims.T, dims.n_y).reshape(dims.T - 1, dims.m)
+    t = builder.add_cols(dims.T - 1) + np.arange(dims.T - 1)
+    builder.add_cost(t, np.full(t.size, problem.objective.weight))
+    cols = np.column_stack([t, controls]).ravel()  # cone i is (t_i, u_i)
+    ones = np.ones(cols.size)
+    builder.add_soc(np.arange(cols.size), cols, ones, np.zeros(cols.size), dims.m + 1)
+    dynamics = problem.affine_rows[0]
     if penalty_config.lam > 0.0:
-        terms += [
-            (penalty_config.lam, spec.indices, spec.fn)
-            for spec in problem.constraints
-            if spec.kind == "dynamics-defect"
-        ]
-    for weight, indices, fn in terms:
-        t = builder.add_cols(1)
-        builder.add_cost(t, weight)
-        add_epigraph(builder, fn, t, indices)
+        k, d = dynamics.indices.shape
+        t = builder.add_cols(k) + np.arange(k)
+        builder.add_cost(t, np.full(k, penalty_config.lam))
+        # t_j - a_j . y >= beta_j
+        cols = np.column_stack([t, dynamics.indices]).ravel()
+        coeffs = np.column_stack([np.ones(k), -dynamics.a]).ravel()
+        builder.add_ge(np.repeat(np.arange(k), d + 1), cols, coeffs, dynamics.beta)
 
     mode = penalty_config.mode
-    dynamics = add_dynamics_rows(builder, problem, mode)
-    for spec in problem.constraints:
-        if spec.kind == "state-constraint" and isinstance(spec.fn, AffineFn):
-            builder.add_ge(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
+    rows = add_dynamics_rows(builder, problem, mode)
+    for group in problem.affine_rows[1:]:  # the affine state constraints
+        builder.add_ge(*_affine_block(group))
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
-    hard = dynamics if mode == "equality" else np.zeros(0, dtype=int)
-    polish = Polish(program, np.concatenate([pins, hard]), problem.dims.n_y)
-    return FixedRows(program, polish, dynamics)
+    hard = rows if mode == "equality" else np.zeros(0, dtype=int)
+    polish = Polish(program, np.concatenate([pins, hard]), dims.n_y)
+    return FixedRows(program, polish, rows)
 
 
 def assemble(

@@ -4,16 +4,18 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Seven references keep earlier forms of
-the solve path: a subproblem program built in one ProgramBuilder pass, the
-dense Cholesky polish, the d-general cone algebra, the KKT ordering read
-from a full factor, the one-spec-at-a-time projection and linearization
-that the keep-out groups replace, the one-spec-at-a-time linearization at
-a point that the feasibility init's row groups replace, and a projection
-through a cone solve, against which the closed-form projections are
-checked.  Seeded random
-cone programs, feasible and bounded by construction, serve the solver's
-tests and its program sweep (tests/program_sweep.py).
+claims the solve path relies on.  Nine references keep earlier forms of
+the solve path: the constraint rows one ConstraintSpec at a time, with
+their values, gradients and grouping, which the problem's row groups
+replace; the pair-list program builder, which array blocks replace, and
+a subproblem program built in one pass of it; the dense Cholesky polish;
+the d-general cone algebra; the KKT ordering read from a full factor;
+the one-spec-at-a-time projection and linearization that the keep-out
+groups replace; the one-spec-at-a-time linearization at a point that the
+feasibility init's row groups replace; and a projection through a cone
+solve, against which the closed-form projections are checked.  Seeded
+random cone programs, feasible and bounded by construction, serve the
+solver's tests and its program sweep (tests/program_sweep.py).
 """
 
 from __future__ import annotations
@@ -26,28 +28,139 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from scvx import conic
-from scvx.errors import GradientSingularityError, ScvxError
-from scvx.linearize import FeasibleRegion, _anchor_groups, build_feasible_region
+from scvx.errors import DimensionError, GradientSingularityError, ScvxError
+from scvx.linearize import FeasibleRegion, build_feasible_region
 from scvx.problem import (
+    NORM_SINGULARITY_RADIUS,
     AffineFn,
     Ball,
     BaseSet,
+    Box,
     Cone,
-    ConstraintSpec,
+    KeepoutGroup,
     NormFn,
     OptimalControlProblem,
     Pin,
     ProblemDims,
     eval_g,
     eval_h,
-    keepout_groups,
 )
 from scvx.projection import project
-from scvx.subproblem import (
-    SubproblemArtifacts,
-    add_base_set_rows,
-    add_epigraph,
-)
+from scvx.subproblem import SubproblemArtifacts
+
+
+# ---------------------------------------------------------------------------
+# the per-spec form of the constraint rows
+#
+# The rows one ConstraintSpec at a time, as the problem held them before it
+# held them only as array groups: the row build, each row's value and
+# gradient, and the grouping into KeepoutGroups and AffineGroups.  The
+# problem's groups must give the same arrays, labels and values, bit for
+# bit.
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintSpec:
+    """One scalar constraint component q_j(y) = fn(y[indices]) >= 0."""
+
+    kind: str  # "dynamics-defect" | "state-constraint"
+    step: int
+    component: int
+    indices: np.ndarray  # global y coordinates
+    fn: object  # AffineFn | NormFn
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices, dtype=int)
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        if self.kind not in ("dynamics-defect", "state-constraint"):
+            raise DimensionError(f"unknown constraint kind {self.kind!r}")
+        if self.fn.dim != idx.size:
+            raise DimensionError(
+                f"constraint ({self.kind}, step {self.step}, component "
+                f"{self.component}): function dimension {self.fn.dim} != "
+                f"{idx.size} touched coordinates"
+            )
+
+    @property
+    def label(self) -> str:
+        return f"constraint ({self.kind}, step {self.step}, component {self.component})"
+
+    def value(self, y) -> float:
+        """fn(y[indices]): a.w + beta, or ||H w - p|| + a.w + beta for a NormFn."""
+        fn, w = self.fn, y[self.indices]
+        if isinstance(fn, AffineFn):
+            return float(fn.a @ w + fn.beta)
+        r = fn.H @ w - fn.p
+        return float(np.sqrt(r.dot(r)) + fn.a @ w + fn.beta)
+
+    def grad(self, w) -> np.ndarray:
+        """The gradient over the spec's own coordinates w = y[indices];
+        GradientSingularityError at a norm's center."""
+        fn = self.fn
+        if isinstance(fn, AffineFn):
+            return fn.a.copy()
+        r = fn.H @ w - fn.p
+        nr = np.sqrt(r.dot(r))
+        if nr <= NORM_SINGULARITY_RADIUS:
+            raise GradientSingularityError(
+                "norm term differentiated at its center (residual norm "
+                f"{nr:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
+            )
+        return fn.H.T @ (r / nr) + fn.a
+
+
+def problem_specs(problem: OptimalControlProblem) -> list:
+    """All M rows as specs: the dynamics defects, then the state constraints,
+    each step-major, component-minor."""
+    dims, dyn = problem.dims, problem.dynamics
+    specs = []
+    for i in range(dims.T - 1):
+        xs, us = dims.state_slice(i), dims.control_slice(i)
+        for j in range(dims.n):
+            nxt = dims.state_slice(i + 1).start + j
+            indices = np.concatenate([np.arange(xs.start, xs.stop), np.arange(us.start, us.stop), [nxt]])
+            fn = AffineFn(np.concatenate([dyn.A[j], dyn.B[j], [-1.0]]), dyn.d[j])
+            specs.append(ConstraintSpec("dynamics-defect", i, j, indices, fn))
+    for i in range(dims.T):
+        base = dims.state_slice(i).start
+        for j, sc in enumerate(problem.state_constraints):
+            indices = np.asarray([base + c for c in sc.state_coords])
+            specs.append(ConstraintSpec("state-constraint", i, j, indices, sc.fn))
+    return specs
+
+
+def _split_by(specs, key) -> list:
+    """specs split by key(spec), in order of first appearance, each in the order given."""
+    groups = {}
+    for spec in specs:
+        groups.setdefault(key(spec), []).append(spec)
+    return list(groups.values())
+
+
+def affine_spec_groups(problem: OptimalControlProblem) -> list:
+    """The affine specs split by kind and width: the specs of problem.affine_rows."""
+    specs = [spec for spec in problem_specs(problem) if isinstance(spec.fn, AffineFn)]
+    return _split_by(specs, lambda spec: (spec.kind, spec.indices.size))
+
+
+def keepout_spec_groups(problem: OptimalControlProblem) -> list:
+    """The keep-out specs split by H shape: the specs of problem.keepouts."""
+    specs = [spec for spec in problem_specs(problem) if isinstance(spec.fn, NormFn)]
+    return _split_by(specs, lambda spec: spec.fn.H.shape)
+
+
+def keepout_group(specs) -> KeepoutGroup:
+    """Keep-out specs of one H shape as a KeepoutGroup, in the order given."""
+    return KeepoutGroup(
+        kind="state-constraint",
+        steps=np.array([spec.step for spec in specs]),
+        components=np.array([spec.component for spec in specs]),
+        indices=np.array([spec.indices for spec in specs], dtype=int),
+        H=np.array([spec.fn.H for spec in specs]),
+        centers=np.array([spec.fn.p for spec in specs]),
+        radii=np.array([-spec.fn.beta for spec in specs]),
+    )
 
 
 class ConvexityError(ScvxError):
@@ -70,7 +183,7 @@ def project_point(constraint: ConstraintSpec, z) -> np.ndarray:
 
     The constraint is projected as a KeepoutGroup of one row.
     """
-    (group,) = keepout_groups([constraint])
+    group = keepout_group([constraint])
     point = np.array(z, dtype=float)
     point[constraint.indices] = project(group, point).points[0]
     return point
@@ -117,7 +230,7 @@ def linearize_reference(constraint: ConstraintSpec, z):
     build_feasible_region formed each row before keep-outs were grouped.
     """
     zbar, _ = project_reference(constraint, z)
-    grad = constraint.fn.grad(zbar[constraint.indices])
+    grad = constraint.grad(zbar[constraint.indices])
     return grad, _dot_in_order(constraint.indices, grad, zbar)
 
 
@@ -132,7 +245,7 @@ def linearize_direct(constraint: ConstraintSpec, z):
     z = np.asarray(z, dtype=float)
     fn = constraint.fn
     try:
-        grad = fn.grad(z[constraint.indices])
+        grad = constraint.grad(z[constraint.indices])
     except GradientSingularityError:  # only a NormFn raises it
         v = np.zeros(fn.p.size)
         v[0] = 1.0
@@ -155,12 +268,15 @@ def slacks(halfspaces, y) -> np.ndarray:
 
 def keepout_specs(problem: OptimalControlProblem) -> list:
     """The keep-out specs in region row order: group by group."""
-    return [spec for group in problem.keepouts for spec in group.specs]
+    return [spec for group in keepout_spec_groups(problem) for spec in group]
 
 
 def anchor_specs(problem: OptimalControlProblem, mode: str) -> list:
-    """The specs the feasibility init slacks, in its row order: group by group."""
-    return [spec for group in _anchor_groups(problem, mode) for spec in group.specs]
+    """The specs the feasibility init slacks, in its row order: group by group,
+    the affine ones (without the dynamics in equality mode), then the keep-outs."""
+    hard = "dynamics-defect" if mode == "equality" else None
+    groups = [g for g in affine_spec_groups(problem) if g[0].kind != hard] + keepout_spec_groups(problem)
+    return [spec for group in groups for spec in group]
 
 
 def project_generic(constraint: ConstraintSpec, z) -> np.ndarray:
@@ -175,13 +291,13 @@ def project_generic(constraint: ConstraintSpec, z) -> np.ndarray:
         return z.copy()
     idx, fn = constraint.indices, constraint.fn
     k = idx.size
-    builder = conic.ProgramBuilder()
+    builder = ReferenceBuilder()
     w_cols = builder.add_cols(k) + np.arange(k)
     t = builder.add_cols(1)
     builder.add_cost(t, 1.0)
     add_epigraph(builder, NormFn(np.eye(k), z[idx], np.zeros(k), 0.0), t, w_cols)
-    tail = [(conic.coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
-    builder.add_soc([(conic.coord_pairs(w_cols, -fn.a), -fn.beta)] + tail)
+    tail = [(coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+    builder.add_soc([(coord_pairs(w_cols, -fn.a), -fn.beta)] + tail)
     sol = conic.solve(builder.build())
     if sol.status != "optimal":
         raise ScvxError(f"conic projection failed with {sol.outcome()} for {constraint.label}")
@@ -308,8 +424,8 @@ def jacobian_q(problem: OptimalControlProblem, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     dims = problem.dims
     J = np.zeros((n_constraints(dims), dims.n_y))
-    for r, spec in enumerate(problem.constraints):
-        J[r, spec.indices] = spec.fn.grad(y[spec.indices])
+    for r, spec in enumerate(problem_specs(problem)):
+        J[r, spec.indices] = spec.grad(y[spec.indices])
     return J
 
 
@@ -323,7 +439,7 @@ def validate_convexity(problem: OptimalControlProblem, n_pairs: int = 1000, seed
     A = sample_base_set(problem.base_set, rng, n_pairs)
     B = sample_base_set(problem.base_set, rng, n_pairs)
     Mid = 0.5 * (A + B)
-    for spec in problem.constraints:
+    for spec in problem_specs(problem):
         gap = value_batch(spec, Mid) - 0.5 * (value_batch(spec, A) + value_batch(spec, B))
         worst = float(np.max(gap))
         if worst > 1e-9:
@@ -416,29 +532,143 @@ def residuals(program: conic.ConicProgram, solution: conic.ConicSolution):
     return float(pres), float(dres), float(gap)
 
 
+# ---------------------------------------------------------------------------
+# the pair-list program builder
+#
+# ProgramBuilder as it took rows one at a time, as expressions (pairs,
+# const) with pairs = [(column, coefficient)...], and the row emitters
+# that walked the rows one at a time.  conic.ProgramBuilder's array blocks
+# and the subproblem's fixed rows must give the same programs, bit for bit.
+
+
+class ReferenceBuilder:
+    """The slack of an emitted cone row equals const + sum(coeff * x[col]).
+
+    add_cols returns the first new column, add_eq, add_ge and add_soc the
+    program row of their first row.  Adjacent equality rows share one zero
+    cone and adjacent inequality rows one nonnegative cone.
+    """
+
+    def __init__(self):
+        self.n_cols = 0
+        self._cost = []  # (col, coeff)
+        self._rows, self._cols, self._vals = [], [], []  # entries of A
+        self._b = []
+        self._cones = []  # [kind, dim], in row order
+
+    def add_cols(self, count) -> int:
+        start = self.n_cols
+        self.n_cols += count
+        return start
+
+    def add_cost(self, col, coeff):
+        self._cost.append((int(col), float(coeff)))
+
+    def add_eq(self, pairs, rhs) -> int:
+        """sum coeff*x = rhs: A x = b."""
+        return self._emit("zero", [(pairs, float(rhs))], 1.0)
+
+    def add_ge(self, pairs, rhs) -> int:
+        """sum coeff*x >= rhs: s = sum coeff*x - rhs."""
+        return self._emit("nonneg", [(pairs, -float(rhs))], -1.0)
+
+    def add_soc(self, exprs) -> int:
+        """One second-order cone over the expressions, head first."""
+        return self._emit("soc", [(p, float(k)) for p, k in exprs], -1.0)
+
+    def _emit(self, kind, exprs, sign):
+        start = len(self._b)
+        for pairs, const in exprs:
+            for col, coeff in pairs:
+                if coeff != 0.0:
+                    self._rows.append(len(self._b))
+                    self._cols.append(int(col))
+                    self._vals.append(sign * float(coeff))
+            self._b.append(const)
+        if kind != "soc" and self._cones and self._cones[-1][0] == kind:
+            self._cones[-1][1] += len(exprs)
+        else:
+            self._cones.append([kind, len(exprs)])
+        return start
+
+    def build(self) -> conic.ConicProgram:
+        c = np.zeros(self.n_cols)
+        for col, coeff in self._cost:
+            c[col] += coeff
+        A = sp.coo_matrix(
+            (self._vals, (self._rows, self._cols)), shape=(len(self._b), self.n_cols)
+        ).tocsc()
+        cones = tuple(conic.Cone(kind, dim) for kind, dim in self._cones)
+        return conic.ConicProgram(c, A, np.asarray(self._b, dtype=float), cones)
+
+
+def coord_pairs(cols, coeffs):
+    """Expression pairs [(column, coefficient)...] for ReferenceBuilder rows."""
+    return [(int(i), float(a)) for i, a in zip(cols, coeffs)]
+
+
+def add_epigraph(builder: ReferenceBuilder, fn, t_col, w_cols):
+    """The cone rows of t >= fn(w): a nonnegative row t - a.w >= beta for an
+    AffineFn, the second-order cone (t - a.w - beta, H w - p) for a NormFn."""
+    w_cols = np.asarray(w_cols, dtype=int)
+    lin = [(int(t_col), 1.0)] + coord_pairs(w_cols, -fn.a)  # t - a.w
+    if isinstance(fn, AffineFn):
+        builder.add_ge(lin, fn.beta)
+    else:
+        tail = [(coord_pairs(w_cols, h), -p) for h, p in zip(fn.H, fn.p)]
+        builder.add_soc([(lin, -fn.beta)] + tail)
+
+
+def add_base_set_rows(builder: ReferenceBuilder, base) -> list:
+    """The base set's cone rows, one row or cone at a time; returns the pin rows."""
+    pins = []
+    for mem in base.members:
+        if isinstance(mem, Pin):
+            for i, v in zip(mem.indices, mem.values):
+                pins.append(builder.add_eq([(int(i), 1.0)], float(v)))
+        elif isinstance(mem, Box):
+            for i, lo, hi in zip(mem.indices, mem.lower, mem.upper):
+                if np.isfinite(lo):
+                    builder.add_ge([(int(i), 1.0)], float(lo))
+                if np.isfinite(hi):
+                    builder.add_ge([(int(i), -1.0)], float(-hi))
+        elif isinstance(mem, Ball):
+            exprs = [([], float(mem.radius))]
+            for i, cc in zip(mem.indices, mem.center):
+                exprs.append(([(int(i), 1.0)], float(-cc)))
+            builder.add_soc(exprs)
+        elif isinstance(mem, Cone):
+            head = coord_pairs(mem.indices, mem.axis / mem.cos_angle)
+            exprs = [(head, 0.0)]
+            for i in mem.indices:
+                exprs.append(([(int(i), 1.0)], 0.0))
+            builder.add_soc(exprs)
+    return pins
+
+
 def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) -> conic.ConicProgram:
-    """min P over the base set, the affine rows and the halfspaces, in one ProgramBuilder pass."""
-    builder = conic.ProgramBuilder()
-    builder.add_cols(problem.dims.n_y)
-    terms = list(problem.objective.terms(problem.dims))
+    """min P over the base set, the affine rows and the halfspaces, in one
+    ReferenceBuilder pass over the specs, the affine state rows by width."""
+    builder = ReferenceBuilder()
+    dims = problem.dims
+    builder.add_cols(dims.n_y)
+    controls = np.arange(dims.n * dims.T, dims.n_y).reshape(dims.T - 1, dims.m)
+    norm = NormFn(np.eye(dims.m), np.zeros(dims.m), np.zeros(dims.m), 0.0)
+    terms = [(problem.objective.weight, idx, norm) for idx in controls]
+    groups = affine_spec_groups(problem)  # the dynamics, then the affine state rows
     if penalty_config.lam > 0.0:
-        terms += [
-            (penalty_config.lam, spec.indices, spec.fn)
-            for spec in problem.constraints
-            if spec.kind == "dynamics-defect"
-        ]
+        terms += [(penalty_config.lam, spec.indices, spec.fn) for spec in groups[0]]
     for weight, indices, fn in terms:
         t = builder.add_cols(1)
         builder.add_cost(t, weight)
         add_epigraph(builder, fn, t, indices)
-    for spec in problem.constraints:
-        if isinstance(spec.fn, AffineFn):  # every dynamics defect, then affine state rows
-            hard = penalty_config.mode == "equality" and spec.kind == "dynamics-defect"
-            add = builder.add_eq if hard else builder.add_ge
-            add(conic.coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
+    for spec in (spec for group in groups for spec in group):
+        hard = penalty_config.mode == "equality" and spec.kind == "dynamics-defect"
+        add = builder.add_eq if hard else builder.add_ge
+        add(coord_pairs(spec.indices, spec.fn.a), -spec.fn.beta)
     add_base_set_rows(builder, problem.base_set)
     for indices, coeffs, offset in halfspace_rows(halfspaces):
-        builder.add_ge(conic.coord_pairs(indices, coeffs), offset)
+        builder.add_ge(coord_pairs(indices, coeffs), offset)
     return builder.build()
 
 

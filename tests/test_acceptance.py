@@ -16,6 +16,7 @@ from scvx.cli import main as cli_main
 from scvx.driver import feasibility_summary, scvx
 from tests.checks import eval_q, project_generic, project_point, residuals, verify_invariance
 from scvx.linearize import FeasibleRegion, build_feasible_region
+from scvx.problem import KeepoutGroup
 from scvx.subproblem import assemble, extract
 from tests.test_conic import make_program, random_feasible_program
 from tests.test_projection import _unit, disk_constraint, grid_oracle, tilted_cylinder
@@ -221,28 +222,37 @@ def test_convex_degeneration(quad_scenario, convex_run):
 
 
 def test_gradient_suite(quad_problem, rng):
+    # the gradients the library linearizes with, a group's rows at a time:
+    # a keep-out's H^T v / |v| and an affine row's own a, against central
+    # differences of the row values in each row's own coordinates
+    def values(group, w):
+        if isinstance(group, KeepoutGroup):
+            return group.residuals(w)[1] - group.radii
+        return np.sum(group.a * w, axis=1) + group.beta
+
     lo, hi = quad_problem.base_set.coordinate_bounds()
     width = np.where(np.isfinite(hi - lo), hi - lo, 2.0)
     center = np.where(np.isfinite(lo), lo, -1.0) + 0.5 * width
+    groups = quad_problem.affine_rows + quad_problem.keepouts
     worst = 0.0
     for _ in range(100):
         y = center + rng.uniform(-0.75, 0.75, size=quad_problem.dims.n_y) * width
-        for spec in quad_problem.constraints:
-            w = y[spec.indices]
-            g = spec.fn.grad(w)
+        for group in groups:
+            w = y[group.indices]
+            g = group.grads(w) if isinstance(group, KeepoutGroup) else group.a
             fd = np.empty_like(g)
-            for k in range(w.size):
-                h = 1e-6 * max(1.0, abs(w[k]))
+            for k in range(w.shape[1]):
+                h = 1e-6 * np.maximum(1.0, np.abs(w[:, k]))
                 wp = w.copy()
                 wm = w.copy()
-                wp[k] += h
-                wm[k] -= h
-                fd[k] = (spec.fn.value(wp) - spec.fn.value(wm)) / (2.0 * h)
-            rel = float(np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g)))
-            worst = max(worst, rel)
-            assert rel <= 1e-5
+                wp[:, k] += h
+                wm[:, k] -= h
+                fd[:, k] = (values(group, wp) - values(group, wm)) / (2.0 * h)
+            rel = np.linalg.norm(fd - g, axis=1) / (1.0 + np.linalg.norm(g, axis=1))
+            worst = max(worst, float(rel.max()))
+            assert rel.max() <= 1e-5
     ok(
         "gradient suite",
-        f"{len(quad_problem.constraints)} rows x 100 points, worst relative "
+        f"{sum(len(group) for group in groups)} rows x 100 points, worst relative "
         f"difference {worst:.2e}",
     )

@@ -177,7 +177,8 @@ def test_problem_dimensions():
     problem = build_quadrotor_problem(builtin_quadrotor())
     assert (problem.dims.n, problem.dims.m, problem.dims.T, problem.dims.s) == (6, 3, 25, 2)
     assert problem.dims.n_y == 222
-    assert len(problem.constraints) == 24 * 6 + 25 * 2
+    rows = [(g.kind, len(g), g.indices.shape[1]) for g in problem.affine_rows + problem.keepouts]
+    assert rows == [("dynamics-defect", 24 * 6, 6 + 3 + 1), ("state-constraint", 25 * 2, 2)]
 
 
 def test_endpoint_inside_obstacle_is_infeasible():

@@ -28,6 +28,7 @@ from scvx.conic import (
 from scvx.errors import DimensionError
 from tests.checks import (
     ReferenceBlocks,
+    ReferenceBuilder,
     ReferenceScaling,
     interior_point,
     loosened,
@@ -457,54 +458,62 @@ def test_tiny_dimensions():
         assert solve(no_columns, tol=1e-9).status == status
 
 
-def test_builder_rows_land_in_add_order():
-    builder = ProgramBuilder()
-    x0 = builder.add_cols(2)
-    t = builder.add_cols(1)
-    assert (x0, t) == (0, 2)
-    builder.add_cost(t, 1.0)
-    builder.add_cost(t, 0.5)  # repeated cost entries add up
-    rows = [
-        builder.add_ge([(x0, 1.0)], 1.0),  # x0 >= 1
-        builder.add_ge([(x0 + 1, 2.0), (t, 0.0)], -3.0),  # 2 x1 >= -3; the zero is not stored
-        builder.add_eq([(x0, 1.0), (x0 + 1, 1.0)], 4.0),  # x0 + x1 = 4
-        builder.add_soc([([(t, 1.0)], 0.0), ([(x0, 1.0)], -1.0), ([(x0 + 1, 1.0)], 0.0)]),
-        builder.add_eq([(x0 + 1, 1.0)], 2.5),
-        builder.add_eq([(x0, -1.0)], -1.5),
-        builder.add_soc([([(t, 1.0)], 2.0), ([(x0, 3.0)], 0.0)]),
-    ]
-    # each add returns its first program row, and rows follow in add order
-    assert rows == [0, 1, 2, 3, 6, 7, 8]
-    program = builder.build()
-    assert isinstance(program, ConicProgram)
-    # adjacent zero or nonneg rows share a cone; every SOC stays its own cone
-    assert [(k.kind, k.dim) for k in program.cones] == [
-        ("nonneg", 2), ("zero", 1), ("soc", 3), ("zero", 2), ("soc", 2)
-    ]
-    kinds = np.repeat([k.kind for k in program.cones], [k.dim for k in program.cones])
-    assert kinds[rows].tolist() == ["nonneg", "nonneg", "zero", "soc", "zero", "zero", "soc"]
-    np.testing.assert_array_equal(program.c, [0.0, 0.0, 1.5])
-    np.testing.assert_array_equal(program.b, [-1.0, 3.0, 4.0, 0.0, -1.0, 0.0, 2.5, -1.5, 2.0, 0.0])
-    np.testing.assert_array_equal(
-        program.A.toarray(),
-        [
-            [-1.0, 0.0, 0.0],
-            [0.0, -2.0, 0.0],
-            [1.0, 1.0, 0.0],
-            [0.0, 0.0, -1.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0],
-            [-3.0, 0.0, 0.0],
-        ],
-    )
-    assert program.A.nnz == 11  # the zero coefficient on t in row 1 is not stored
-    # x = (1.5, 2.5), t = 3: within every cone (slack s = b - A x)
-    s = program.b - program.A @ np.array([1.5, 2.5, 3.0])
-    np.testing.assert_array_equal(s[[2, 6, 7]], 0.0)
-    assert np.all(s[:2] >= 0.0) and s[3] >= np.hypot(s[4], s[5]) and s[8] >= abs(s[9])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_builder_rows_land_in_add_order(data):
+    # random blocks of every kind give the program the pair-list builder
+    # gives for the same rows added one at a time, bit for bit: exact zeros
+    # (-0.0 too) are not stored, -0.0 right-hand sides keep their sign,
+    # adjacent zero or nonneg rows share a cone, SOCs of mixed sizes stay
+    # apart, an empty block adds no cone, each add returns its first row,
+    # and a builder started from a built program appends to it
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-100.0, 100.0))
+    builder, ref = ProgramBuilder(), ReferenceBuilder()
+    assert builder.add_cols(2) == ref.add_cols(2) == 0
+    steps = st.sampled_from(["cols", "cost", "eq", "ge", "soc", "append"])
+    for step in data.draw(st.lists(steps, max_size=14)):
+        if step == "cols":
+            count = data.draw(st.integers(1, 3))
+            assert builder.add_cols(count) == ref.add_cols(count)
+        elif step == "cost":
+            cols = data.draw(st.lists(st.integers(0, ref.n_cols - 1), max_size=4))
+            coeffs = [data.draw(value) for _ in cols]
+            builder.add_cost(cols, coeffs)
+            for col, coeff in zip(cols, coeffs):
+                ref.add_cost(col, coeff)
+        elif step == "append":
+            builder = ProgramBuilder(builder.build())
+        else:
+            dim = data.draw(st.integers(1, 4)) if step == "soc" else 1
+            count = dim * data.draw(st.integers(0, 3))
+            rows, cols, coeffs, pairs = [], [], [], []
+            for r in range(count):
+                row_cols = data.draw(st.lists(st.integers(0, ref.n_cols - 1), max_size=3, unique=True))
+                pairs.append([(col, data.draw(value)) for col in row_cols])
+                rows += [r] * len(row_cols)
+                cols += row_cols
+                coeffs += [coeff for _, coeff in pairs[-1]]
+            rhs = [data.draw(value) for _ in range(count)]
+            start = len(ref._b)
+            if step == "soc":
+                assert builder.add_soc(rows, cols, coeffs, rhs, dim) == start
+                for first in range(0, count, dim):
+                    ref.add_soc([(pairs[r], -rhs[r]) for r in range(first, first + dim)])
+            else:
+                assert getattr(builder, "add_" + step)(rows, cols, coeffs, rhs) == start
+                for r in range(count):
+                    getattr(ref, "add_" + step)(pairs[r], rhs[r])
+    got, expect = builder.build(), ref.build()
+    assert got.A.shape == expect.A.shape
+    for u, v in (
+        (got.A.indptr, expect.A.indptr),
+        (got.A.indices, expect.A.indices),
+        (got.A.data, expect.A.data),
+        (got.b, expect.b),
+        (got.c, expect.c),
+    ):
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+    assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in expect.cones]
 
 
 def test_dump_program_text(tmp_path):

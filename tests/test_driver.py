@@ -185,6 +185,20 @@ def test_anchor_validation_errors():
         scvx(problem, hold_anchor(problem, [0.1, 0.0]), tiny_config())
 
 
+def test_non_finite_anchor_is_named_before_any_solve(monkeypatch):
+    # a NaN or infinite coordinate is a malformed anchor, not an infeasible
+    # one: scvx names the coordinate, as find_feasible_start does for a guess
+    problem = unit_disk_problem()
+    programs = _record_programs(monkeypatch)
+    for lam in (0.0, 1.0):
+        for bad in (np.nan, np.inf, -np.inf):
+            z0 = hold_anchor(problem, [2.0, 1.0])
+            z0[3] = bad
+            with pytest.raises(DimensionError, match="anchor has a non-finite coordinate at index 3"):
+                scvx(problem, z0, tiny_config(penalty=PenaltyConfig(lam=lam)))
+    assert programs == []
+
+
 def test_config_validation():
     for epsilon in (0.0, float("nan"), float("inf")):
         with pytest.raises(DimensionError, match="epsilon"):

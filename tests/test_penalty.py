@@ -19,7 +19,7 @@ from scvx.errors import DimensionError
 from scvx.penalty import PenaltyConfig, penalty_value, validate_penalty_weight
 from scvx.problem import (
     AffineDynamics,
-    AffineFn,
+    AffineGroup,
     BaseSet,
     Box,
     ControlNormSum,
@@ -41,8 +41,9 @@ def test_equality_mode_requires_affine_dynamics(quad_problem):
     # equality mode writes each defect as a zero-cone row a.y = -beta; every
     # dynamics row is affine, so the mode follows from lambda alone: 0 keeps
     # the defects as equalities, any positive weight relaxes and penalizes them
-    dynamics = [spec for spec in quad_problem.constraints if spec.kind == "dynamics-defect"]
-    assert dynamics and all(isinstance(spec.fn, AffineFn) for spec in dynamics)
+    dynamics = quad_problem.affine_rows[0]
+    assert isinstance(dynamics, AffineGroup) and dynamics.kind == "dynamics-defect"
+    assert len(dynamics) == 24 * 6
     assert PenaltyConfig().mode == "equality"
     assert PenaltyConfig(lam=5.0).mode == "penalty"
     assert PenaltyConfig(lam=100.0).mode == "penalty"

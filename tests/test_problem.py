@@ -5,61 +5,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scvx.errors import DimensionError, GradientSingularityError
+from scvx.errors import DimensionError, GradientSingularityError, UnsupportedModelError
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
+    AffineGroup,
     Ball,
     BaseSet,
     Box,
     Cone,
-    ConstraintSpec,
     ControlNormSum,
     NormFn,
     OptimalControlProblem,
     Pin,
     ProblemDims,
+    StateConstraint,
     eval_g,
     eval_h,
     stack,
     unstack,
 )
 from tests.checks import (
+    affine_spec_groups,
     eval_q,
     jacobian_q,
+    keepout_spec_groups,
     n_constraints,
+    problem_specs,
     sample_base_set,
     validate_convexity,
 )
 
+# |x_0 - 0.5| >= 0.25
+SLAB = StateConstraint(NormFn(H=np.eye(1), p=np.array([0.5]), a=np.zeros(1), beta=-0.25), (0,))
 
-def tiny_problem(n=2, m=1, T=3):
-    """Double-integrator-style affine problem with one keep-out disk."""
-    dims = ProblemDims(n=n, m=m, T=T, s=1)
+
+def tiny_problem(n=2, m=1, T=3, constraints=(SLAB,), box=5.0):
+    """Double-integrator-style affine problem, by default with one keep-out slab."""
+    dims = ProblemDims(n=n, m=m, T=T, s=len(constraints))
     A = np.eye(n)
     B = np.zeros((n, m))
     B[0, 0] = 1.0
     d = np.zeros(n)
-    obstacle = NormFn(
-        H=np.eye(1), p=np.array([0.5]), a=np.zeros(1), beta=-0.25
-    )  # |x_0 - 0.5| >= 0.25
-    from scvx.problem import StateConstraint
-
-    sc = StateConstraint(fn=obstacle, state_coords=(0,))
     base = BaseSet(
         n_y=dims.n_y,
         members=(
             Box(
                 indices=np.arange(dims.n_y),
-                lower=-5.0 * np.ones(dims.n_y),
-                upper=5.0 * np.ones(dims.n_y),
+                lower=-box * np.ones(dims.n_y),
+                upper=box * np.ones(dims.n_y),
             ),
         ),
     )
     return OptimalControlProblem(
         dims=dims,
         dynamics=AffineDynamics(A=A, B=B, d=d),
-        state_constraints=(sc,),
+        state_constraints=constraints,
         base_set=base,
         objective=ControlNormSum(weight=1.0),
     )
@@ -189,7 +190,7 @@ def test_quadrotor_defect_matches_dense_oracle(quad_problem, rng):
 
 def test_state_constraint_vector_is_the_spec_values(quad_problem, rng):
     y = rng.standard_normal(quad_problem.dims.n_y)
-    specs = [c for c in quad_problem.constraints if c.kind == "state-constraint"]
+    specs = [c for c in problem_specs(quad_problem) if c.kind == "state-constraint"]
     assert len(specs) == 2 * 25
     np.testing.assert_array_equal(eval_h(quad_problem, y), [c.value(y) for c in specs])
     with pytest.raises(DimensionError):
@@ -234,7 +235,8 @@ def test_boundary_point_has_zero_margin():
 
 def test_constraint_ordering_dynamics_first_step_major():
     prob = tiny_problem(n=2, m=1, T=3)
-    kinds = [(c.kind, c.step, c.component) for c in prob.constraints]
+    groups = prob.affine_rows + prob.keepouts
+    kinds = [(g.kind, s, c) for g in groups for s, c in zip(g.steps.tolist(), g.components.tolist())]
     expect = [("dynamics-defect", i, j) for i in range(2) for j in range(2)]
     expect += [("state-constraint", i, 0) for i in range(3)]
     assert kinds == expect
@@ -243,11 +245,12 @@ def test_constraint_ordering_dynamics_first_step_major():
 def test_constraints_touch_only_their_indices(rng):
     prob = tiny_problem()
     y = rng.standard_normal(prob.dims.n_y)
-    for c in prob.constraints:
-        other = y.copy()
-        untouched = np.setdiff1d(np.arange(prob.dims.n_y), c.indices)
-        other[untouched] += rng.standard_normal(untouched.size)
-        assert c.value(y) == pytest.approx(c.value(other), abs=0.0)
+    for group in prob.affine_rows + prob.keepouts:
+        for k, indices in enumerate(group.indices):
+            other = y.copy()
+            untouched = np.setdiff1d(np.arange(prob.dims.n_y), indices)
+            other[untouched] += rng.standard_normal(untouched.size)
+            assert group.values(y)[k] == group.values(other)[k]
 
 
 def test_feasible_start_satisfies_all_rows(quad_problem, quad_start):
@@ -259,27 +262,40 @@ def test_feasible_start_satisfies_all_rows(quad_problem, quad_start):
 # gradients
 
 
-def test_affine_jacobian_exact():
-    fn = AffineFn(a=np.array([2.0, -3.0]), beta=1.0)
-    np.testing.assert_array_equal(fn.grad(np.array([7.0, 9.0])), [2.0, -3.0])
+def unit_disk(coords=(0, 1)):
+    return StateConstraint(NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0), coords)
+
+
+def test_affine_jacobian_exact(rng):
+    # an affine state row's gradient is its own a: every step's row holds
+    # (2, -3) over that step's coordinates, and moves by exactly a.dy
+    prob = tiny_problem(constraints=(StateConstraint(AffineFn(a=np.array([2.0, -3.0]), beta=1.0), (0, 1)),))
+    (group,) = prob.affine_rows[1:]
+    np.testing.assert_array_equal(group.a, np.tile([2.0, -3.0], (3, 1)))
+    np.testing.assert_array_equal(group.indices, [[0, 1], [2, 3], [4, 5]])
+    y = np.zeros(prob.dims.n_y)
+    y[group.indices[1]] = [7.0, 9.0]
+    np.testing.assert_array_equal(group.values(y), [1.0, 2.0 * 7.0 - 3.0 * 9.0 + 1.0, 1.0])
 
 
 def test_norm_gradient_unit_vector():
-    fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    np.testing.assert_allclose(fn.grad(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+    (group,) = tiny_problem(constraints=(unit_disk(),)).keepouts
+    np.testing.assert_allclose(group.grads(np.tile([3.0, 4.0], (3, 1))), [[0.6, 0.8]] * 3, atol=1e-15)
 
 
 def test_norm_gradient_singularity_guard():
-    fn = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    with pytest.raises(GradientSingularityError):
-        fn.grad(np.zeros(2))
+    (group,) = tiny_problem(constraints=(unit_disk(),)).keepouts
+    w = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(GradientSingularityError, match=r"\(state-constraint, step 1, component 0\)"):
+        group.grads(w)
 
 
 def test_jacobian_rows_are_sparse_gradients(quad_problem, rng):
     y = rng.standard_normal(quad_problem.dims.n_y) * 2.0
     J = jacobian_q(quad_problem, y)
-    assert J.shape == (len(quad_problem.constraints), quad_problem.dims.n_y)
-    for j, c in enumerate(quad_problem.constraints):
+    specs = problem_specs(quad_problem)
+    assert J.shape == (len(specs), quad_problem.dims.n_y) == (24 * 6 + 25 * 2, 222)
+    for j, c in enumerate(specs):
         outside = np.setdiff1d(np.arange(quad_problem.dims.n_y), c.indices)
         assert not np.any(J[j, outside])
 
@@ -347,20 +363,87 @@ def test_sample_base_set_respects_halfspaces(rng):
     assert np.all(Y[:, 0] >= 0.5 - 1e-12)
 
 
-def test_constraint_spec_validation():
-    with pytest.raises(DimensionError):
-        ConstraintSpec(
-            kind="bogus",
-            step=0,
-            component=0,
-            indices=np.array([0]),
-            fn=AffineFn(a=np.ones(1), beta=0.0),
-        )
-    with pytest.raises(DimensionError):
-        ConstraintSpec(
-            kind="state-constraint",
-            step=0,
-            component=0,
-            indices=np.array([0, 1]),
-            fn=AffineFn(a=np.ones(1), beta=0.0),
-        )
+def test_state_constraint_validation():
+    # a state constraint reads as many coordinates as its function takes,
+    # and a keep-out must be a ball in a row-orthonormal image
+    with pytest.raises(DimensionError, match="touched coords"):
+        StateConstraint(AffineFn(a=np.ones(1), beta=0.0), (0, 1))
+    stretched = NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
+    with pytest.raises(UnsupportedModelError, match="NormFn"):
+        StateConstraint(stretched, (0, 1))
+    prob = tiny_problem()
+    with pytest.raises(DimensionError, match="dims say s=2"):
+        OptimalControlProblem(ProblemDims(n=2, m=1, T=3, s=2), prob.dynamics, (SLAB,), prob.base_set, prob.objective)
+
+
+# ---------------------------------------------------------------------------
+# the row groups against the one-spec-at-a-time reference
+
+
+def _random_constraint(rng, kind):
+    if kind.startswith("affine"):
+        width = int(kind[-1])
+        coords = tuple(rng.choice(3, width, replace=False).tolist())
+        a = rng.standard_normal(width) * (rng.uniform(size=width) < 0.8)  # exact zeros too
+        return StateConstraint(AffineFn(a=a, beta=float(rng.standard_normal())), coords)
+    if kind == "disk":
+        H, coords = np.eye(2), tuple(rng.choice(3, 2, replace=False).tolist())
+    elif kind == "tilted":
+        H, coords = np.linalg.qr(rng.standard_normal((3, 2)))[0].T, (0, 1, 2)
+    else:  # a 1x3 slab
+        row = rng.standard_normal(3)
+        H, coords = (row / np.linalg.norm(row))[None, :], (0, 1, 2)
+    fn = NormFn(H=H, p=rng.uniform(-3.0, 3.0, H.shape[0]), a=np.zeros(H.shape[1]), beta=-rng.uniform(0.1, 2.0))
+    return StateConstraint(fn, coords)
+
+
+@st.composite
+def mixed_problems(draw):
+    """A problem over 3 states whose constraints mix keep-out shapes (H = I2,
+    a tilted 2x3, a 1x3) and affine widths 1 and 2, and a point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["disk", "tilted", "slab", "affine1", "affine2"]), max_size=6))
+    m, T = draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    dims = ProblemDims(n=3, m=m, T=T, s=len(kinds))
+    sparse = lambda *shape: rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.6)
+    box = Box(indices=np.arange(dims.n_y), lower=-10.0 * np.ones(dims.n_y), upper=10.0 * np.ones(dims.n_y))
+    problem = OptimalControlProblem(
+        dims=dims,
+        dynamics=AffineDynamics(A=sparse(3, 3), B=sparse(3, m), d=sparse(3)),
+        state_constraints=tuple(_random_constraint(rng, kind) for kind in kinds),
+        base_set=BaseSet(n_y=dims.n_y, members=(box,)),
+        objective=ControlNormSum(),
+    )
+    return problem, rng.uniform(-5.0, 5.0, dims.n_y)
+
+
+def assert_same_array(got, ref):
+    """Same dtype, shape and bits, and C order."""
+    ref = np.array(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape and got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_problems())
+def test_row_groups_match_the_per_spec_reference(scene):
+    # each group holds the rows of its specs, in order: the same arrays,
+    # labels and values, bit for bit, and eval_h scatters them back into
+    # step-major order exactly as the specs evaluate
+    problem, y = scene
+    affine, keepouts = affine_spec_groups(problem), keepout_spec_groups(problem)
+    assert [len(g) for g in problem.affine_rows] == [len(specs) for specs in affine]
+    assert [len(g) for g in problem.keepouts] == [len(specs) for specs in keepouts]
+    for group, specs in zip(problem.affine_rows + problem.keepouts, affine + keepouts):
+        assert_same_array(group.indices, [spec.indices for spec in specs])
+        if isinstance(group, AffineGroup):
+            assert_same_array(group.a, [spec.fn.a for spec in specs])
+            assert_same_array(group.beta, [spec.fn.beta for spec in specs])
+        else:
+            assert_same_array(group.H, [spec.fn.H for spec in specs])
+            assert_same_array(group.centers, [spec.fn.p for spec in specs])
+            assert_same_array(group.radii, [-spec.fn.beta for spec in specs])
+        assert [group.label(k) for k in range(len(group))] == [spec.label for spec in specs]
+        assert_same_array(group.values(y), [spec.value(y) for spec in specs])
+    state = [spec for spec in problem_specs(problem) if spec.kind == "state-constraint"]
+    assert_same_array(eval_h(problem, y), np.array([spec.value(y) for spec in state], dtype=float))

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scvx.errors import UnsupportedModelError
-from scvx.problem import AffineFn, ConstraintSpec, NormFn, StateConstraint, keepout_groups
+from scvx.problem import AffineFn, NormFn, StateConstraint
 from scvx.projection import project
-from tests.checks import project_generic, project_point, project_reference
+from tests.checks import ConstraintSpec, keepout_group, project_generic, project_point, project_reference
+from tests.test_linearize import hold_anchor, two_step_problem
 
 
 def disk_constraint(center, radius, indices=(0, 1), H=None):
@@ -70,37 +71,33 @@ def grid_oracle(center, radius, z, step=1e-3):
 def test_ball_projection_radial():
     c = disk_constraint([0.0, 0.0], 1.0)
     z = np.array([2.0, 0.0])
-    (group,) = keepout_groups([c])
-    res = project(group, z)
+    res = project(keepout_group([c]), z)
     np.testing.assert_allclose(res.points, [[1.0, 0.0]], atol=1e-12)
     assert np.linalg.norm(res.points[0] - z) == pytest.approx(1.0, abs=1e-12)
-    assert abs(c.fn.value(res.points[0])) <= 1e-8
+    assert abs(c.value(res.points[0])) <= 1e-8
     assert res.method == "analytic" and res.warnings == ()
 
 
 def test_route_is_decided_once_per_function(monkeypatch):
-    ball = disk_constraint([0.0, 0.0], 1.0)
+    ball = NormFn(H=np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
     stretched = NormFn(H=2.0 * np.eye(2), p=np.zeros(2), a=np.zeros(2), beta=-1.0)
-    z = np.array([2.0, 0.0])
-    assert project(keepout_groups([ball])[0], z).method == "analytic"
+    StateConstraint(fn=ball, state_coords=(0, 1))
     # H = 2I is not row-orthonormal: no closed form, so no keep-out
     with pytest.raises(UnsupportedModelError, match="NormFn"):
         StateConstraint(fn=stretched, state_coords=(0, 1))
-    spec = ConstraintSpec("state-constraint", 0, 0, np.arange(2), stretched)
-    with pytest.raises(UnsupportedModelError, match="NormFn"):
-        keepout_groups([ball, spec])
-    # later groupings read the cached route instead of testing H H^T again
+    # later problems read the cached route instead of testing H H^T again
     def no_retest(*args, **kwargs):
         raise AssertionError("the ball test ran again")
 
     monkeypatch.setattr(np, "allclose", no_retest)
-    assert project(keepout_groups([ball])[0], z).method == "analytic"
+    problem = two_step_problem(ball)
+    (group,) = problem.keepouts
+    assert project(group, hold_anchor(problem, [2.0, 0.0])).method == "analytic"
     with pytest.raises(UnsupportedModelError):
-        keepout_groups([spec])
+        StateConstraint(fn=stretched, state_coords=(0, 1))
     # an affine row is its own supporting halfspace and is never projected
-    affine = ConstraintSpec("state-constraint", 0, 0, np.arange(2), AffineFn(np.array([1.0, 0.0]), -1.0))
-    with pytest.raises(UnsupportedModelError, match="AffineFn"):
-        keepout_groups([affine])
+    problem = two_step_problem(AffineFn(np.array([1.0, 0.0]), -1.0))
+    assert problem.keepouts == () and [g.kind for g in problem.affine_rows] == ["dynamics-defect", "state-constraint"]
 
 
 def test_member_point_projects_to_itself():
@@ -119,12 +116,12 @@ def test_cylinder_projection_touches_only_its_coordinates():
     d = np.array([-7.0, -1.0]) / np.sqrt(50.0)
     np.testing.assert_allclose(point[[2, 3]], np.array([-1.0, 0.0]) + 3.0 * d, atol=1e-12)
     np.testing.assert_array_equal(point[[0, 1, 4]], [9.0, 9.0, 9.0])
-    assert abs(c.fn.value(point[[2, 3]])) <= 1e-12
+    assert abs(c.value(point)) <= 1e-12
 
 
 def test_gradient_fallback_at_norm_center(rng):
     from scvx.errors import GradientSingularityError
-    from tests.test_linearize import direct_keepout_rows, hold_anchor, two_step_problem
+    from tests.test_linearize import direct_keepout_rows
 
     c = disk_constraint([1.0, 2.0], 0.5)
     problem = two_step_problem(c.fn)
@@ -167,7 +164,7 @@ def test_grouped_projection_matches_the_per_spec_reference(shape, kinds, seed):
         indices = np.arange(d) + d * k
         z[indices] = H.T @ (center + reach[kind] * _unit(rng)) + along
         specs.append(disk_constraint(center, radius, indices=indices, H=H))
-    (group,) = keepout_groups(specs)
+    group = keepout_group(specs)
     res = project(group, z)
     warnings = []
     for point, spec in zip(res.points, specs):
@@ -287,7 +284,7 @@ def test_projection_lands_on_boundary(rng, constraint, projector):
     for _ in range(5):
         z = np.array([0.5, -0.25]) + rng.uniform(1.2, 4.0) * _unit(rng)
         out = projector(constraint, z)
-        assert abs(constraint.fn.value(out)) <= 1e-8
+        assert abs(constraint.value(out)) <= 1e-8
         inside = np.array([0.5, -0.25]) + rng.uniform(0.0, 0.9) * _unit(rng)
         member = projector(constraint, inside)
         np.testing.assert_array_equal(member, inside)

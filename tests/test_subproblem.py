@@ -19,6 +19,7 @@ from tests.checks import (
     halfspace_rows,
     keepout_specs,
     linearize_reference,
+    problem_specs,
     solver_objective,
 )
 from scvx.subproblem import (
@@ -60,14 +61,14 @@ def row_kinds(program):
 
 
 def assert_exact_dynamics_rows(problem, program, rows, mode):
-    """rows hold every defect g_j, in order, as ProgramBuilder stores it.
+    """rows hold every defect g_j, in order, as the builders store it.
 
     equality mode: g_j = 0, a zero-cone row a over the spec's indices with
     -beta in b; penalty mode: g_j >= 0, a nonnegative row -a with beta in b,
     so that its slack b - A y is g_j.  The exact zeros of a are dropped,
     and b is bit for bit the defect's own beta.
     """
-    specs = [spec for spec in problem.constraints if spec.kind == "dynamics-defect"]
+    specs = [spec for spec in problem_specs(problem) if spec.kind == "dynamics-defect"]
     assert len(rows) == len(specs)
     kind, sign = ("zero", 1.0) if mode == "equality" else ("nonneg", -1.0)
     assert np.all(row_kinds(program)[rows] == kind)
@@ -169,7 +170,7 @@ def test_halfspaces_are_the_sparse_rows_of_their_specs(quad_problem, quad_start,
     # the dynamics rows are fixed rows in both modes; their program rows drop
     # the exact zeros their coefficients carry
     assert_exact_dynamics_rows(quad_problem, artifacts.program, artifacts.dynamics_rows, config.mode)
-    assert any(np.any(spec.fn.a == 0.0) for spec in quad_problem.constraints[: 24 * 6])
+    assert any(np.any(spec.fn.a == 0.0) for spec in problem_specs(quad_problem)[: 24 * 6])
 
 
 def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
@@ -188,7 +189,7 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     # and merges them into a trailing nonnegative cone
     builder = conic.ProgramBuilder()
     builder.add_cols(z.size)
-    builder.add_ge([(0, 1.0)], 0.0)
+    builder.add_ge([0], [0], [1.0], [0.0])
     program = add_halfspace_rows(builder.build(), region.halfspaces)
     assert program.n_rows == 3
     np.testing.assert_array_equal(program.b[1:], -region.halfspaces.offsets)
@@ -198,7 +199,7 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
 @pytest.mark.parametrize("lam", [0.0, 100.0])
 def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
     # the run's fixed rows plus one region's halfspace block are, bit for
-    # bit, the program one ProgramBuilder pass gives; a 0.0 and a -0.0
+    # bit, the program one pair-list builder pass gives; a 0.0 and a -0.0
     # coefficient are dropped as the builder drops them
     config = PenaltyConfig(lam=lam)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
