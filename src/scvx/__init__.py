@@ -4,7 +4,13 @@ The outer loop convexifies keep-out constraints by projecting the current
 iterate onto each zone and replacing the zone with the supporting
 halfspace at the projection point, then solves the resulting
 second-order-cone program with a built-in interior-point method.
+
+The library logs the fallbacks it takes at WARNING level to the "scvx"
+logger, which carries a NullHandler: they show only where the caller
+configures logging.
 """
+
+import logging
 
 from .errors import (
     BadScenarioError,
@@ -64,3 +70,5 @@ from .bench import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger("scvx").addHandler(logging.NullHandler())

@@ -6,13 +6,19 @@ penalty objective over the resulting convex region.  Iterates are accepted
 only when they improve the penalty value, so the reported sequence is
 monotone.  A succession that improves by less than epsilon stops the loop
 and certifies its own anchor, which is the result.
+
+No succession solve starts cold.  The relaxation floor, min P over the
+fixed rows alone, is solved first; each region's program is the fixed
+rows with the region's halfspaces appended last, so the floor's solution,
+extended over those rows, warm-starts the first succession, and each
+succession's solution warm-starts the next.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,33 +105,37 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _solve_region(problem, config, region, fixed, dump_path=None, start=None):
-    """Assemble min P over the region and solve it; returns (artifacts, solution).
+def _floor_start(floor, program):
+    """The floor's solution extended over the halfspace rows program appends.
 
-    fixed holds the run's fixed rows.  dump_path, when given, receives the
-    program before it is solved.  start, the solution of an earlier
-    succession, warm-starts the solve: every succession program has the
-    same columns and cone list, and when it also has the same sparsity the
-    solve reuses the start's KKT structure.
+    Every appended row is a nonnegative row, so its s is the slack b - A x
+    at the floor's x clipped at 0, the cone projection, and its z is 0.
     """
-    artifacts = assemble(problem, config.penalty, region, fixed)
-    if dump_path:
-        conic.dump_program(artifacts.program, dump_path)
-    sol = conic.solve(artifacts.program, start=start)
-    return artifacts, sol
+    rows = slice(floor.s.size, program.n_rows)
+    slack = (program.b - program.A @ floor.x)[rows]
+    return replace(
+        floor,
+        s=np.concatenate([floor.s, np.maximum(slack, 0.0)]),
+        z_dual=np.concatenate([floor.z_dual, np.zeros(slack.size)]),
+    )
 
 
 def _relaxation_floor(problem, config, z, fixed):
-    """min P over the fixed rows alone: the base set and every affine row.
+    """min P over the fixed rows alone, the base set and every affine row:
+    (its value, its solution).
 
     This drops only the keep-outs, so it contains every succession's
     region and its minimum bounds the cost from below.  In penalty mode
     each g_j >= 0 is a fixed row, so its one-sided epigraph t_j >= g_j
-    still measures |g_j|.
+    still measures |g_j|.  The solution warm-starts the first succession
+    (_floor_start).  It carries no KKT structure, which no succession
+    program shares, and the first succession drops it once the extended
+    start exists, so a run holds one start at a time.
     """
     region = FeasibleRegion(problem.base_set, (), z.copy())
-    artifacts, sol = _solve_region(problem, config, region, fixed)
-    return extract(artifacts, sol)[2]
+    artifacts = assemble(problem, config.penalty, region, fixed)
+    sol = conic.solve(artifacts.program)
+    return extract(artifacts, sol)[2], replace(sol, kkt=None)
 
 
 def _point(values, n_y: int, name: str) -> np.ndarray:
@@ -164,24 +174,29 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     fixed = fixed_rows(problem, config.penalty)
 
     relaxation_floor = None
+    sol = None  # the floor's solution starts the first succession, each solution the next
     if not convex_only:
-        relaxation_floor = _relaxation_floor(problem, config, z, fixed)
+        relaxation_floor, sol = _relaxation_floor(problem, config, z, fixed)
 
     if config.dump_dir:
         os.makedirs(config.dump_dir, exist_ok=True)
 
     status = "max-successions"
     successions = 0
-    sol = None  # the last succession's solution warm-starts the next
     for k in range(1, config.max_successions + 1):
         successions = k
         region = build_feasible_region(problem, z, mode)
-        dump_path = (
-            os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt") if config.dump_dir else None
-        )
-        artifacts, sol = _solve_region(
-            problem, config, region, fixed, dump_path=dump_path, start=sol
-        )
+        artifacts = assemble(problem, config.penalty, region, fixed)
+        if config.dump_dir:
+            conic.dump_program(
+                artifacts.program, os.path.join(config.dump_dir, f"subproblem_{k:03d}.txt")
+            )
+        if k == 1 and sol is not None:
+            sol = _floor_start(sol, artifacts.program)  # and the floor's own is dropped
+        # every succession program has the same columns and cone list, and
+        # when it also has the start's sparsity the solve reuses the start's
+        # KKT structure
+        sol = conic.solve(artifacts.program, start=sol)
         y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
         # below epsilon this solve is the fixed-point test of its anchor z,
@@ -250,14 +265,11 @@ def feasibility_summary(problem: OptimalControlProblem, y) -> dict:
 
     y = np.asarray(y, dtype=float)
     defect = eval_g(problem, y)
-    pin_error = 0.0
-    base_min = np.inf
-    for mem in problem.base_set.members:
-        margin = mem.margin(y)
-        if isinstance(mem, Pin):
-            pin_error = max(pin_error, -margin)
-        else:
-            base_min = min(base_min, margin)
+    base = problem.base_set
+    margins = base.margins(y)
+    pin = np.array([isinstance(mem, Pin) for mem in base.members], dtype=bool)
+    pin_error = max([0.0] + (-margins[pin]).tolist())
+    base_min = min([np.inf] + margins[~pin].tolist())
     h = eval_h(problem, y)
     return {
         "defect_max": float(np.max(np.abs(defect))) if defect.size else 0.0,

@@ -26,6 +26,7 @@ inputs always round to the same offset.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ from .projection import project
 # come from a tolerance-limited conic solver
 ANCHOR_FEASIBILITY_TOL = 1e-8
 GRADIENT_NORM_FLOOR = 1e-10
+
+# the fallbacks of the projection and of the feasibility init log here
+log = logging.getLogger("scvx")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +150,10 @@ def _sums_in_order(coeffs, points) -> np.ndarray:
 
 def _supporting_rows(group: KeepoutGroup, z):
     """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets)."""
-    points = project(group, z).points
+    projection = project(group, z)
+    for warning in projection.warnings:
+        log.warning(warning)
+    points = projection.points
     coeffs = group.grads(points)
     norms = np.sqrt(_dots(coeffs, coeffs))
     if np.any(norms < GRADIENT_NORM_FLOOR):
@@ -181,7 +188,7 @@ def direct_rows(problem: OptimalControlProblem, w, mode: str, slack: int) -> Hal
     + q_j(w) under-estimates q_j everywhere and is tight at w.  An affine
     row's gradient is its own a.  At the center of a keep-out, where the
     gradient is undefined, the row takes the subgradient along the first
-    image direction.
+    image direction and logs a warning naming the row.
     """
     blocks = []
     first = slack
@@ -190,6 +197,11 @@ def direct_rows(problem: OptimalControlProblem, w, mode: str, slack: int) -> Hal
         if isinstance(group, KeepoutGroup):
             v, nv = group.residuals(points)
             center = nv <= NORM_SINGULARITY_RADIUS
+            for k in np.flatnonzero(center):
+                log.warning(
+                    f"feasibility init: {group.label(k)} linearized at its keep-out "
+                    "center; used the subgradient along the first image direction"
+                )
             unit = v / np.where(center, 1.0, nv)[:, None]
             unit[center] = np.eye(v.shape[1])[0]
             # + 0.0 turns -0.0 into 0.0, as KeepoutGroup.grads does

@@ -303,9 +303,11 @@ class Box:
         if np.any(self.lower > self.upper):
             raise DimensionError("Box: lower bound exceeds upper bound")
 
-    def margin(self, y) -> float:
-        w = y[self.indices]
-        return float(min((w - self.lower).min(), (self.upper - w).min()))
+    @staticmethod
+    def margins(w, lower, upper) -> np.ndarray:
+        """Worst bound slack of each of n stacked boxes at their coordinates w (n, k)."""
+        below, above = (w - lower).min(axis=1), (upper - w).min(axis=1)
+        return np.where(above < below, above, below)  # min(below, above), signed zeros included
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,9 +329,11 @@ class Ball:
         if self.radius <= 0:
             raise DimensionError("Ball: radius must be positive")
 
-    def margin(self, y) -> float:
-        r = y[self.indices] - self.center
-        return float(self.radius - np.sqrt(r.dot(r)))
+    @staticmethod
+    def margins(w, center, radius) -> np.ndarray:
+        """radius - ||w - center|| of each of n stacked balls at their coordinates w (n, k)."""
+        r = w - center
+        return radius - np.sqrt(_dots(r, r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,9 +357,10 @@ class Cone:
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-9:
             raise DimensionError("Cone: axis must be a unit vector")
 
-    def margin(self, y) -> float:
-        w = y[self.indices]
-        return float(self.axis @ w - self.cos_angle * np.sqrt(w.dot(w)))
+    @staticmethod
+    def margins(w, axis, cos_angle) -> np.ndarray:
+        """axis . w - cos_angle ||w|| of each of n stacked cones at their coordinates w (n, k)."""
+        return _dots(axis, w) - cos_angle * np.sqrt(_dots(w, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,29 +378,63 @@ class Pin:
         if self.values.size != idx.size:
             raise DimensionError("Pin: index/value sizes disagree")
 
-    def margin(self, y) -> float:
-        return float(-np.abs(y[self.indices] - self.values).max())
+    @staticmethod
+    def margins(w, values) -> np.ndarray:
+        """-max |w - values| of each of n stacked pins at their coordinates w (n, k)."""
+        return -np.abs(w - values).max(axis=1)
 
 
 BaseMember = Union[Box, Ball, Cone, Pin]
 
+# the fields each member type stacks into a group's params, in the order
+# its margins takes them
+_PARAMS = {
+    Pin: ("values",),
+    Box: ("lower", "upper"),
+    Ball: ("center", "radius"),
+    Cone: ("axis", "cos_angle"),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class BaseSet:
-    """The convex, compact set Y as an intersection of simple members."""
+    """The convex, compact set Y as an intersection of simple members.
+
+    groups stacks the members by type and width, in order of first
+    appearance, for the array passes over them.  A group is a tuple (kind,
+    positions, indices, params): its row j is member positions[j], of type
+    kind, reading y[indices[j]], and params stacks the fields _PARAMS[kind]
+    of its members the same way.
+    """
 
     n_y: int
     members: tuple
+    groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        for mem in self.members:
+        positions = {}
+        for j, mem in enumerate(self.members):
+            if type(mem) not in _PARAMS:
+                raise UnsupportedModelError(f"unknown base-set member {type(mem).__name__}")
             if np.any(mem.indices < 0) or np.any(mem.indices >= self.n_y):
                 raise DimensionError("base-set member touches out-of-range coordinates")
+            positions.setdefault((type(mem), mem.indices.size), []).append(j)
+        groups = []
+        for (kind, _), js in positions.items():
+            stacked = [self.members[j] for j in js]
+            params = tuple(np.array([getattr(m, f) for m in stacked]) for f in _PARAMS[kind])
+            indices = np.array([m.indices for m in stacked], dtype=int)
+            groups.append((kind, np.array(js), indices, params))
+        object.__setattr__(self, "groups", tuple(groups))
 
     def margins(self, y) -> np.ndarray:
-        """Worst slack of each member at y (pins report -|error|)."""
-        return np.array([mem.margin(y) for mem in self.members])
+        """Worst slack of each member at y (pins report -|error|), one array
+        pass per group; each member rounds as it alone would round."""
+        out = np.empty(len(self.members))
+        for kind, positions, indices, params in self.groups:
+            out[positions] = kind.margins(y[indices], *params)
+        return out
 
     def contains(self, y, tol: float = 1e-8) -> bool:
         return bool(np.all(self.margins(y) >= -tol))

@@ -6,7 +6,7 @@ defect).  Rows land in the order assemble adds them: each cost term's
 epigraph (a nonnegative row or a second-order cone), one row per dynamics
 defect (g_j = 0 in equality mode, g_j >= 0 in penalty mode), one
 nonnegative row per affine state-constraint row, group by group, the base
-set member by member (pins, box bounds, balls, thrust cones), then one
+set in member order (pins, box bounds, balls, thrust cones), then one
 nonnegative row per keep-out halfspace.  The row helpers return the indices extract needs, so
 nothing is looked up after the build.
 
@@ -17,12 +17,13 @@ to that program through ProgramBuilder, so the program is the one a
 single build would give.  Every row emitter hands the builder array
 blocks: the objective cones and penalty epigraphs from the control index
 array and the dynamics group, the affine rows group by group, the base
-set one block per member.  Assembly is deterministic: identical inputs
-produce identical programs.
+set one block per run of members with the same cone.  Assembly is
+deterministic: identical inputs produce identical programs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,10 @@ import scipy.sparse.linalg as spla
 
 from . import conic
 from .conic import ProgramBuilder
-from .errors import SubsolverError, UnsupportedModelError
+from .errors import SubsolverError
 from .linearize import FeasibleRegion
 from .penalty import PenaltyConfig, penalty_value
-from .problem import Ball, Box, Cone, OptimalControlProblem, Pin
+from .problem import Ball, Box, OptimalControlProblem, Pin
 
 
 def _affine_block(group):
@@ -42,36 +43,82 @@ def _affine_block(group):
     return np.repeat(np.arange(k), d), group.indices.ravel(), group.a.ravel(), -group.beta
 
 
-def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
-    """One block of cone rows per base-set member, in member order; returns the pin rows.
+def _member_rows(kind, idx, params):
+    """A BaseSet group's cone rows: (cone, dim, rows, cols, coeffs, rhs, live).
 
-    Shared with the initializer.  A pin is one equality row per
-    coordinate, a box one row per finite bound (lower, then upper, per
-    coordinate), a ball the cone (r, w - c) and a thrust cone the cone
-    (axis.w / cos_angle, w).
+    cone is the rows' cone kind and dim its dimension.  Member j's entry e puts coeffs[j, e] on column cols[j, e] of its own
+    row rows[j, e], and rhs[j] has one value per row; live marks the rows
+    the member has.  A pin is one equality row per coordinate, a box one
+    row per finite bound (lower, then upper, per coordinate), a ball the
+    cone (r, w - c) and a thrust cone the cone (axis.w / cos_angle, w).
     """
+    n, k = idx.shape
+    ones = np.ones((n, k))
+    own = np.broadcast_to(np.arange(k), (n, k))
+    if kind is Pin:
+        (values,) = params
+        return "zero", 1, own, idx, ones, values, np.ones((n, k), dtype=bool)
+    if kind is Box:
+        lower, upper = params
+        # x_i >= lower_i and -x_i >= -upper_i
+        rhs = np.stack([lower, -upper], axis=2).reshape(n, 2 * k)
+        rows = np.broadcast_to(np.arange(2 * k), (n, 2 * k))
+        coeffs = np.tile([1.0, -1.0], (n, k))
+        return "nonneg", 1, rows, np.repeat(idx, 2, axis=1), coeffs, rhs, np.isfinite(rhs)
+    live = np.ones((n, k + 1), dtype=bool)
+    if kind is Ball:
+        center, radius = params
+        return "soc", k + 1, 1 + own, idx, ones, np.column_stack([-radius, center]), live
+    axis, cos_angle = params  # a thrust cone
+    rows = np.concatenate([np.zeros((n, k), dtype=int), 1 + own], axis=1)
+    coeffs = np.concatenate([axis / cos_angle[:, None], ones], axis=1)
+    cols = np.concatenate([idx, idx], axis=1)
+    # rhs -0.0 stores b = +0.0, the cone's zero offset
+    return "soc", k + 1, rows, cols, coeffs, np.full((n, k + 1), -0.0), live
+
+
+def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
+    """The base set's cone rows in member order; returns the pin rows.
+
+    Shared with the initializer.  The rows are built a BaseSet group at a
+    time (_member_rows) and handed to the builder as one block per run of
+    consecutive members with the same cone, so the program is the one a
+    block per member would give.
+    """
+    blocks = [_member_rows(kind, indices, params) for kind, _, indices, params in base.groups]
+    positions = [group[1] for group in base.groups]
+    counts = np.zeros(len(base.members), dtype=int)
+    cone = [None] * len(base.members)  # each member's (cone kind, dim)
+    for members, (kind, dim, *_, live) in zip(positions, blocks):
+        counts[members] = live.sum(axis=1)
+        for j in members.tolist():
+            cone[j] = (kind, dim)
+    firsts = np.cumsum(counts) - counts  # each member's first row
+
     pins = [np.zeros(0, dtype=int)]
-    for mem in base.members:
-        idx = mem.indices
-        k, ones = idx.size, np.ones(idx.size)
-        if isinstance(mem, Pin):
-            pins.append(builder.add_eq(np.arange(k), idx, ones, mem.values) + np.arange(k))
-        elif isinstance(mem, Box):
-            # x_i >= lower_i and -x_i >= -upper_i
-            rhs = np.column_stack([mem.lower, -mem.upper]).ravel()
-            finite = np.isfinite(rhs)
-            coeffs = np.column_stack([ones, -ones]).ravel()[finite]
-            builder.add_ge(np.arange(coeffs.size), np.repeat(idx, 2)[finite], coeffs, rhs[finite])
-        elif isinstance(mem, Ball):
-            rhs = np.concatenate([[-mem.radius], mem.center])
-            builder.add_soc(1 + np.arange(k), idx, ones, rhs, k + 1)
-        elif isinstance(mem, Cone):
-            rows = np.concatenate([np.zeros(k, dtype=int), 1 + np.arange(k)])
-            coeffs = np.concatenate([mem.axis / mem.cos_angle, ones])
-            # rhs -0.0 stores b = +0.0, the cone's zero offset
-            builder.add_soc(rows, np.concatenate([idx, idx]), coeffs, np.full(k + 1, -0.0), k + 1)
+    for (kind, dim), run in itertools.groupby(range(len(cone)), key=cone.__getitem__):
+        run = list(run)
+        first, end = run[0], run[-1] + 1
+        b = np.empty(counts[first:end].sum())
+        entries = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+        for members, (_, _, rows, cols, coeffs, rhs, live) in zip(positions, blocks):
+            inside = (members >= first) & (members < end)
+            if not inside.any():
+                continue
+            rows, cols, coeffs, rhs, live = (a[inside] for a in (rows, cols, coeffs, rhs, live))
+            # each row's row in the block
+            at = (firsts[members[inside]] - firsts[first])[:, None] + live.cumsum(axis=1) - 1
+            b[at[live]] = rhs[live]
+            member = np.arange(live.shape[0])[:, None]
+            keep = live[member, rows]
+            entries.append((at[member, rows][keep], cols[keep], coeffs[keep]))
+        block = [np.concatenate(arrays) for arrays in zip(*entries)] + [b]
+        if kind == "zero":
+            pins.append(builder.add_eq(*block) + np.arange(b.size))
+        elif kind == "nonneg":
+            builder.add_ge(*block)
         else:
-            raise UnsupportedModelError(f"unknown base-set member {type(mem).__name__}")
+            builder.add_soc(*block, dim)
     return np.concatenate(pins)
 
 

@@ -4,10 +4,11 @@ None of these is on the solve path: they sample the base set, check
 midpoint convexity, probe how the supporting halfspaces move with the
 anchor, read back a solver's own objective value, and recompute a cone
 solution's residuals from the raw program, so that tests can confirm the
-claims the solve path relies on.  Nine references keep earlier forms of
+claims the solve path relies on.  Ten references keep earlier forms of
 the solve path: the constraint rows one ConstraintSpec at a time, with
 their values, gradients and grouping, which the problem's row groups
-replace; the pair-list program builder, which array blocks replace, and
+replace; each base-set member's margin, which the member groups' array
+passes replace; the pair-list program builder, which array blocks replace, and
 a subproblem program built in one pass of it; the dense Cholesky polish;
 the d-general cone algebra; the KKT ordering read from a full factor;
 the one-spec-at-a-time projection and linearization that the keep-out
@@ -304,6 +305,21 @@ def project_generic(constraint: ConstraintSpec, z) -> np.ndarray:
     point = z.copy()
     point[idx] = sol.x[:k]
     return point
+
+
+def member_margin(mem, y) -> float:
+    """The worst slack of one base-set member at y, member by member, as
+    BaseSet.margins computed it before it worked a group at a time."""
+    if isinstance(mem, Box):
+        w = y[mem.indices]
+        return float(min((w - mem.lower).min(), (mem.upper - w).min()))
+    if isinstance(mem, Ball):
+        r = y[mem.indices] - mem.center
+        return float(mem.radius - np.sqrt(r.dot(r)))
+    if isinstance(mem, Cone):
+        w = y[mem.indices]
+        return float(mem.axis @ w - mem.cos_angle * np.sqrt(w.dot(w)))
+    return float(-np.abs(y[mem.indices] - mem.values).max())
 
 
 def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray:

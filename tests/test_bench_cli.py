@@ -288,7 +288,8 @@ def test_cli_builtin_run(tmp_path, capsys):
     assert table[0].split() == [
         "k", "penalty", "improvement", "accepted", "halfspaces", "start", "ipm-iters",
     ]
-    assert table[2].split()[5] == "cold" and table[3].split()[5] == "warm"
+    # the first succession warm-starts from the relaxation floor's solution
+    assert table[2].split()[5] == "warm" and table[3].split()[5] == "warm"
     for name in ("report.json", "trajectory.csv"):
         assert os.path.exists(os.path.join(out, name))
 

@@ -1,10 +1,13 @@
 """Succession loop: monotone descent, feasibility, certificates, initializer."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from scvx import conic, driver
-from scvx.bench import initial_guess
+from scvx.bench import Obstacle, initial_guess, solve_quadrotor
 from scvx.driver import (
     ScvxConfig,
     feasibility_summary,
@@ -148,11 +151,55 @@ def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_confi
 
 
 def test_successions_start_warm(benchmark_run):
-    # every succession after the first starts from the previous solution
+    # the first succession starts from the floor's solution, every later
+    # one from the previous solution
     records = benchmark_run.report.records
-    assert [r.subsolver_start for r in records] == ["cold"] + ["warm"] * (len(records) - 1)
-    # 129 iterations when every succession starts cold
-    assert sum(r.subsolver_iterations for r in records) <= 100
+    assert [r.subsolver_start for r in records] == ["warm"] * len(records)
+    # 93 iterations with a cold first succession, 129 with every one cold
+    assert sum(r.subsolver_iterations for r in records) <= 89
+
+
+def test_first_succession_starts_from_the_floor(monkeypatch, quad_problem, quad_config, quad_start):
+    # the floor's x, s and z on the fixed rows; on the appended region rows
+    # the slack b - A x clipped at 0 and a zero dual; no KKT structure
+    calls = []
+    solve = conic.solve
+
+    def recording(program, *args, start=None, **kwargs):
+        sol = solve(program, *args, start=start, **kwargs)
+        calls.append((program, start, sol))
+        return sol
+
+    monkeypatch.setattr(conic, "solve", recording)
+    scvx(quad_problem, quad_start, quad_config)
+    (floor_program, floor_start, floor), (program, start, _) = calls[:2]
+    assert floor_start is None
+    m = floor_program.n_rows
+    assert program.n_rows > m
+    assert start is not None and start.kkt is None
+    assert start.x.tobytes() == floor.x.tobytes()
+    assert start.s[:m].tobytes() == floor.s.tobytes()
+    assert start.z_dual[:m].tobytes() == floor.z_dual.tobytes()
+    slack = (program.b - program.A @ floor.x)[m:]
+    assert start.s[m:].tobytes() == np.maximum(slack, 0.0).tobytes()
+    assert not start.z_dual[m:].any()
+
+
+def test_init_fallback_is_logged(caplog, quad_scenario):
+    # one cylinder at (0, 0): point 12 of the straight-line guess sits on
+    # its axis, so the init takes its subgradient fallback on that one row
+    scenario = dataclasses.replace(
+        quad_scenario, obstacles=(Obstacle(center=(0.0, 0.0), radius=2.0),)
+    )
+    with caplog.at_level(logging.WARNING, logger="scvx"):
+        run = solve_quadrotor(scenario)
+    assert run.report.converged
+    records = [r for r in caplog.records if r.name == "scvx"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    message = records[0].getMessage()
+    assert message.startswith("feasibility init: ")
+    assert "(state-constraint, step 12, component 0)" in message
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("scvx").handlers)
 
 
 def test_convex_problem_converges_in_one_succession(convex_run):

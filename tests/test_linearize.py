@@ -1,6 +1,7 @@
 """Supporting-halfspace construction: anchoring, containment, degeneracies."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -82,6 +83,24 @@ def hold_anchor(problem, x):
 
 # ---------------------------------------------------------------------------
 # halfspace values
+
+
+def test_projection_axis_fallback_is_logged(caplog):
+    # a keep-out of radius 0 with the anchor a hair off its axis: the
+    # projection takes its axis fallback on the rows of both steps, and the
+    # region build logs each, naming the row, before containment fails
+    fn = NormFn(H=np.eye(2), p=np.array([1.0, 2.0]), a=np.zeros(2), beta=0.0)
+    problem = two_step_problem(fn)
+    z = hold_anchor(problem, [1.0 + 1e-13, 2.0])
+    with caplog.at_level(logging.WARNING, logger="scvx"):
+        with pytest.raises(ScvxError, match="lost containment"):
+            build_feasible_region(problem, z, "equality")
+    messages = [r.getMessage() for r in caplog.records if r.name == "scvx"]
+    assert messages == [
+        f"degenerate projection input at the axis of constraint (state-constraint, "
+        f"step {step}, component 0); used fallback direction"
+        for step in (0, 1)
+    ]
 
 
 def test_disk_linearization_gives_tangent_halfspaces():

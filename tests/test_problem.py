@@ -30,6 +30,7 @@ from tests.checks import (
     eval_q,
     jacobian_q,
     keepout_spec_groups,
+    member_margin,
     n_constraints,
     problem_specs,
     sample_base_set,
@@ -310,13 +311,57 @@ def test_sampled_convexity_of_constraint_rows(quad_problem):
 
 def test_base_member_margins():
     box = Box(indices=np.array([0, 1]), lower=np.zeros(2), upper=np.ones(2))
-    assert box.margin(np.array([0.25, 0.5])) == pytest.approx(0.25)
     ball = Ball(indices=np.array([0, 1]), center=np.zeros(2), radius=2.0)
-    assert ball.margin(np.array([0.0, 1.0])) == pytest.approx(1.0)
     cone = Cone(indices=np.array([0, 1]), axis=np.array([1.0, 0.0]), cos_angle=0.5)
-    assert cone.margin(np.array([1.0, 0.0])) == pytest.approx(0.5)
     pin = Pin(indices=np.array([0]), values=np.array([3.0]))
-    assert pin.margin(np.array([3.5, 0.0])) == pytest.approx(-0.5)
+    base = BaseSet(n_y=2, members=(box, ball, cone, pin))
+    ys = [np.array([0.25, 0.5]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([3.5, 0.0])]
+    expected = [0.25, 1.0, 0.5, -0.5]
+    for j, (y, margin) in enumerate(zip(ys, expected)):
+        assert base.margins(y)[j] == pytest.approx(margin)
+        assert member_margin(base.members[j], y) == pytest.approx(margin)
+
+
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats(-4.0, 4.0, allow_subnormal=True))
+
+
+@st.composite
+def base_sets(draw, n_y=6):
+    """A BaseSet of 1-12 members in any order, with a point y: widths 1-3,
+    signed zeros, infinite box bounds."""
+    members = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(1, 3))
+        idx = np.array(draw(st.lists(st.integers(0, n_y - 1), min_size=k, max_size=k)))
+        vec = np.array(draw(st.lists(_VALUES, min_size=k, max_size=k)))
+        kind = draw(st.sampled_from(["pin", "box", "ball", "cone"]))
+        if kind == "pin":
+            members.append(Pin(idx, vec))
+        elif kind == "box":
+            other = np.array(draw(st.lists(_VALUES, min_size=k, max_size=k)))
+            lower, upper = np.minimum(vec, other), np.maximum(vec, other)
+            lower[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = -np.inf
+            upper[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = np.inf
+            members.append(Box(idx, lower, upper))
+        elif kind == "ball":
+            members.append(Ball(idx, vec, draw(st.floats(1e-3, 4.0))))
+        else:
+            axis = np.zeros(k)
+            axis[draw(st.integers(0, k - 1))] = draw(st.sampled_from([1.0, -1.0]))
+            members.append(Cone(idx, axis, draw(st.floats(1e-3, 1.0))))
+    y = np.array(draw(st.lists(_VALUES, min_size=n_y, max_size=n_y)))
+    return BaseSet(n_y, tuple(members)), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_sets())
+def test_grouped_margins_match_the_per_member_reference(scene):
+    # one array pass per member group gives each member's margin bit for
+    # bit, the sign of a zero included
+    base, y = scene
+    ref = np.array([member_margin(mem, y) for mem in base.members])
+    assert base.margins(y).tobytes() == ref.tobytes()
 
 
 def test_member_validation_errors():

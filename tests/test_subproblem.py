@@ -11,7 +11,7 @@ from scvx import conic
 from scvx.errors import SubsolverError
 from scvx.linearize import Halfspaces, build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
-from scvx.problem import Pin, eval_g
+from scvx.problem import Ball, BaseSet, Box, Cone, Pin, eval_g
 from tests.checks import (
     builder_program,
     dense_polish,
@@ -196,6 +196,16 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     assert [(k.kind, k.dim) for k in program.cones] == [("nonneg", 3)]
 
 
+def assert_same_program(got, ref):
+    """got and ref are the same program, bit for bit."""
+    np.testing.assert_array_equal(got.A.indptr, ref.A.indptr)
+    np.testing.assert_array_equal(got.A.indices, ref.A.indices)
+    for u, v in ((got.A.data, ref.A.data), (got.b, ref.b), (got.c, ref.c)):
+        assert u.dtype == v.dtype == np.float64
+        np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
+    assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in ref.cones]
+
+
 @pytest.mark.parametrize("lam", [0.0, 100.0])
 def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
     # the run's fixed rows plus one region's halfspace block are, bit for
@@ -221,18 +231,43 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
         fixed_rows(quad_problem, config),
     )
     got, ref = artifacts.program, builder_program(quad_problem, config, halfspaces)
-    np.testing.assert_array_equal(got.A.indptr, ref.A.indptr)
-    np.testing.assert_array_equal(got.A.indices, ref.A.indices)
-    for u, v in ((got.A.data, ref.A.data), (got.b, ref.b), (got.c, ref.c)):
-        assert u.dtype == v.dtype == np.float64
-        np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
-    assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in ref.cones]
+    assert_same_program(got, ref)
     r = artifacts.program.n_rows - len(halfspaces)
     assert got.A.tocsr()[r].nnz == np.count_nonzero(hs.coeffs[first]) - 2
     # the one-pass build emits each exact defect row where the fixed rows do,
     # ahead of the region's block
     assert artifacts.dynamics_rows.max() < r
     assert_exact_dynamics_rows(quad_problem, ref, artifacts.dynamics_rows, config.mode)
+
+
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+def test_base_set_rows_in_any_member_order_equal_the_builders(quad_problem, quad_start, lam):
+    # members shuffled across types and widths, with infinite box bounds and
+    # a box of none: one block per run of members with the same cone gives,
+    # bit for bit, the program one pair-list builder pass gives, and the
+    # pin rows in member order
+    config = PenaltyConfig(lam=lam)
+    region = build_feasible_region(quad_problem, quad_start, config.mode)
+    members = list(quad_problem.base_set.members)
+    n_y = quad_problem.dims.n_y
+    members += [
+        Box(np.arange(3), np.array([-np.inf, -50.0, -np.inf]), np.array([50.0, np.inf, np.inf])),
+        Box(np.array([3]), np.array([-np.inf]), np.array([np.inf])),
+        Ball(np.array([4, 5]), np.zeros(2), 100.0),
+        Cone(np.array([n_y - 2, n_y - 1]), np.array([0.0, -1.0]), 0.5),
+        Pin(members[0].indices[:2], members[0].values[:2]),
+    ]
+    order = np.random.default_rng(7).permutation(len(members))
+    problem = dataclasses.replace(
+        quad_problem, base_set=BaseSet(n_y, tuple(members[j] for j in order))
+    )
+    fixed = fixed_rows(problem, config)
+    got = assemble(problem, config, region, fixed).program
+    assert_same_program(got, builder_program(problem, config, region.halfspaces))
+    pinned = [m for m in problem.base_set.members if isinstance(m, Pin)]
+    pins = fixed.polish.rows[: sum(m.indices.size for m in pinned)]
+    np.testing.assert_array_equal(got.b[pins], np.concatenate([m.values for m in pinned]))
+    np.testing.assert_array_equal(got.A.tocsr()[pins].indices, np.concatenate([m.indices for m in pinned]))
 
 
 def test_control_norm_objective_emits_one_epigraph_per_step():
