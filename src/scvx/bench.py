@@ -25,6 +25,7 @@ from .driver import ScvxConfig, SolveReport, feasibility_summary, find_feasible_
 from .errors import BadScenarioError, InfeasibleScenarioError
 from .penalty import PenaltyConfig
 from .problem import (
+    NORM_SINGULARITY_RADIUS,
     AffineDynamics,
     Ball,
     BaseSet,
@@ -52,8 +53,9 @@ class Obstacle:
         center = tuple(float(c) for c in self.center)
         if len(center) != 2:
             raise BadScenarioError("obstacle center must have 2 coordinates")
-        if not (float(self.radius) > 0.0):
-            raise BadScenarioError("obstacle radius must be positive")
+        if not (float(self.radius) > NORM_SINGULARITY_RADIUS):
+            # StateConstraint admits no smaller keep-out
+            raise BadScenarioError(f"obstacle radius must exceed {NORM_SINGULARITY_RADIUS:.0e}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
 

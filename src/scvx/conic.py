@@ -17,7 +17,12 @@ scaling and Mehrotra predictor-corrector steps.  Each iteration factors one
 quasi-definite KKT matrix (static regularization + iterative refinement)
 and reuses the factorization for the predictor, the corrector, and the
 embedding's tau column; it gathers the iterate's s and z once per cone
-group, for the interiority test, the scaling and both step lengths.  Every
+group, for the interiority test, the scaling and both step lengths.  The
+iteration's three KKT solves refine to a residual bound set by its
+complementarity mu, max(1e-13, min(1e-6, 2e-4 mu)) relative to the
+right-hand side, as an inexact Newton direction needs a residual of order
+mu only (Gondzio, SIAM J. Optim. 2013); the cold start's least-squares
+solves, which come before any mu, refine to 1e-13.  Every
 symmetric permutation of a quasi-definite matrix has an LDL^T
 factorization (Vanderbei 1995), so the matrix is laid out in a
 minimum-degree symmetric order, read from an incomplete factor of a
@@ -63,6 +68,9 @@ KINDS = ("zero", "nonneg", "soc")
 # unregularized matrix so accuracy is not limited by this value
 _REG = 1e-8
 _REFINE_STEPS = 3
+# an iteration's KKT solves refine to max(1e-13, min(1e-6, _REFINE_MU * mu))
+# relative to max(1, |rhs|), which is 1e-13 again once mu is below 5e-10
+_REFINE_MU = 2e-4
 _MIN_STEP = 1e-9  # treat smaller line-search steps as numerical stagnation
 _STEP_FRACTION = 0.99
 # SuperLU's panel width for the diagonal-pivot factors.  Wide panels pay
@@ -131,6 +139,10 @@ class ConicSolution:
     dual_res: float = np.nan
     pivoting: str = "diagonal"  # diagonal | partial: the factorization the result came from
     start: str = "cold"  # warm | cold: the start point the result came from
+    kkt_solves: int = 0  # refined KKT solves, summed over attempts
+    # solves with the factor (one per KKT solve and one per refinement
+    # step), summed over attempts
+    triangular_solves: int = 0
     # the KKT structure of the solve, which a solve started from this
     # solution reuses when its program has the same structure
     kkt: _KKTStructure | None = field(default=None, repr=False)
@@ -575,12 +587,14 @@ class _KKT:
     admits in every symmetric order, in _PANEL_SIZE-column panels;
     "partial" lets SuperLU reorder columns and pivot rows, with its
     default panels.  Refinement iterates against the unregularized data on
-    the full pattern.
+    the full pattern.  solves counts the refined solves and triangular the
+    solves with the factor, refinement steps included.
     """
 
     def __init__(self, structure: _KKTStructure, A, pivoting):
         self.structure = structure
         self.pivoting = pivoting
+        self.solves = self.triangular = 0
         self.base = np.zeros(structure.indices.size)
         np.add.at(self.base, structure.a_slots, np.concatenate([A.data, A.data]))
 
@@ -610,15 +624,24 @@ class _KKT:
         else:
             self.lu = spla.splu(K_reg)
 
-    def solve(self, rhs):
+    def solve(self, rhs, bound):
+        """K^{-1} rhs, refined until the residual is at most bound * max(1, |rhs|)
+        or for _REFINE_STEPS steps.
+
+        The cold start's least-squares solves pass 1e-13; an iteration's
+        solves pass a bound set by its mu (_REFINE_MU).
+        """
         rhs = rhs[self.structure.q]
-        bound = 1e-13 * max(1.0, np.abs(rhs).max())
+        bound = bound * max(1.0, np.abs(rhs).max())
         x = self.lu.solve(rhs)
+        self.solves += 1
+        self.triangular += 1
         for _ in range(_REFINE_STEPS):
             r = rhs - self.K @ x
             if np.abs(r).max() <= bound:
                 break
             x = x + self.lu.solve(r)
+            self.triangular += 1
         return x[self.structure.perm_c]
 
 
@@ -676,8 +699,8 @@ def solve(
     partial pivoting, since a cancelled pivot can also drive the iterates
     along the null space of dependent equality rows until they stall.  Each
     attempt runs at most _MAX_ITER iterations.  The result reports its
-    attempt in `start` and `pivoting`, and `iterations` counts every
-    attempt.
+    attempt in `start` and `pivoting`; `iterations`, `kkt_solves` and
+    `triangular_solves` count every attempt.
     """
     attempts = [("diagonal", None), ("partial", None)]
     if start is not None:
@@ -691,13 +714,18 @@ def solve(
     kkt = None if start is None else start.kkt
     if kkt is None or not kkt.fits(program):
         kkt = _KKTStructure(program.A, program.cones)
-    used = 0
+    iterations = kkt_solves = triangular_solves = 0
     for pivoting, warm in attempts:
         sol = _solve(program, kkt, tol, pivoting, warm)
-        used += sol.iterations
+        iterations += sol.iterations
+        kkt_solves += sol.kkt_solves
+        triangular_solves += sol.triangular_solves
         if sol.status == "optimal":
             break
-    return replace(sol, iterations=used, kkt=kkt)
+    return replace(
+        sol, iterations=iterations, kkt_solves=kkt_solves,
+        triangular_solves=triangular_solves, kkt=kkt,
+    )
 
 
 def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
@@ -706,6 +734,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
     AT = A.T
     blocks = kkt.blocks
     e = blocks.identity()
+    K = _KKT(kkt, A, pivoting)
 
     def result(status, iters, x, s, z, gap, pres, dres):
         return ConicSolution(
@@ -719,6 +748,8 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
             dual_res=float(dres),
             pivoting=pivoting,
             start="cold" if start is None else "warm",
+            kkt_solves=K.solves,
+            triangular_solves=K.triangular,
         )
 
     if m == 0:
@@ -736,18 +767,18 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         """c.x + b.z, the homogeneous gap without kappa."""
         return float(c @ x_ + b @ z_)
 
-    K = _KKT(kkt, A, pivoting)
     if start is None:
-        # cold: least-squares-like systems at W = I
+        # cold: least-squares-like systems at W = I, before any mu, refined
+        # to the strict bound
         try:
             K.factor(blocks.identity_squared())
         except RuntimeError:  # a diagonal pivot cancelled to exactly zero
             return result(
                 "numerical-error", 0, np.zeros(n), np.zeros(m), np.zeros(m), np.inf, np.inf, np.inf
             )
-        x, zp = split(K.solve(np.concatenate([np.zeros(n), b])))
+        x, zp = split(K.solve(np.concatenate([np.zeros(n), b]), 1e-13))
         s = blocks.restrict(-zp)  # equals b - A x on the cone rows at the least-squares point
-        _, z = split(K.solve(np.concatenate([-c, np.zeros(m)])))
+        _, z = split(K.solve(np.concatenate([-c, np.zeros(m)]), 1e-13))
         shift = -blocks.min_eig(s)
         if shift >= -1e-8:
             s = s + (1.0 + shift) * e
@@ -813,6 +844,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if point is None:
             break
         mu = (float(s @ z) + tau * kappa) / (blocks.degree + 1)
+        refine = max(1e-13, min(1e-6, _REFINE_MU * mu))  # every KKT solve of the iteration
         try:
             scal = _Scaling(point)
             K.factor(scal.w_squared())
@@ -822,13 +854,13 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if not np.isfinite(lam).all():
             break
 
-        x1, z1 = split(K.solve(np.concatenate([-c, b])))
+        x1, z1 = split(K.solve(np.concatenate([-c, b]), refine))
         denom = gap_terms(x1, z1) - kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break
 
         def direction(d_x, d_z, d_tau, d_s, d_kappa):
-            x2, z2 = split(K.solve(np.concatenate([d_x, d_z - scal.apply(d_s)])))
+            x2, z2 = split(K.solve(np.concatenate([d_x, d_z - scal.apply(d_s)]), refine))
             dtau = (d_tau - d_kappa / tau - gap_terms(x2, z2)) / denom
             dx = x2 + dtau * x1
             dz = z2 + dtau * z1

@@ -37,8 +37,8 @@ class UnsupportedModelError(ScvxError):
     """A model function has no encoding here.
 
     A state constraint must be a halfspace or a ball or cylinder keep-out
-    (the shapes with a closed-form projection), and a cost term an affine
-    function or a norm.
+    (the shapes with a closed-form projection) of radius above
+    NORM_SINGULARITY_RADIUS, and a cost term an affine function or a norm.
     """
 
 

@@ -48,7 +48,7 @@ from .projection import project
 ANCHOR_FEASIBILITY_TOL = 1e-8
 GRADIENT_NORM_FLOOR = 1e-10
 
-# the fallbacks of the projection and of the feasibility init log here
+# the feasibility init's subgradient fallback logs here
 log = logging.getLogger("scvx")
 
 
@@ -150,10 +150,7 @@ def _sums_in_order(coeffs, points) -> np.ndarray:
 
 def _supporting_rows(group: KeepoutGroup, z):
     """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets)."""
-    projection = project(group, z)
-    for warning in projection.warnings:
-        log.warning(warning)
-    points = projection.points
+    points = project(group, z).points
     coeffs = group.grads(points)
     norms = np.sqrt(_dots(coeffs, coeffs))
     if np.any(norms < GRADIENT_NORM_FLOOR):

@@ -496,7 +496,10 @@ class StateConstraint:
 
     fn reads x_i[state_coords].  It is a halfspace (AffineFn) or a ball or
     cylinder keep-out (a NormFn with is_ball), the shapes project has a
-    closed form for.
+    closed form for.  A keep-out's radius -beta must exceed
+    NORM_SINGULARITY_RADIUS: a smaller one projects a point outside to
+    within that distance of the norm's center, where the row has no
+    gradient to linearize along, and a negative one keeps out nothing.
     """
 
     fn: ConvexFn
@@ -508,6 +511,12 @@ class StateConstraint:
             raise UnsupportedModelError(
                 f"StateConstraint: {type(fn).__name__} is neither an AffineFn nor a "
                 "ball NormFn (no linear term, row-orthonormal H)"
+            )
+        if isinstance(fn, NormFn) and not -fn.beta > NORM_SINGULARITY_RADIUS:
+            raise UnsupportedModelError(
+                f"StateConstraint: keep-out radius {-fn.beta!r} is not above "
+                f"{NORM_SINGULARITY_RADIUS:.0e}, so its projections would sit at the "
+                "norm's center, where no supporting halfspace is defined"
             )
         object.__setattr__(self, "state_coords", tuple(int(c) for c in self.state_coords))
         if self.fn.dim != len(self.state_coords):

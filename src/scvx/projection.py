@@ -24,7 +24,6 @@ from .problem import KeepoutGroup, _matvecs
 class ProjectionResult:
     points: np.ndarray  # (k, d): row k's coordinates y[indices[k]], projected
     method: str  # "analytic": every library route is a closed form
-    warnings: tuple = ()  # one per row that took the axis fallback
 
 
 def project(group: KeepoutGroup, z) -> ProjectionResult:
@@ -32,25 +31,15 @@ def project(group: KeepoutGroup, z) -> ProjectionResult:
 
     Row k's set is the ball ||H w - p|| <= r in the image of a
     row-orthonormal H: a point outside it moves onto the sphere within the
-    row space of H, and a member is its own projection.
+    row space of H, and a member is its own projection.  StateConstraint
+    admits no radius at or below NORM_SINGULARITY_RADIUS, so a point
+    outside has a residual norm above its radius and above 0, and the
+    closed form holds on every row.
     """
     w = np.asarray(z, dtype=float)[group.indices]
     v, nv = group.residuals(w)
     out = np.flatnonzero(nv - group.radii > 0.0)
-    v, nv = v[out], nv[out]
-    axis = nv <= 1e-12
-    # a row whose point sits on the cylinder axis (possible only for deeply
-    # infeasible input) falls back to the first image direction, so the
-    # projection stays total and deterministic
-    warnings = tuple(
-        f"degenerate projection input at the axis of {group.label(k)}; "
-        "used fallback direction"
-        for k in out[axis]
-    )
-    v[axis] = 0.0
-    v[axis, 0] = 1.0
-    nv[axis] = 1.0
     points = w.copy()
-    step = v * (1.0 - group.radii[out] / nv)[:, None]
+    step = v[out] * (1.0 - group.radii[out] / nv[out])[:, None]
     points[out] = w[out] - _matvecs(np.swapaxes(group.H[out], 1, 2), step)
-    return ProjectionResult(points=points, method="analytic", warnings=warnings)
+    return ProjectionResult(points=points, method="analytic")

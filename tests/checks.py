@@ -191,32 +191,23 @@ def project_point(constraint: ConstraintSpec, z) -> np.ndarray:
 
 
 def project_reference(constraint: ConstraintSpec, z):
-    """The projection one keep-out spec at a time: (point, warning).
+    """The projection one keep-out spec at a time.
 
     The closed form before keep-outs were grouped: pull the image point
     H w - p onto the sphere of radius r, moving z only within the row space
-    of H, with the first image direction when z sits on the axis.
+    of H.
     """
     z = np.asarray(z, dtype=float)
     if constraint.value(z) <= 0.0:
-        return z.copy(), None
+        return z.copy()
     fn = constraint.fn
     r = -fn.beta
     w = z[constraint.indices]
     v = fn.H @ w - fn.p
     nv = float(np.linalg.norm(v))
-    warning = None
-    if nv <= 1e-12:
-        v = np.zeros(fn.p.size)
-        v[0] = 1.0
-        nv = 1.0
-        warning = (
-            f"degenerate projection input at the axis of {constraint.label}; "
-            "used fallback direction"
-        )
     point = z.copy()
     point[constraint.indices] = w - fn.H.T @ (v * (1.0 - r / nv))
-    return point, warning
+    return point
 
 
 def _dot_in_order(indices, coeffs, y) -> float:
@@ -230,7 +221,7 @@ def linearize_reference(constraint: ConstraintSpec, z):
     The gradient at the reference projection and its in-order offset, as
     build_feasible_region formed each row before keep-outs were grouped.
     """
-    zbar, _ = project_reference(constraint, z)
+    zbar = project_reference(constraint, z)
     grad = constraint.grad(zbar[constraint.indices])
     return grad, _dot_in_order(constraint.indices, grad, zbar)
 

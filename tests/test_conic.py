@@ -322,6 +322,93 @@ def test_warm_attempt_factors_once_per_iteration(monkeypatch):
         assert factors[0] == warm.iterations - 1
 
 
+def _recorded_kkt_solves(monkeypatch):
+    """A list that collects (kkt, bound, triangular solves, relative residual)
+    of every refined KKT solve.
+
+    The residual is the one the refinement measured last, recomputed from
+    the returned solution: in the stored order, against the unregularized
+    matrix, relative to max(1, |rhs|).
+    """
+    calls, refined = [], _KKT.solve
+
+    def recording(self, rhs, bound):
+        before = self.triangular
+        x = refined(self, rhs, bound)
+        stored = rhs[self.structure.q]
+        r = stored - self.K @ x[self.structure.q]
+        relative = np.abs(r).max() / max(1.0, np.abs(stored).max())
+        calls.append((self, bound, self.triangular - before, relative))
+        return x
+
+    monkeypatch.setattr(_KKT, "solve", recording)
+    return calls
+
+
+def test_cold_start_refines_to_the_strict_bound(monkeypatch):
+    # the cold start's two least-squares solves come before any mu and
+    # refine to 1e-13; an iteration's solves refine to a bound set by its
+    # mu, within [1e-13, 1e-6], looser than 1e-13 while mu is large
+    calls = _recorded_kkt_solves(monkeypatch)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        prog = random_feasible_program(rng)
+        calls.clear()
+        sol = solve(prog, tol=1e-9)
+        assert (sol.status, sol.start, sol.pivoting) == ("optimal", "cold", "diagonal")
+        bounds = [bound for _, bound, _, _ in calls]
+        assert bounds[:2] == [1e-13, 1e-13]
+        assert all(1e-13 <= bound <= 1e-6 for bound in bounds[2:])
+        assert bounds[2] > 1e-13  # the first iteration's mu is about 1
+        calls.clear()
+        warm = solve(loosened(rng, prog), tol=1e-9, start=sol)
+        assert warm.start == "warm"
+        assert calls[0][1] > 1e-13  # a warm attempt makes no least-squares solve
+
+
+def test_every_kkt_solve_ends_at_its_bound_or_after_the_last_step(monkeypatch):
+    # refinement stops at the first residual at or below its bound, or
+    # after _REFINE_STEPS steps; the solution counts every refined solve
+    # and every triangular solve, summed over its attempts
+    calls = _recorded_kkt_solves(monkeypatch)
+    attempts = []
+
+    def checked(prog, start=None):
+        calls.clear()
+        sol = solve(prog, tol=1e-9, start=start)
+        assert sol.status == "optimal"
+        attempts.append(len({id(kkt) for kkt, _, _, _ in calls}))
+        for _, bound, triangular, relative in calls:
+            assert 1 <= triangular <= 1 + conic._REFINE_STEPS
+            assert relative <= bound or triangular == 1 + conic._REFINE_STEPS
+        assert sol.kkt_solves == len(calls)
+        assert sol.triangular_solves == sum(t for _, _, t, _ in calls)
+        return sol
+
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        prog = sparse_feasible_program(rng, k % 2 == 1)
+        checked(loosened(rng, prog), start=checked(prog))
+    assert max(attempts) > 1  # some solves were retried
+
+
+def test_builtin_run_halves_the_triangular_solves(monkeypatch):
+    # a KKT solve refines only to its iteration's bound: a built-in run
+    # made 915 triangular solves while every solve refined to 1e-13, and
+    # its 116 IPM iterations stay as they were
+    solutions, cone_solve = [], conic.solve
+
+    def recording(*args, **kwargs):
+        solutions.append(cone_solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(conic, "solve", recording)
+    solve_quadrotor(builtin_quadrotor())
+    assert sum(sol.iterations for sol in solutions) <= 116
+    assert sum(sol.triangular_solves for sol in solutions) <= 550
+    assert all(sol.kkt_solves <= sol.triangular_solves for sol in solutions)
+
+
 def _recorded_orderings(monkeypatch):
     """A list that collects the (rows, cols, dim) of every KKT ordering."""
     patterns, order = [], conic._symmetric_order

@@ -19,9 +19,9 @@ from scvx.errors import (
     InfeasibleAnchorError,
     InfeasibleScenarioError,
 )
-from scvx.linearize import check_anchor
+from scvx.linearize import ANCHOR_FEASIBILITY_TOL, check_anchor
 from scvx.penalty import PenaltyConfig
-from scvx.problem import BaseSet, NormFn, Pin, eval_h
+from scvx.problem import BaseSet, NormFn, Pin, eval_g, eval_h
 from scvx.subproblem import Polish
 from tests.checks import eval_q
 from tests.test_conic import _recorded_orderings
@@ -157,6 +157,36 @@ def test_successions_start_warm(benchmark_run):
     assert [r.subsolver_start for r in records] == ["warm"] * len(records)
     # 93 iterations with a cold first succession, 129 with every one cold
     assert sum(r.subsolver_iterations for r in records) <= 89
+
+
+# six non-overlapping cylinders between the endpoints: (center, radius)
+SIX_CYLINDERS = (
+    ((-16.387629070651187, 18.432036158560628), 1.2873971570789526),
+    ((-14.93917169112694, 15.968045609643587), 1.0045419583098643),
+    ((-10.180884327326844, 18.021063457948593), 0.6844736280968113),
+    ((-8.852639010504696, 12.514742373457775), 1.0008484746493211),
+    ((-12.484758411147197, 14.528471302133399), 0.6193407347393179),
+    ((-7.949064292049126, 16.395180258567034), 1.178064926639201),
+)
+
+
+def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario):
+    # penalty mode polishes an accepted iterate onto its pins only, so it
+    # meets its keep-outs and its g >= 0 rows to the solver's tolerance;
+    # the next succession takes it as its anchor, and check_anchor raises
+    # InfeasibleAnchorError on a row below -ANCHOR_FEASIBILITY_TOL
+    scenario = dataclasses.replace(
+        quad_scenario,
+        p0=(-20.0, 15.0, 0.0),
+        pf=(-4.0, 17.0, 0.5),
+        obstacles=tuple(Obstacle(center, radius) for center, radius in SIX_CYLINDERS),
+        penalty_lambda=100.0,
+    )
+    run = solve_quadrotor(scenario)
+    assert run.report.converged
+    iterates = run.report.iterates
+    assert min(float(eval_h(run.problem, z).min()) for z in iterates) >= 0.0
+    assert min(float(eval_g(run.problem, z).min()) for z in iterates) >= -ANCHOR_FEASIBILITY_TOL
 
 
 def test_first_succession_starts_from_the_floor(monkeypatch, quad_problem, quad_config, quad_start):

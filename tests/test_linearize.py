@@ -1,7 +1,6 @@
 """Supporting-halfspace construction: anchoring, containment, degeneracies."""
 
 import dataclasses
-import logging
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scvx.errors import (
+    BadScenarioError,
     DegenerateGradientError,
     InfeasibleAnchorError,
     ScvxError,
@@ -24,10 +24,11 @@ from tests.checks import (
     slacks,
     verify_invariance,
 )
-from scvx.bench import initial_guess, solve_quadrotor
+from scvx.bench import Obstacle, initial_guess, solve_quadrotor
 from scvx.linearize import build_feasible_region, direct_rows
 from scvx.penalty import PenaltyConfig
 from scvx.problem import (
+    NORM_SINGULARITY_RADIUS,
     AffineDynamics,
     AffineFn,
     BaseSet,
@@ -85,22 +86,28 @@ def hold_anchor(problem, x):
 # halfspace values
 
 
-def test_projection_axis_fallback_is_logged(caplog):
-    # a keep-out of radius 0 with the anchor a hair off its axis: the
-    # projection takes its axis fallback on the rows of both steps, and the
-    # region build logs each, naming the row, before containment fails
-    fn = NormFn(H=np.eye(2), p=np.array([1.0, 2.0]), a=np.zeros(2), beta=0.0)
+def test_keepout_radius_must_exceed_the_singularity_radius():
+    # a radius of at most NORM_SINGULARITY_RADIUS (a negative one included)
+    # is rejected when the constraint is made: the projection of a point
+    # outside it would sit within that distance of the norm's center,
+    # where no supporting halfspace is defined
+    for beta in (0.0, -NORM_SINGULARITY_RADIUS, 0.5):
+        fn = NormFn(H=np.eye(2), p=np.array([1.0, 2.0]), a=np.zeros(2), beta=beta)
+        with pytest.raises(UnsupportedModelError, match="keep-out radius"):
+            StateConstraint(fn=fn, state_coords=(0, 1))
+    with pytest.raises(BadScenarioError, match="obstacle radius"):
+        Obstacle(center=(1.0, 2.0), radius=1e-13)
+    # just above it, the closed form projects a point a hair off the axis
+    # onto the sphere, and the region keeps the anchor
+    fn = NormFn(H=np.eye(2), p=np.array([1.0, 2.0]), a=np.zeros(2), beta=-2e-12)
     problem = two_step_problem(fn)
-    z = hold_anchor(problem, [1.0 + 1e-13, 2.0])
-    with caplog.at_level(logging.WARNING, logger="scvx"):
-        with pytest.raises(ScvxError, match="lost containment"):
-            build_feasible_region(problem, z, "equality")
-    messages = [r.getMessage() for r in caplog.records if r.name == "scvx"]
-    assert messages == [
-        f"degenerate projection input at the axis of constraint (state-constraint, "
-        f"step {step}, component 0); used fallback direction"
-        for step in (0, 1)
-    ]
+    z = hold_anchor(problem, [1.0 + 1e-11, 2.0])
+    region = build_feasible_region(problem, z, "equality")
+    rows = list(halfspace_rows(region.halfspaces))
+    assert len(rows) == 2
+    for indices, coeffs, offset in rows:
+        np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-6)
+        assert coeffs @ z[indices] - offset == pytest.approx(8e-12, abs=1e-14)
 
 
 def test_disk_linearization_gives_tangent_halfspaces():
