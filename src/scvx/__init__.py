@@ -14,7 +14,6 @@ import logging
 
 from .errors import (
     BadScenarioError,
-    DegenerateGradientError,
     DimensionError,
     GradientSingularityError,
     InfeasibleAnchorError,

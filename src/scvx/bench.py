@@ -51,13 +51,18 @@ class Obstacle:
 
     def __post_init__(self):
         center = tuple(float(c) for c in self.center)
+        radius = float(self.radius)
         if len(center) != 2:
             raise BadScenarioError("obstacle center must have 2 coordinates")
-        if not (float(self.radius) > NORM_SINGULARITY_RADIUS):
+        if not all(math.isfinite(c) for c in center):
+            raise BadScenarioError("obstacle center must be finite")
+        if not math.isfinite(radius):
+            raise BadScenarioError("obstacle radius must be finite")
+        if not radius > NORM_SINGULARITY_RADIUS:
             # StateConstraint admits no smaller keep-out
             raise BadScenarioError(f"obstacle radius must exceed {NORM_SINGULARITY_RADIUS:.0e}")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
 
 def _vec3(name, v):

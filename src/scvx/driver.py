@@ -7,11 +7,13 @@ only when they improve the penalty value, so the reported sequence is
 monotone.  A succession that improves by less than epsilon stops the loop
 and certifies its own anchor, which is the result.
 
-No succession solve starts cold.  The relaxation floor, min P over the
-fixed rows alone, is solved first; each region's program is the fixed
-rows with the region's halfspaces appended last, so the floor's solution,
-extended over those rows, warm-starts the first succession, and each
-succession's solution warm-starts the next.
+Every solve is one region program: assembled, solved and read back
+through extract.  The relaxation floor, the program of fixed_rows, is
+solved first; each region's program is it with the region's halfspaces
+appended last, so the floor's solution, extended over those rows,
+warm-starts the first succession, and each succession's solution the
+next.  A feasibility-init round appends its rows to a slack program built
+once per search.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ import numpy as np
 
 from . import conic
 from .conic import ProgramBuilder
-from .errors import (
-    DimensionError,
-    InfeasibleAnchorError,
-    InfeasibleScenarioError,
-    SubsolverError,
-)
+from .errors import DimensionError, InfeasibleAnchorError, InfeasibleScenarioError
 from .linearize import (
-    FeasibleRegion,
     _anchor_groups,
     _anchor_values,
     build_feasible_region,
@@ -42,6 +38,7 @@ from .penalty import PenaltyCheck, PenaltyConfig, penalty_value, validate_penalt
 from .problem import OptimalControlProblem, eval_g
 from .subproblem import (
     Polish,
+    SubproblemArtifacts,
     add_base_set_rows,
     add_dynamics_rows,
     add_halfspace_rows,
@@ -120,9 +117,10 @@ def _floor_start(floor, program):
     )
 
 
-def _relaxation_floor(problem, config, z, fixed):
+def _relaxation_floor(fixed):
     """min P over the fixed rows alone, the base set and every affine row:
-    (its value, its solution).
+    (its value, its solution).  fixed is the run's fixed_rows, whose
+    program is this one.
 
     This drops only the keep-outs, so it contains every succession's
     region and its minimum bounds the cost from below.  In penalty mode
@@ -132,10 +130,8 @@ def _relaxation_floor(problem, config, z, fixed):
     program shares, and the first succession drops it once the extended
     start exists, so a run holds one start at a time.
     """
-    region = FeasibleRegion(problem.base_set, (), z.copy())
-    artifacts = assemble(problem, config.penalty, region, fixed)
-    sol = conic.solve(artifacts.program)
-    return extract(artifacts, sol)[2], replace(sol, kkt=None)
+    sol = conic.solve(fixed.program)
+    return extract(fixed, sol)[2], replace(sol, kkt=None)
 
 
 def _point(values, n_y: int, name: str) -> np.ndarray:
@@ -176,7 +172,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
     relaxation_floor = None
     sol = None  # the floor's solution starts the first succession, each solution the next
     if not convex_only:
-        relaxation_floor, sol = _relaxation_floor(problem, config, z, fixed)
+        relaxation_floor, sol = _relaxation_floor(fixed)
 
     if config.dump_dir:
         os.makedirs(config.dump_dir, exist_ok=True)
@@ -288,13 +284,14 @@ def _violation(problem, w, mode):
     return float(v)
 
 
-def _slack_rows(problem: OptimalControlProblem, mode: str):
-    """The search's rows that no round changes: (first slack column, program, polish).
+def _slack_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig):
+    """The search's rows that no round changes: (first slack column, artifacts).
 
     A slack sigma_k >= 0 of cost 1 per row of _anchor_groups, the hard
     dynamics in equality mode and the base set; the polish is onto the hard
     dynamics, then the pins.
     """
+    mode = penalty_config.mode
     count = sum(len(group) for group in _anchor_groups(problem, mode))
     builder = ProgramBuilder()
     builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
@@ -307,7 +304,8 @@ def _slack_rows(problem: OptimalControlProblem, mode: str):
         hard = add_dynamics_rows(builder, problem, mode)
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
-    return slack, program, Polish(program, np.concatenate([hard, pins]), problem.dims.n_y)
+    polish = Polish(program, np.concatenate([hard, pins]), problem.dims.n_y)
+    return slack, SubproblemArtifacts(program, polish, hard, problem, penalty_config)
 
 
 def find_feasible_start(
@@ -326,22 +324,23 @@ def find_feasible_start(
     majorize-minimize scheme, the violation does not go up, and zero slack
     implies true feasibility.  The base set is compact, so each round is
     bounded without a trust region; the rows no round changes are built
-    once (_slack_rows).
+    once (_slack_rows), and each round appends its rows to them, solves and
+    reads the solve back through extract, as a succession does.
 
     A primal-infeasible round means the hard set itself (pins, dynamics,
     base set) is empty; FEASIBILITY_STALL_LIMIT rounds without improvement
     mean no feasible point was found.  Both raise InfeasibleScenarioError.
-    A guess of the wrong size or with a non-finite coordinate raises
+    Any other non-optimal round raises SubsolverError (extract).  A guess
+    of the wrong size or with a non-finite coordinate raises
     DimensionError.
     """
     config = config or ScvxConfig()
     mode = config.penalty.mode
-    dims = problem.dims
     if guess is None:
         lo, hi = problem.base_set.coordinate_bounds()
         w = 0.5 * (lo + hi)
     else:
-        w = _point(guess, dims.n_y, "guess")
+        w = _point(guess, problem.dims.n_y, "guess")
 
     best = _violation(problem, w, mode)
     stall = 0
@@ -351,17 +350,16 @@ def find_feasible_start(
         except InfeasibleAnchorError:
             pass
         if k == 0:  # a guess that is already an anchor needs none of this
-            slack, fixed, polish = _slack_rows(problem, mode)
+            slack, fixed = _slack_rows(problem, config.penalty)
 
-        sol = conic.solve(add_halfspace_rows(fixed, direct_rows(problem, w, mode, slack)))
+        artifacts = add_halfspace_rows(fixed, direct_rows(problem, w, mode, slack))
+        sol = conic.solve(artifacts.program)
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(
                 "the hard constraint set is empty (inconsistent pins, "
                 "dynamics, or bounds)"
             )
-        if sol.status != "optimal":
-            raise SubsolverError(f"feasibility subproblem returned {sol.outcome()}")
-        w_new = polish(sol.x[:dims.n_y].copy())
+        w_new = extract(artifacts, sol)[0]
         v_new = _violation(problem, w_new, mode)
         if v_new < best - 1e-12:
             w = w_new

@@ -21,14 +21,6 @@ class GradientSingularityError(ScvxError):
     """
 
 
-class DegenerateGradientError(ScvxError):
-    """A constraint gradient vanished at a projection point.
-
-    This is the LICQ guard: a supporting halfspace cannot be built from a
-    zero normal.
-    """
-
-
 class InfeasibleAnchorError(ScvxError):
     """A point handed to the linearizer or driver is not feasible."""
 

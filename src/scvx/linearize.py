@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradientError, InfeasibleAnchorError, ScvxError
+from .errors import InfeasibleAnchorError, ScvxError
 from .problem import (
     NORM_SINGULARITY_RADIUS,
     BaseSet,
@@ -46,7 +46,6 @@ from .projection import project
 # anchors are accepted as feasible down to this constraint slack; iterates
 # come from a tolerance-limited conic solver
 ANCHOR_FEASIBILITY_TOL = 1e-8
-GRADIENT_NORM_FLOOR = 1e-10
 
 # the feasibility init's subgradient fallback logs here
 log = logging.getLogger("scvx")
@@ -86,7 +85,7 @@ class FeasibleRegion:
     def __post_init__(self):
         if not isinstance(self.halfspaces, Halfspaces):
             object.__setattr__(self, "halfspaces", _stack(self.halfspaces))
-        anchor = np.asarray(self.anchor, dtype=float)
+        anchor = np.array(self.anchor, dtype=float)  # a frozen copy; the caller's stays writeable
         anchor.setflags(write=False)
         object.__setattr__(self, "anchor", anchor)
 
@@ -149,16 +148,13 @@ def _sums_in_order(coeffs, points) -> np.ndarray:
 
 
 def _supporting_rows(group: KeepoutGroup, z):
-    """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets)."""
+    """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets).
+
+    StateConstraint admits only a row-orthonormal H, so every gradient
+    H^T v / |v| has unit norm and every halfspace is defined.
+    """
     points = project(group, z).points
     coeffs = group.grads(points)
-    norms = np.sqrt(_dots(coeffs, coeffs))
-    if np.any(norms < GRADIENT_NORM_FLOOR):
-        k = int(np.argmax(norms < GRADIENT_NORM_FLOOR))
-        raise DegenerateGradientError(
-            f"{group.label(k)} has gradient norm {norms[k]:.3e} at its "
-            "projection point; supporting halfspace undefined"
-        )
     offsets = _sums_in_order(coeffs, points)
     slack = _dots(coeffs, z[group.indices]) - offsets
     if np.any(slack < -1e-9):

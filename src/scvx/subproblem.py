@@ -11,20 +11,23 @@ nonnegative row per keep-out halfspace.  The row helpers return the indices extr
 nothing is looked up after the build.
 
 Only the halfspace rows depend on the region.  fixed_rows builds the rest,
-every affine row included, once per run, together with the polish onto
-its pins and hard dynamics, and assemble appends each region's halfspaces
-to that program through ProgramBuilder, so the program is the one a
-single build would give.  Every row emitter hands the builder array
-blocks: the objective cones and penalty epigraphs from the control index
-array and the dynamics group, the affine rows group by group, the base
-set one block per run of members with the same cone.  Assembly is
-deterministic: identical inputs produce identical programs.
+every affine row included, once per run, as the artifacts of the empty
+region: the relaxation floor's program with the polish onto its pins and
+hard dynamics.  add_halfspace_rows appends a region's halfspaces through
+ProgramBuilder, so the program is the one a single build would give, and
+assemble is that call on the run's fixed rows; a feasibility-init round
+appends its rows to the driver's slack program the same way.  Every row
+emitter hands the builder array blocks: the objective cones and penalty
+epigraphs from the control index array and the dynamics group, the affine
+rows group by group, the base set one block per run of members with the
+same cone.  Assembly is deterministic: identical inputs produce identical
+programs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -122,13 +125,6 @@ def add_base_set_rows(builder: ProgramBuilder, base) -> np.ndarray:
     return np.concatenate(pins)
 
 
-def add_halfspace_rows(program: conic.ConicProgram, halfspaces):
-    """program plus one nonnegative row coeffs . y[indices] >= offset per halfspace."""
-    builder = ProgramBuilder(program)
-    builder.add_ge(halfspaces.rows, halfspaces.indices, halfspaces.coeffs, halfspaces.offsets)
-    return builder.build()
-
-
 def add_dynamics_rows(builder: ProgramBuilder, problem, mode: str) -> np.ndarray:
     """One row per dynamics defect, in order; returns the rows.
 
@@ -172,24 +168,19 @@ class Polish:
 
 @dataclass(frozen=True, eq=False)
 class SubproblemArtifacts:
+    """A region's cone program with what extract reads back from its solve."""
+
     program: conic.ConicProgram
-    polish: Polish  # onto the pins, then the hard dynamics
+    polish: Polish  # onto the program's equality rows
     dynamics_rows: np.ndarray  # rows whose duals give the dynamics multipliers
     problem: OptimalControlProblem
     penalty: PenaltyConfig
 
 
-@dataclass(frozen=True, eq=False)
-class FixedRows:
-    """The part of min P that no region changes, built once per run."""
-
-    program: conic.ConicProgram  # cost columns, epigraphs, affine rows, base set
-    polish: Polish  # onto the pins, then the hard dynamics
-    dynamics_rows: np.ndarray  # g_j = 0 in equality mode, g_j >= 0 in penalty mode
-
-
-def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) -> FixedRows:
-    """Everything of min P but the keep-out halfspaces: columns, costs, fixed rows.
+def fixed_rows(
+    problem: OptimalControlProblem, penalty_config: PenaltyConfig
+) -> SubproblemArtifacts:
+    """min P over the empty region: columns, costs and every fixed row.
 
     P minus its constant is a sum of weighted terms, each a cost column t
     with its epigraph rows: weight * ||u_i|| for every control (the cone
@@ -198,7 +189,9 @@ def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) ->
     |g_j|).  Every affine row is a fixed row: each dynamics defect (g_j = 0
     at lambda = 0, g_j >= 0 at lambda > 0) and each affine state
     constraint q_j >= 0, group by group.  The polish projects onto the pins
-    and, in equality mode only, the dynamics rows.
+    and, in equality mode only, then the dynamics rows.  This is the
+    relaxation floor's program, and every region's is it plus the region's
+    halfspaces (add_halfspace_rows).
     """
     dims = problem.dims
     builder = ProgramBuilder()
@@ -228,14 +221,22 @@ def fixed_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig) ->
     program = builder.build()
     hard = rows if mode == "equality" else np.zeros(0, dtype=int)
     polish = Polish(program, np.concatenate([pins, hard]), dims.n_y)
-    return FixedRows(program, polish, rows)
+    return SubproblemArtifacts(program, polish, rows, problem, penalty_config)
+
+
+def add_halfspace_rows(artifacts: SubproblemArtifacts, halfspaces) -> SubproblemArtifacts:
+    """artifacts with one nonnegative row coeffs . y[indices] >= offset per
+    halfspace appended to its program; the polish and dynamics rows stay."""
+    builder = ProgramBuilder(artifacts.program)
+    builder.add_ge(halfspaces.rows, halfspaces.indices, halfspaces.coeffs, halfspaces.offsets)
+    return replace(artifacts, program=builder.build())
 
 
 def assemble(
     problem: OptimalControlProblem,
     penalty_config: PenaltyConfig,
     region: FeasibleRegion,
-    fixed: FixedRows | None = None,
+    fixed: SubproblemArtifacts | None = None,
 ) -> SubproblemArtifacts:
     """Build the cone program encoding min P(y) over the given region.
 
@@ -244,21 +245,17 @@ def assemble(
     """
     if fixed is None:
         fixed = fixed_rows(problem, penalty_config)
-    return SubproblemArtifacts(
-        program=add_halfspace_rows(fixed.program, region.halfspaces),
-        polish=fixed.polish,
-        dynamics_rows=fixed.dynamics_rows,
-        problem=problem,
-        penalty=penalty_config,
-    )
+    return add_halfspace_rows(fixed, region.halfspaces)
 
 
 def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     """Pull (z_next, dynamics multipliers, true objective value) out of a solve.
 
-    The objective is recomputed from the raw decision vector rather than
-    trusting the solver's epigraph auxiliaries.  Raises SubsolverError
-    unless the solve is optimal.
+    Every cone solve of a run is read back here: the floor's, each
+    succession's and each feasibility-init round's.  The objective is
+    recomputed from the raw decision vector rather than trusting the
+    solver's epigraph auxiliaries.  Raises SubsolverError unless the solve
+    is optimal.
     """
     if solution.status != "optimal":
         raise SubsolverError(f"subproblem solve returned {solution.outcome()}")

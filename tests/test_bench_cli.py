@@ -364,6 +364,25 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "obstacle, message",
+    [
+        ({"center": [float("nan"), 0.0], "radius": 2.0}, "center must be finite"),
+        ({"center": [float("inf"), 0.0], "radius": 2.0}, "center must be finite"),
+        ({"center": [0.0, 0.0], "radius": float("inf")}, "radius must be finite"),
+    ],
+    ids=["nan-center", "infinite-center", "infinite-radius"],
+)
+def test_cli_rejects_non_finite_obstacles(tmp_path, capsys, obstacle, message):
+    # a malformed scenario (exit 4) before any solve, not a solver failure
+    # (exit 3) or an infeasible one (exit 2); it writes no report
+    path = write_scenario(tmp_path, obstacles=[obstacle])
+    out = tmp_path / "out"
+    assert run_cli("run", path, "--out", str(out)) == 4
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_reports_infeasible_scenario(tmp_path, capsys):
     path = write_scenario(
         tmp_path, obstacles=[{"center": [0.0, 0.0], "radius": 20.0}]

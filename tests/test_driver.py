@@ -18,6 +18,7 @@ from scvx.errors import (
     DimensionError,
     InfeasibleAnchorError,
     InfeasibleScenarioError,
+    SubsolverError,
 )
 from scvx.linearize import ANCHOR_FEASIBILITY_TOL, check_anchor
 from scvx.penalty import PenaltyConfig
@@ -71,6 +72,13 @@ def test_succession_records_are_complete(benchmark_run):
         assert r.subsolver_status == "optimal"
         assert r.improvement == pytest.approx(r.penalty_before - r.penalty_after)
     assert records[-1].improvement < 1e-6
+
+
+def test_report_z_is_writeable(benchmark_run):
+    # the result is the last region's anchor, which the region froze a copy of
+    report = benchmark_run.report
+    assert report.z.tobytes() == report.iterates[-1].tobytes()
+    assert report.z.flags.writeable
 
 
 def test_fixed_point_certificate_at_convergence(benchmark_run):
@@ -132,8 +140,9 @@ def test_one_kkt_ordering_per_program_structure(
 
 
 def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_config):
-    # every init round polishes onto the rows of its own program; the floor
-    # and every succession reuse the E and E E^T built with the fixed rows
+    # every init round of a search reuses the E and E E^T built with the
+    # search's slack rows, and the floor and every succession of a run those
+    # built with the run's fixed rows
     built, init = [0], Polish.__init__
 
     def counting(self, *args):
@@ -141,13 +150,18 @@ def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_confi
         init(self, *args)
 
     monkeypatch.setattr(Polish, "__init__", counting)
+    monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     programs = _record_programs(monkeypatch)
+    with pytest.raises(InfeasibleScenarioError):
+        find_feasible_start(covered_box_problem(), None, tiny_config())
+    assert len(programs) >= 5 and built[0] == 1
+    programs.clear()
     start = find_feasible_start(quad_problem, initial_guess(quad_scenario), quad_config)
     rounds = len(programs)
-    assert built[0] == rounds >= 1
+    assert rounds >= 1 and built[0] == 2
     report = scvx(quad_problem, start, quad_config)
     assert report.successions == 9 and len(programs) == rounds + 10
-    assert built[0] == rounds + 1
+    assert built[0] == 3
 
 
 def test_successions_start_warm(benchmark_run):
@@ -393,6 +407,27 @@ def test_covered_base_set_is_reported_infeasible(monkeypatch):
     monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     with pytest.raises(InfeasibleScenarioError, match="violation"):
         find_feasible_start(covered_box_problem(), None, tiny_config())
+
+
+def test_nonoptimal_init_round_raises_through_extract(monkeypatch):
+    # an init round that ends max-iter is read back by extract, which raises
+    # SubsolverError naming the solve's outcome
+    solve, extract = conic.solve, driver.extract
+    extracted = []
+
+    def stopped(program, *args, **kwargs):
+        return dataclasses.replace(solve(program, *args, **kwargs), status="max-iter")
+
+    def recording(artifacts, sol):
+        extracted.append(sol.status)
+        return extract(artifacts, sol)
+
+    monkeypatch.setattr(conic, "solve", stopped)
+    monkeypatch.setattr(driver, "extract", recording)
+    problem = unit_disk_problem()
+    with pytest.raises(SubsolverError, match=r"subproblem solve returned status 'max-iter'"):
+        find_feasible_start(problem, hold_anchor(problem, [0.0, 0.0]), tiny_config())
+    assert extracted == ["max-iter"]
 
 
 def test_inconsistent_pins_are_reported_infeasible(monkeypatch):

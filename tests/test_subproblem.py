@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from scvx import conic
 from scvx.errors import SubsolverError
-from scvx.linearize import Halfspaces, build_feasible_region
+from scvx.linearize import FeasibleRegion, Halfspaces, build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
 from scvx.problem import Ball, BaseSet, Box, Cone, Pin, eval_g
 from tests.checks import (
@@ -190,7 +190,9 @@ def test_halfspace_becomes_one_nonneg_row_with_negated_normal():
     builder = conic.ProgramBuilder()
     builder.add_cols(z.size)
     builder.add_ge([0], [0], [1.0], [0.0])
-    program = add_halfspace_rows(builder.build(), region.halfspaces)
+    program = add_halfspace_rows(
+        dataclasses.replace(artifacts, program=builder.build()), region.halfspaces
+    ).program
     assert program.n_rows == 3
     np.testing.assert_array_equal(program.b[1:], -region.halfspaces.offsets)
     assert [(k.kind, k.dim) for k in program.cones] == [("nonneg", 3)]
@@ -204,6 +206,25 @@ def assert_same_program(got, ref):
         assert u.dtype == v.dtype == np.float64
         np.testing.assert_array_equal(u.view(np.uint64), v.view(np.uint64))
     assert [(k.kind, k.dim) for k in got.cones] == [(k.kind, k.dim) for k in ref.cones]
+
+
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+def test_empty_region_program_is_the_fixed_rows(quad_problem, lam):
+    # the relaxation floor solves the fixed rows as built: the empty
+    # region's assembly, from the run's fixed rows or without them, is that
+    # program bit for bit, with its polish and dynamics rows
+    config = PenaltyConfig(lam=lam)
+    fixed = fixed_rows(quad_problem, config)
+    base = quad_problem.base_set
+    region = FeasibleRegion(base, (), base.coordinate_bounds()[0])
+    for artifacts in (
+        assemble(quad_problem, config, region, fixed),
+        assemble(quad_problem, config, region),
+    ):
+        assert_same_program(artifacts.program, fixed.program)
+        np.testing.assert_array_equal(artifacts.polish.rows, fixed.polish.rows)
+        np.testing.assert_array_equal(artifacts.dynamics_rows, fixed.dynamics_rows)
+        assert artifacts.problem is quad_problem and artifacts.penalty is config
 
 
 @pytest.mark.parametrize("lam", [0.0, 100.0])
