@@ -26,11 +26,12 @@ class InfeasibleAnchorError(ScvxError):
 
 
 class UnsupportedModelError(ScvxError):
-    """A model function has no encoding here.
+    """A model part has no encoding here.
 
-    A state constraint must be a halfspace or a ball or cylinder keep-out
-    (the shapes with a closed-form projection) of radius above
-    NORM_SINGULARITY_RADIUS, and a cost term an affine function or a norm.
+    Raised for a state constraint that is neither a halfspace nor a ball or
+    cylinder keep-out (the shapes with a closed-form projection), a keep-out
+    of radius at most NORM_SINGULARITY_RADIUS, and a base-set member of an
+    unknown type.
     """
 
 

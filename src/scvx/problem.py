@@ -293,12 +293,10 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
         object.__setattr__(self, "lower", _freeze(self.lower))
         object.__setattr__(self, "upper", _freeze(self.upper))
-        if not (self.lower.size == self.upper.size == idx.size):
+        if not (self.lower.size == self.upper.size == self.indices.size):
             raise DimensionError("Box: index/bound sizes disagree")
         if np.any(self.lower > self.upper):
             raise DimensionError("Box: lower bound exceeds upper bound")
@@ -319,12 +317,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
         object.__setattr__(self, "center", _freeze(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.center.size != idx.size:
+        if self.center.size != self.indices.size:
             raise DimensionError("Ball: index/center sizes disagree")
         if self.radius <= 0:
             raise DimensionError("Ball: radius must be positive")
@@ -345,12 +341,10 @@ class Cone:
     cos_angle: float
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
         object.__setattr__(self, "axis", _freeze(self.axis))
         object.__setattr__(self, "cos_angle", float(self.cos_angle))
-        if self.axis.size != idx.size:
+        if self.axis.size != self.indices.size:
             raise DimensionError("Cone: index/axis sizes disagree")
         if not 0 < self.cos_angle <= 1:
             raise DimensionError("Cone: need 0 < cos_angle <= 1")
@@ -371,11 +365,9 @@ class Pin:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _freeze(self.indices, dtype=int))
         object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.size != idx.size:
+        if self.values.size != self.indices.size:
             raise DimensionError("Pin: index/value sizes disagree")
 
     @staticmethod
@@ -404,7 +396,8 @@ class BaseSet:
     appearance, for the array passes over them.  A group is a tuple (kind,
     positions, indices, params): its row j is member positions[j], of type
     kind, reading y[indices[j]], and params stacks the fields _PARAMS[kind]
-    of its members the same way.
+    of its members the same way.  A cone program's base-set rows follow
+    groups, one block per group, in member order within it.
     """
 
     n_y: int

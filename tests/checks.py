@@ -627,9 +627,16 @@ def add_epigraph(builder: ReferenceBuilder, fn, t_col, w_cols):
 
 
 def add_base_set_rows(builder: ReferenceBuilder, base) -> list:
-    """The base set's cone rows, one row or cone at a time; returns the pin rows."""
-    pins = []
+    """The base set's cone rows, one row or cone at a time; returns the pin rows.
+
+    The members go group by group, a group being the members of one type
+    and width in order of first appearance, and in member order within it.
+    """
+    groups = {}
     for mem in base.members:
+        groups.setdefault((type(mem), mem.indices.size), []).append(mem)
+    pins = []
+    for mem in (mem for group in groups.values() for mem in group):
         if isinstance(mem, Pin):
             for i, v in zip(mem.indices, mem.values):
                 pins.append(builder.add_eq([(int(i), 1.0)], float(v)))

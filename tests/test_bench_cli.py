@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -470,10 +471,42 @@ _scenarios = st.fixed_dictionaries({
     "u_max": st.sampled_from([13.33, 9.81]) | st.floats(9.5, 16.0),
     "lambda": st.sampled_from([0.0, 100.0]),
 })
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
-@settings(max_examples=15, derandomize=True, deadline=None, database=None)
-@given(_scenarios)
+@st.composite
+def _invalid_scenarios(draw):
+    """A drawn scenario with one value scenario validation must reject: a
+    tilt of 90 degrees or more, a non-finite number, or an obstacle radius
+    of at most 1e-12."""
+    overrides = draw(_scenarios)
+    field = draw(st.sampled_from(["theta_cone", "V_max", "u_max", "lambda", "center", "radius"]))
+    if field in ("center", "radius"):
+        center, radius = [0.0, 0.0], 1.0
+        if field == "center":
+            center[draw(st.integers(0, 1))] = draw(_non_finite)
+        else:
+            radius = draw(_non_finite | st.sampled_from([1e-12, 0.0, -1.0]))
+        return {**overrides, "obstacles": overrides["obstacles"] + [{"center": center, "radius": radius}]}
+    if field == "theta_cone":
+        return {**overrides, field: draw(st.floats(90.0, 720.0) | _non_finite)}
+    return {**overrides, field: draw(_non_finite)}
+
+
+def _must_reject(overrides) -> bool:
+    """Whether scenario validation must reject the overrides (exit 4)."""
+    numbers = [v for key, v in overrides.items() if key != "obstacles"]
+    for obstacle in overrides["obstacles"]:
+        numbers += [*obstacle["center"], obstacle["radius"]]
+    return (
+        not all(math.isfinite(v) for v in numbers)
+        or not 0.0 < overrides["theta_cone"] < 90.0
+        or any(obstacle["radius"] <= 1e-12 for obstacle in overrides["obstacles"])
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(_scenarios | _invalid_scenarios())
 # lambda = 100 with a speed bound too small to reach pf: the relaxed
 # dynamics converged to a defect of 2.06 and the CLI exited 0
 @example({"N": 5, "obstacles": [], "theta_cone": 5.0, "V_max": 0.2,
@@ -485,6 +518,11 @@ _scenarios = st.fixed_dictionaries({
 @example({"N": 8, "obstacles": [{"center": [-1.0, 0.0], "radius": 2.0},
                                 {"center": [0.5, 0.5], "radius": 1.5}],
           "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 100.0})
+# a NaN obstacle center and a radius at the keep-out floor: exit 4
+@example({"N": 5, "obstacles": [{"center": [math.nan, 0.0], "radius": 2.0}],
+          "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
+@example({"N": 5, "obstacles": [{"center": [0.0, 0.0], "radius": 1e-12}],
+          "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
 def test_fuzzed_scenarios_exit_with_documented_codes(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
@@ -494,7 +532,7 @@ def test_fuzzed_scenarios_exit_with_documented_codes(overrides):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", path, "--out", out])
-        assert code in (0, 2, 3, 4)
+        assert code in ((4,) if _must_reject(overrides) else (0, 2, 3))
         assert "internal failure" not in err.getvalue()
         if code == 0:
             with open(os.path.join(out, "report.json")) as fh:

@@ -173,7 +173,8 @@ def test_successions_start_warm(benchmark_run):
     assert sum(r.subsolver_iterations for r in records) <= 89
 
 
-# six non-overlapping cylinders between the endpoints: (center, radius)
+# six non-overlapping cylinders between the endpoints: (center, radius),
+# the benchmark's penalty workload at seed 1 on layout seed 1
 SIX_CYLINDERS = (
     ((-16.387629070651187, 18.432036158560628), 1.2873971570789526),
     ((-14.93917169112694, 15.968045609643587), 1.0045419583098643),
@@ -182,9 +183,54 @@ SIX_CYLINDERS = (
     ((-12.484758411147197, 14.528471302133399), 0.6193407347393179),
     ((-7.949064292049126, 16.395180258567034), 1.178064926639201),
 )
+# the cylinders of layout seeds 1-6, the same way
+PENALTY_LAYOUTS = {
+    1: SIX_CYLINDERS,
+    2: (
+        ((-6.527588737329008, 19.134792409415446), 0.6508962309541277),
+        ((-16.981536058092942, 18.348492146906146), 1.262372990161671),
+        ((-9.96323518271735, 14.65695520312401), 1.1453497491106162),
+        ((-12.831964316504777, 15.2547227414376), 1.2507108731137193),
+        ((-17.67066171491017, 15.754257034681185), 0.8866186150683097),
+        ((-13.43982093719146, 18.74252620479801), 1.0731774922314254),
+    ),
+    3: (
+        ((-15.144424474897303, 16.309604577071664), 0.9329596498932713),
+        ((-10.752959536845665, 16.88004212875638), 0.6589759733158318),
+        ((-17.84198410134151, 18.36228357467522), 0.8334186128952068),
+        ((-15.188028467439644, 19.46951384857324), 1.0232371567702032),
+        ((-7.962462584707335, 15.834472460895345), 1.1751613264897456),
+        ((-14.384788085811453, 12.717082260288251), 1.378974513281051),
+    ),
+    4: (
+        ((-15.167422923150786, 13.22216223961501), 0.9564524183496129),
+        ((-6.984539482947373, 18.10316646047066), 1.2886463422548946),
+        ((-15.336861891716188, 16.256760057223694), 0.8490143790973051),
+        ((-8.394625937484406, 13.85404932613468), 0.878864961569582),
+        ((-10.476292771042438, 17.623262962151024), 1.3691835221922126),
+        ((-14.338660842807132, 18.188146230442346), 0.6389146221650236),
+    ),
+    5: (
+        ((-10.525179661323577, 17.692508924825106), 1.315674209009127),
+        ((-6.690596594675396, 17.679290023179515), 1.4300924969988753),
+        ((-17.651937260596625, 15.759358580646737), 1.4490210452984824),
+        ((-12.371171426614035, 14.226009828338812), 1.0893847733123374),
+        ((-14.646211607866675, 18.914417602659864), 1.2891529064662275),
+        ((-7.543143063308616, 13.966194677465825), 0.793933052302259),
+    ),
+    6: (
+        ((-8.479918994860045, 18.253678296238085), 1.0365311651378508),
+        ((-14.860542204664105, 12.503162004195497), 1.1965367065953907),
+        ((-12.35694891522666, 17.818114445685254), 0.9358443348664574),
+        ((-8.758321968744118, 14.408886599703795), 1.3217239348463434),
+        ((-16.882384893702813, 18.10197903863798), 1.3243033619630187),
+        ((-11.696841788370122, 13.317770751248737), 1.1964670541964186),
+    ),
+}
 
 
-def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario):
+@pytest.mark.parametrize("layout", sorted(PENALTY_LAYOUTS))
+def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario, layout):
     # penalty mode polishes an accepted iterate onto its pins only, so it
     # meets its keep-outs and its g >= 0 rows to the solver's tolerance;
     # the next succession takes it as its anchor, and check_anchor raises
@@ -193,7 +239,7 @@ def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario):
         quad_scenario,
         p0=(-20.0, 15.0, 0.0),
         pf=(-4.0, 17.0, 0.5),
-        obstacles=tuple(Obstacle(center, radius) for center, radius in SIX_CYLINDERS),
+        obstacles=tuple(Obstacle(center, radius) for center, radius in PENALTY_LAYOUTS[layout]),
         penalty_lambda=100.0,
     )
     run = solve_quadrotor(scenario)

@@ -375,6 +375,26 @@ def test_member_validation_errors():
         Box(indices=np.array([0]), lower=np.array([1.0]), upper=np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda idx: Box(idx, np.zeros(3), np.ones(3)),
+        lambda idx: Ball(idx, np.zeros(3), 1.0),
+        lambda idx: Cone(idx, np.array([0.0, 0.0, 1.0]), 0.5),
+        lambda idx: Pin(idx, np.zeros(3)),
+    ],
+    ids=["box", "ball", "cone", "pin"],
+)
+def test_member_freezes_a_copy_of_its_indices(make):
+    # the member's indices are its own read-only copy: the caller's array
+    # stays writeable
+    idx = np.arange(3)
+    member = make(idx)
+    assert idx.flags.writeable
+    assert not member.indices.flags.writeable
+    assert not np.shares_memory(idx, member.indices)
+
+
 def test_non_compact_base_set_rejected():
     dims = ProblemDims(n=1, m=1, T=2, s=0)
     base = BaseSet(

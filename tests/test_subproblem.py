@@ -264,9 +264,8 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
 @pytest.mark.parametrize("lam", [0.0, 100.0])
 def test_base_set_rows_in_any_member_order_equal_the_builders(quad_problem, quad_start, lam):
     # members shuffled across types and widths, with infinite box bounds and
-    # a box of none: one block per run of members with the same cone gives,
-    # bit for bit, the program one pair-list builder pass gives, and the
-    # pin rows in member order
+    # a box of none: one block per group gives, bit for bit, the program one
+    # pair-list builder pass gives, and the pin rows in group order
     config = PenaltyConfig(lam=lam)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
     members = list(quad_problem.base_set.members)
@@ -285,7 +284,8 @@ def test_base_set_rows_in_any_member_order_equal_the_builders(quad_problem, quad
     fixed = fixed_rows(problem, config)
     got = assemble(problem, config, region, fixed).program
     assert_same_program(got, builder_program(problem, config, region.halfspaces))
-    pinned = [m for m in problem.base_set.members if isinstance(m, Pin)]
+    base = problem.base_set
+    pinned = [base.members[j] for kind, positions, *_ in base.groups if kind is Pin for j in positions]
     pins = fixed.polish.rows[: sum(m.indices.size for m in pinned)]
     np.testing.assert_array_equal(got.b[pins], np.concatenate([m.values for m in pinned]))
     np.testing.assert_array_equal(got.A.tocsr()[pins].indices, np.concatenate([m.indices for m in pinned]))
