@@ -37,7 +37,6 @@ from .problem import (
     StateConstraint,
     eval_g,
     eval_h,
-    stack,
     unstack,
 )
 from .conic import ConicProgram, ConicSolution

@@ -37,9 +37,32 @@ from .problem import (
     Pin,
     ProblemDims,
     StateConstraint,
-    stack,
     unstack,
 )
+
+
+def _number(name, v) -> float:
+    """v as a float; BadScenarioError if it is no number (null, a list, ...)."""
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise BadScenarioError(f"{name} must be a number, got {v!r}") from None
+
+
+def _vector(name, v, size) -> tuple:
+    """v as a tuple of size finite floats; BadScenarioError otherwise."""
+    malformed = BadScenarioError(f"{name} must be a list of {size} numbers")
+    if isinstance(v, str):  # iterated, "123" would read as (1, 2, 3)
+        raise malformed
+    try:
+        out = tuple(float(c) for c in v)
+    except (TypeError, ValueError):
+        raise malformed from None
+    if len(out) != size:
+        raise BadScenarioError(f"{name} must have {size} coordinates, got {len(out)}")
+    if not all(math.isfinite(c) for c in out):
+        raise BadScenarioError(f"{name} must be finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,12 +73,8 @@ class Obstacle:
     radius: float
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
-        radius = float(self.radius)
-        if len(center) != 2:
-            raise BadScenarioError("obstacle center must have 2 coordinates")
-        if not all(math.isfinite(c) for c in center):
-            raise BadScenarioError("obstacle center must be finite")
+        center = _vector("obstacle center", self.center, 2)
+        radius = _number("obstacle radius", self.radius)
         if not math.isfinite(radius):
             raise BadScenarioError("obstacle radius must be finite")
         if not radius > NORM_SINGULARITY_RADIUS:
@@ -63,18 +82,6 @@ class Obstacle:
             raise BadScenarioError(f"obstacle radius must exceed {NORM_SINGULARITY_RADIUS:.0e}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
-
-
-def _vec3(name, v):
-    try:
-        out = tuple(float(c) for c in v)
-    except (TypeError, ValueError):
-        raise BadScenarioError(f"{name} must be a list of 3 numbers") from None
-    if len(out) != 3:
-        raise BadScenarioError(f"{name} must have 3 coordinates, got {len(out)}")
-    if not all(math.isfinite(c) for c in out):
-        raise BadScenarioError(f"{name} must be finite")
-    return out
 
 
 @dataclass(frozen=True)
@@ -105,26 +112,24 @@ class QuadrotorScenario:
         if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
             raise BadScenarioError(f"N must be an integer >= 2, got {self.N!r}")
         for name in ("t_f", "V_max", "u_max"):
-            v = getattr(self, name)
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise BadScenarioError(f"{name} must be a number") from None
+            v = _number(name, getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise BadScenarioError(f"{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, v)
-        theta = float(self.theta_cone)
+        theta = _number("theta_cone", self.theta_cone)
         # at 90 degrees cos(theta) is 6e-17 and the thrust cone's rows carry
         # axis / cos(theta), about 1.6e16: no cone solve survives that
         if not (0.0 < theta < 90.0):
             raise BadScenarioError(f"theta_cone must be in (0, 90) degrees, got {theta!r}")
         object.__setattr__(self, "theta_cone", theta)
         for name in ("g_vec", "n_hat", "p0", "v0", "pf", "vf"):
-            object.__setattr__(self, name, _vec3(name, getattr(self, name)))
+            object.__setattr__(self, name, _vector(name, getattr(self, name), 3))
         nn = math.sqrt(sum(c * c for c in self.n_hat))
         if abs(nn - 1.0) > 1e-6:
             raise BadScenarioError(f"n_hat must be a unit vector, got norm {nn!r}")
         object.__setattr__(self, "n_hat", tuple(c / nn for c in self.n_hat))
+        if not isinstance(self.obstacles, (list, tuple)):
+            raise BadScenarioError("obstacles must be a list of objects with center and radius")
         obstacles = []
         for ob in self.obstacles:
             if isinstance(ob, Obstacle):
@@ -135,15 +140,15 @@ class QuadrotorScenario:
                     raise BadScenarioError(f"unknown obstacle fields {sorted(extra)}")
                 if "center" not in ob or "radius" not in ob:
                     raise BadScenarioError("each obstacle needs center and radius")
-                obstacles.append(Obstacle(tuple(ob["center"]), float(ob["radius"])))
+                obstacles.append(Obstacle(ob["center"], ob["radius"]))
             else:
                 raise BadScenarioError("obstacles must be objects with center and radius")
         object.__setattr__(self, "obstacles", tuple(obstacles))
-        lam = float(self.penalty_lambda)
+        lam = _number("lambda", self.penalty_lambda)
         if not (math.isfinite(lam) and lam >= 0.0):
             raise BadScenarioError(f"lambda must be a nonnegative number, got {lam!r}")
         object.__setattr__(self, "penalty_lambda", lam)
-        eps = float(self.epsilon)
+        eps = _number("epsilon", self.epsilon)
         if not (math.isfinite(eps) and eps > 0.0):
             raise BadScenarioError(f"epsilon must be positive, got {eps!r}")
         object.__setattr__(self, "epsilon", eps)
@@ -180,7 +185,7 @@ def scenario_from_dict(data: dict) -> QuadrotorScenario:
     if missing:
         raise BadScenarioError(f"missing scenario fields {missing}")
     kwargs = {k: data[k] for k in _REQUIRED_KEYS}
-    kwargs["obstacles"] = tuple(data.get("obstacles", ()))
+    kwargs["obstacles"] = data.get("obstacles", ())
     kwargs["penalty_lambda"] = data.get("lambda", 0.0)
     kwargs["epsilon"] = data.get("epsilon", 1e-6)
     return QuadrotorScenario(**kwargs)
@@ -292,7 +297,7 @@ def build_quadrotor_problem(
     _check_boundary_states(scenario, include_obstacles)
     N = scenario.N
     obstacles = scenario.obstacles if include_obstacles else ()
-    dims = ProblemDims(n=6, m=3, T=N, s=len(obstacles))
+    dims = ProblemDims(n=6, m=3, T=N)
     A, B, d = zoh_blocks(scenario.dt, scenario.g_vec)
 
     members = []
@@ -339,7 +344,6 @@ def build_quadrotor_problem(
 def initial_guess(scenario: QuadrotorScenario) -> np.ndarray:
     """Straight-line positions, boundary-consistent velocities, hover controls."""
     N = scenario.N
-    dims = ProblemDims(n=6, m=3, T=N, s=len(scenario.obstacles))
     p0 = np.asarray(scenario.p0)
     pf = np.asarray(scenario.pf)
     states = np.zeros((N, 6))
@@ -349,7 +353,7 @@ def initial_guess(scenario: QuadrotorScenario) -> np.ndarray:
     states[0, 3:] = scenario.v0
     states[-1, 3:] = scenario.vf
     controls = np.tile(-np.asarray(scenario.g_vec, dtype=float), (N - 1, 1))
-    return stack(dims, states, controls)
+    return np.concatenate([states.ravel(), controls.ravel()])
 
 
 @dataclass(frozen=True)
@@ -400,7 +404,6 @@ class BenchmarkRun:
     scenario: QuadrotorScenario
     problem: OptimalControlProblem
     config: ScvxConfig
-    start: np.ndarray
     report: SolveReport
     record: TrajectoryRecord
     include_obstacles: bool = True
@@ -428,7 +431,6 @@ def solve_quadrotor(
         scenario=scenario,
         problem=problem,
         config=config,
-        start=z0,
         report=report,
         record=record,
         include_obstacles=include_obstacles,

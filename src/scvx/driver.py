@@ -285,18 +285,17 @@ def _violation(problem, w, mode):
 
 
 def _slack_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig):
-    """The search's rows that no round changes: (first slack column, artifacts).
+    """The artifacts of the search's rows that no round changes.
 
-    A slack sigma_k >= 0 of cost 1 per row of _anchor_groups, the hard
-    dynamics in equality mode and the base set; the polish is onto the hard
-    dynamics, then the pins.
+    A slack sigma_k >= 0 of cost 1 per row of _anchor_groups, in the columns
+    after y's (direct_rows), the hard dynamics in equality mode and the base
+    set; the polish is onto the hard dynamics, then the pins.
     """
     mode = penalty_config.mode
     count = sum(len(group) for group in _anchor_groups(problem, mode))
     builder = ProgramBuilder()
     builder.add_cols(problem.dims.n_y)  # y is columns 0..n_y-1
-    slack = builder.add_cols(count)
-    sigma = slack + np.arange(count)
+    sigma = builder.add_cols(count) + np.arange(count)
     builder.add_cost(sigma, np.ones(count))
     builder.add_ge(np.arange(count), sigma, np.ones(count), np.zeros(count))
     hard = np.zeros(0, dtype=int)
@@ -305,14 +304,10 @@ def _slack_rows(problem: OptimalControlProblem, penalty_config: PenaltyConfig):
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
     polish = Polish(program, np.concatenate([hard, pins]), problem.dims.n_y)
-    return slack, SubproblemArtifacts(program, polish, hard, problem, penalty_config)
+    return SubproblemArtifacts(program, polish, hard, problem, penalty_config)
 
 
-def find_feasible_start(
-    problem: OptimalControlProblem,
-    guess=None,
-    config: ScvxConfig | None = None,
-):
+def find_feasible_start(problem: OptimalControlProblem, guess, config: ScvxConfig | None = None):
     """Search for a valid anchor by slack minimization (majorize-minimize).
 
     Each round linearizes every anchor row q_k (_anchor_groups) at the
@@ -330,17 +325,14 @@ def find_feasible_start(
     A primal-infeasible round means the hard set itself (pins, dynamics,
     base set) is empty; FEASIBILITY_STALL_LIMIT rounds without improvement
     mean no feasible point was found.  Both raise InfeasibleScenarioError.
-    Any other non-optimal round raises SubsolverError (extract).  A guess
-    of the wrong size or with a non-finite coordinate raises
-    DimensionError.
+    Any other non-optimal round raises SubsolverError (extract).  The
+    search starts at guess, which any point of n_y finite coordinates may
+    be (the midpoint of base_set.coordinate_bounds() is one); a guess of
+    the wrong size or with a non-finite coordinate raises DimensionError.
     """
     config = config or ScvxConfig()
     mode = config.penalty.mode
-    if guess is None:
-        lo, hi = problem.base_set.coordinate_bounds()
-        w = 0.5 * (lo + hi)
-    else:
-        w = _point(guess, problem.dims.n_y, "guess")
+    w = _point(guess, problem.dims.n_y, "guess")
 
     best = _violation(problem, w, mode)
     stall = 0
@@ -350,9 +342,9 @@ def find_feasible_start(
         except InfeasibleAnchorError:
             pass
         if k == 0:  # a guess that is already an anchor needs none of this
-            slack, fixed = _slack_rows(problem, config.penalty)
+            fixed = _slack_rows(problem, config.penalty)
 
-        artifacts = add_halfspace_rows(fixed, direct_rows(problem, w, mode, slack))
+        artifacts = add_halfspace_rows(fixed, direct_rows(problem, w, mode))
         sol = conic.solve(artifacts.program)
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(

@@ -173,18 +173,18 @@ def build_feasible_region(problem: OptimalControlProblem, z, mode: str) -> Feasi
     return FeasibleRegion(problem.base_set, rows, z)
 
 
-def direct_rows(problem: OptimalControlProblem, w, mode: str, slack: int) -> Halfspaces:
+def direct_rows(problem: OptimalControlProblem, w, mode: str) -> Halfspaces:
     """Every row q_j >= 0 of _anchor_groups linearized at w itself, with a slack.
 
     Row j is a_j . y + sigma_j >= a_j . w - q_j(w), a_j the gradient of q_j
-    at w and sigma_j the column slack + j.  q_j is convex, so a_j . (y - w)
-    + q_j(w) under-estimates q_j everywhere and is tight at w.  An affine
-    row's gradient is its own a.  At the center of a keep-out, where the
-    gradient is undefined, the row takes the subgradient along the first
-    image direction and logs a warning naming the row.
+    at w and sigma_j the column n_y + j, the first after y's.  q_j is
+    convex, so a_j . (y - w) + q_j(w) under-estimates q_j everywhere and is
+    tight at w.  An affine row's gradient is its own a.  At the center of a
+    keep-out, where the gradient is undefined, the row takes the subgradient
+    along the first image direction and logs a warning naming the row.
     """
     blocks = []
-    first = slack
+    first = problem.dims.n_y
     for group in _anchor_groups(problem, mode):
         points = w[group.indices]
         if isinstance(group, KeepoutGroup):

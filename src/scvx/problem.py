@@ -59,19 +59,18 @@ class ProblemDims:
     """Sizes of one problem instance.
 
     n: state dimension per step, m: control dimension per step, T: number of
-    temporal points, s: state-constraint components per step.
+    temporal points.  The state-constraint count per step is the problem's
+    len(state_constraints), not a size given here.
     """
 
     n: int
     m: int
     T: int
-    s: int
 
     def __post_init__(self):
-        if self.T < 2 or self.n < 1 or self.m < 1 or self.s < 0:
+        if self.T < 2 or self.n < 1 or self.m < 1:
             raise DimensionError(
-                "need T >= 2, n >= 1, m >= 1, s >= 0; got "
-                f"T={self.T}, n={self.n}, m={self.m}, s={self.s}"
+                f"need T >= 2, n >= 1, m >= 1; got T={self.T}, n={self.n}, m={self.m}"
             )
 
     @property
@@ -93,26 +92,6 @@ class ProblemDims:
         return slice(off + i * self.m, off + (i + 1) * self.m)
 
 
-def stack(dims: ProblemDims, states, controls) -> np.ndarray:
-    """Pack per-step states and controls into the flat decision vector."""
-    if len(states) != dims.T:
-        raise DimensionError(f"expected {dims.T} states, got {len(states)}")
-    if len(controls) != dims.T - 1:
-        raise DimensionError(f"expected {dims.T - 1} controls, got {len(controls)}")
-    y = np.empty(dims.n_y)
-    for i, x in enumerate(states):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != dims.n:
-            raise DimensionError(f"state {i} has dimension {x.size}, expected {dims.n}")
-        y[dims.state_slice(i)] = x
-    for i, u in enumerate(controls):
-        u = np.asarray(u, dtype=float).ravel()
-        if u.size != dims.m:
-            raise DimensionError(f"control {i} has dimension {u.size}, expected {dims.m}")
-        y[dims.control_slice(i)] = u
-    return y
-
-
 def _decision(dims: ProblemDims, y) -> np.ndarray:
     """y as a flat float vector, checked against the decision dimension."""
     y = np.asarray(y, dtype=float).ravel()
@@ -124,7 +103,8 @@ def _decision(dims: ProblemDims, y) -> np.ndarray:
 def unstack(dims: ProblemDims, y: np.ndarray):
     """Split a decision vector into (states, controls) arrays.
 
-    Returns arrays of shape (T, n) and (T-1, m); the inverse of stack.
+    Returns arrays of shape (T, n) and (T-1, m); y is their ravels
+    concatenated.
     """
     y = _decision(dims, y)
     split = dims.n * dims.T
@@ -573,9 +553,10 @@ class OptimalControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "state_constraints", tuple(self.state_constraints))
-        if len(self.state_constraints) != self.dims.s:
+        n, m = self.dims.n, self.dims.m
+        if self.dynamics.B.shape != (n, m):
             raise DimensionError(
-                f"got {len(self.state_constraints)} state constraints, dims say s={self.dims.s}"
+                f"dynamics B has shape {self.dynamics.B.shape}, dims say (n, m) = ({n}, {m})"
             )
         if self.base_set.n_y != self.dims.n_y:
             raise DimensionError("base set dimensioned for a different decision vector")
@@ -659,10 +640,12 @@ def eval_g(problem: OptimalControlProblem, y) -> np.ndarray:
 
 
 def eval_h(problem: OptimalControlProblem, y) -> np.ndarray:
-    """State-constraint vector, length sT, step-major component-minor."""
+    """State-constraint vector, length sT (s = len(problem.state_constraints)),
+    step-major component-minor."""
     dims = problem.dims
     y = _decision(dims, y)
-    h = np.empty(dims.s * dims.T)
+    s = len(problem.state_constraints)
+    h = np.empty(s * dims.T)
     for group in problem.affine_rows[1:] + problem.keepouts:  # the state-constraint groups
-        h[group.steps * dims.s + group.components] = group.values(y)
+        h[group.steps * s + group.components] = group.values(y)
     return h

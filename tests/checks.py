@@ -42,7 +42,6 @@ from scvx.problem import (
     NormFn,
     OptimalControlProblem,
     Pin,
-    ProblemDims,
     eval_g,
     eval_h,
 )
@@ -416,9 +415,10 @@ def sample_base_set(base: BaseSet, rng, count: int, halfspaces=()) -> np.ndarray
     return out
 
 
-def n_constraints(dims: ProblemDims) -> int:
-    """Total constraint count M = sT + n(T-1)."""
-    return dims.s * dims.T + dims.n * (dims.T - 1)
+def n_constraints(problem: OptimalControlProblem) -> int:
+    """Total constraint count M = sT + n(T-1), s = len(problem.state_constraints)."""
+    dims = problem.dims
+    return len(problem.state_constraints) * dims.T + dims.n * (dims.T - 1)
 
 
 def eval_q(problem: OptimalControlProblem, y) -> np.ndarray:
@@ -430,7 +430,7 @@ def jacobian_q(problem: OptimalControlProblem, y) -> np.ndarray:
     """Dense M x N_y Jacobian of q; row j is the gradient of q_j."""
     y = np.asarray(y, dtype=float)
     dims = problem.dims
-    J = np.zeros((n_constraints(dims), dims.n_y))
+    J = np.zeros((n_constraints(problem), dims.n_y))
     for r, spec in enumerate(problem_specs(problem)):
         J[r, spec.indices] = spec.grad(y[spec.indices])
     return J

@@ -208,7 +208,7 @@ def test_convex_degeneration(quad_scenario, convex_run):
     assert report.successions == 1
     assert report.converged
     problem = build_quadrotor_problem(quad_scenario, include_obstacles=False)
-    region = FeasibleRegion(problem.base_set, (), convex_run.start)
+    region = FeasibleRegion(problem.base_set, (), report.iterates[0])
     artifacts = assemble(problem, convex_run.config.penalty, region)
     sol = conic.solve(artifacts.program, tol=1e-9)
     assert sol.status == "optimal"

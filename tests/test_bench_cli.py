@@ -176,7 +176,7 @@ def test_initial_guess_structure():
 
 def test_problem_dimensions():
     problem = build_quadrotor_problem(builtin_quadrotor())
-    assert (problem.dims.n, problem.dims.m, problem.dims.T, problem.dims.s) == (6, 3, 25, 2)
+    assert (problem.dims.n, problem.dims.m, problem.dims.T, len(problem.state_constraints)) == (6, 3, 25, 2)
     assert problem.dims.n_y == 222
     rows = [(g.kind, len(g), g.indices.shape[1]) for g in problem.affine_rows + problem.keepouts]
     assert rows == [("dynamics-defect", 24 * 6, 6 + 3 + 1), ("state-constraint", 25 * 2, 2)]
@@ -384,6 +384,38 @@ def test_cli_rejects_non_finite_obstacles(tmp_path, capsys, obstacle, message):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"theta_cone": "x"},
+        {"theta_cone": None},
+        {"lambda": "x"},
+        {"epsilon": "x"},
+        {"obstacles": [{"center": [0.0, 0.0], "radius": "abc"}]},
+        {"obstacles": [{"center": [0.0, 0.0], "radius": [1]}]},
+        {"obstacles": [{"center": [0.0, 0.0], "radius": None}]},
+        {"obstacles": [{"center": "xy", "radius": 1.0}]},
+        {"obstacles": [{"center": 5, "radius": 1.0}]},
+        {"obstacles": 5},
+        {"p0": "123"},
+    ],
+    ids=[
+        "theta-string", "theta-null", "lambda-string", "epsilon-string",
+        "radius-string", "radius-list", "radius-null", "center-string",
+        "center-number", "obstacles-number", "p0-string",
+    ],
+)
+def test_cli_rejects_wrong_typed_values(tmp_path, capsys, overrides):
+    # a value of the wrong JSON type is malformed input (exit 4), not an
+    # internal failure (exit 3); a string is no list of numbers either
+    path = write_scenario(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run_cli("run", path, "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert "error" in err and "internal failure" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_reports_infeasible_scenario(tmp_path, capsys):
     path = write_scenario(
         tmp_path, obstacles=[{"center": [0.0, 0.0], "radius": 20.0}]
@@ -472,34 +504,52 @@ _scenarios = st.fixed_dictionaries({
     "lambda": st.sampled_from([0.0, 100.0]),
 })
 _non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON values of the wrong type: a string that reads as no number, null, a
+# list (of one or three numbers: neither a number nor a center) or an object
+_wrong_typed = (
+    st.text(alphabet="abcxyz", max_size=3)
+    | st.none()
+    | st.sampled_from([1, 3]).flatmap(lambda k: st.lists(st.floats(0.3, 4.0), min_size=k, max_size=k))
+    | st.fixed_dictionaries({"value": st.floats(0.3, 4.0)})
+)
 
 
 @st.composite
 def _invalid_scenarios(draw):
     """A drawn scenario with one value scenario validation must reject: a
-    tilt of 90 degrees or more, a non-finite number, or an obstacle radius
-    of at most 1e-12."""
+    tilt of 90 degrees or more, a non-finite number, an obstacle radius of
+    at most 1e-12, or a value of the wrong type."""
     overrides = draw(_scenarios)
-    field = draw(st.sampled_from(["theta_cone", "V_max", "u_max", "lambda", "center", "radius"]))
+    field = draw(st.sampled_from(["theta_cone", "V_max", "u_max", "lambda", "epsilon", "center", "radius"]))
     if field in ("center", "radius"):
         center, radius = [0.0, 0.0], 1.0
         if field == "center":
-            center[draw(st.integers(0, 1))] = draw(_non_finite)
+            if draw(st.booleans()):
+                center[draw(st.integers(0, 1))] = draw(_non_finite)
+            else:
+                center = draw(_wrong_typed)
         else:
-            radius = draw(_non_finite | st.sampled_from([1e-12, 0.0, -1.0]))
+            radius = draw(_non_finite | st.sampled_from([1e-12, 0.0, -1.0]) | _wrong_typed)
         return {**overrides, "obstacles": overrides["obstacles"] + [{"center": center, "radius": radius}]}
     if field == "theta_cone":
-        return {**overrides, field: draw(st.floats(90.0, 720.0) | _non_finite)}
-    return {**overrides, field: draw(_non_finite)}
+        return {**overrides, field: draw(st.floats(90.0, 720.0) | _non_finite | _wrong_typed)}
+    return {**overrides, field: draw(_non_finite | _wrong_typed)}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _must_reject(overrides) -> bool:
     """Whether scenario validation must reject the overrides (exit 4)."""
-    numbers = [v for key, v in overrides.items() if key != "obstacles"]
+    values = [v for key, v in overrides.items() if key != "obstacles"]
     for obstacle in overrides["obstacles"]:
-        numbers += [*obstacle["center"], obstacle["radius"]]
+        center = obstacle["center"]
+        if not (isinstance(center, list) and len(center) == 2):
+            return True
+        values += [*center, obstacle["radius"]]
     return (
-        not all(math.isfinite(v) for v in numbers)
+        not all(_is_number(v) for v in values)
         or not 0.0 < overrides["theta_cone"] < 90.0
         or any(obstacle["radius"] <= 1e-12 for obstacle in overrides["obstacles"])
     )
@@ -523,6 +573,9 @@ def _must_reject(overrides) -> bool:
           "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
 @example({"N": 5, "obstacles": [{"center": [0.0, 0.0], "radius": 1e-12}],
           "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
+# a null tilt: a value of the wrong type, exit 4
+@example({"N": 5, "obstacles": [], "theta_cone": None, "V_max": 2.0,
+          "u_max": 13.33, "lambda": 0.0})
 def test_fuzzed_scenarios_exit_with_documented_codes(overrides):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")

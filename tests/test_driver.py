@@ -34,6 +34,12 @@ def tiny_config(**kw):
     return ScvxConfig(**kw)
 
 
+def start_at_midpoint(problem, config):
+    """find_feasible_start from the middle of the base set's coordinate bounds."""
+    lo, hi = problem.base_set.coordinate_bounds()
+    return find_feasible_start(problem, 0.5 * (lo + hi), config)
+
+
 # ---------------------------------------------------------------------------
 # benchmark run
 
@@ -153,7 +159,7 @@ def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_confi
     monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     programs = _record_programs(monkeypatch)
     with pytest.raises(InfeasibleScenarioError):
-        find_feasible_start(covered_box_problem(), None, tiny_config())
+        start_at_midpoint(covered_box_problem(), tiny_config())
     assert len(programs) >= 5 and built[0] == 1
     programs.clear()
     start = find_feasible_start(quad_problem, initial_guess(quad_scenario), quad_config)
@@ -358,9 +364,9 @@ def test_feasible_start_escapes_the_keepout():
     assert float(eval_h(problem, z).min()) >= -1e-8
 
 
-def test_feasible_start_without_guess():
+def test_feasible_start_from_the_base_set_midpoint():
     problem = unit_disk_problem()
-    z = find_feasible_start(problem, None, tiny_config())
+    z = start_at_midpoint(problem, tiny_config())
     check_anchor(problem, z, "equality")
 
 
@@ -429,7 +435,7 @@ def test_feasibility_rounds_never_raise_the_violation(monkeypatch, covered):
     monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     if covered:
         with pytest.raises(InfeasibleScenarioError):
-            find_feasible_start(covered_box_problem(), None, tiny_config())
+            start_at_midpoint(covered_box_problem(), tiny_config())
     else:
         problem = unit_disk_problem()
         find_feasible_start(problem, hold_anchor(problem, [0.0, 0.0]), tiny_config())
@@ -452,7 +458,7 @@ def test_init_programs_carry_no_cone_beyond_the_base_set(
 def test_covered_base_set_is_reported_infeasible(monkeypatch):
     monkeypatch.setattr(driver, "FEASIBILITY_STALL_LIMIT", 5)
     with pytest.raises(InfeasibleScenarioError, match="violation"):
-        find_feasible_start(covered_box_problem(), None, tiny_config())
+        start_at_midpoint(covered_box_problem(), tiny_config())
 
 
 def test_nonoptimal_init_round_raises_through_extract(monkeypatch):
@@ -492,7 +498,7 @@ def test_inconsistent_pins_are_reported_infeasible(monkeypatch):
     clash = dataclasses.replace(problem, base_set=base)
     programs = _record_programs(monkeypatch)
     with pytest.raises(InfeasibleScenarioError, match="empty"):
-        find_feasible_start(clash, None, tiny_config())
+        start_at_midpoint(clash, tiny_config())
     assert len(programs) == 1  # an empty hard set is final, not retried
 
 

@@ -37,14 +37,13 @@ from scvx.problem import (
     OptimalControlProblem,
     ProblemDims,
     StateConstraint,
-    stack,
 )
 from scvx.subproblem import fixed_rows
 
 
 def held_problem(state_constraints, n=2, box=6.0):
     """T=2 hold-state dynamics over n states with the given state constraints."""
-    dims = ProblemDims(n=n, m=1, T=2, s=len(state_constraints))
+    dims = ProblemDims(n=n, m=1, T=2)
     B = np.zeros((n, 1))
     B[0, 0] = 1.0
     base = BaseSet(
@@ -78,7 +77,7 @@ def unit_disk_problem():
 
 def hold_anchor(problem, x):
     """Stacked point with both states at x and zero control (zero defect)."""
-    return stack(problem.dims, [x, x], [[0.0]])
+    return np.concatenate([x, x, [0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_region_contained_in_true_feasible_set():
 def direct_keepout_rows(problem, z):
     """(spec, indices, coeffs, offset) of each keep-out row of direct_rows at z,
     without its slack entry: equality mode slacks the keep-outs alone."""
-    rows = halfspace_rows(direct_rows(problem, z, "equality", problem.dims.n_y))
+    rows = halfspace_rows(direct_rows(problem, z, "equality"))
     specs = keepout_specs(problem)
     assert len(rows) == len(specs)
     return [(spec, idx[:-1], coeffs[:-1], offset) for spec, (idx, coeffs, offset) in zip(specs, rows)]
@@ -232,14 +231,14 @@ def test_anchor_inside_keepout_rejected():
 def test_anchor_rejection_names_the_worst_row():
     problem = unit_disk_problem()
     # both steps inside the disk, the second one deeper: q = -0.5, then -0.8
-    z = stack(problem.dims, [[0.5, 0.0], [0.2, 0.0]], [[-0.3]])
+    z = np.concatenate([[0.5, 0.0], [0.2, 0.0], [-0.3]])
     with pytest.raises(
         InfeasibleAnchorError,
         match=r"\(state-constraint, step 1, component 0\): q = -8\.000e-01",
     ):
         build_feasible_region(problem, z, "equality")
     # penalty mode checks the relaxed dynamics rows g >= 0 too
-    z = stack(problem.dims, [[2.0, 0.0], [2.5, 0.0]], [[0.0]])
+    z = np.concatenate([[2.0, 0.0], [2.5, 0.0], [0.0]])
     with pytest.raises(
         InfeasibleAnchorError,
         match=r"\(dynamics-defect, step 0, component 0\): q = -5\.000e-01",
@@ -256,7 +255,7 @@ def test_anchor_outside_base_rejected():
 
 def test_anchor_with_defect_rejected_in_equality_mode():
     problem = unit_disk_problem()
-    z = stack(problem.dims, [[2.0, 0.0], [2.5, 0.0]], [[0.0]])  # defect 0.5
+    z = np.concatenate([[2.0, 0.0], [2.5, 0.0], [0.0]])  # defect 0.5
     with pytest.raises(InfeasibleAnchorError, match="defect"):
         build_feasible_region(problem, z, "equality")
 
@@ -312,7 +311,7 @@ def assert_direct_rows_match_the_reference(problem, w, mode):
     bit, with the slack column of its row as one more entry of 1.0."""
     slack = problem.dims.n_y
     specs = anchor_specs(problem, mode)
-    rows = halfspace_rows(direct_rows(problem, w, mode, slack))
+    rows = halfspace_rows(direct_rows(problem, w, mode))
     assert len(rows) == len(specs)
     for j, ((indices, coeffs, offset), spec) in enumerate(zip(rows, specs)):
         ref_coeffs, ref_offset = linearize_direct(spec, w)
@@ -350,7 +349,7 @@ def keepout_scenes(draw):
         fn = NormFn(H=H, p=center, a=np.zeros(len(coords)), beta=-radius)
         constraints.append(StateConstraint(fn=fn, state_coords=coords))
     problem = held_problem(constraints, n=3, box=50.0)
-    return problem, stack(problem.dims, [x, x], [[0.0]]), anchor
+    return problem, np.concatenate([x, x, [0.0]]), anchor
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,9 +381,9 @@ def test_region_matches_the_reference_at_the_benchmark_anchors(
     for z in [guess] + anchors:
         assert_direct_rows_match_the_reference(benchmark_run.problem, z, "equality")
     penalty = solve_quadrotor(dataclasses.replace(quad_scenario, penalty_lambda=100.0))
-    for z in [penalty.start] + penalty.report.iterates:
+    for z in penalty.report.iterates:  # the first is the init's anchor
         assert_region_matches_the_reference(penalty.problem, z, "penalty")
-    for z in [guess, penalty.start] + penalty.report.iterates:
+    for z in [guess] + penalty.report.iterates:
         assert_direct_rows_match_the_reference(penalty.problem, z, "penalty")
 
 

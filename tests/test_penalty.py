@@ -26,7 +26,6 @@ from scvx.problem import (
     OptimalControlProblem,
     ProblemDims,
     eval_g,
-    stack,
 )
 
 
@@ -58,7 +57,7 @@ def test_zero_weight_is_plain_objective(quad_problem, rng):
 
 def test_penalty_value_counts_absolute_defects():
     # J == 0 at zero thrust, two defect components (1, -1), weight 2 -> P = 4
-    dims = ProblemDims(n=1, m=1, T=3, s=0)
+    dims = ProblemDims(n=1, m=1, T=3)
     prob = OptimalControlProblem(
         dims=dims,
         dynamics=AffineDynamics(A=np.eye(1), B=np.zeros((1, 1)), d=np.zeros(1)),
@@ -75,7 +74,7 @@ def test_penalty_value_counts_absolute_defects():
         ),
         objective=ControlNormSum(),
     )
-    y = stack(dims, [[0.0], [-1.0], [0.0]], [[0.0], [0.0]])  # zero thrust
+    y = np.concatenate([[0.0, -1.0, 0.0], [0.0, 0.0]])  # zero thrust
     np.testing.assert_array_equal(eval_g(prob, y), [1.0, -1.0])
     assert penalty_value(prob, PenaltyConfig(lam=2.0), y) == pytest.approx(4.0)
 
@@ -145,7 +144,7 @@ def test_positive_weight_alone_runs_penalty_mode(quad_scenario):
     start = find_feasible_start(problem, initial_guess(scenario), config)
     report = scvx(problem, start, config)
     record = trajectory_record(scenario, problem, report.z)
-    out = report_dict(BenchmarkRun(scenario, problem, config, start, report, record))
+    out = report_dict(BenchmarkRun(scenario, problem, config, report, record))
     assert report.converged
     assert out["mode"] == "penalty"
     assert out["penalty_check"]["status"] == "valid"

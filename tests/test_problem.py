@@ -22,7 +22,6 @@ from scvx.problem import (
     StateConstraint,
     eval_g,
     eval_h,
-    stack,
     unstack,
 )
 from tests.checks import (
@@ -43,7 +42,7 @@ SLAB = StateConstraint(NormFn(H=np.eye(1), p=np.array([0.5]), a=np.zeros(1), bet
 
 def tiny_problem(n=2, m=1, T=3, constraints=(SLAB,), box=5.0):
     """Double-integrator-style affine problem, by default with one keep-out slab."""
-    dims = ProblemDims(n=n, m=m, T=T, s=len(constraints))
+    dims = ProblemDims(n=n, m=m, T=T)
     A = np.eye(n)
     B = np.zeros((n, m))
     B[0, 0] = 1.0
@@ -71,22 +70,32 @@ def tiny_problem(n=2, m=1, T=3, constraints=(SLAB,), box=5.0):
 # layout
 
 
+def stack_by_slices(dims, states, controls):
+    """The decision vector with each state and control written into its dims slice."""
+    y = np.full(dims.n_y, np.nan)
+    for i, x in enumerate(states):
+        y[dims.state_slice(i)] = x
+    for i, u in enumerate(controls):
+        y[dims.control_slice(i)] = u
+    return y
+
+
 def test_stack_layout_scalar():
-    dims = ProblemDims(n=1, m=1, T=2, s=0)
-    y = stack(dims, [[1.0], [2.0]], [[3.0]])
+    dims = ProblemDims(n=1, m=1, T=2)
+    y = stack_by_slices(dims, [[1.0], [2.0]], [[3.0]])
     np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
 
 def test_stack_layout_vector_state():
-    dims = ProblemDims(n=2, m=1, T=2, s=0)
-    y = stack(dims, [[1.0, 2.0], [3.0, 4.0]], [[5.0]])
+    dims = ProblemDims(n=2, m=1, T=2)
+    y = stack_by_slices(dims, [[1.0, 2.0], [3.0, 4.0]], [[5.0]])
     np.testing.assert_array_equal(y, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
-def test_quadrotor_decision_dimension():
-    dims = ProblemDims(n=6, m=3, T=25, s=2)
+def test_quadrotor_decision_dimension(quad_problem):
+    dims = quad_problem.dims
     assert dims.n_y == 222
-    assert n_constraints(dims) == 6 * 24 + 2 * 25
+    assert n_constraints(quad_problem) == 6 * 24 + 2 * 25
 
 
 @settings(deadline=None, max_examples=25)
@@ -97,26 +106,26 @@ def test_quadrotor_decision_dimension():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_stack_unstack_roundtrip(n, m, T, seed):
-    dims = ProblemDims(n=n, m=m, T=T, s=0)
+    dims = ProblemDims(n=n, m=m, T=T)
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((T, n))
     controls = rng.standard_normal((T - 1, m))
-    y = stack(dims, states, controls)
+    y = np.concatenate([states.ravel(), controls.ravel()])
     s2, c2 = unstack(dims, y)
     np.testing.assert_array_equal(s2, states)
     np.testing.assert_array_equal(c2, controls)
 
 
 def test_stack_rejects_wrong_shapes():
-    dims = ProblemDims(n=2, m=1, T=3, s=0)
-    with pytest.raises(DimensionError):
-        stack(dims, np.zeros((2, 2)), np.zeros((2, 1)))
+    dims = ProblemDims(n=2, m=1, T=3)
+    with pytest.raises(DimensionError):  # a state short
+        unstack(dims, np.concatenate([np.zeros((2, 2)).ravel(), np.zeros((2, 1)).ravel()]))
     with pytest.raises(DimensionError):
         unstack(dims, np.zeros(dims.n_y + 1))
 
 
 def test_slices_cover_decision_vector():
-    dims = ProblemDims(n=3, m=2, T=4, s=0)
+    dims = ProblemDims(n=3, m=2, T=4)
     touched = np.zeros(dims.n_y, dtype=int)
     for i in range(dims.T):
         touched[dims.state_slice(i)] += 1
@@ -134,7 +143,7 @@ def test_slices_cover_decision_vector():
 
 
 def test_defect_zero_for_constant_state():
-    dims = ProblemDims(n=2, m=1, T=4, s=0)
+    dims = ProblemDims(n=2, m=1, T=4)
     prob = OptimalControlProblem(
         dims=dims,
         dynamics=AffineDynamics(A=np.eye(2), B=np.zeros((2, 1)), d=np.zeros(2)),
@@ -151,13 +160,13 @@ def test_defect_zero_for_constant_state():
         ),
         objective=ControlNormSum(),
     )
-    y = stack(dims, np.tile([0.3, -0.2], (4, 1)), np.zeros((3, 1)))
+    y = np.concatenate([np.tile([0.3, -0.2], 4), np.zeros(3)])
     np.testing.assert_allclose(eval_g(prob, y), 0.0, atol=0.0)
 
 
 def test_defect_single_integrator_exact_step():
     # x_{i+1} = x_i + u_i with dt = 1
-    dims = ProblemDims(n=1, m=1, T=2, s=0)
+    dims = ProblemDims(n=1, m=1, T=2)
     prob = OptimalControlProblem(
         dims=dims,
         dynamics=AffineDynamics(A=np.eye(1), B=np.eye(1), d=np.zeros(1)),
@@ -174,7 +183,7 @@ def test_defect_single_integrator_exact_step():
         ),
         objective=ControlNormSum(),
     )
-    y = stack(dims, [[0.0], [1.0]], [[1.0]])
+    y = np.concatenate([[0.0, 1.0], [1.0]])
     np.testing.assert_array_equal(eval_g(prob, y), [0.0])
 
 
@@ -203,7 +212,7 @@ def test_state_constraint_vector_is_the_spec_values(quad_problem, rng):
 
 
 def test_eval_q_without_state_constraints_is_defect():
-    dims = ProblemDims(n=1, m=1, T=3, s=0)
+    dims = ProblemDims(n=1, m=1, T=3)
     prob = OptimalControlProblem(
         dims=dims,
         dynamics=AffineDynamics(A=np.eye(1), B=np.eye(1), d=np.zeros(1)),
@@ -396,7 +405,7 @@ def test_member_freezes_a_copy_of_its_indices(make):
 
 
 def test_non_compact_base_set_rejected():
-    dims = ProblemDims(n=1, m=1, T=2, s=0)
+    dims = ProblemDims(n=1, m=1, T=2)
     base = BaseSet(
         n_y=dims.n_y,
         members=(Box(indices=np.array([0]), lower=np.array([-1.0]), upper=np.array([1.0])),),
@@ -437,8 +446,22 @@ def test_state_constraint_validation():
     with pytest.raises(UnsupportedModelError, match="NormFn"):
         StateConstraint(stretched, (0, 1))
     prob = tiny_problem()
-    with pytest.raises(DimensionError, match="dims say s=2"):
-        OptimalControlProblem(ProblemDims(n=2, m=1, T=3, s=2), prob.dynamics, (SLAB,), prob.base_set, prob.objective)
+    with pytest.raises(DimensionError, match="dims say"):
+        OptimalControlProblem(ProblemDims(n=2, m=2, T=3), prob.dynamics, (SLAB,), prob.base_set, prob.objective)
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [(np.eye(2), np.eye(2)), (np.eye(3), np.zeros((3, 1)))],
+    ids=["B-2x2-for-m-1", "A-3x3-for-n-2"],
+)
+def test_dynamics_shapes_must_match_dims(A, B):
+    # dims and the dynamics both give n and m: a problem whose two disagree
+    # is rejected when it is made, not by numpy at its first evaluation
+    prob = tiny_problem()  # n = 2, m = 1
+    dynamics = AffineDynamics(A=A, B=B, d=np.zeros(A.shape[0]))
+    with pytest.raises(DimensionError, match="dims say"):
+        OptimalControlProblem(prob.dims, dynamics, (SLAB,), prob.base_set, prob.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +492,7 @@ def mixed_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(["disk", "tilted", "slab", "affine1", "affine2"]), max_size=6))
     m, T = draw(st.integers(1, 2)), draw(st.integers(2, 5))
-    dims = ProblemDims(n=3, m=m, T=T, s=len(kinds))
+    dims = ProblemDims(n=3, m=m, T=T)
     sparse = lambda *shape: rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.6)
     box = Box(indices=np.arange(dims.n_y), lower=-10.0 * np.ones(dims.n_y), upper=10.0 * np.ones(dims.n_y))
     problem = OptimalControlProblem(

@@ -265,7 +265,9 @@ def test_per_run_program_equals_the_builders(quad_problem, quad_start, lam):
 def test_base_set_rows_in_any_member_order_equal_the_builders(quad_problem, quad_start, lam):
     # members shuffled across types and widths, with infinite box bounds and
     # a box of none: one block per group gives, bit for bit, the program one
-    # pair-list builder pass gives, and the pin rows in group order
+    # pair-list builder pass gives, and the pin rows in group order.  A pin
+    # of a third width sits between the two boundary pins, so that their
+    # member order (6, 1, 6) is not their group order (6, 6, 1)
     config = PenaltyConfig(lam=lam)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
     members = list(quad_problem.base_set.members)
@@ -277,10 +279,10 @@ def test_base_set_rows_in_any_member_order_equal_the_builders(quad_problem, quad
         Cone(np.array([n_y - 2, n_y - 1]), np.array([0.0, -1.0]), 0.5),
         Pin(members[0].indices[:2], members[0].values[:2]),
     ]
-    order = np.random.default_rng(7).permutation(len(members))
-    problem = dataclasses.replace(
-        quad_problem, base_set=BaseSet(n_y, tuple(members[j] for j in order))
-    )
+    shuffled = [members[j] for j in np.random.default_rng(7).permutation(len(members))]
+    first = next(j for j, m in enumerate(shuffled) if isinstance(m, Pin) and m.indices.size == 6)
+    shuffled.insert(first + 1, Pin(members[0].indices[2:3], members[0].values[2:3]))
+    problem = dataclasses.replace(quad_problem, base_set=BaseSet(n_y, tuple(shuffled)))
     fixed = fixed_rows(problem, config)
     got = assemble(problem, config, region, fixed).program
     assert_same_program(got, builder_program(problem, config, region.halfspaces))
