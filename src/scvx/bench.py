@@ -41,23 +41,24 @@ from .problem import (
 )
 
 
+def _is_number(v) -> bool:
+    """An int, a float or a numpy integer or float.  float() also reads
+    true, false and a numeric string such as "30"; none of them is one."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _number(name, v) -> float:
-    """v as a float; BadScenarioError if it is no number (null, a list, ...)."""
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise BadScenarioError(f"{name} must be a number, got {v!r}") from None
+    """v as a float; BadScenarioError if it is no number (null, a list, true, "30", ...)."""
+    if not _is_number(v):
+        raise BadScenarioError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 def _vector(name, v, size) -> tuple:
     """v as a tuple of size finite floats; BadScenarioError otherwise."""
-    malformed = BadScenarioError(f"{name} must be a list of {size} numbers")
-    if isinstance(v, str):  # iterated, "123" would read as (1, 2, 3)
-        raise malformed
-    try:
-        out = tuple(float(c) for c in v)
-    except (TypeError, ValueError):
-        raise malformed from None
+    if not isinstance(v, (list, tuple, np.ndarray)) or not all(_is_number(c) for c in v):
+        raise BadScenarioError(f"{name} must be a list of {size} numbers")
+    out = tuple(float(c) for c in v)
     if len(out) != size:
         raise BadScenarioError(f"{name} must have {size} coordinates, got {len(out)}")
     if not all(math.isfinite(c) for c in out):

@@ -124,8 +124,8 @@ def _relaxation_floor(fixed):
 
     This drops only the keep-outs, so it contains every succession's
     region and its minimum bounds the cost from below.  In penalty mode
-    each g_j >= 0 is a fixed row, so its one-sided epigraph t_j >= g_j
-    still measures |g_j|.  The solution warm-starts the first succession
+    each g_j >= 0 is a fixed row, so the linear cost lambda * g_j still
+    measures lambda * |g_j|.  The solution warm-starts the first succession
     (_floor_start).  It carries no KKT structure, which no succession
     program shares, and the first succession drops it once the extended
     start exists, so a run holds one start at a time.

@@ -4,8 +4,10 @@ lambda is the only setting, and the mode follows from it alone.  At
 lambda = 0 the affine defects stay hard equality constraints ("equality"
 mode), and the penalty term vanishes at every feasible point.  At
 lambda > 0 ("penalty" mode) the defects are relaxed to g(y) >= 0 and the
-weighted 1-norm enters the objective; the penalty is exact once lambda
-dominates the infinity norm of the dynamics multipliers.
+weighted 1-norm enters the objective.  On those rows ||g||_1 = sum_j g_j,
+which is linear in y, so the subproblem carries it as a cost on y with
+no epigraph variable (subproblem.fixed_rows).  The penalty is exact once
+lambda dominates the infinity norm of the dynamics multipliers.
 """
 
 from __future__ import annotations

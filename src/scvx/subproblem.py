@@ -1,25 +1,26 @@
 """Transcription of the convex subproblem min P(y) over F_z to a cone program.
 
 Column layout: the decision vector y first, then one epigraph auxiliary
-per cost term (the objective's, then, when lambda > 0, one per dynamics
-defect).  Rows land in the order assemble adds them: each cost term's
-epigraph (a nonnegative row or a second-order cone), one row per dynamics
-defect (g_j = 0 in equality mode, g_j >= 0 in penalty mode), one
-nonnegative row per affine state-constraint row, group by group, the base
-set group by group (BaseSet.groups: its members stacked by type and
-width, in order of first appearance; member order within a group), then
-one nonnegative row per keep-out halfspace.  The row helpers return the indices extract needs, so nothing
-is looked up after the build.
+per control norm.  The penalty term lambda * g_j of each dynamics defect
+(lambda > 0) is a cost on y, as the fixed row g_j >= 0 makes it linear.
+Rows land in the order assemble adds them: each control norm's
+second-order cone, one row per dynamics defect (g_j = 0 in equality mode,
+g_j >= 0 in penalty mode), one nonnegative row per affine state-constraint
+row, group by group, the base set group by group (BaseSet.groups: its
+members stacked by type and width, in order of first appearance; member
+order within a group), then one nonnegative row per keep-out halfspace.
+The row helpers return the indices extract needs, so nothing is looked up
+after the build.
 
 Only the halfspace rows depend on the region.  fixed_rows builds the rest,
 every affine row included, once per run, as the artifacts of the empty
 region: the relaxation floor's program with the polish onto its pins and
-hard dynamics.  add_halfspace_rows appends a region's halfspaces through
+dynamics rows.  add_halfspace_rows appends a region's halfspaces through
 ProgramBuilder, so the program is the one a single build would give, and
 assemble is that call on the run's fixed rows; a feasibility-init round
 appends its rows to the driver's slack program the same way.  Every row
-emitter hands the builder array blocks: the objective cones and penalty
-epigraphs from the control index array and the dynamics group, the affine
+emitter hands the builder array blocks: the objective cones from the
+control index array, the penalty cost from the dynamics group, the affine
 rows group by group, the base set one block per BaseSet group.  Assembly
 is deterministic: identical inputs produce identical programs.
 """
@@ -101,29 +102,38 @@ class Polish:
 
     With E the rows' entries over y, the correction is E^T (E E^T)^-1 r,
     r = b - E y.  E and E E^T are formed sparse once, when the polish is
-    built, and every call factors E E^T with SuperLU (0.13-0.35 ms a call
-    at N = 25 and 50): a factor held through a run's cone solves raised
-    the built-in run's peak memory by 0.11-0.16 MiB.  Linearly dependent
-    rows make E E^T exactly singular; their correction is the
+    built, over every row it may use, and so is E^T (building it costs more
+    than a product with it); a call that skips some rows slices them to the
+    rest.  Every call factors its E E^T with SuperLU (0.13-0.35 ms a
+    call at N = 25 and 50): a factor held through a run's cone solves raised
+    the built-in run's peak memory by 0.11-0.16 MiB.  Linearly
+    dependent rows make E E^T exactly singular; their correction is the
     least-squares solution instead.
     """
 
     def __init__(self, program: conic.ConicProgram, rows, n_y: int):
         self.rows = np.asarray(rows, dtype=int)
         self.E = program.A[self.rows, :n_y]
-        self.EEt = (self.E @ self.E.T).tocsc()
+        self.Et = self.E.T
+        self.EEt = (self.E @ self.Et).tocsc()
         self.d = program.b[self.rows]
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        if self.rows.size == 0:
+    def __call__(self, y: np.ndarray, skip=()) -> np.ndarray:
+        """y corrected onto every row of the polish but the program rows in skip."""
+        E, Et, EEt, d = self.E, self.Et, self.EEt, self.d
+        if len(skip):
+            keep = ~np.isin(self.rows, skip)
+            E, EEt, d = E[keep], EEt[keep][:, keep], d[keep]
+            Et = E.T
+        if d.size == 0:
             return y
-        r = self.d - self.E @ y
+        r = d - E @ y
         try:
-            lu = spla.splu(self.EEt)
+            lu = spla.splu(EEt)
         except RuntimeError:  # exactly singular
-            E = self.E.toarray()
+            E = E.toarray()
             return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]
-        return y + self.E.T @ lu.solve(r)
+        return y + Et @ lu.solve(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +141,7 @@ class SubproblemArtifacts:
     """A region's cone program with what extract reads back from its solve."""
 
     program: conic.ConicProgram
-    polish: Polish  # onto the program's equality rows
+    polish: Polish  # onto the pins and the dynamics rows extract holds as equalities
     dynamics_rows: np.ndarray  # rows whose duals give the dynamics multipliers
     problem: OptimalControlProblem
     penalty: PenaltyConfig
@@ -142,16 +152,18 @@ def fixed_rows(
 ) -> SubproblemArtifacts:
     """min P over the empty region: columns, costs and every fixed row.
 
-    P minus its constant is a sum of weighted terms, each a cost column t
-    with its epigraph rows: weight * ||u_i|| for every control (the cone
-    t >= ||u_i||), then, when lambda > 0, lambda * g_j for every dynamics
-    defect (the row t >= g_j; the fixed row g_j >= 0 makes g_j equal
-    |g_j|).  Every affine row is a fixed row: each dynamics defect (g_j = 0
-    at lambda = 0, g_j >= 0 at lambda > 0) and each affine state
-    constraint q_j >= 0, group by group.  The polish projects onto the pins
-    and, in equality mode only, then the dynamics rows.  This is the
-    relaxation floor's program, and every region's is it plus the region's
-    halfspaces (add_halfspace_rows).
+    P minus its constant is weight * ||u_i|| for every control, a cost
+    column t with the cone t >= ||u_i||, plus, when lambda > 0, lambda * g_j
+    for every dynamics defect.  The fixed row g_j >= 0 makes |g_j| equal
+    g_j = a_j . y + beta_j, which is linear: lambda * a_j goes on the cost
+    of y, and lambda * beta_j joins the constant, which no reported value
+    reads (extract recomputes P from y).  Every affine row is a fixed row:
+    each dynamics defect (g_j = 0 at lambda = 0, g_j >= 0 at lambda > 0)
+    and each affine state constraint q_j >= 0, group by group.  The polish
+    is over the pins, then the dynamics rows; extract uses all of them in
+    equality mode and, in penalty mode, the pins and the defect rows the
+    solve left active.  This is the relaxation floor's program, and every
+    region's is it plus the region's halfspaces (add_halfspace_rows).
     """
     dims = problem.dims
     builder = ProgramBuilder()
@@ -163,24 +175,16 @@ def fixed_rows(
     cols = np.column_stack([t, controls]).ravel()  # cone i is (t_i, u_i)
     ones = np.ones(cols.size)
     builder.add_soc(np.arange(cols.size), cols, ones, np.zeros(cols.size), dims.m + 1)
-    dynamics = problem.affine_rows[0]
     if penalty_config.lam > 0.0:
-        k, d = dynamics.indices.shape
-        t = builder.add_cols(k) + np.arange(k)
-        builder.add_cost(t, np.full(k, penalty_config.lam))
-        # t_j - a_j . y >= beta_j
-        cols = np.column_stack([t, dynamics.indices]).ravel()
-        coeffs = np.column_stack([np.ones(k), -dynamics.a]).ravel()
-        builder.add_ge(np.repeat(np.arange(k), d + 1), cols, coeffs, dynamics.beta)
+        dynamics = problem.affine_rows[0]
+        builder.add_cost(dynamics.indices.ravel(), penalty_config.lam * dynamics.a.ravel())
 
-    mode = penalty_config.mode
-    rows = add_dynamics_rows(builder, problem, mode)
+    rows = add_dynamics_rows(builder, problem, penalty_config.mode)
     for group in problem.affine_rows[1:]:  # the affine state constraints
         builder.add_ge(*_affine_block(group))
     pins = add_base_set_rows(builder, problem.base_set)
     program = builder.build()
-    hard = rows if mode == "equality" else np.zeros(0, dtype=int)
-    polish = Polish(program, np.concatenate([pins, hard]), dims.n_y)
+    polish = Polish(program, np.concatenate([pins, rows]), dims.n_y)
     return SubproblemArtifacts(program, polish, rows, problem, penalty_config)
 
 
@@ -212,22 +216,27 @@ def extract(artifacts: SubproblemArtifacts, solution: conic.ConicSolution):
     """Pull (z_next, dynamics multipliers, true objective value) out of a solve.
 
     Every cone solve of a run is read back here: the floor's, each
-    succession's and each feasibility-init round's.  The objective is
-    recomputed from the raw decision vector rather than trusting the
-    solver's epigraph auxiliaries.  Raises SubsolverError unless the solve
-    is optimal.
+    succession's and each feasibility-init round's.  One least-squares
+    correction (the polish) removes the interior-point method's drift from
+    the rows that hold with equality, without moving anything else by
+    more: the pins and, in equality mode, every dynamics row.  In penalty
+    mode it takes the rows g_j >= 0 the solve left active, those whose
+    slack is below their dual, so that an accepted iterate meets them to
+    rounding, not only to the solver's tolerance.  The objective is
+    recomputed from the polished decision vector rather than read from the
+    solver's cost.  Raises SubsolverError unless the solve is optimal.
     """
     if solution.status != "optimal":
         raise SubsolverError(f"subproblem solve returned {solution.outcome()}")
     n_y = artifacts.problem.dims.n_y
-    # one least-squares correction onto the equality rows removes the
-    # interior-point method's drift without moving anything else by more
-    y = artifacts.polish(solution.x[:n_y].copy())
-    multipliers = solution.z_dual[artifacts.dynamics_rows]
+    rows = artifacts.dynamics_rows
+    multipliers = solution.z_dual[rows]
+    skip = ()
     if artifacts.penalty.mode == "penalty":
-        # stationarity in each epigraph auxiliary pins the dual of t_j >= g_j
-        # at lambda, so the multiplier of g_j is lambda minus the dual of its
-        # row g_j >= 0
+        skip = rows[solution.s[rows] >= multipliers]
+        # stationarity in y weighs each a_j by lambda, from the cost, minus
+        # the dual of the row g_j >= 0: that difference is g_j's multiplier
         multipliers = artifacts.penalty.lam - multipliers
+    y = artifacts.polish(solution.x[:n_y].copy(), skip)
     value = penalty_value(artifacts.problem, artifacts.penalty, y)
     return y, multipliers, value

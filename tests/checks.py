@@ -9,7 +9,8 @@ the solve path: the constraint rows one ConstraintSpec at a time, with
 their values, gradients and grouping, which the problem's row groups
 replace; each base-set member's margin, which the member groups' array
 passes replace; the pair-list program builder, which array blocks replace, and
-a subproblem program built in one pass of it; the dense Cholesky polish;
+a subproblem program built in one pass of it, also with the penalty
+epigraphs the linear penalty cost replaces; the dense Cholesky polish;
 the d-general cone algebra; the KKT ordering read from a full factor;
 the one-spec-at-a-time projection and linearization that the keep-out
 groups replace; the one-spec-at-a-time linearization at a point that the
@@ -660,9 +661,18 @@ def add_base_set_rows(builder: ReferenceBuilder, base) -> list:
     return pins
 
 
-def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) -> conic.ConicProgram:
+def builder_program(
+    problem: OptimalControlProblem, penalty_config, halfspaces, epigraphs: bool = False
+) -> conic.ConicProgram:
     """min P over the base set, the affine rows and the halfspaces, in one
-    ReferenceBuilder pass over the specs, the affine state rows by width."""
+    ReferenceBuilder pass over the specs, the affine state rows by width.
+
+    At lambda > 0 the fixed row g_j >= 0 makes lambda * |g_j| linear, and
+    each defect's term is the cost lambda * a_j on y.  With epigraphs it is
+    the form the subproblem had before: a cost column t_j and the row
+    t_j >= g_j, after the control norms' columns and cones, so that the
+    dynamics rows start len(dynamics) rows later.
+    """
     builder = ReferenceBuilder()
     dims = problem.dims
     builder.add_cols(dims.n_y)
@@ -670,8 +680,12 @@ def builder_program(problem: OptimalControlProblem, penalty_config, halfspaces) 
     norm = NormFn(np.eye(dims.m), np.zeros(dims.m), np.zeros(dims.m), 0.0)
     terms = [(problem.objective.weight, idx, norm) for idx in controls]
     groups = affine_spec_groups(problem)  # the dynamics, then the affine state rows
-    if penalty_config.lam > 0.0:
+    if penalty_config.lam > 0.0 and epigraphs:
         terms += [(penalty_config.lam, spec.indices, spec.fn) for spec in groups[0]]
+    elif penalty_config.lam > 0.0:
+        for spec in groups[0]:
+            for col, a in zip(spec.indices, spec.fn.a):
+                builder.add_cost(col, penalty_config.lam * a)
     for weight, indices, fn in terms:
         t = builder.add_cols(1)
         builder.add_cost(t, weight)

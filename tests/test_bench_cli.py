@@ -398,16 +398,25 @@ def test_cli_rejects_non_finite_obstacles(tmp_path, capsys, obstacle, message):
         {"obstacles": [{"center": 5, "radius": 1.0}]},
         {"obstacles": 5},
         {"p0": "123"},
+        {"V_max": True},
+        {"lambda": False},
+        {"theta_cone": "30"},
+        {"obstacles": [{"center": [0.0, 0.0], "radius": "3"}]},
+        {"obstacles": [{"center": [True, "0"], "radius": 3.0}]},
+        {"p0": [-8.0, "-1", True]},
     ],
     ids=[
         "theta-string", "theta-null", "lambda-string", "epsilon-string",
         "radius-string", "radius-list", "radius-null", "center-string",
-        "center-number", "obstacles-number", "p0-string",
+        "center-number", "obstacles-number", "p0-string", "vmax-true",
+        "lambda-false", "theta-numeric-string", "radius-numeric-string",
+        "center-bool-and-string", "p0-bool-and-string",
     ],
 )
 def test_cli_rejects_wrong_typed_values(tmp_path, capsys, overrides):
     # a value of the wrong JSON type is malformed input (exit 4), not an
-    # internal failure (exit 3); a string is no list of numbers either
+    # internal failure (exit 3); a string is no list of numbers either, and
+    # true, false and a numeric string such as "30" are no numbers
     path = write_scenario(tmp_path, **overrides)
     out = tmp_path / "out"
     assert run_cli("run", path, "--out", str(out)) == 4
@@ -504,13 +513,18 @@ _scenarios = st.fixed_dictionaries({
     "lambda": st.sampled_from([0.0, 100.0]),
 })
 _non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON values that float() reads as numbers but are none: true, false and
+# numeric strings
+_number_like = st.booleans() | st.sampled_from(["30", "0", "1.5"])
 # JSON values of the wrong type: a string that reads as no number, null, a
-# list (of one or three numbers: neither a number nor a center) or an object
+# list (of one or three numbers: neither a number nor a center), an object
+# or a number-like value
 _wrong_typed = (
     st.text(alphabet="abcxyz", max_size=3)
     | st.none()
     | st.sampled_from([1, 3]).flatmap(lambda k: st.lists(st.floats(0.3, 4.0), min_size=k, max_size=k))
     | st.fixed_dictionaries({"value": st.floats(0.3, 4.0)})
+    | _number_like
 )
 
 
@@ -518,14 +532,15 @@ _wrong_typed = (
 def _invalid_scenarios(draw):
     """A drawn scenario with one value scenario validation must reject: a
     tilt of 90 degrees or more, a non-finite number, an obstacle radius of
-    at most 1e-12, or a value of the wrong type."""
+    at most 1e-12, or a value of the wrong type, in a center's coordinate
+    too."""
     overrides = draw(_scenarios)
     field = draw(st.sampled_from(["theta_cone", "V_max", "u_max", "lambda", "epsilon", "center", "radius"]))
     if field in ("center", "radius"):
         center, radius = [0.0, 0.0], 1.0
         if field == "center":
             if draw(st.booleans()):
-                center[draw(st.integers(0, 1))] = draw(_non_finite)
+                center[draw(st.integers(0, 1))] = draw(_non_finite | _number_like)
             else:
                 center = draw(_wrong_typed)
         else:
@@ -573,8 +588,13 @@ def _must_reject(overrides) -> bool:
           "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
 @example({"N": 5, "obstacles": [{"center": [0.0, 0.0], "radius": 1e-12}],
           "theta_cone": 30.0, "V_max": 2.0, "u_max": 13.33, "lambda": 0.0})
-# a null tilt: a value of the wrong type, exit 4
+# a null tilt, a true speed bound and a numeric-string tilt: values of the
+# wrong type, exit 4
 @example({"N": 5, "obstacles": [], "theta_cone": None, "V_max": 2.0,
+          "u_max": 13.33, "lambda": 0.0})
+@example({"N": 5, "obstacles": [], "theta_cone": 30.0, "V_max": True,
+          "u_max": 13.33, "lambda": 0.0})
+@example({"N": 5, "obstacles": [], "theta_cone": "30", "V_max": 2.0,
           "u_max": 13.33, "lambda": 0.0})
 def test_fuzzed_scenarios_exit_with_documented_codes(overrides):
     with tempfile.TemporaryDirectory() as tmp:

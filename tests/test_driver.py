@@ -20,7 +20,7 @@ from scvx.errors import (
     InfeasibleScenarioError,
     SubsolverError,
 )
-from scvx.linearize import ANCHOR_FEASIBILITY_TOL, check_anchor
+from scvx.linearize import check_anchor
 from scvx.penalty import PenaltyConfig
 from scvx.problem import BaseSet, NormFn, Pin, eval_g, eval_h
 from scvx.subproblem import Polish
@@ -235,24 +235,38 @@ PENALTY_LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("layout", sorted(PENALTY_LAYOUTS))
-def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario, layout):
-    # penalty mode polishes an accepted iterate onto its pins only, so it
-    # meets its keep-outs and its g >= 0 rows to the solver's tolerance;
-    # the next succession takes it as its anchor, and check_anchor raises
-    # InfeasibleAnchorError on a row below -ANCHOR_FEASIBILITY_TOL
-    scenario = dataclasses.replace(
-        quad_scenario,
-        p0=(-20.0, 15.0, 0.0),
-        pf=(-4.0, 17.0, 0.5),
-        obstacles=tuple(Obstacle(center, radius) for center, radius in PENALTY_LAYOUTS[layout]),
-        penalty_lambda=100.0,
-    )
+def assert_penalty_margins(scenario):
+    """A penalty run of scenario converges, and every accepted iterate has
+    min eval_h >= 0 and min g >= -1e-12.
+
+    Each succession takes the last accepted iterate as its anchor, and
+    check_anchor raises InfeasibleAnchorError on a row below
+    -ANCHOR_FEASIBILITY_TOL (1e-8).  extract polishes the g >= 0 rows a
+    solve leaves active as equalities, so they hold to rounding, far inside
+    that; the keep-outs are met to the solver's tolerance.
+    """
     run = solve_quadrotor(scenario)
     assert run.report.converged
     iterates = run.report.iterates
     assert min(float(eval_h(run.problem, z).min()) for z in iterates) >= 0.0
-    assert min(float(eval_g(run.problem, z).min()) for z in iterates) >= -ANCHOR_FEASIBILITY_TOL
+    assert min(float(eval_g(run.problem, z).min()) for z in iterates) >= -1e-12
+
+
+@pytest.mark.parametrize("layout", sorted(PENALTY_LAYOUTS))
+def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario, layout):
+    assert_penalty_margins(
+        dataclasses.replace(
+            quad_scenario,
+            p0=(-20.0, 15.0, 0.0),
+            pf=(-4.0, 17.0, 0.5),
+            obstacles=tuple(Obstacle(center, radius) for center, radius in PENALTY_LAYOUTS[layout]),
+            penalty_lambda=100.0,
+        )
+    )
+
+
+def test_builtin_penalty_run_keeps_its_margins(quad_scenario):
+    assert_penalty_margins(dataclasses.replace(quad_scenario, penalty_lambda=100.0))
 
 
 def test_first_succession_starts_from_the_floor(monkeypatch, quad_problem, quad_config, quad_start):

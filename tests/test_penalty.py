@@ -16,6 +16,7 @@ from scvx.bench import (
 )
 from scvx.driver import ScvxConfig, find_feasible_start, scvx
 from scvx.errors import DimensionError
+from scvx.linearize import build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value, validate_penalty_weight
 from scvx.problem import (
     AffineDynamics,
@@ -27,6 +28,8 @@ from scvx.problem import (
     ProblemDims,
     eval_g,
 )
+from scvx.subproblem import assemble, extract
+from tests.checks import builder_program
 
 
 def test_config_validation():
@@ -133,6 +136,29 @@ def test_penalty_multipliers_match_the_equality_duals(small_runs):
         penalty.report.multipliers, equality.report.multipliers, atol=1e-3
     )
     assert penalty.report.penalty_check.status == "valid"
+
+
+def test_linear_penalty_cost_matches_the_epigraph_form(small_runs):
+    # the fixed row g_j >= 0 makes lambda * |g_j| linear, so the cost
+    # lambda * a_j on y stands in for an epigraph column t_j and its row
+    # t_j >= g_j: over the final anchor's region both programs reach the
+    # same P, and the same multipliers lambda - z_j, z_j the dual of g_j >= 0
+    penalty, _ = small_runs
+    problem, config = penalty.problem, penalty.config.penalty
+    region = build_feasible_region(problem, penalty.report.z, config.mode)
+    artifacts = assemble(problem, config, region)
+    reference = builder_program(problem, config, region.halfspaces, epigraphs=True)
+    dynamics = artifacts.dynamics_rows
+    assert reference.n_cols == artifacts.program.n_cols + dynamics.size
+    sol, ref = conic.solve(artifacts.program, tol=1e-10), conic.solve(reference, tol=1e-10)
+    assert sol.status == ref.status == "optimal"
+    _, multipliers, value = extract(artifacts, sol)
+    n_y = problem.dims.n_y
+    ref_value = penalty_value(problem, config, ref.x[:n_y])
+    assert abs(value - ref_value) <= 1e-7 * abs(ref_value)
+    # the epigraph rows t_j >= g_j sit just before the dynamics rows
+    ref_multipliers = config.lam - ref.z_dual[dynamics + dynamics.size]
+    np.testing.assert_allclose(multipliers, ref_multipliers, rtol=0.0, atol=1e-6)
 
 
 def test_positive_weight_alone_runs_penalty_mode(quad_scenario):

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from scvx import conic
+from scvx.bench import build_quadrotor_problem
 from scvx.errors import SubsolverError
 from scvx.linearize import FeasibleRegion, Halfspaces, build_feasible_region
 from scvx.penalty import PenaltyConfig, penalty_value
@@ -125,27 +126,33 @@ def test_benchmark_program_dimensions(quad_problem, quad_artifacts, quad_region)
 
 
 def test_positive_weight_turns_dynamics_rows_into_penalty_terms(quad_problem, quad_start):
-    # lambda > 0: one weighted epigraph column per dynamics defect after the
-    # 24 control norms, and each defect a fixed row g_j >= 0 in place of its
-    # zero-cone row; the region holds the 50 keep-out rows, as at lambda = 0
+    # lambda > 0: each defect is a fixed row g_j >= 0 in place of its
+    # zero-cone row, so lambda * |g_j| is linear and its cost lambda * a_j
+    # lands on y; no column joins the 24 control norms; the region holds
+    # the 50 keep-out rows, as at lambda = 0
     config = PenaltyConfig(lam=100.0)
     region = build_feasible_region(quad_problem, quad_start, config.mode)
     fixed = fixed_rows(quad_problem, config)
     artifacts = assemble(quad_problem, config, region, fixed)
-    c = artifacts.program.c[222:]
-    assert c.size == 24 + 24 * 6
-    np.testing.assert_array_equal(c[24:], 100.0)
+    c = artifacts.program.c
+    assert c.size == 222 + 24
+    np.testing.assert_array_equal(c[222:], 1.0)
+    dynamics = quad_problem.affine_rows[0]
+    cost = np.zeros(222)
+    np.add.at(cost, dynamics.indices.ravel(), 100.0 * dynamics.a.ravel())
+    np.testing.assert_array_equal(c[:222], cost)
+    assert np.count_nonzero(c[:222]) > 0
     assert len(region.halfspaces) == 50
     assert_halfspaces_close_the_program(artifacts, region.halfspaces)
     # the multipliers come from the fixed rows g_j >= 0, which directly
-    # follow the epigraphs (24 four-row thrust cones, then 144 penalty
-    # rows), and the only equality rows are the pins
+    # follow the 24 four-row thrust cones; the only equality rows are the
+    # pins, and the polish holds the pins, then the dynamics rows
     np.testing.assert_array_equal(artifacts.dynamics_rows, fixed.dynamics_rows)
-    np.testing.assert_array_equal(fixed.dynamics_rows, 24 * 4 + 24 * 6 + np.arange(24 * 6))
+    np.testing.assert_array_equal(fixed.dynamics_rows, 24 * 4 + np.arange(24 * 6))
     assert_exact_dynamics_rows(quad_problem, fixed.program, fixed.dynamics_rows, "penalty")
     assert_exact_dynamics_rows(quad_problem, artifacts.program, artifacts.dynamics_rows, "penalty")
     pins = np.flatnonzero(row_kinds(artifacts.program) == "zero")
-    np.testing.assert_array_equal(artifacts.polish.rows, pins)
+    np.testing.assert_array_equal(artifacts.polish.rows, np.concatenate([pins, fixed.dynamics_rows]))
     assert pins.size == sum(
         mem.indices.size for mem in quad_problem.base_set.members if isinstance(mem, Pin)
     )
@@ -384,9 +391,44 @@ def test_sparse_polish_matches_the_dense_one(quad_artifacts, quad_solution):
         A = sp.csc_matrix(np.hstack([dense, extra]))
         program = conic.ConicProgram(np.zeros(n_y + 3), A, rng.standard_normal(k), [conic.Cone("zero", k)])
         rows, y = rng.permutation(k), rng.standard_normal(n_y)
-        got = Polish(program, rows, n_y)(y)
+        polish = Polish(program, rows, n_y)
+        got = polish(y)
         assert _relative_gap(got, dense_polish(program, rows, n_y, y)) <= 1e-12
         np.testing.assert_allclose(dense[rows] @ got, program.b[rows], atol=1e-10)
+        # a call that skips rows is the polish onto the rest alone, and one
+        # that skips every row returns y itself
+        skip = rows[::3]
+        kept = rows[~np.isin(rows, skip)]
+        assert _relative_gap(polish(y, skip), dense_polish(program, kept, n_y, y)) <= 1e-12
+    assert polish(y, rows) is y
+
+
+def test_penalty_extract_holds_the_active_defect_rows(quad_scenario):
+    # lambda > 0: extract polishes onto the pins and the rows g_j >= 0 the
+    # solve left active (slack below dual), which then hold to rounding; the
+    # solve alone meets them only to its tolerance.  pf is out of reach at
+    # V_max = 0.2, so some defects stay positive: their rows are inactive
+    # and keep a clear slack
+    scenario = dataclasses.replace(quad_scenario, N=5, V_max=0.2, penalty_lambda=100.0)
+    problem = build_quadrotor_problem(scenario, include_obstacles=False)
+    config = PenaltyConfig(lam=100.0)
+    artifacts = fixed_rows(problem, config)
+    sol = conic.solve(artifacts.program)
+    y, multipliers, value = extract(artifacts, sol)
+    rows = artifacts.dynamics_rows
+    active = sol.s[rows] < sol.z_dual[rows]
+    assert 0 < active.sum() < rows.size
+    n_y = problem.dims.n_y
+    raw = sol.x[:n_y]
+    assert float(np.abs(eval_g(problem, raw)[active]).max()) > 1e-12
+    g = eval_g(problem, y)
+    assert float(np.abs(g[active]).max()) <= 1e-12
+    assert float(g[~active].min()) > 1e-6
+    pins = artifacts.polish.rows[: -rows.size]
+    kept = np.concatenate([pins, rows[active]])
+    assert _relative_gap(y, dense_polish(artifacts.program, kept, n_y, raw)) <= 1e-12
+    np.testing.assert_array_equal(multipliers, 100.0 - sol.z_dual[rows])
+    assert value == penalty_value(problem, config, y)
 
 
 def test_dependent_polish_rows_take_the_least_squares_path(monkeypatch, quad_artifacts, quad_solution):
