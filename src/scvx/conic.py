@@ -36,10 +36,14 @@ threshold partial pivoting, and the solution reports which factorization
 it used.
 
 A solve can be warm-started from the solution of a program with the same
-cone list: the embedding then starts from a convex combination of that
-solution and the cold point x = 0, s = z = e (Skajaa, Andersen & Ye, Math.
-Prog. Comp. 2013), with no factor before its first iteration; a cold start
-factors at W = I for its least-squares point.  A warm attempt that ends
+cone list: the embedding then starts from that solution's x, with its s
+and z shifted by (1 - w) e into the cone's interior (a shifted start, as
+compared by John & Yildirim, Comput. Optim. Appl. 2008), so it begins
+with that solution's residuals plus the shift's.  A convex combination
+with the cold point x = 0, s = z = e (Skajaa, Andersen & Ye, Math. Prog.
+Comp. 2013) would also leave (1 - w) (b, c).  A warm attempt makes no
+factor before its first iteration; a cold start factors at W = I for its
+least-squares point.  A warm attempt that ends
 other than "optimal" is run again cold, and the solution reports which
 start it came from.  Solves are deterministic: identical inputs, start
 included, produce bitwise-identical iterates.
@@ -78,7 +82,8 @@ _STEP_FRACTION = 0.99
 # panels halve its time.
 _PANEL_SIZE = 1
 _MAX_ITER = 100  # interior-point iterations per factorization attempt
-# weight of the previous solution in a warm start (Skajaa, Andersen & Ye 2013)
+# a warm start shifts the previous s and z by (1 - _WARM_WEIGHT) e; other
+# shifts (0.05, 0.2) cost the built-in run more iterations
 _WARM_WEIGHT = 0.9
 
 
@@ -686,9 +691,10 @@ def solve(
     is normalized to b.z = -1 and must re-evaluate to it).
 
     start, a solution of a program with the same cone list, warm-starts the
-    first attempt from the convex combination of that solution and the
-    point x = 0, s = z = e (the cone identity), weighted _WARM_WEIGHT to the
-    solution; a warm attempt makes no factor at W = I.  A start whose x, s
+    first attempt from x = start.x, s = start.s + (1 - w) e and z =
+    start.z_dual + (1 - w) e, with e the cone identity (0 on the zero-cone
+    rows, whose slack the start sets to 0) and w = _WARM_WEIGHT; a warm
+    attempt makes no factor at W = I.  A start whose x, s
     or z_dual size does not match the program raises DimensionError.  When
     the program also has the start's A.indptr, A.indices and cone list, the
     solve reuses the start's KKT structure (its ordering and pattern)
@@ -786,22 +792,25 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if shift >= -1e-8:
             z = z + (1.0 + shift) * e
     else:
-        # warm: the combination with the cold point of Skajaa, Andersen &
-        # Ye, whose x is 0 and whose s and z are e.  e is 0 on the zero-cone
-        # rows: their slack stays 0, their dual keeps the weighted previous
-        # value.  The first factor is the first iteration's.
-        w = _WARM_WEIGHT
-        x = w * start.x
-        s = w * blocks.restrict(start.s) + (1.0 - w) * e
-        z = w * start.z_dual + (1.0 - w) * e
+        # warm: the previous point, its s and z shifted by (1 - w) e into
+        # the cone's interior, x kept (John & Yildirim 2008), so the start
+        # keeps the previous solution's residuals.  e is 0 on the zero-cone
+        # rows: their slack stays 0, their dual keeps the previous value.
+        # The first factor is the first iteration's.
+        shift = (1.0 - _WARM_WEIGHT) * e
+        x = start.x
+        s = blocks.restrict(start.s) + shift
+        z = start.z_dual + shift
     tau, kappa = 1.0, 1.0
 
     best = None  # (metric, x, s, z, gap, pres, dres) of the best iterate
 
     for iters in range(1, _MAX_ITER + 1):
         # residuals of the homogeneous system
-        f_x = AT @ z + c * tau
-        f_z = A @ x + s - b * tau
+        ATz = AT @ z
+        Axs = A @ x + s
+        f_x = ATz + c * tau
+        f_z = Axs - b * tau
         f_tau = gap_terms(x, z) + kappa
 
         # de-homogenized convergence metrics
@@ -818,19 +827,19 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if pres <= tol and dres <= tol and gap_rel <= tol:
             return result("optimal", iters, xh, sh, zh, gap_rel, pres, dres)
 
-        # infeasibility certificates
+        # infeasibility certificates, their residuals read from the
+        # iteration's own products A^T z and A x + s
         cert = float(b @ z)
-        if cert < 0:
+        if cert < 0 and _norm(ATz) / -cert <= tol:
             z_c = z / -cert
-            res = _norm(AT @ z_c)
             # a dual of size ~1e16 passes the residual test on rounding
             # alone; its normalized b.z must also re-evaluate to -1
-            if res <= tol and abs(float(b @ z_c) + 1.0) <= 1e-6:
+            if abs(float(b @ z_c) + 1.0) <= 1e-6:
                 return result("primal-infeasible", iters, xh, sh, z_c, gap_rel, pres, dres)
         ctx = float(c @ x)
         if ctx < 0:
             scale = -ctx
-            if _norm(A @ (x / scale) + s / scale) <= tol:
+            if _norm(Axs) / scale <= tol:
                 return result(
                     "dual-infeasible", iters, x / scale, s / scale, zh, gap_rel, pres, dres
                 )

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import conic
@@ -103,12 +104,16 @@ class Polish:
     With E the rows' entries over y, the correction is E^T (E E^T)^-1 r,
     r = b - E y.  E and E E^T are formed sparse once, when the polish is
     built, over every row it may use, and so is E^T (building it costs more
-    than a product with it); a call that skips some rows slices them to the
-    rest.  Every call factors its E E^T with SuperLU (0.13-0.35 ms a
-    call at N = 25 and 50): a factor held through a run's cone solves raised
-    the built-in run's peak memory by 0.11-0.16 MiB.  Linearly
-    dependent rows make E E^T exactly singular; their correction is the
-    least-squares solution instead.
+    than a product with it).  A call that skips some rows slices nothing:
+    it zeroes their rows and columns of E E^T's data, puts 1 on their
+    diagonal and 0 in their r, so the skipped rows decouple with a zero
+    multiplier, and the rest solve the kept rows' own system.  Slicing E
+    and E E^T to the kept rows took twice as long (36 rows, 8 skipped:
+    250-340 against 120-130 us a call).  Every call factors its E E^T with
+    SuperLU (0.13-0.35 ms a call at N = 25 and 50): a factor held through
+    a run's cone solves raised the built-in run's peak memory by 0.11-0.16
+    MiB.  Linearly dependent rows make E E^T exactly singular; their
+    correction is the least-squares solution instead.
     """
 
     def __init__(self, program: conic.ConicProgram, rows, n_y: int):
@@ -117,23 +122,29 @@ class Polish:
         self.Et = self.E.T
         self.EEt = (self.E @ self.Et).tocsc()
         self.d = program.b[self.rows]
+        # the column of each stored entry of E E^T; EEt.indices holds its row
+        self._entry_cols = np.repeat(np.arange(self.rows.size), np.diff(self.EEt.indptr))
 
     def __call__(self, y: np.ndarray, skip=()) -> np.ndarray:
         """y corrected onto every row of the polish but the program rows in skip."""
-        E, Et, EEt, d = self.E, self.Et, self.EEt, self.d
-        if len(skip):
-            keep = ~np.isin(self.rows, skip)
-            E, EEt, d = E[keep], EEt[keep][:, keep], d[keep]
-            Et = E.T
-        if d.size == 0:
+        keep = ~np.isin(self.rows, skip) if len(skip) else np.ones(self.rows.size, dtype=bool)
+        if not keep.any():
             return y
-        r = d - E @ y
+        EEt, r = self.EEt, self.d - self.E @ y
+        if not keep.all():
+            rows, cols = EEt.indices, self._entry_cols
+            data = np.where(keep[rows] & keep[cols], EEt.data, 0.0)
+            data[(rows == cols) & ~keep[cols]] = 1.0
+            # eliminate_zeros rewrites its index arrays in place: never EEt's
+            EEt = sp.csc_matrix((data, rows.copy(), EEt.indptr.copy()), shape=EEt.shape)
+            EEt.eliminate_zeros()
+            r[~keep] = 0.0
         try:
             lu = spla.splu(EEt)
         except RuntimeError:  # exactly singular
-            E = E.toarray()
+            E, r = self.E.toarray()[keep], r[keep]
             return y + E.T @ np.linalg.lstsq(E @ E.T, r, rcond=None)[0]
-        return y + Et @ lu.solve(r)
+        return y + self.Et @ lu.solve(r)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,13 +4,16 @@
 
 Runs solve_quadrotor on the built-in scenario, on it at N = 50, N = 100
 and lambda = 100, and on the benchmark's penalty workload (seed 1) over
-layout seeds 1-6, read from benchmarks/workloads.py.  Prints one line per
-run: the successions, the cone solves, their IPM iterations and
-triangular solves, the cost to 17 digits, and the worst eval_h and min g
-over the accepted iterates.  The solver counts come from a wrapper on
-conic.solve, so every cone solve of the run counts: the init's, the
-floor's and each succession's.  Exits 1 when any run raises.  pytest does
-not collect this file; it states what a change costs each scenario.
+layout seeds 1-6, read from benchmarks/workloads.py.  Prints two lines per
+run.  The first holds the successions, the cone solves, their IPM
+iterations and triangular solves, the cost to 17 digits, and the worst
+eval_h and min g over the accepted iterates.  The second holds the IPM
+iterations of each cone solve, in run order: the feasibility init's
+rounds, the relaxation floor (a run without keep-outs has none) and each
+succession.  The solver counts come from a wrapper on conic.solve, so
+every cone solve of the run counts.  Exits 1 when any run raises.  pytest
+does not collect this file; it states what a change costs each scenario,
+solve by solve.
 """
 
 from __future__ import annotations
@@ -41,15 +44,14 @@ def scenarios() -> list:
 
 
 def counted_run(scenario) -> dict:
-    """solve_quadrotor(scenario) with every cone solve's work summed."""
-    tally = dict(solves=0, iterations=0, triangular=0)
+    """solve_quadrotor(scenario) with every cone solve's work, summed and per solve."""
+    iterations, triangular = [], []  # per cone solve, in run order
     solve = conic.solve
 
     def counting(*args, **kwargs):
         sol = solve(*args, **kwargs)
-        tally["solves"] += 1
-        tally["iterations"] += sol.iterations
-        tally["triangular"] += sol.triangular_solves
+        iterations.append(sol.iterations)
+        triangular.append(sol.triangular_solves)
         return sol
 
     conic.solve = counting
@@ -57,14 +59,26 @@ def counted_run(scenario) -> dict:
         run = solve_quadrotor(scenario)
     finally:
         conic.solve = solve
-    iterates = run.report.iterates
+    report = run.report
+    # the successions' solves come last, the floor's (when the run has one) before them
+    first = len(iterations) - report.successions
+    floor = first - (report.relaxation_floor is not None)
     return dict(
-        tally,
-        successions=run.report.successions,
+        solves=len(iterations),
+        iterations=sum(iterations),
+        triangular=sum(triangular),
+        init=iterations[:floor],
+        floor=iterations[floor:first],
+        per_succession=iterations[first:],
+        successions=report.successions,
         cost=run.record.cost,
-        min_h=min(float(eval_h(run.problem, z).min()) for z in iterates),
-        min_g=min(float(eval_g(run.problem, z).min()) for z in iterates),
+        min_h=min(float(eval_h(run.problem, z).min()) for z in report.iterates),
+        min_g=min(float(eval_g(run.problem, z).min()) for z in report.iterates),
     )
+
+
+def _listed(counts) -> str:
+    return " ".join(map(str, counts)) or "none"
 
 
 def main() -> int:
@@ -80,6 +94,8 @@ def main() -> int:
         print(f"{name}: {c['successions']} successions, {c['solves']} cone solves, "
               f"{c['iterations']} iterations, {c['triangular']} triangular solves, "
               f"cost {c['cost']:.17g}, min h {c['min_h']:.3g}, min g {c['min_g']:.3g}")
+        print(f"  iterations per solve: init {_listed(c['init'])}, floor {_listed(c['floor'])}, "
+              f"successions {_listed(c['per_succession'])}")
     return 1 if failed else 0
 
 

@@ -298,6 +298,53 @@ def test_warm_start_from_a_neighbouring_solution():
         solve(moved, tol=1e-9, start=replace(base, x=base.x[1:]))
 
 
+def test_warm_start_shifts_the_previous_point_into_the_cone(monkeypatch):
+    # the warm attempt starts at x = x*, s = restrict(s*) + (1 - w) e and
+    # z = z* + (1 - w) e, bit for bit, with tau = 1: its first interior()
+    # call sees that s and z, and its first primal residual is A x* + s - b.
+    # Re-solving a program from its own solution, that residual is the
+    # shift (1 - w) e alone, up to the solve's tolerance; a start scaled
+    # toward x = 0 would leave -(1 - w) b besides.
+    seen, interior = [], _Blocks.interior
+    norms, norm = [], conic._norm
+
+    def spying(self, s, z):
+        seen.append((s.copy(), z.copy()))
+        return interior(self, s, z)
+
+    def recording(r):
+        norms.append(r.copy())
+        return norm(r)
+
+    shift = 1.0 - conic._WARM_WEIGHT
+    rng = np.random.default_rng(29)
+    cones = [Cone("zero", 2), Cone("nonneg", 4), Cone("soc", 3), Cone("zero", 1), Cone("soc", 4)]
+    for _ in range(5):
+        prog = feasible_program(rng, 9, cones)
+        base = solve(prog, tol=1e-9)
+        assert base.status == "optimal"
+        blocks = _Blocks(prog.cones)
+        e = blocks.identity()
+        for target in (prog, loosened(rng, prog)):
+            seen.clear()
+            norms.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_Blocks, "interior", spying)
+                m.setattr(conic, "_norm", recording)
+                warm = solve(target, tol=1e-9, start=base)
+            assert (warm.status, warm.start) == ("optimal", "warm")
+            s0, z0 = seen[0]
+            assert np.array_equal(_bits(s0), _bits(blocks.restrict(base.s) + shift * e))
+            assert np.array_equal(_bits(z0), _bits(base.z_dual + shift * e))
+            # _norm measures |b| and |c| first, then the first iteration's
+            # primal residual A x + s - b tau
+            residual = norms[2]
+            assert np.array_equal(_bits(residual), _bits((target.A @ base.x + s0) - target.b * 1.0))
+            if target is prog:
+                drift = np.linalg.norm(residual - shift * e)
+                assert drift <= 1e-8 * (1.0 + np.linalg.norm(prog.b))
+
+
 def test_warm_attempt_factors_once_per_iteration(monkeypatch):
     # a cold attempt factors at W = I for its start point and then once per
     # iteration but the last, which only measures; a warm attempt starts
