@@ -43,10 +43,10 @@ with that solution's residuals plus the shift's.  A convex combination
 with the cold point x = 0, s = z = e (Skajaa, Andersen & Ye, Math. Prog.
 Comp. 2013) would also leave (1 - w) (b, c).  A warm attempt makes no
 factor before its first iteration; a cold start factors at W = I for its
-least-squares point.  A warm attempt that ends
-other than "optimal" is run again cold, and the solution reports which
-start it came from.  Solves are deterministic: identical inputs, start
-included, produce bitwise-identical iterates.
+least-squares point.  A warm attempt factors with the start's pivoting;
+one that ends other than "optimal" is run again cold, and the solution
+reports which start it came from.  Solves are deterministic: identical
+inputs, start included, produce bitwise-identical iterates.
 
 ProgramBuilder is the one way programs are put together.  Each add takes
 a block of rows as (rows, cols, coeffs) entry arrays and one right-hand
@@ -586,41 +586,53 @@ class _KKTStructure:
 class _KKT:
     """[[0, A^T], [A, -W^2]] of one program on its structure's fixed pattern.
 
-    factor() writes -W^2 into a copy of the program's fixed data, adds the
-    +-reg diagonal and drops exact zeros.  Pivoting "diagonal" factors that
-    matrix in place with diagonal pivots, which a quasi-definite matrix
-    admits in every symmetric order, in _PANEL_SIZE-column panels;
-    "partial" lets SuperLU reorder columns and pivot rows, with its
-    default panels.  Refinement iterates against the unregularized data on
-    the full pattern.  solves counts the refined solves and triangular the
-    solves with the factor, refinement steps included.
+    Two matrices are built once per attempt on the pattern: K, which
+    refinement multiplies by, and K + diag(reg), which is factored.  The
+    W^2 slots are the only ones whose values change, so factor() writes
+    -W^2 into K's data in place, copies that data into the second matrix
+    and adds the +-reg diagonal.  A matrix with an exact zero (the cold
+    start's W = I leaves its off-diagonal W^2 entries 0) is factored from
+    a copy with the zeros dropped, so SuperLU always sees the matrix the
+    block assembly would give.  Pivoting "diagonal" factors with diagonal
+    pivots, which a quasi-definite matrix admits in every symmetric order,
+    in _PANEL_SIZE-column panels; "partial" lets SuperLU reorder columns
+    and pivot rows, with its default panels.  solves counts the refined
+    solves and triangular the solves with the factor, refinement steps
+    included.
     """
 
     def __init__(self, structure: _KKTStructure, A, pivoting):
         self.structure = structure
         self.pivoting = pivoting
         self.solves = self.triangular = 0
-        self.base = np.zeros(structure.indices.size)
-        np.add.at(self.base, structure.a_slots, np.concatenate([A.data, A.data]))
+        self.lu = None
+        data = np.zeros(structure.indices.size)
+        np.add.at(data, structure.a_slots, np.concatenate([A.data, A.data]))
+        st = structure
+        self.K, self.K_reg = (
+            sp.csc_matrix((d, st.indices, st.indptr), shape=st.shape) for d in (data, data.copy())
+        )
 
     def matrices(self, w2):
-        """K and K + diag(reg) in the stored order, exact zeros dropped, at w2 = w_squared()."""
+        """K and K + diag(reg) in the stored order, exact zeros dropped from
+        the second, at w2 = w_squared(); K is self.K."""
         st = self.structure
-        data = self.base.copy()
-        data[st.w2_slots] = -w2
-        K = sp.csc_matrix((data, st.indices, st.indptr), shape=st.shape)
-        data = data.copy()
-        data[st.diag_slots] += st.reg
+        reg = self.K_reg.data
+        self.K.data[st.w2_slots] = -w2
+        reg[:] = self.K.data
+        reg[st.diag_slots] += st.reg
+        if reg.all():
+            return self.K, self.K_reg
         # eliminate_zeros rewrites its index arrays in place: never the pattern's
-        K_reg = sp.csc_matrix((data, st.indices.copy(), st.indptr.copy()), shape=st.shape)
+        K_reg = sp.csc_matrix((reg.copy(), st.indices.copy(), st.indptr.copy()), shape=st.shape)
         K_reg.eliminate_zeros()
-        return K, K_reg
+        return self.K, K_reg
 
     def factor(self, w2):
-        # the previous matrix and factor go first: held while the next ones
-        # are built, they would add to the solve's peak memory
-        self.K = self.lu = None
-        self.K, K_reg = self.matrices(w2)
+        # the previous factor goes first: held while the next one is
+        # computed, it would add to the solve's peak memory
+        self.lu = None
+        _, K_reg = self.matrices(w2)
         if self.pivoting == "diagonal":
             self.lu = spla.splu(
                 K_reg, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -701,9 +713,11 @@ def solve(
     instead of building its own; the result carries the structure it used.
 
     Attempts run in order until one ends "optimal": the warm start (when
-    given), the cold start on diagonal pivots, and the cold start with
-    partial pivoting, since a cancelled pivot can also drive the iterates
-    along the null space of dependent equality rows until they stall.  Each
+    given) on the start's pivoting, the cold start on diagonal pivots, and
+    the cold start with partial pivoting, since a cancelled pivot can also
+    drive the iterates along the null space of dependent equality rows
+    until they stall.  A start that needed partial pivoting came from a
+    program whose diagonal pivots failed, as they likely would again.  Each
     attempt runs at most _MAX_ITER iterations.  The result reports its
     attempt in `start` and `pivoting`; `iterations`, `kkt_solves` and
     `triangular_solves` count every attempt.
@@ -716,7 +730,7 @@ def solve(
                 f"start has (x, s, z) sizes {sizes}, the program needs "
                 f"{(program.n_cols, program.n_rows, program.n_rows)}"
             )
-        attempts.insert(0, ("diagonal", start))
+        attempts.insert(0, (start.pivoting, start))
     kkt = None if start is None else start.kkt
     if kkt is None or not kkt.fits(program):
         kkt = _KKTStructure(program.A, program.cones)
@@ -802,6 +816,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         s = blocks.restrict(start.s) + shift
         z = start.z_dual + shift
     tau, kappa = 1.0, 1.0
+    tau_rhs = np.concatenate([-c, b])  # the embedding's tau column, every iteration's
 
     best = None  # (metric, x, s, z, gap, pres, dres) of the best iterate
 
@@ -863,7 +878,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         if not np.isfinite(lam).all():
             break
 
-        x1, z1 = split(K.solve(np.concatenate([-c, b]), refine))
+        x1, z1 = split(K.solve(tau_rhs, refine))
         denom = gap_terms(x1, z1) - kappa / tau
         if not np.isfinite(denom) or denom == 0.0:
             break

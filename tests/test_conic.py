@@ -212,6 +212,24 @@ def test_dependent_equality_rows_fall_back_to_partial_pivoting():
     assert plain.status == "optimal" and plain.pivoting == "diagonal"
 
 
+def test_warm_attempt_keeps_the_start_pivoting():
+    # a solution that needed partial pivoting hands it to a solve started
+    # from it: on diagonal pivots the warm attempt would fail again on the
+    # repeated equality row and fall back cold
+    rng = np.random.default_rng(1)
+    checked = 0
+    while checked < 3:
+        prog = sparse_feasible_program(rng, True)
+        cold = solve(prog, tol=1e-9)
+        if cold.pivoting != "partial":
+            continue
+        warm = solve(prog, tol=1e-9, start=cold)
+        attempt = _solve(prog, cold.kkt, 1e-9, "partial", cold)
+        assert (warm.status, warm.start, warm.pivoting) == ("optimal", "warm", "partial")
+        assert warm.iterations == attempt.iterations
+        checked += 1
+
+
 def test_certificate_from_diagonal_pivots_is_rechecked():
     # two equal equality rows and a nonneg row over 46 columns: on diagonal
     # pivots the dual drifts along the rows' null space (|y| ~ 1e16) until
@@ -1026,11 +1044,14 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
     structure = _KKTStructure(A, blocks_cones)
     kkt = _KKT(structure, A, "diagonal")
     K, K_reg = kkt.matrices(w2)
+    np.testing.assert_array_equal(np.sort(structure.perm_c), np.arange(K.shape[0]))
+    _assert_block_assembly(structure, K, K_reg, A_eq, G, ref_W2, rng)
 
+
+def _assert_block_assembly(structure, K, K_reg, A_eq, G, ref_W2, rng):
+    """K and the factored K_reg are the block assembly's, bit for bit."""
     # the stored order is a symmetric permutation: original row r sits at
     # perm_c[r], so the reference is permuted by q = argsort(perm_c)
-    dim = K.shape[0]
-    np.testing.assert_array_equal(np.sort(structure.perm_c), np.arange(dim))
     q = np.argsort(structure.perm_c)
     K_ref, K_reg_ref = (M[q][:, q].tocsc() for M in _reference_kkt(A_eq, G, ref_W2))
     K_reg_ref.sort_indices()
@@ -1044,3 +1065,47 @@ def test_fixed_kkt_pattern_matches_the_block_assembly(cone_spec, n, p_eq, values
     np.testing.assert_array_equal(_bits(K.toarray()), _bits(K_ref.toarray()))
     x = rng.standard_normal(K.shape[1])
     np.testing.assert_array_equal(_bits(K @ x), _bits(K_ref @ x))
+
+
+def test_kkt_factored_in_sequence_keeps_the_block_assembly(monkeypatch):
+    # one _KKT factored at the W = I start, at an NT scaling, at a W^2 with
+    # an exact-zero entry and at a scaling again: its matrices are rewritten
+    # in place, yet every factor reads the block assembly's matrix, and the
+    # zero-dropping copy leaves the pattern's index arrays as they were
+    factored, splu = [], conic.spla.splu
+
+    def recording(M, **options):
+        factored.append(sp.csc_matrix((M.data.copy(), M.indices.copy(), M.indptr.copy()), M.shape))
+        return splu(M, **options)
+
+    monkeypatch.setattr(conic.spla, "splu", recording)
+    rng = np.random.default_rng(5)
+    cones = [Cone("soc", 4), Cone("nonneg", 2), Cone("soc", 3)]
+    p_eq, p_in, n = 2, 9, 6
+    blocks_cones = [Cone("zero", p_eq)] + cones
+    blocks = _Blocks(blocks_cones)
+    A_eq, G = _sparse(rng, p_eq, n), _sparse(rng, p_in, n)
+    A = sp.vstack([A_eq, G], format="csc")
+    structure = _KKTStructure(A, blocks_cones)
+    indices, indptr = structure.indices.copy(), structure.indptr.copy()
+    kkt = _KKT(structure, A, "diagonal")
+
+    def scaling():
+        nan = np.full(p_eq, np.nan)  # the zero-cone rows carry no cone point
+        s, z = (np.concatenate([nan, interior_point(rng, cones)]) for _ in range(2))
+        return _Scaling(blocks.interior(s, z)).w_squared()
+
+    zero_entry = scaling()
+    rows, cols = blocks.square_entries()
+    zero_entry[np.flatnonzero(rows != cols)[0]] = 0.0  # off a block's diagonal
+    scalings = (scaling(), zero_entry, scaling())
+    steps = [(blocks.identity_squared(), sp.identity(p_in, format="csc"))] + [
+        (w2, _w_squared_matrix(blocks, w2)[p_eq:, p_eq:]) for w2 in scalings
+    ]
+    for w2, ref_W2 in steps:
+        count = len(factored)
+        kkt.factor(w2)
+        assert len(factored) == count + 1
+        _assert_block_assembly(structure, kkt.K, factored[-1], A_eq, G, ref_W2, rng)
+    np.testing.assert_array_equal(structure.indices, indices)
+    np.testing.assert_array_equal(structure.indptr, indptr)
