@@ -25,6 +25,7 @@ from .bench import (
     solve_quadrotor,
     write_outputs,
 )
+from .driver import FULL_TOL
 from .errors import (
     BadScenarioError,
     InfeasibleScenarioError,
@@ -78,15 +79,22 @@ def _err(message):
 
 
 def _iteration_table(report) -> str:
-    lines = ["   k  penalty            improvement   accepted  halfspaces  start  ipm-iters"]
+    """One row per succession; tol reads 1e-06/1e-09 for a loose solve solved again."""
+    lines = [
+        "   k  penalty            improvement   accepted  halfspaces  start  pivoting  "
+        "tol          ipm-iters"
+    ]
     lines.append(
-        f"   0  {report.penalty_values[0]:<17.6f}  {'-':<12}  {'-':<8}  {'-':<10}  {'-':<5}  -"
+        f"   0  {report.penalty_values[0]:<17.6f}  {'-':<12}  {'-':<8}  {'-':<10}  {'-':<5}  "
+        f"{'-':<8}  {'-':<11}  -"
     )
     for r in report.records:
+        tol = f"{r.subsolver_tol:.0e}" + (f"/{FULL_TOL:.0e}" if r.subsolver_resolved else "")
         lines.append(
             f"  {r.index:>2}  {r.penalty_after:<17.6f}  {r.improvement:<12.3e}  "
             f"{('yes' if r.accepted else 'no'):<8}  {r.halfspaces:<10d}  "
-            f"{r.subsolver_start:<5}  {r.subsolver_iterations}"
+            f"{r.subsolver_start:<5}  {r.subsolver_pivoting:<8}  {tol:<11}  "
+            f"{r.subsolver_iterations}"
         )
     return "\n".join(lines)
 

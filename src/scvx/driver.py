@@ -14,6 +14,12 @@ appended last, so the floor's solution, extended over those rows,
 warm-starts the first succession, and each succession's solution the
 next.  A feasibility-init round appends its rows to a slack program built
 once per search.
+
+Successions far from the stop are solved loose (LOOSE_TOL), the others
+at FULL_TOL.  No stop and no accepted anchor rests on a loose solve: a
+loose solve whose improvement is below epsilon, or whose point is not a
+valid anchor, is solved again warm from itself at FULL_TOL before its
+use, and its record says so (subsolver_resolved).
 """
 
 from __future__ import annotations
@@ -46,6 +52,20 @@ from .subproblem import (
     extract,
     fixed_rows,
 )
+
+# Succession tolerances.  A succession runs at LOOSE_TOL while the one
+# before it improved P by more than LOOSE_WHILE * epsilon, and the first
+# always does; the others, and a convex-only run's one solve, run at
+# FULL_TOL, conic.solve's default.  Measured on the built-in run, N = 50,
+# N = 100, lambda = 100 and the six penalty layouts (tests/run_counts.py):
+# 1e-6 while above 1e-3 took builtin from 114 to 110 IPM iterations, N = 50
+# from 89 to 81 and penalty layout 1 from 107 to 80, against every solve at
+# 1e-9.  A threshold of 1e-2 raised builtin to 113 and N = 50 to 85; 1e-4
+# left layout 1 at 99; a loose tolerance of 1e-5 took layout 3 to 13
+# successions, and 1e-7 left layout 1 at 94.
+LOOSE_TOL = 1e-6
+LOOSE_WHILE = 1000.0
+FULL_TOL = 1e-9
 
 # rounds of the feasibility search before it gives up, and rounds without
 # improvement before it calls the scenario infeasible
@@ -80,6 +100,11 @@ class SuccessionRecord:
     subsolver_iterations: int
     subsolver_gap: float
     subsolver_start: str  # warm | cold: the start point of the solve's result
+    subsolver_pivoting: str  # diagonal | partial: the factorization of the solve's result
+    subsolver_tol: float  # the tolerance the succession was first solved to
+    # whether a loose solve was solved again at FULL_TOL before its use;
+    # subsolver_iterations then counts both solves
+    subsolver_resolved: bool
 
 
 @dataclass
@@ -134,6 +159,14 @@ def _relaxation_floor(fixed):
     return extract(fixed, sol)[2], replace(sol, kkt=None)
 
 
+def _is_anchor(problem, y, mode) -> bool:
+    try:
+        check_anchor(problem, y, mode)
+    except InfeasibleAnchorError:
+        return False
+    return True
+
+
 def _point(values, n_y: int, name: str) -> np.ndarray:
     """values as a flat float vector; DimensionError unless it has n_y finite coordinates."""
     w = np.array(values, dtype=float).ravel()
@@ -148,6 +181,14 @@ def _point(values, n_y: int, name: str) -> np.ndarray:
 
 def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -> SolveReport:
     """Run successions from a feasible anchor z0 until convergence.
+
+    Succession k is solved to LOOSE_TOL when k = 1 or succession k - 1
+    improved P by more than LOOSE_WHILE * epsilon, otherwise to FULL_TOL;
+    a run without keep-outs makes its one solve at FULL_TOL, since that
+    solve certifies its own point.  A loose solve is solved again at
+    FULL_TOL, warm from its own solution, when its improvement is below
+    epsilon (so every stop is decided on a FULL_TOL solve) or when its y
+    fails check_anchor (so every accepted iterate is a valid anchor).
 
     Raises DimensionError if z0 has the wrong size or a non-finite
     coordinate, InfeasibleAnchorError if it is not a valid anchor (use
@@ -179,6 +220,7 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
 
     status = "max-successions"
     successions = 0
+    improvement = np.inf  # of the succession before, which sets the tolerance: the first runs loose
     for k in range(1, config.max_successions + 1):
         successions = k
         region = build_feasible_region(problem, z, mode)
@@ -192,9 +234,21 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
         # every succession program has the same columns and cone list, and
         # when it also has the start's sparsity the solve reuses the start's
         # KKT structure
-        sol = conic.solve(artifacts.program, start=sol)
+        loose = not convex_only and improvement > LOOSE_WHILE * config.epsilon
+        tol = LOOSE_TOL if loose else FULL_TOL
+        sol = conic.solve(artifacts.program, tol=tol, start=sol)
+        iterations = sol.iterations
         y, multipliers, P_y = extract(artifacts, sol)
         improvement = P_z - P_y
+        # a loose solve decides no stop and gives no anchor: one whose
+        # improvement is below epsilon, or whose y is not an anchor, is
+        # solved again warm from itself at FULL_TOL
+        resolved = loose and (improvement < config.epsilon or not _is_anchor(problem, y, mode))
+        if resolved:
+            sol = conic.solve(artifacts.program, tol=FULL_TOL, start=sol)
+            iterations += sol.iterations
+            y, multipliers, P_y = extract(artifacts, sol)
+            improvement = P_z - P_y
         # below epsilon this solve is the fixed-point test of its anchor z,
         # which stays the result; a convex-only region does not depend on
         # the anchor, so its one solve certifies y
@@ -209,9 +263,12 @@ def scvx(problem: OptimalControlProblem, z0, config: ScvxConfig | None = None) -
                 accepted=accepted,
                 halfspaces=len(region.halfspaces),
                 subsolver_status=sol.status,
-                subsolver_iterations=sol.iterations,
+                subsolver_iterations=iterations,
                 subsolver_gap=sol.gap,
                 subsolver_start=sol.start,
+                subsolver_pivoting=sol.pivoting,
+                subsolver_tol=tol,
+                subsolver_resolved=resolved,
             )
         )
         if accepted:

@@ -10,10 +10,12 @@ iterations and triangular solves, the cost to 17 digits, and the worst
 eval_h and min g over the accepted iterates.  The second holds the IPM
 iterations of each cone solve, in run order: the feasibility init's
 rounds, the relaxation floor (a run without keep-outs has none) and each
-succession.  The solver counts come from a wrapper on conic.solve, so
-every cone solve of the run counts.  Exits 1 when any run raises.  pytest
-does not collect this file; it states what a change costs each scenario,
-solve by solve.
+succession.  A succession solved loose (driver.LOOSE_TOL) reads 10L, and
+a loose solve that was solved again at full tolerance reads 10L +3R, the
+re-solve's iterations after the plus.  The solver counts come from a
+wrapper on conic.solve, so every cone solve of the run counts.  Exits 1
+when any run raises.  pytest does not collect this file; it states what a
+change costs each scenario, solve by solve.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import traceback
 
 from scvx import conic
 from scvx.bench import builtin_quadrotor, solve_quadrotor
+from scvx.driver import FULL_TOL
 from scvx.problem import eval_g, eval_h
 
 LAYOUTS = range(1, 7)
@@ -60,16 +63,23 @@ def counted_run(scenario) -> dict:
     finally:
         conic.solve = solve
     report = run.report
-    # the successions' solves come last, the floor's (when the run has one) before them
-    first = len(iterations) - report.successions
+    # the successions' solves come last, one more for each re-solved one, and
+    # the floor's (when the run has one) before them
+    first = len(iterations) - report.successions - sum(r.subsolver_resolved for r in report.records)
     floor = first - (report.relaxation_floor is not None)
+    per_succession, solves = [], iter(iterations[first:])
+    for r in report.records:
+        loose = r.subsolver_tol != FULL_TOL
+        per_succession.append(f"{next(solves)}L" if loose else str(next(solves)))
+        if r.subsolver_resolved:
+            per_succession[-1] += f" +{next(solves)}R"
     return dict(
         solves=len(iterations),
         iterations=sum(iterations),
         triangular=sum(triangular),
         init=iterations[:floor],
         floor=iterations[floor:first],
-        per_succession=iterations[first:],
+        per_succession=per_succession,
         successions=report.successions,
         cost=run.record.cost,
         min_h=min(float(eval_h(run.problem, z).min()) for z in report.iterates),

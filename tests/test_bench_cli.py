@@ -229,9 +229,13 @@ def test_report_dict_contents(benchmark_run):
     assert out["cost"] == pytest.approx(benchmark_run.record.cost)
     assert out["penalty"] == out["objective_values"][-1]
     assert len(out["records"]) == out["successions"]
-    assert [r["subsolver_start"] for r in out["records"]] == [
-        r.subsolver_start for r in benchmark_run.report.records
-    ]
+    for field in ("subsolver_start", "subsolver_pivoting", "subsolver_tol", "subsolver_resolved"):
+        assert [r[field] for r in out["records"]] == [
+            getattr(r, field) for r in benchmark_run.report.records
+        ]
+    # the first successions run loose, the stopping one at full tolerance
+    assert out["records"][0]["subsolver_tol"] == 1e-6
+    assert out["records"][-1]["subsolver_tol"] == 1e-9
     assert out["feasibility"]["defect_max"] <= 1e-7
     assert out["scenario"]["N"] == 25
     assert "wall_time" not in out and "time" not in out
@@ -287,7 +291,8 @@ def test_cli_builtin_run(tmp_path, capsys):
     assert "fixed-point residual" in stdout
     table = stdout.splitlines()
     assert table[0].split() == [
-        "k", "penalty", "improvement", "accepted", "halfspaces", "start", "ipm-iters",
+        "k", "penalty", "improvement", "accepted", "halfspaces", "start", "pivoting", "tol",
+        "ipm-iters",
     ]
     # the first succession warm-starts from the relaxation floor's solution
     assert table[2].split()[5] == "warm" and table[3].split()[5] == "warm"

@@ -1,13 +1,14 @@
 """Succession loop: monotone descent, feasibility, certificates, initializer."""
 
 import dataclasses
+import inspect
 import logging
 
 import numpy as np
 import pytest
 
 from scvx import conic, driver
-from scvx.bench import Obstacle, initial_guess, solve_quadrotor
+from scvx.bench import Obstacle, build_quadrotor_problem, initial_guess, solve_quadrotor
 from scvx.driver import (
     ScvxConfig,
     feasibility_summary,
@@ -99,11 +100,20 @@ def test_relaxation_floor_bounds_the_cost(benchmark_run):
     assert floor <= benchmark_run.report.objective_values[-1] + 1e-9
 
 
-def test_restart_from_solution_terminates_immediately(quad_problem, quad_config, benchmark_run):
+def test_restart_from_solution_terminates_immediately(
+    monkeypatch, quad_problem, quad_config, benchmark_run
+):
+    solves = recorded_solves(monkeypatch)
     rerun = scvx(quad_problem, benchmark_run.report.z, quad_config)
     assert rerun.successions == 1
     assert rerun.converged
     assert rerun.records[0].improvement < quad_config.epsilon
+    # the first succession runs loose; its improvement below epsilon would
+    # stop the run, so it is solved again warm from itself at FULL_TOL, and
+    # the stop reads that solve
+    assert [tol for tol, _ in solves] == [driver.FULL_TOL, driver.LOOSE_TOL, driver.FULL_TOL]
+    assert rerun.records[0].subsolver_tol == driver.LOOSE_TOL
+    assert rerun.records[0].subsolver_resolved
 
 
 def test_initial_anchor_is_far_from_fixed_point(benchmark_run):
@@ -168,6 +178,66 @@ def test_one_polish_per_run(monkeypatch, quad_scenario, quad_problem, quad_confi
     report = scvx(quad_problem, start, quad_config)
     assert report.successions == 9 and len(programs) == rounds + 10
     assert built[0] == 3
+
+
+def recorded_solves(monkeypatch):
+    """A list that collects the (tol, solution) of every conic.solve call, in order."""
+    solves, solve = [], conic.solve
+    default = inspect.signature(solve).parameters["tol"].default
+
+    def recording(program, tol=default, start=None):
+        solves.append((tol, solve(program, tol=tol, start=start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(conic, "solve", recording)
+    return solves
+
+
+def assert_tolerance_rule(report, epsilon):
+    """Succession 1 runs loose, succession k loose iff k - 1 improved by
+    more than LOOSE_WHILE * epsilon; the stop reads a full-tolerance solve,
+    and a loose record is re-solved unless it improved by epsilon or more."""
+    records = report.records
+    assert report.converged and records[-1].subsolver_tol == driver.FULL_TOL
+    assert records[0].subsolver_tol == driver.LOOSE_TOL
+    for before, r in zip(records, records[1:]):
+        loose = before.improvement > driver.LOOSE_WHILE * epsilon
+        assert r.subsolver_tol == (driver.LOOSE_TOL if loose else driver.FULL_TOL)
+    for r in records:
+        if r.subsolver_tol == driver.LOOSE_TOL:
+            assert r.improvement >= epsilon or r.subsolver_resolved
+        else:
+            assert not r.subsolver_resolved
+
+
+def test_builtin_run_stops_on_a_full_tolerance_solve(benchmark_run):
+    assert_tolerance_rule(benchmark_run.report, benchmark_run.config.epsilon)
+    assert [r.subsolver_tol for r in benchmark_run.report.records[:3]] == [driver.LOOSE_TOL] * 3
+
+
+@pytest.mark.parametrize("layout", [1, 6])
+def test_penalty_layout_stops_on_a_full_tolerance_solve(quad_scenario, layout):
+    # on layout 6 the second succession's loose solve reads a P above its
+    # anchor's, so the stop waits for its re-solve
+    run = solve_quadrotor(six_cylinder_scenario(quad_scenario, layout))
+    assert_tolerance_rule(run.report, run.config.epsilon)
+    assert any(r.subsolver_resolved for r in run.report.records) == (layout == 6)
+
+
+@pytest.mark.parametrize("lam", [0.0, 100.0])
+def test_convex_only_run_solves_at_full_tolerance(monkeypatch, quad_scenario, lam):
+    # the one succession of a run without keep-outs certifies its own y,
+    # so it never runs loose
+    scenario = dataclasses.replace(quad_scenario, penalty_lambda=lam)
+    problem = build_quadrotor_problem(scenario, include_obstacles=False)
+    config = ScvxConfig(epsilon=scenario.epsilon, penalty=PenaltyConfig(lam=lam))
+    start = find_feasible_start(problem, initial_guess(scenario), config)
+    solves = recorded_solves(monkeypatch)
+    report = scvx(problem, start, config)
+    assert [tol for tol, _ in solves] == [driver.FULL_TOL] == [1e-9]
+    (record,) = report.records
+    assert record.subsolver_tol == driver.FULL_TOL and not record.subsolver_resolved
+    assert report.converged
 
 
 def test_successions_start_warm(benchmark_run):
@@ -252,17 +322,20 @@ def assert_penalty_margins(scenario):
     assert min(float(eval_g(run.problem, z).min()) for z in iterates) >= -1e-12
 
 
+def six_cylinder_scenario(quad_scenario, layout):
+    """The benchmark's penalty workload at seed 1 on the given layout seed."""
+    return dataclasses.replace(
+        quad_scenario,
+        p0=(-20.0, 15.0, 0.0),
+        pf=(-4.0, 17.0, 0.5),
+        obstacles=tuple(Obstacle(center, radius) for center, radius in PENALTY_LAYOUTS[layout]),
+        penalty_lambda=100.0,
+    )
+
+
 @pytest.mark.parametrize("layout", sorted(PENALTY_LAYOUTS))
 def test_six_cylinder_penalty_run_keeps_its_margins(quad_scenario, layout):
-    assert_penalty_margins(
-        dataclasses.replace(
-            quad_scenario,
-            p0=(-20.0, 15.0, 0.0),
-            pf=(-4.0, 17.0, 0.5),
-            obstacles=tuple(Obstacle(center, radius) for center, radius in PENALTY_LAYOUTS[layout]),
-            penalty_lambda=100.0,
-        )
-    )
+    assert_penalty_margins(six_cylinder_scenario(quad_scenario, layout))
 
 
 def test_builtin_penalty_run_keeps_its_margins(quad_scenario):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scvx import conic
+from scvx import conic, driver
 from scvx.bench import (
     BenchmarkRun,
     build_quadrotor_problem,
@@ -15,8 +15,8 @@ from scvx.bench import (
     trajectory_record,
 )
 from scvx.driver import ScvxConfig, find_feasible_start, scvx
-from scvx.errors import DimensionError
-from scvx.linearize import build_feasible_region
+from scvx.errors import DimensionError, InfeasibleAnchorError
+from scvx.linearize import build_feasible_region, check_anchor
 from scvx.penalty import PenaltyConfig, penalty_value, validate_penalty_weight
 from scvx.problem import (
     AffineDynamics,
@@ -30,6 +30,7 @@ from scvx.problem import (
 )
 from scvx.subproblem import assemble, extract
 from tests.checks import builder_program
+from tests.test_driver import recorded_solves
 
 
 def test_config_validation():
@@ -174,6 +175,36 @@ def test_positive_weight_alone_runs_penalty_mode(quad_scenario):
     assert report.converged
     assert out["mode"] == "penalty"
     assert out["penalty_check"]["status"] == "valid"
+
+
+def test_loose_point_that_is_no_anchor_is_solved_again(monkeypatch, quad_scenario):
+    # at N=8 and lambda = 100 the first succession's loose y violates the
+    # base set by more than ANCHOR_FEASIBILITY_TOL, so it is solved again
+    # at full tolerance before it becomes the next anchor
+    scenario = dataclasses.replace(quad_scenario, N=8, penalty_lambda=100.0)
+    problem = build_quadrotor_problem(scenario)
+    config = ScvxConfig(epsilon=scenario.epsilon, penalty=PenaltyConfig(lam=100.0))
+    start = find_feasible_start(problem, initial_guess(scenario), config)
+    solves, points, read_back = recorded_solves(monkeypatch), [], driver.extract
+
+    def extracting(*args):  # every solve is read back once, in order
+        out = read_back(*args)
+        points.append(out[0])
+        return out
+
+    monkeypatch.setattr(driver, "extract", extracting)
+    report = scvx(problem, start, config)
+    assert report.converged
+    first = report.records[0]
+    assert first.subsolver_resolved and first.improvement >= config.epsilon
+    # the floor, the loose solve of succession 1 and its re-solve
+    _, (loose_tol, loose), (full_tol, full) = solves[:3]
+    assert (loose_tol, full_tol) == (driver.LOOSE_TOL, driver.FULL_TOL)
+    assert first.subsolver_iterations == loose.iterations + full.iterations
+    with pytest.raises(InfeasibleAnchorError, match="base set"):
+        check_anchor(problem, points[1], config.penalty.mode)
+    check_anchor(problem, points[2], config.penalty.mode)
+    assert report.iterates[1].tobytes() == points[2].tobytes()
 
 
 def test_penalty_relaxation_floor_bounds_the_cost(small_runs):
