@@ -15,7 +15,6 @@ import logging
 from .errors import (
     BadScenarioError,
     DimensionError,
-    GradientSingularityError,
     InfeasibleAnchorError,
     InfeasibleScenarioError,
     ScvxError,

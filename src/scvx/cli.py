@@ -237,9 +237,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        raise BadScenarioError(f"unknown command {args.command!r}")
+        return _cmd_run(args)  # the parser's one subcommand
     except Exception as exc:  # every failure maps to a documented exit code
         known = isinstance(exc, ScvxError)
         _err(exc if known else f"internal failure: {type(exc).__name__}: {exc}")

@@ -68,6 +68,8 @@ from .errors import DimensionError
 
 KINDS = ("zero", "nonneg", "soc")
 
+FULL_TOL = 1e-9  # solve's default; the driver's init, floor and deciding solves use it
+
 # static regularization of the KKT matrix; refinement iterates against the
 # unregularized matrix so accuracy is not limited by this value
 _REG = 1e-8
@@ -693,14 +695,15 @@ def _norm(r):
 
 
 def solve(
-    program: ConicProgram, tol: float = 1e-9, start: ConicSolution | None = None
+    program: ConicProgram, tol: float = FULL_TOL, start: ConicSolution | None = None
 ) -> ConicSolution:
     """Solve a cone program; never raises on numerical trouble.
 
     On status "optimal" the normalized primal/dual residuals and the
     relative gap are all <= tol.  Infeasibility is certified through the
     homogeneous embedding (tau -> 0 with a valid certificate; a primal one
-    is normalized to b.z = -1 and must re-evaluate to it).
+    is normalized to b.z = -1 and must re-evaluate to it; a dual one's
+    residual is scaled by max(1, |c|), so the scale of c does not pass it).
 
     start, a solution of a program with the same cone list, warm-starts the
     first attempt from x = start.x, s = start.s + (1 - w) e and z =
@@ -854,7 +857,7 @@ def _solve(program, kkt: _KKTStructure, tol, pivoting, start=None):
         ctx = float(c @ x)
         if ctx < 0:
             scale = -ctx
-            if _norm(Axs) / scale <= tol:
+            if _norm(Axs) * max(1.0, norm_c) / scale <= tol:
                 return result(
                     "dual-infeasible", iters, x / scale, s / scale, zh, gap_rel, pres, dres
                 )

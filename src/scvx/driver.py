@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import conic
-from .conic import ProgramBuilder
+from .conic import FULL_TOL, ProgramBuilder
 from .errors import DimensionError, InfeasibleAnchorError, InfeasibleScenarioError
 from .linearize import (
     _anchor_groups,
@@ -56,7 +56,7 @@ from .subproblem import (
 # Succession tolerances.  A succession runs at LOOSE_TOL while the one
 # before it improved P by more than LOOSE_WHILE * epsilon, and the first
 # always does; the others, and a convex-only run's one solve, run at
-# FULL_TOL, conic.solve's default.  Measured on the built-in run, N = 50,
+# FULL_TOL, as the init and the floor do.  Measured on the built-in run, N = 50,
 # N = 100, lambda = 100 and the six penalty layouts (tests/run_counts.py):
 # 1e-6 while above 1e-3 took builtin from 114 to 110 IPM iterations, N = 50
 # from 89 to 81 and penalty layout 1 from 107 to 80, against every solve at
@@ -65,7 +65,6 @@ from .subproblem import (
 # successions, and 1e-7 left layout 1 at 94.
 LOOSE_TOL = 1e-6
 LOOSE_WHILE = 1000.0
-FULL_TOL = 1e-9
 
 # rounds of the feasibility search before it gives up, and rounds without
 # improvement before it calls the scenario infeasible
@@ -155,7 +154,7 @@ def _relaxation_floor(fixed):
     program shares, and the first succession drops it once the extended
     start exists, so a run holds one start at a time.
     """
-    sol = conic.solve(fixed.program)
+    sol = conic.solve(fixed.program, tol=FULL_TOL)
     return extract(fixed, sol)[2], replace(sol, kkt=None)
 
 
@@ -402,7 +401,7 @@ def find_feasible_start(problem: OptimalControlProblem, guess, config: ScvxConfi
             fixed = _slack_rows(problem, config.penalty)
 
         artifacts = add_halfspace_rows(fixed, direct_rows(problem, w, mode))
-        sol = conic.solve(artifacts.program)
+        sol = conic.solve(artifacts.program, tol=FULL_TOL)
         if sol.status == "primal-infeasible":
             raise InfeasibleScenarioError(
                 "the hard constraint set is empty (inconsistent pins, "

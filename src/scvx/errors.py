@@ -2,6 +2,8 @@
 
 Every structured failure raised by the library derives from ScvxError so
 callers (and the CLI) can map failures to outcomes without string matching.
+A plain ScvxError marks a library defect, such as a keep-out projection
+that loses containment or lies at its keep-out's center.
 """
 
 
@@ -11,14 +13,6 @@ class ScvxError(Exception):
 
 class DimensionError(ScvxError):
     """An input's shape or length does not match the problem dimensions."""
-
-
-class GradientSingularityError(ScvxError):
-    """A norm term was differentiated at (or too close to) its center.
-
-    A keep-out group names the row in the message.  The feasibility init
-    never raises it: at a center it takes a subgradient instead.
-    """
 
 
 class InfeasibleAnchorError(ScvxError):

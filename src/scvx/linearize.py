@@ -14,14 +14,15 @@ here: the subproblem builds it once per run as a fixed row, and a region
 holds the keep-out halfspaces only.
 
 The feasibility init instead linearizes every row it slacks at the
-incumbent itself (direct_rows).  Both work one of the problem's row
-groups at a time: projection, gradients, offsets and the containment
-check are each one array pass, and the rows are one Halfspaces of index,
-coefficient and offset arrays, which add_halfspace_rows appends to a
-program through ProgramBuilder.  A row is the sparse row of its
-constraint: the row's own coordinates (group.indices[k]) and the gradient
-over them.  Its offset is summed term by term in index order, so the same
-inputs always round to the same offset.
+incumbent itself (direct_rows).  Both expand a row q to first order,
+q(p) + grad q(p) . (y - p), with one routine (_tangent_rows), and work one
+of the problem's row groups at a time: projection, gradients, offsets and
+the containment check are each one array pass, and the rows are one
+Halfspaces of index, coefficient and offset arrays, which
+add_halfspace_rows appends to a program through ProgramBuilder.  A row is
+the sparse row of its constraint: the row's own coordinates
+(group.indices[k]) and the gradient over them.  Its offset is summed term
+by term in index order, so the same inputs always round to the same offset.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleAnchorError, ScvxError
+from .penalty import DEFECT_TOL
 from .problem import (
     NORM_SINGULARITY_RADIUS,
     BaseSet,
@@ -119,9 +121,9 @@ def check_anchor(problem: OptimalControlProblem, z, mode: str):
         # defects are enforced as equalities; tolerate solver-level drift
         g = eval_g(problem, z)
         defect = float(np.max(np.abs(g))) if g.size else 0.0
-        if defect > 1e-7:
+        if defect > DEFECT_TOL:
             raise InfeasibleAnchorError(
-                f"anchor dynamics defect {defect:.3e} exceeds 1e-7; "
+                f"anchor dynamics defect {defect:.3e} exceeds {DEFECT_TOL:.0e}; "
                 "run find_feasible_start first"
             )
     values = _anchor_values(problem, z, mode)
@@ -147,15 +149,37 @@ def _sums_in_order(coeffs, points) -> np.ndarray:
     return sums
 
 
+def _tangent_rows(group, points, q):
+    """A group's rows expanded at points (k, d) where they read q: (coeffs, offsets, centers).
+
+    Row k is coeffs[k] . w >= offsets[k] = coeffs[k] . points[k] - q[k].  An
+    affine row's coeffs are its a; a keep-out's its unit gradient H^T v / |v|
+    (H is row-orthonormal) or, at a center (indexed by centers), where it
+    has none, the subgradient along the first image direction.
+    """
+    if isinstance(group, KeepoutGroup):
+        v, nv = group.residuals(points)
+        center = nv <= NORM_SINGULARITY_RADIUS
+        unit = v / np.where(center, 1.0, nv)[:, None]
+        unit[center] = np.eye(v.shape[1])[0]
+        # + 0.0 is the ball's zero linear term: it turns -0.0 into 0.0
+        coeffs = _matvecs(np.swapaxes(group.H, 1, 2), unit) + 0.0
+        return coeffs, _sums_in_order(coeffs, points) - q, np.flatnonzero(center)
+    return group.a, _sums_in_order(group.a, points) - q, ()
+
+
 def _supporting_rows(group: KeepoutGroup, z):
     """The group's supporting halfspaces at the projections of z: (indices, coeffs, offsets).
 
-    StateConstraint admits only a row-orthonormal H, so every gradient
-    H^T v / |v| has unit norm and every halfspace is defined.
+    A projection is on its keep-out's boundary, q = 0, a radius (above
+    NORM_SINGULARITY_RADIUS) from its center: a row at a center, like one
+    that loses containment, is a projector defect.
     """
     points = project(group, z).points
-    coeffs = group.grads(points)
-    offsets = _sums_in_order(coeffs, points)
+    coeffs, offsets, centers = _tangent_rows(group, points, 0.0)
+    if len(centers):
+        k = centers[0]
+        raise ScvxError(f"{group.label(k)} projected to its keep-out center: a projector defect")
     slack = _dots(coeffs, z[group.indices]) - offsets
     if np.any(slack < -1e-9):
         k = int(np.argmax(slack < -1e-9))
@@ -186,22 +210,12 @@ def direct_rows(problem: OptimalControlProblem, w, mode: str) -> Halfspaces:
     blocks = []
     first = problem.dims.n_y
     for group in _anchor_groups(problem, mode):
-        points = w[group.indices]
-        if isinstance(group, KeepoutGroup):
-            v, nv = group.residuals(points)
-            center = nv <= NORM_SINGULARITY_RADIUS
-            for k in np.flatnonzero(center):
-                log.warning(
-                    f"feasibility init: {group.label(k)} linearized at its keep-out "
-                    "center; used the subgradient along the first image direction"
-                )
-            unit = v / np.where(center, 1.0, nv)[:, None]
-            unit[center] = np.eye(v.shape[1])[0]
-            # + 0.0 turns -0.0 into 0.0, as KeepoutGroup.grads does
-            coeffs = _matvecs(np.swapaxes(group.H, 1, 2), unit) + 0.0
-        else:
-            coeffs = group.a
-        offsets = _sums_in_order(coeffs, points) - group.values(w)
+        coeffs, offsets, centers = _tangent_rows(group, w[group.indices], group.values(w))
+        for k in centers:
+            log.warning(
+                f"feasibility init: {group.label(k)} linearized at its keep-out "
+                "center; used the subgradient along the first image direction"
+            )
         k = len(offsets)
         cols, ones = first + np.arange(k), np.ones(k)
         blocks.append((np.column_stack([group.indices, cols]), np.column_stack([coeffs, ones]), offsets))

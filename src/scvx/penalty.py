@@ -42,7 +42,8 @@ class PenaltyCheck:
     required_lambda: float | None = None  # set when a multiplier exceeds lambda
 
 
-# largest dynamics defect of a penalty-mode solution the check accepts
+# largest dynamics defect of a penalty-mode solution the check accepts, and
+# of an equality-mode anchor (linearize.check_anchor)
 DEFECT_TOL = 1e-7
 
 

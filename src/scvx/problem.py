@@ -34,11 +34,11 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, GradientSingularityError, UnsupportedModelError
+from .errors import DimensionError, UnsupportedModelError
 
 # Norm terms are treated as non-differentiable within this radius of their
-# center; feasible iterates stay outside keep-out zones so this guard is
-# defensive only.
+# center: a keep-out row linearized there takes a subgradient (the init) or
+# raises (a region, whose projections keep their distance to the center).
 NORM_SINGULARITY_RADIUS = 1e-12
 
 
@@ -228,23 +228,6 @@ class KeepoutGroup(RowGroup):
     def values(self, y) -> np.ndarray:
         """q_k(y) of every row."""
         return self.residuals(y[self.indices])[1] - self.radii
-
-    def grads(self, w) -> np.ndarray:
-        """The gradient H[k]^T v_k / |v_k| of every row at local coordinates w (k, d).
-
-        Raises GradientSingularityError for a row whose image residual v_k
-        is within NORM_SINGULARITY_RADIUS of 0, where q_k has no gradient.
-        """
-        v, nv = self.residuals(w)
-        near = nv <= NORM_SINGULARITY_RADIUS
-        if near.any():
-            k = int(np.argmax(near))
-            raise GradientSingularityError(
-                f"{self.label(k)}: norm term differentiated at its center "
-                f"(residual norm {nv[k]:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
-            )
-        # + 0.0 is the ball's zero linear term: it turns -0.0 into 0.0
-        return _matvecs(np.swapaxes(self.H, 1, 2), v / nv[:, None]) + 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from scvx import conic
-from scvx.errors import DimensionError, GradientSingularityError, ScvxError
+from scvx.errors import DimensionError, ScvxError
 from scvx.linearize import FeasibleRegion, build_feasible_region
 from scvx.problem import (
     NORM_SINGULARITY_RADIUS,
@@ -58,6 +58,10 @@ from scvx.subproblem import SubproblemArtifacts
 # gradient, and the grouping into KeepoutGroups and AffineGroups.  The
 # problem's groups must give the same arrays, labels and values, bit for
 # bit.
+
+
+class NormCenterError(ScvxError):
+    """A spec's norm term was differentiated at its center, where it has no gradient."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +101,14 @@ class ConstraintSpec:
 
     def grad(self, w) -> np.ndarray:
         """The gradient over the spec's own coordinates w = y[indices];
-        GradientSingularityError at a norm's center."""
+        NormCenterError at a norm's center."""
         fn = self.fn
         if isinstance(fn, AffineFn):
             return fn.a.copy()
         r = fn.H @ w - fn.p
         nr = np.sqrt(r.dot(r))
         if nr <= NORM_SINGULARITY_RADIUS:
-            raise GradientSingularityError(
+            raise NormCenterError(
                 "norm term differentiated at its center (residual norm "
                 f"{nr:.3e} <= {NORM_SINGULARITY_RADIUS:.0e})"
             )
@@ -238,7 +242,7 @@ def linearize_direct(constraint: ConstraintSpec, z):
     fn = constraint.fn
     try:
         grad = constraint.grad(z[constraint.indices])
-    except GradientSingularityError:  # only a NormFn raises it
+    except NormCenterError:  # only a NormFn raises it
         v = np.zeros(fn.p.size)
         v[0] = 1.0
         grad = fn.H.T @ v + fn.a

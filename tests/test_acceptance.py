@@ -15,7 +15,7 @@ from scvx.bench import build_quadrotor_problem
 from scvx.cli import main as cli_main
 from scvx.driver import feasibility_summary, scvx
 from tests.checks import eval_q, project_generic, project_point, residuals, verify_invariance
-from scvx.linearize import FeasibleRegion, build_feasible_region
+from scvx.linearize import FeasibleRegion, _tangent_rows, build_feasible_region
 from scvx.problem import KeepoutGroup
 from scvx.subproblem import assemble, extract
 from tests.test_conic import make_program, random_feasible_program
@@ -222,9 +222,10 @@ def test_convex_degeneration(quad_scenario, convex_run):
 
 
 def test_gradient_suite(quad_problem, rng):
-    # the gradients the library linearizes with, a group's rows at a time:
-    # a keep-out's H^T v / |v| and an affine row's own a, against central
-    # differences of the row values in each row's own coordinates
+    # the gradients the library linearizes with (_tangent_rows), a group's
+    # rows at a time: a keep-out's H^T v / |v| and an affine row's own a,
+    # against central differences of the row values in each row's own
+    # coordinates
     def values(group, w):
         if isinstance(group, KeepoutGroup):
             return group.residuals(w)[1] - group.radii
@@ -239,7 +240,7 @@ def test_gradient_suite(quad_problem, rng):
         y = center + rng.uniform(-0.75, 0.75, size=quad_problem.dims.n_y) * width
         for group in groups:
             w = y[group.indices]
-            g = group.grads(w) if isinstance(group, KeepoutGroup) else group.a
+            g = _tangent_rows(group, w, values(group, w))[0]
             fd = np.empty_like(g)
             for k in range(w.shape[1]):
                 h = 1e-6 * np.maximum(1.0, np.abs(w[:, k]))

@@ -582,10 +582,23 @@ def test_primal_infeasible_certificate():
 
 
 def test_dual_infeasible_certificate():
-    # minimize -x subject to x >= 0 is unbounded below
-    prog = make_program([-1.0], [[-1.0]], [0.0], [Cone("nonneg", 1)])
+    # minimize -s x subject to x >= 0 is unbounded below, whatever the scale s
+    for scale in (1e-6, 1.0, 1e10):
+        prog = make_program([-scale], [[-1.0]], [0.0], [Cone("nonneg", 1)])
+        sol = solve(prog, tol=1e-9)
+        assert sol.status == "dual-infeasible"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_large_cost_on_a_bounded_program_is_no_dual_certificate(n):
+    # minimize -1e10 sum x over 0 <= x <= 1: the iterate's -c.x grows with
+    # c, so a residual test on |A x + s| / -c.x alone certified
+    # "dual-infeasible" after two iterations
+    A = np.vstack([-np.eye(n), np.eye(n)])
+    prog = make_program(np.full(n, -1e10), A, np.r_[np.zeros(n), np.ones(n)], [Cone("nonneg", 2 * n)])
     sol = solve(prog, tol=1e-9)
-    assert sol.status == "dual-infeasible"
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, np.ones(n), atol=1e-8)
 
 
 def test_program_validation():

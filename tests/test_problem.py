@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scvx.errors import DimensionError, GradientSingularityError, UnsupportedModelError
+from scvx.errors import DimensionError, ScvxError, UnsupportedModelError
+from scvx.linearize import _supporting_rows, _tangent_rows
 from scvx.problem import (
     AffineDynamics,
     AffineFn,
@@ -290,14 +291,27 @@ def test_affine_jacobian_exact(rng):
 
 def test_norm_gradient_unit_vector():
     (group,) = tiny_problem(constraints=(unit_disk(),)).keepouts
-    np.testing.assert_allclose(group.grads(np.tile([3.0, 4.0], (3, 1))), [[0.6, 0.8]] * 3, atol=1e-15)
+    coeffs, _, centers = _tangent_rows(group, np.tile([3.0, 4.0], (3, 1)), 0.0)
+    np.testing.assert_allclose(coeffs, [[0.6, 0.8]] * 3, atol=1e-15)
+    assert len(centers) == 0
 
 
 def test_norm_gradient_singularity_guard():
-    (group,) = tiny_problem(constraints=(unit_disk(),)).keepouts
+    # at its center a keep-out row has no gradient: the init's row takes
+    # the first image direction, and a region's row, whose projection
+    # should keep the radius' distance to the center, raises
+    problem = tiny_problem(constraints=(unit_disk(),))
+    (group,) = problem.keepouts
     w = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(GradientSingularityError, match=r"\(state-constraint, step 1, component 0\)"):
-        group.grads(w)
+    coeffs, offsets, centers = _tangent_rows(group, w, group.residuals(w)[1] - group.radii)
+    np.testing.assert_array_equal(centers, [1])
+    np.testing.assert_array_equal(coeffs, [[0.6, 0.8], [1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(offsets[1], 1.0)  # 0 - q = the radius: tight at the center
+    z = np.full(problem.dims.n_y, 3.0)
+    z[group.indices[1]] = 0.0  # inside the keep-out, at its center: its own projection
+    label = r"\(state-constraint, step 1, component 0\) projected to its keep-out center"
+    with pytest.raises(ScvxError, match=label):
+        _supporting_rows(group, z)
 
 
 def test_jacobian_rows_are_sparse_gradients(quad_problem, rng):

@@ -120,15 +120,18 @@ def test_cylinder_projection_touches_only_its_coordinates():
 
 
 def test_gradient_fallback_at_norm_center(rng):
-    from scvx.errors import GradientSingularityError
+    from scvx.errors import ScvxError
+    from scvx.linearize import _supporting_rows
     from tests.test_linearize import direct_keepout_rows
 
     c = disk_constraint([1.0, 2.0], 0.5)
     problem = two_step_problem(c.fn)
     (group,) = problem.keepouts
     y = hold_anchor(problem, [1.0, 2.0])  # exactly at the center: gradient undefined
-    with pytest.raises(GradientSingularityError):
-        group.grads(y[group.indices])
+    # a region row there is a projector defect; the init's row takes the
+    # first image direction
+    with pytest.raises(ScvxError, match="keep-out center"):
+        _supporting_rows(group, y)
     for spec, idx, coeffs, offset in direct_keepout_rows(problem, y):
         np.testing.assert_array_equal(idx, spec.indices)
         np.testing.assert_allclose(coeffs, [1.0, 0.0], atol=1e-15)
